@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, irreps, reps, schemes, separation
 from .errors import NumericalConsistencyError, SearchFailureError, UsageError
 from .fourier import GroupSignal, plancherel_residual
 from .groups import (
@@ -67,15 +67,15 @@ from .experiments.rotation import (
 )
 
 TOLERANCES = {
-    "unitarity": 1e-9,
-    "homomorphism": 1e-9,
-    "char_orthogonality": 1e-9,
-    "eig_snap": 1e-6,
-    "integer_round": 1e-6,
-    "feasibility_rank": 1e-9,
-    "weight_sum": 1e-12,
-    "support_zero": 1e-15,
-    "sandwich_slack": 1e-9,
+    "unitarity": reps.UNITARITY_TOL,
+    "homomorphism": reps.HOMOMORPHISM_TOL,
+    "char_orthogonality": irreps.ORTHOGONALITY_TOL,
+    "eig_snap": reps.EIG_SNAP_TOL,
+    "integer_round": reps.INT_ROUND_TOL,
+    "feasibility_rank": separation.FEASIBILITY_RCOND,
+    "weight_sum": schemes.WEIGHT_SUM_TOL,
+    "support_zero": schemes.SUPPORT_EPS,
+    "sandwich_slack": schemes.SANDWICH_SLACK,
 }
 
 
@@ -91,15 +91,26 @@ def _build_rep(group: Group, kind: str) -> Representation:
     raise UsageError(f"unknown representation kind {kind!r}")
 
 
+def _int_arg(text: str, what: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{what} must be an integer, got {text!r}") from None
+
+
 def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
+    kind, _, arg = spec.partition(":")
     if spec == "uniform":
         return uniform_scheme(group)
-    if spec.startswith("delta:"):
-        return delta_scheme(group, int(spec.split(":", 1)[1]))
-    if spec.startswith("random:"):
-        return random_scheme(group, int(spec.split(":", 1)[1]), seed)
-    if spec.startswith("file:"):
-        payload = json.loads(Path(spec.split(":", 1)[1]).read_text())
+    if kind == "delta":
+        return delta_scheme(group, _int_arg(arg, "delta:g element index"))
+    if kind == "random":
+        return random_scheme(group, _int_arg(arg, "random:n draw count"), seed)
+    if kind == "file":
+        try:
+            payload = json.loads(Path(arg).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read scheme file {arg!r}: {exc}") from None
         return scheme_from_json(payload, group)
     raise UsageError(f"unknown scheme spec {spec!r} (uniform | delta:g | random:n | file:path)")
 
@@ -228,7 +239,6 @@ def cmd_minimize(args) -> int:
         trial_budget=args.trials,
         seed=args.seed,
         swap_budget=args.swaps,
-        threads=args.threads,
     )
     out = _out_dir(args)
     scheme_payload = scheme_to_json(result.scheme)
@@ -267,11 +277,11 @@ def cmd_kbound(args) -> int:
 
 
 def cmd_separation(args) -> int:
-    lo, _, hi = args.range.partition(":")
-    params = list(range(int(lo), int(hi) + 1))
-    rows = separation_table(
-        args.family, params, args.eps, trial_budget=args.trials, seed=args.seed, threads=args.threads
-    )
+    lo, sep, hi = args.range.partition(":")
+    if not sep:
+        raise UsageError(f"--range must be lo:hi, got {args.range!r}")
+    params = list(range(_int_arg(lo, "--range lo"), _int_arg(hi, "--range hi") + 1))
+    rows = separation_table(args.family, params, args.eps, trial_budget=args.trials, seed=args.seed)
     out = _out_dir(args)
     write_text(out / "separation.csv", separation_csv(rows))
     _write_meta(out, "separation", args)
@@ -465,12 +475,18 @@ def _run_selftest(seed: int) -> list[dict]:
 def _add_common(p: argparse.ArgumentParser, *, seed=0) -> None:
     p.add_argument("--out", default="out", help="output directory")
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors become usage errors (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupavg",
         description="Averaging schemes over finite groups: construction, "
         "certification, minimization, and experiments.",

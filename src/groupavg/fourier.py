@@ -1,8 +1,7 @@
 """Fourier analysis of signals on finite groups.
 
 Transforms are direct summations against an irrep table (no fast
-transform); spectral norms use dense SVD for small blocks and power
-iteration as a guardrail for large ones.
+transform); spectral norms are dense SVD at every size.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ from .groups import Group
 from .irreps import IrrepTable
 
 SUPPORT_EPS = 1e-15
-_SVD_MAX_DIM = 64
-_POWER_ITERATIONS = 200
-_POWER_RTOL = 1e-10
 
 
 @dataclass
@@ -48,36 +44,19 @@ class FourierCoefficients:
     mats: list[np.ndarray]
 
 
-def spectral_norm(mat: np.ndarray, method: str = "auto") -> float:
-    """Largest singular value.
+def spectral_norm(mat: np.ndarray) -> float:
+    """Largest singular value, by dense SVD."""
+    return float(np.linalg.norm(np.atleast_2d(mat), 2))
 
-    ``auto`` uses dense SVD for blocks of side <= 64 and power iteration
-    (200 steps, 1e-10 relative tolerance, seeded random start) above;
-    ``svd`` / ``power`` force one path, mainly for cross-checks.
+
+def max_deviation(mats: np.ndarray, block: np.ndarray) -> float:
+    """max over g of the spectral norm of ``mats[g] @ block - block``.
+
+    The per-element worst case behind the strong certificate and the
+    exact-invariance violation; ``mats`` is a stack of one matrix per
+    group element.
     """
-    mat = np.atleast_2d(mat)
-    if method == "svd" or (method == "auto" and max(mat.shape) <= _SVD_MAX_DIM):
-        return float(np.linalg.norm(mat, 2))
-    if method not in ("auto", "power"):
-        raise UsageError(f"unknown spectral norm method {method!r}")
-    gram = mat.conj().T @ mat
-    n = gram.shape[0]
-    rng = np.random.default_rng(0x5FEC7)
-    v = rng.normal(size=n) + 1j * rng.normal(size=n)
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_ITERATIONS):
-        w = gram @ v
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        lam = float(np.real(np.vdot(v, w)))  # Rayleigh quotient
-        # Hermitian residual certificate: some eigenvalue lies within resid of lam
-        resid = float(np.linalg.norm(w - lam * v))
-        if resid <= _POWER_RTOL * max(lam, 1.0):
-            return float(np.sqrt(max(lam, 0.0)))
-        v = w / norm_w
-    # certificate not reached within the iteration budget: dense guardrail
-    return float(np.linalg.norm(mat, 2))
+    return max(spectral_norm(m @ block - block) for m in mats)
 
 
 def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoefficients:

@@ -78,7 +78,7 @@ class Group:
         )
 
     def __hash__(self) -> int:
-        return hash((self.family, self.params, self.order, self.mult.tobytes()))
+        return hash((self.order, self.mult.tobytes()))
 
     def __repr__(self) -> str:
         return f"Group({group_spec_string(self)}, order={self.order})"

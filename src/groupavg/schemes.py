@@ -10,7 +10,6 @@ or from Fourier coefficient norms over an irrep table (fourier path).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -18,9 +17,11 @@ import numpy as np
 
 from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
 from .fourier import (
+    SUPPORT_EPS,
     FourierCoefficients,
     GroupSignal,
     fourier_transform,
+    max_deviation,
     max_nontrivial_norm,
     per_irrep_norms,
     spectral_norm,
@@ -30,7 +31,6 @@ from .irreps import IrrepTable
 from .reps import Representation, invariant_dimension, invariant_projector
 
 WEIGHT_SUM_TOL = 1e-12
-SUPPORT_EPS = 1e-15
 SANDWICH_SLACK = 1e-9
 
 
@@ -183,10 +183,7 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
         return 0.0
     proj = invariant_projector(rep)
     averaged = apply_scheme(scheme, rep) @ (np.eye(rep.dim) - proj)
-    worst = 0.0
-    for g in range(rep.group.order):
-        worst = max(worst, spectral_norm(rep.mats[g] @ averaged - averaged) ** 2)
-    return 0.5 * worst
+    return 0.5 * max_deviation(rep.mats, averaged) ** 2
 
 
 def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict_to) -> float:
@@ -197,9 +194,8 @@ def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict
         if restrict_to is not None and restrict_to[i] < 1:
             continue
         block = mat.conj().T  # operator induced on the irrep block
-        for g in range(table.group.order):
-            worst = max(worst, spectral_norm(rep.mats[g] @ block - block) ** 2)
-    return 0.5 * worst
+        worst = max(worst, max_deviation(rep.mats, block))
+    return 0.5 * worst**2
 
 
 def certify(
@@ -289,7 +285,6 @@ def minimize_scheme(
     seed: int = 0,
     swap_budget: int = 200,
     multiplicities: Optional[np.ndarray] = None,
-    threads: int = 1,
 ) -> MinimizeResult:
     """Heuristic search for a small scheme certifying at most ``eps_target``.
 
@@ -321,12 +316,7 @@ def minimize_scheme(
     def trials_at(n: int):
         seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(n, t)) for t in range(trial_budget)]
         schemes = [random_scheme(group, n, s) for s in seeds]
-        if threads > 1 and schemes:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                epss = list(pool.map(cert, schemes))
-        else:
-            epss = [cert(s) for s in schemes]
-        return list(zip(schemes, epss))
+        return [(s, cert(s)) for s in schemes]
 
     lo, hi = 1, group.order
     while lo < hi:

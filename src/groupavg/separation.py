@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UsageError
-from .fourier import fourier_transform, max_nontrivial_norm, spectral_norm
+from .fourier import fourier_transform, max_deviation, max_nontrivial_norm
 from .groups import build_group, closure, group_spec_string
 from .irreps import IrrepTable, irreps_of, multiplicity
 from .reps import (
@@ -76,11 +76,7 @@ def exact_violation(scheme: AveragingScheme, rep: Representation) -> float:
     max over g of the spectral norm of (rho(g) - I) M; zero exactly when
     every averaged function is invariant.
     """
-    averaged = apply_scheme(scheme, rep)
-    worst = 0.0
-    for g in range(rep.group.order):
-        worst = max(worst, spectral_norm(rep.mats[g] @ averaged - averaged))
-    return worst
+    return max_deviation(rep.mats, apply_scheme(scheme, rep))
 
 
 def exact_feasible_on_support(support: Iterable[int], table: IrrepTable) -> FeasibilityResult:
@@ -145,22 +141,12 @@ def sign_flip_generation_report(
     }
 
 
-_FAMILY_BUILDERS = {
-    "sign_flip": lambda p: build_group("sign_flip", p),
-    "signflip": lambda p: build_group("sign_flip", p),
-    "cyclic": lambda p: build_group("cyclic", p),
-    "dihedral": lambda p: build_group("dihedral", p),
-    "symmetric": lambda p: build_group("symmetric", p),
-}
-
-
 def separation_table(
     family: str,
     params: Sequence[int],
     eps: float,
     trial_budget: int = 40,
     seed: int = 0,
-    threads: int = 1,
 ) -> list[SeparationRow]:
     """Exact vs approximate enforcement cost across a growing family.
 
@@ -169,21 +155,12 @@ def separation_table(
     scheme found certifying ``eps`` against the full irrep table (the
     regular action's spectrum).  Search failures are flagged per row.
     """
-    if family not in _FAMILY_BUILDERS:
-        raise UsageError(f"unsupported separation family {family!r}")
     rows = []
     for idx, p in enumerate(params):
-        group = _FAMILY_BUILDERS[family](int(p))
+        group = build_group(family, int(p))
         table = irreps_of(group)
         row_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0])
-        result = minimize_scheme(
-            group,
-            table,
-            eps,
-            trial_budget=trial_budget,
-            seed=row_seed,
-            threads=threads,
-        )
+        result = minimize_scheme(group, table, eps, trial_budget=trial_budget, seed=row_seed)
         rows.append(
             SeparationRow(
                 family=group_spec_string(group),

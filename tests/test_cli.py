@@ -1,6 +1,9 @@
 import json
 from pathlib import Path
 
+import pytest
+
+from groupavg import irreps, reps, schemes, separation
 from groupavg.cli import main
 from groupavg.io import load_schema, validate_schema
 
@@ -238,6 +241,42 @@ def test_selftest_subcommand(tmp_path):
 def test_usage_error_exit_code(tmp_path):
     assert run(["group", "--group", "nonsense:4", "--out", str(tmp_path / "x")]) == 1
     assert run(["sample", "--group", "cyclic:4", "--eps", "2.0", "--out", str(tmp_path / "y")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["separation", "--range", "2-5"],
+        ["certify", "--group", "cyclic:4", "--scheme", "random:x"],
+        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/missing.json"],
+        ["group", "--group", "cyclic:3", "--bogus"],
+        ["sample", "--group", "cyclic:4"],
+    ],
+    ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
+         "missing-required-flag"],
+)
+def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_meta_tolerances_are_the_module_constants(tmp_path):
+    out = tmp_path / "k"
+    assert run(["kbound", "--group", "cyclic:3", "--out", str(out)]) == 0
+    constants = {
+        "unitarity": reps.UNITARITY_TOL,
+        "homomorphism": reps.HOMOMORPHISM_TOL,
+        "char_orthogonality": irreps.ORTHOGONALITY_TOL,
+        "eig_snap": reps.EIG_SNAP_TOL,
+        "integer_round": reps.INT_ROUND_TOL,
+        "feasibility_rank": separation.FEASIBILITY_RCOND,
+        "weight_sum": schemes.WEIGHT_SUM_TOL,
+        "support_zero": schemes.SUPPORT_EPS,
+        "sandwich_slack": schemes.SANDWICH_SLACK,
+    }
+    assert read_json(out / "kbound_meta.json")["tolerances"] == constants
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -13,7 +13,6 @@ from groupavg import (
     max_nontrivial_norm,
     parse_group_spec,
     plancherel_residual,
-    spectral_norm,
     uniform_scheme,
 )
 from groupavg.fourier import coefficients_to_json
@@ -102,16 +101,6 @@ def test_group_mismatch_raises(tables):
     sig = GroupSignal(group=parse_group_spec("cyclic:5"), weights=np.ones(5) / 5)
     with pytest.raises(GroupMismatchError):
         fourier_transform(sig, tables["symmetric:3"])
-
-
-@settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.integers(65, 90))
-def test_power_iteration_matches_svd(seed, n):
-    rng = np.random.default_rng(seed)
-    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert abs(spectral_norm(mat, "svd") - spectral_norm(mat, "power")) < 1e-8 * max(
-        1.0, spectral_norm(mat, "svd")
-    )
 
 
 def test_coefficients_json_shape(tables):

@@ -14,6 +14,7 @@ from groupavg import (
     parse_group_spec,
     sample_uniform,
 )
+from groupavg.groups import custom_group
 from conftest import brute_force_classes, gf2_rank
 
 
@@ -173,3 +174,11 @@ def test_group_text_rejects_tampered_table(small_groups):
 def test_spec_string_round_trip(small_groups):
     for spec, group in small_groups.items():
         assert parse_group_spec(group_spec_string(group)) == group
+
+
+def test_equal_groups_hash_equal(small_groups):
+    c4 = small_groups["cyclic:4"]
+    copy = custom_group(c4.mult)
+    assert copy == c4
+    assert hash(copy) == hash(c4)
+    assert len({copy, c4}) == 1
