@@ -111,7 +111,12 @@ def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
             payload = json.loads(Path(arg).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read scheme file {arg!r}: {exc}") from None
-        return scheme_from_json(payload, group)
+        try:
+            return scheme_from_json(payload, group)
+        except KeyError as exc:
+            raise UsageError(f"scheme file {arg!r} lacks the key {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"scheme file {arg!r} is not a scheme: {exc}") from None
     raise UsageError(f"unknown scheme spec {spec!r} (uniform | delta:g | random:n | file:path)")
 
 
@@ -280,7 +285,10 @@ def cmd_separation(args) -> int:
     lo, sep, hi = args.range.partition(":")
     if not sep:
         raise UsageError(f"--range must be lo:hi, got {args.range!r}")
-    params = list(range(_int_arg(lo, "--range lo"), _int_arg(hi, "--range hi") + 1))
+    lo, hi = _int_arg(lo, "--range lo"), _int_arg(hi, "--range hi")
+    if hi < lo:
+        raise UsageError(f"--range {args.range!r} is empty: hi must be at least lo")
+    params = list(range(lo, hi + 1))
     rows = separation_table(args.family, params, args.eps, trial_budget=args.trials, seed=args.seed)
     out = _out_dir(args)
     write_text(out / "separation.csv", separation_csv(rows))

@@ -1,7 +1,9 @@
 """Fourier analysis of signals on finite groups.
 
 Transforms are direct summations against an irrep table (no fast
-transform); spectral norms are dense SVD at every size.
+transform), one summation per irrep dimension over the table's stacked
+matrices; spectral norms are closed form on 1x1 blocks and dense SVD on
+larger ones.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ class FourierCoefficients:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value, by dense SVD."""
-    return float(np.linalg.norm(np.atleast_2d(mat), 2))
+    """Largest singular value: ``abs`` of a 1x1 block, dense SVD otherwise."""
+    mat = np.atleast_2d(mat)
+    if mat.size == 1:
+        return float(abs(mat[0, 0]))
+    return float(np.linalg.norm(mat, 2))
 
 
 def max_deviation(mats: np.ndarray, block: np.ndarray) -> float:
@@ -65,10 +70,11 @@ def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoeffici
         raise GroupMismatchError("signal and table are over different groups")
     idx = signal.support
     w = signal.weights[idx]
-    mats = []
-    for rep in table.irreps:
-        block = rep.mats[idx]
-        mats.append(np.einsum("g,gji->ij", w, block.conj()))
+    mats: list = [None] * len(table)
+    for irreps, stack in table.stacks:
+        blocks = np.einsum("g,kgji->kij", w, stack[:, idx].conj())
+        for i, block in zip(irreps, blocks):
+            mats[i] = block
     return FourierCoefficients(table=table, mats=mats)
 
 

@@ -9,6 +9,7 @@ is complex and unitary; real forms are embedded as complex.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 import numpy as np
@@ -41,6 +42,19 @@ class IrrepTable:
 
     def __len__(self) -> int:
         return len(self.irreps)
+
+    @functools.cached_property
+    def stacks(self) -> list[tuple[list[int], np.ndarray]]:
+        """Irreps grouped by dimension d, in order of first appearance.
+
+        Each entry is ``(indices, mats)``: the table indices of the irreps
+        of that dimension and their matrices stacked as ``(k, |G|, d, d)``.
+        """
+        out = []
+        for d in dict.fromkeys(self.dims):
+            idx = [i for i, di in enumerate(self.dims) if di == d]
+            out.append((idx, np.stack([self.irreps[i].mats for i in idx])))
+        return out
 
     def labels(self) -> list[str]:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
@@ -263,14 +277,13 @@ def _product_irreps(group: Group) -> list[Representation]:
     return out
 
 
-def _char_sort_key(rep: Representation, partition: ConjugacyPartition):
-    traces = np.einsum("gii->g", rep.mats)
-    values = [traces[c[0]] for c in partition.classes]
-    is_trivial = rep.dim == 1 and max(abs(v - 1.0) for v in values) < 1e-9
+def _char_sort_key(rep: Representation, representatives: list[int]):
+    values = np.einsum("gii->g", rep.mats)[representatives]
+    is_trivial = rep.dim == 1 and np.abs(values - 1.0).max() < 1e-9
     return (
         0 if is_trivial else 1,
         rep.dim,
-        tuple((round(v.real, 9), round(v.imag, 9)) for v in values),
+        tuple(zip(np.round(values.real, 9).tolist(), np.round(values.imag, 9).tolist())),
     )
 
 
@@ -294,13 +307,12 @@ def irreps_of(group: Group) -> IrrepTable:
     else:
         raise CapabilityError(f"irreps not available for family {group.family!r}")
     partition = conjugacy_classes(group)
-    raw.sort(key=lambda r: _char_sort_key(r, partition))
-    characters = np.array(
-        [[np.trace(r.mats[c[0]]) for c in partition.classes] for r in raw]
-    )
+    reps = list(partition.representatives)
+    raw.sort(key=lambda r: _char_sort_key(r, reps))
+    characters = np.array([np.trace(r.mats[reps], axis1=1, axis2=2) for r in raw])
     sizes = np.array(partition.sizes, dtype=float)
-    for i, r in enumerate(raw):
-        norm = float((sizes * np.abs(characters[i]) ** 2).sum() / group.order)
+    norms = (sizes * np.abs(characters) ** 2).sum(axis=1) / group.order
+    for r, norm in zip(raw, norms.tolist()):
         if abs(norm - 1.0) > IRREDUCIBILITY_TOL:
             raise NumericalConsistencyError(
                 f"irrep {r.name} fails the irreducibility certificate ({norm})"

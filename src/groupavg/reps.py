@@ -39,6 +39,12 @@ REGULAR_REP_MAX_ORDER = 4096
 _HOM_EXHAUSTIVE_MAX_ORDER = 256
 _HOM_FLOP_BUDGET = 4e9
 _HOM_SAMPLE_SEED = 0xC0FFEE
+_HOM_CHUNK_ELEMENTS = 1 << 14  # complex entries per batched homomorphism check
+
+
+def _max_frobenius(diff: np.ndarray) -> float:
+    """Largest Frobenius norm over the trailing matrix axes of ``diff``."""
+    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
 
 
 class Representation:
@@ -85,35 +91,42 @@ class Representation:
     def unitarity_residual(self) -> float:
         gram = np.matmul(self.mats.conj().transpose(0, 2, 1), self.mats)
         gram -= np.eye(self.dim)
-        return float(np.sqrt((np.abs(gram) ** 2).sum(axis=(1, 2))).max())
+        return _max_frobenius(gram)
 
     def homomorphism_residual(self) -> float:
         """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h].
 
         Exhaustive over all pairs when affordable, seeded random pairs
-        otherwise; exact integer check when perms are available.
+        otherwise; exact integer check when perms are available.  Pairs
+        are checked in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
         """
         n, d, mult = self.group.order, self.dim, self.group.mult
         if self.perms is not None:
-            for g in range(n):
-                if not np.array_equal(self.perms[mult[g]], self.perms[g][self.perms]):
+            step = max(1, _HOM_CHUNK_ELEMENTS // (n * d))
+            for start in range(0, n, step):
+                gs = slice(start, start + step)
+                if not np.array_equal(self.perms[mult[gs]], self.perms[gs][:, self.perms]):
                     return float("inf")
             return 0.0
         exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
         worst = 0.0
         if exhaustive:
-            for g in range(n):
-                prod = np.matmul(self.mats[g][None, :, :], self.mats)
-                diff = self.mats[mult[g]] - prod
-                worst = max(worst, float(np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2))).max()))
+            step = max(1, _HOM_CHUNK_ELEMENTS // (n * d * d))
+            for start in range(0, n, step):
+                gs = slice(start, start + step)
+                prods = np.tensordot(self.mats[gs], self.mats, axes=([2], [1]))  # (g, i, h, k)
+                diff = self.mats[mult[gs]] - prods.transpose(0, 2, 1, 3)
+                worst = max(worst, _max_frobenius(diff))
         else:
             rng = np.random.default_rng(_HOM_SAMPLE_SEED)
             count = max(64, 2 * n)
             gs = rng.integers(0, n, size=count)
             hs = rng.integers(0, n, size=count)
-            for g, h in zip(gs, hs):
-                diff = self.mats[mult[g, h]] - self.mats[g] @ self.mats[h]
-                worst = max(worst, float(np.linalg.norm(diff)))
+            step = max(1, _HOM_CHUNK_ELEMENTS // (d * d))
+            for start in range(0, count, step):
+                g, h = gs[start : start + step], hs[start : start + step]
+                diff = self.mats[mult[g, h]] - np.matmul(self.mats[g], self.mats[h])
+                worst = max(worst, _max_frobenius(diff))
         return worst
 
     def validate(self) -> None:

@@ -251,11 +251,14 @@ def test_usage_error_exit_code(tmp_path):
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/missing.json"],
         ["group", "--group", "cyclic:3", "--bogus"],
         ["sample", "--group", "cyclic:4"],
+        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/empty.json"],
+        ["separation", "--range", "5:2"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
-         "missing-required-flag"],
+         "missing-required-flag", "scheme-file-missing-keys", "empty-range"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    (tmp_path / "empty.json").write_text("{}")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err

@@ -15,7 +15,7 @@ from groupavg import (
     plancherel_residual,
     uniform_scheme,
 )
-from groupavg.fourier import coefficients_to_json
+from groupavg.fourier import coefficients_to_json, spectral_norm
 
 SIGNAL_SPECS = ["cyclic:5", "signflip:2", "dihedral:4", "symmetric:3", "symmetric:4"]
 
@@ -111,3 +111,29 @@ def test_coefficients_json_shape(tables):
     label2 = table.labels()[2]
     assert len(payload[label2]) == table.dims[2]
     assert payload[table.labels()[0]][0][0] == [1.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:12", "signflip:5", "dihedral:9", "symmetric:4", "product(cyclic:3,dihedral:6)"],
+)
+def test_stacked_transform_equals_per_irrep_sums(spec):
+    table = irreps_of(parse_group_spec(spec))
+    rng = np.random.default_rng(11)
+    n = table.group.order
+    for weights in (rng.normal(size=n), rng.normal(size=n) + 1j * rng.normal(size=n)):
+        weights[rng.random(n) < 0.5] = 0.0
+        signal = GroupSignal(group=table.group, weights=weights)
+        idx = signal.support
+        coeffs = fourier_transform(signal, table)
+        for rep, mat in zip(table.irreps, coeffs.mats):
+            expect = np.einsum("g,gji->ij", signal.weights[idx], rep.mats[idx].conj())
+            assert np.array_equal(mat, expect)
+
+
+def test_scalar_spectral_norm_is_abs():
+    for z in (0.0, -0.75, 3e-200, 0.6 + 0.8j, -1e-3j, 1.5e300 - 2e300j):
+        block = np.array([[z]], dtype=np.complex128 if isinstance(z, complex) else np.float64)
+        assert spectral_norm(block) == abs(z)
+        svd = np.linalg.svd(block, compute_uv=False)[0]
+        assert abs(spectral_norm(block) - svd) <= 1e-15 * svd

@@ -15,7 +15,7 @@ from groupavg import (
     sample_uniform,
 )
 from groupavg.groups import custom_group
-from conftest import brute_force_classes, gf2_rank
+from oracles import brute_force_classes, gf2_rank
 
 
 def test_family_orders(small_groups):

@@ -137,3 +137,27 @@ def test_character_table_csv(tables):
     assert len(lines) == 4  # header + 3 irreps
     assert lines[0].startswith("irrep,")
     assert lines[1].split(",")[1] == "1+0i"
+
+
+# Recorded before the irrep sort key and the character extraction were
+# vectorized; any change of order or of a last bit shows here.
+FROZEN_CSV_SHA256 = {
+    "symmetric:5": (
+        ["pi0_d1", "pi1_d1", "pi2_d4", "pi3_d4", "pi4_d5", "pi5_d5", "pi6_d6"],
+        "7796377fff2445d806c19d68b4f8ceed28fbe11bc7c87c274e2f4aadcb888775",
+    ),
+    "product(cyclic:3,dihedral:6)": (
+        [f"pi{i}_d1" for i in range(12)] + [f"pi{i}_d2" for i in range(12, 18)],
+        "9b394f2a0305ebc03aa358cd396bdf52a8c9b0d75015a637822a8be90dd728f1",
+    ),
+}
+
+
+@pytest.mark.parametrize("spec", sorted(FROZEN_CSV_SHA256))
+def test_character_table_csv_frozen(spec):
+    import hashlib
+
+    labels, digest = FROZEN_CSV_SHA256[spec]
+    table = irreps_of(parse_group_spec(spec))
+    assert table.labels() == labels
+    assert hashlib.sha256(character_table_csv(table).encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupavg import reps as reps_module
 from groupavg import (
     NumericalConsistencyError,
     Representation,
@@ -248,3 +249,92 @@ def test_rep_export_header():
     head, first = text.splitlines()[:2]
     assert head == "rep perm3 3 6"
     assert first.split()[0] == "1+0i"
+
+
+# -- batched homomorphism check against a per-pair loop ---------------------
+
+HOM_PATHS = ["perm", "exhaustive-1x1", "exhaustive", "sampled-1x1", "sampled"]
+
+
+def _parity_character(d: int) -> Representation:
+    group = parse_group_spec(f"signflip:{d}")
+    signs = 1.0 - 2.0 * (np.bitwise_count(np.arange(group.order)) % 2)
+    return Representation(group, signs.astype(complex).reshape(-1, 1, 1), name="parity")
+
+
+def _path_rep(path: str) -> Representation:
+    """A representation whose homomorphism check takes the named path.
+
+    Orders up to 256 are checked exhaustively (all of these are within the
+    flop budget), larger ones on seeded pairs; each dense case spans
+    several batches.
+    """
+    if path == "perm":
+        return permutation_rep(parse_group_spec("symmetric:4"))
+    if path == "exhaustive-1x1":
+        return _parity_character(8)
+    if path == "exhaustive":
+        return sign_action_rep(parse_group_spec("signflip:7"))
+    if path == "sampled-1x1":
+        return _parity_character(9)
+    return sign_action_rep(parse_group_spec("signflip:9"))
+
+
+def _checked_pairs(rep: Representation) -> list[tuple[int, int]]:
+    n = rep.group.order
+    if rep.perms is not None or n <= reps_module._HOM_EXHAUSTIVE_MAX_ORDER:
+        return [(g, h) for g in range(n) for h in range(n)]
+    rng = np.random.default_rng(reps_module._HOM_SAMPLE_SEED)
+    count = max(64, 2 * n)
+    gs = rng.integers(0, n, size=count)
+    hs = rng.integers(0, n, size=count)
+    return list(zip(gs.tolist(), hs.tolist()))
+
+
+def _reference_residual(rep: Representation) -> float:
+    mult = rep.group.mult
+    pairs = _checked_pairs(rep)
+    if rep.perms is not None:
+        ok = all(
+            np.array_equal(rep.perms[mult[g, h]], rep.perms[g][rep.perms[h]]) for g, h in pairs
+        )
+        return 0.0 if ok else float("inf")
+    return max(
+        float(np.linalg.norm(rep.mats[mult[g, h]] - rep.mats[g] @ rep.mats[h])) for g, h in pairs
+    )
+
+
+def _corruptible_element(rep: Representation) -> int:
+    """First checked g in a pair (g, h) with g and h both non-identity."""
+    return next(g for g, h in _checked_pairs(rep) if g and h)
+
+
+def _corrupted(rep: Representation, g: int, phase: float) -> Representation:
+    """Copy of ``rep`` with element g changed: another element's permutation
+    on the perm path, a phase factor on the dense paths; still unitary."""
+    mats, perms = rep.mats.copy(), rep.perms
+    if perms is not None:
+        perms = perms.copy()
+        perms[g], mats[g] = perms[g + 1], mats[g + 1]
+    else:
+        mats[g] *= np.exp(1j * phase)
+    return Representation(rep.group, mats, name="corrupted", perms=perms, validate=False)
+
+
+@pytest.mark.parametrize("path", HOM_PATHS)
+def test_homomorphism_check_rejects_one_corrupted_element(path):
+    rep = _path_rep(path)
+    bad = _corrupted(rep, _corruptible_element(rep), np.pi)
+    assert bad.unitarity_residual() < RESID
+    with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("path", HOM_PATHS)
+def test_homomorphism_residual_matches_per_pair_loop(path):
+    rep = _path_rep(path)
+    nudged = _corrupted(rep, _corruptible_element(rep), 1e-6)
+    for r in (rep, nudged):
+        got, want = r.homomorphism_residual(), _reference_residual(r)
+        assert got == want or abs(got - want) <= 1e-12, (got, want)
+    assert nudged.homomorphism_residual() > (1e-7 if rep.perms is None else 1.0)

@@ -26,7 +26,7 @@ from groupavg import (
     k_bound,
 )
 from groupavg.schemes import AveragingScheme
-from conftest import gf2_rank
+from oracles import gf2_rank
 
 
 def test_coverage_all_true_at_bound():
