@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .groups import (
     parse_group_spec,
 )
 from .io import load_schema, validate_schema, write_json, write_text
-from .irreps import character_table_csv, decompose, irreps_of
+from .irreps import IrrepTable, character_table_csv, decompose, irreps_of
 from .reps import (
     Representation,
     invariant_dimension,
@@ -89,6 +90,14 @@ def _build_rep(group: Group, kind: str) -> Representation:
     if kind == "trivial":
         return trivial_rep(group)
     raise UsageError(f"unknown representation kind {kind!r}")
+
+
+def _fourier_multiplicities(group: Group, kind: str, table: IrrepTable) -> Optional[np.ndarray]:
+    """Irrep multiplicities of the ``--rep`` class for the Fourier path;
+    None for the regular rep, which holds every irrep."""
+    if kind == "regular":
+        return None
+    return decompose(_build_rep(group, kind), table)
 
 
 def _int_arg(text: str, what: str) -> int:
@@ -190,7 +199,7 @@ def cmd_certify(args) -> int:
     out = _out_dir(args)
     if args.path == "fourier":
         table = irreps_of(group)
-        report = certify(scheme, table)
+        report = certify(scheme, table, _fourier_multiplicities(group, args.rep, table))
     else:
         rep = _build_rep(group, args.rep)
         report = certify(scheme, rep)
@@ -233,8 +242,10 @@ def cmd_sample(args) -> int:
 
 def cmd_minimize(args) -> int:
     group = parse_group_spec(args.group)
+    mults = None
     if args.path == "fourier":
         target = irreps_of(group)
+        mults = _fourier_multiplicities(group, args.rep, target)
     else:
         target = _build_rep(group, args.rep)
     result = minimize_scheme(
@@ -244,6 +255,7 @@ def cmd_minimize(args) -> int:
         trial_budget=args.trials,
         seed=args.seed,
         swap_budget=args.swaps,
+        multiplicities=mults,
     )
     out = _out_dir(args)
     scheme_payload = scheme_to_json(result.scheme)

@@ -97,15 +97,14 @@ class Representation:
         """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h].
 
         Exhaustive over all pairs when affordable, seeded random pairs
-        otherwise; exact integer check when perms are available.  Pairs
-        are checked in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
+        otherwise, in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
+        Exact with perms: perms[g*s] == perms[g][perms[s]] for all g and
+        each s in ``group.generators``, so for all pairs by induction.
         """
         n, d, mult = self.group.order, self.dim, self.group.mult
         if self.perms is not None:
-            step = max(1, _HOM_CHUNK_ELEMENTS // (n * d))
-            for start in range(0, n, step):
-                gs = slice(start, start + step)
-                if not np.array_equal(self.perms[mult[gs]], self.perms[gs][:, self.perms]):
+            for s in self.group.generators:
+                if not np.array_equal(self.perms[mult[:, s]], self.perms[:, self.perms[s]]):
                     return float("inf")
             return 0.0
         exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
@@ -131,15 +130,15 @@ class Representation:
 
     def validate(self) -> None:
         if self.perms is not None:
-            # spot-check that the dense matrices realize the permutations
-            for g in (0, self.group.order - 1):
-                expect = np.zeros((self.dim, self.dim))
-                expect[self.perms[g], np.arange(self.dim)] = 1.0
-                if np.abs(self.mats[g] - expect).max() > 0:
-                    raise NumericalConsistencyError("dense matrices disagree with perm arrays")
-        resid = self.unitarity_residual()
-        if resid > UNITARITY_TOL:
-            raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
+            # exact 0/1 matrices of a homomorphism into permutations are unitary
+            n, d = self.perms.shape
+            ones = self.mats[np.arange(n)[:, None], self.perms, np.arange(d)]
+            if not (np.all(ones == 1) and np.count_nonzero(self.mats) == n * d):
+                raise NumericalConsistencyError("dense matrices disagree with perm arrays")
+        else:
+            resid = self.unitarity_residual()
+            if resid > UNITARITY_TOL:
+                raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
         resid = self.homomorphism_residual()
         if resid > HOMOMORPHISM_TOL:
             raise NumericalConsistencyError(f"homomorphism residual {resid:.3e} exceeds tolerance")
@@ -351,19 +350,19 @@ def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
     return current
 
 
-def sym_power_rep(rep: Representation, k: int, dim_cap: int = SYM_POWER_DIM_CAP) -> Representation:
+def sym_power_rep(rep: Representation, k: int) -> Representation:
     """Induced representation on degree-k products of base coordinates.
 
     The monomial basis carries multiplicity weights so the result is
     unitary.  Raises a size-limit error pointing at the character-only
-    path when the monomial count exceeds ``dim_cap``.
+    path when the monomial count exceeds ``SYM_POWER_DIM_CAP``.
     """
     if k < 0:
         raise UsageError("symmetric power degree must be >= 0")
     target_dim = sym_power_dim(rep.dim, k)
-    if target_dim > dim_cap:
+    if target_dim > SYM_POWER_DIM_CAP:
         raise SizeLimitError(
-            f"sym power dim {target_dim} exceeds cap {dim_cap}; "
+            f"sym power dim {target_dim} exceeds cap {SYM_POWER_DIM_CAP}; "
             "use sym_power_character for character-only computations"
         )
     name = f"sym{k}({rep.name})"

@@ -25,3 +25,44 @@ def brute_force_classes(group) -> list[set[int]]:
         seen |= orbit
         classes.append(orbit)
     return classes
+
+
+def brute_force_is_group(mult) -> bool:
+    """Independent group-axiom oracle: plain loops over every element,
+    pair and triple; index 0 must be the identity."""
+    n = len(mult)
+    elems = range(n)
+    if any(not 0 <= mult[a][b] < n for a in elems for b in elems):
+        return False
+    if any(mult[0][a] != a or mult[a][0] != a for a in elems):
+        return False
+    if any(not any(mult[a][b] == 0 and mult[b][a] == 0 for b in elems) for a in elems):
+        return False
+    return all(
+        mult[mult[a][b]][c] == mult[a][mult[b][c]] for a in elems for b in elems for c in elems
+    )
+
+
+def reduced_latin_squares(n: int) -> list[list[list[int]]]:
+    """Every n x n Latin square on 0..n-1 whose first row and column are
+    0..n-1 in order, by backtracking cell by cell."""
+    square = [[j if i == 0 else (i if j == 0 else -1) for j in range(n)] for i in range(n)]
+    out = []
+
+    def fill(cell: int) -> None:
+        if cell == n * n:
+            out.append([row[:] for row in square])
+            return
+        i, j = divmod(cell, n)
+        if square[i][j] >= 0:
+            fill(cell + 1)
+            return
+        used = set(square[i][:j]) | {square[r][j] for r in range(i)}
+        for v in range(n):
+            if v not in used:
+                square[i][j] = v
+                fill(cell + 1)
+        square[i][j] = -1
+
+    fill(0)
+    return out

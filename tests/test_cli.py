@@ -73,6 +73,25 @@ def test_certify_fourier_path(tmp_path):
     assert set(report["per_irrep_norms"]) == {f"pi{i}_d{d}" for i, d in enumerate([1, 1, 1, 1, 2])}
 
 
+@pytest.mark.parametrize(
+    "spec, rep", [("signflip:4", "sign"), ("symmetric:4", "permutation"), ("dihedral:5", "trivial")]
+)
+def test_fourier_path_certifies_the_requested_rep(spec, rep, tmp_path):
+    certs, searches = {}, {}
+    for path in ("projector", "fourier"):
+        common = ["--group", spec, "--rep", rep, "--path", path, "--seed", "3"]
+        out = tmp_path / path
+        assert run(["certify", *common, "--scheme", "random:6", "--out", str(out)]) == 0
+        certs[path] = read_json(out / "certification.json")
+        assert run(["minimize", *common, "--eps", "0.5", "--trials", "6", "--out", str(out)]) == 0
+        searches[path] = read_json(out / "search.json")
+    for key in ("eps_weak", "eps_strong"):
+        assert abs(certs["projector"][key] - certs["fourier"][key]) <= 1e-8
+    assert certs["projector"]["degenerate"] == certs["fourier"]["degenerate"]
+    assert searches["projector"]["size"] == searches["fourier"]["size"]
+    assert abs(searches["projector"]["eps"] - searches["fourier"]["eps"]) <= 1e-8
+
+
 def test_sample_meets_target_mostly(tmp_path):
     hits = 0
     for seed in range(10):

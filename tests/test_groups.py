@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,7 @@ from groupavg import (
     sample_uniform,
 )
 from groupavg.groups import custom_group
-from oracles import brute_force_classes, gf2_rank
+from oracles import brute_force_classes, brute_force_is_group, gf2_rank, reduced_latin_squares
 
 
 def test_family_orders(small_groups):
@@ -182,3 +184,86 @@ def test_equal_groups_hash_equal(small_groups):
     assert copy == c4
     assert hash(copy) == hash(c4)
     assert len({copy, c4}) == 1
+
+
+# -- table validation ----------------------------------------------------------
+
+
+def test_generators_are_greedy_and_generate(small_groups):
+    for group in small_groups.values():
+        gens = list(group.generators)
+        assert len(gens) <= math.log2(group.order)
+        for i, b in enumerate(gens):
+            generated = closure(group, gens[:i]) if i else [0]
+            assert b == min(set(range(group.order)) - set(generated))
+        assert closure(group, gens or [0]) == list(range(group.order))
+
+
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56)])
+def test_custom_group_matches_brute_force_oracle(n, count):
+    squares = reduced_latin_squares(n)
+    assert len(squares) == count
+    for square in squares:
+        try:
+            custom_group(square)
+            accepted = True
+        except UsageError:
+            accepted = False
+        assert accepted == brute_force_is_group(square), square
+
+
+def _swapped_intercalate(n: int, a: int, b: int) -> np.ndarray:
+    """cyclic:n with the 2x2 Latin subsquare at rows a, a + n/2 and
+    columns b, b + n/2 swapped: still a Latin square with identity and
+    two-sided inverses, but not associative."""
+    mult = build_group("cyclic", n).mult.copy()
+    rows, h = [a, a + n // 2], n // 2
+    mult[rows, b], mult[rows, b + h] = mult[rows, b + h].copy(), mult[rows, b].copy()
+    return mult
+
+
+@pytest.mark.parametrize(
+    "mult, message",
+    [
+        ([[0, 1], [1, 2]], "out of range"),
+        ([[1, 0], [0, 1]], "identity"),
+        ([[0, 1, 2], [1, 1, 1], [2, 1, 0]], "inverse"),
+        (_swapped_intercalate(8, 1, 2), "associativity"),
+    ],
+)
+def test_custom_group_error_messages(mult, message):
+    assert not brute_force_is_group(np.asarray(mult).tolist())
+    with pytest.raises(UsageError, match=message):
+        custom_group(mult)
+
+
+@pytest.mark.parametrize("spec", ["signflip:3", "product(cyclic:4,cyclic:2)"])
+def test_every_intercalate_swap_matches_brute_force_oracle(spec):
+    base = parse_group_spec(spec).mult
+    n, failed_at = base.shape[0], set()
+    for a in range(1, n):
+        for a2 in range(a + 1, n):
+            for b in range(1, n):
+                for b2 in range(b + 1, n):
+                    u, v = base[a, b], base[a, b2]
+                    if base[a2, b2] != u or base[a2, b] != v or 0 in (u, v):
+                        continue
+                    mult = base.copy()
+                    mult[a, b] = mult[a2, b2] = v
+                    mult[a, b2] = mult[a2, b] = u
+                    assert not brute_force_is_group(mult.tolist())
+                    with pytest.raises(UsageError, match="associativity") as err:
+                        custom_group(mult)
+                    failed_at.add(str(err.value).rsplit("=", 1)[1])
+    assert failed_at == {"1", "2"}  # some tables pass Light's test at b=1
+
+
+def test_large_non_associative_table_is_rejected():
+    # 15 952 of the 10^9 triples fail; 20 000 uniform triples miss them all
+    # with probability 0.73
+    mult = _swapped_intercalate(1000, 5, 7)
+    idx = np.arange(1000)
+    assert np.array_equal(np.sort(mult, axis=0), np.tile(idx[:, None], (1, 1000)))
+    assert np.array_equal(np.sort(mult, axis=1), np.tile(idx, (1000, 1)))
+    with pytest.raises(UsageError, match="associativity"):
+        custom_group(mult)

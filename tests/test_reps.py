@@ -84,7 +84,20 @@ def test_regular_rep_frozen_values(small_groups):
 
 def test_regular_rep_cap():
     with pytest.raises(SizeLimitError):
-        regular_rep(parse_group_spec("signflip:13"))
+        regular_rep(parse_group_spec("cyclic:4097"))
+
+
+@pytest.mark.parametrize("corruption", ["swap", "extra-entry"])
+def test_perm_rep_rejects_dense_matrices_off_their_perms(corruption):
+    c5 = parse_group_spec("cyclic:5")
+    good = regular_rep(c5)
+    mats = good.mats.copy()
+    if corruption == "swap":
+        mats[[2, 3]] = mats[[3, 2]]  # still a unitary permutation matrix per element
+    else:
+        mats[2, 0, 0] = 1e-12
+    with pytest.raises(NumericalConsistencyError, match="perm arrays"):
+        Representation(c5, mats, name="swapped", perms=good.perms)
 
 
 def test_direct_sum_and_tensor_characters(small_groups):
@@ -108,6 +121,20 @@ def test_rep_validation_rejects_non_homomorphism():
         Representation(c3, mats)
 
 
+def test_perm_homomorphism_check_uses_every_generator():
+    # relabel the regular rep of signflip:3 by swapping elements 2 and 3:
+    # the relabelling commutes with right multiplication by the first
+    # generator, 1, so the check on 1 alone passes; 2 and 4 expose it
+    group = parse_group_spec("signflip:3")
+    assert group.generators == (1, 2, 4)
+    good = regular_rep(group)
+    order = np.array([0, 1, 3, 2, 4, 5, 6, 7])
+    bad = Representation(group, good.mats[order], perms=good.perms[order], validate=False)
+    assert np.array_equal(bad.perms[group.mult[:, 1]], bad.perms[:, bad.perms[1]])
+    with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+        bad.validate()
+
+
 def test_sym_power_edges():
     s3 = parse_group_spec("symmetric:3")
     rep = permutation_rep(s3)
@@ -119,7 +146,7 @@ def test_sym_power_edges():
     s2 = sym_power_rep(sign, 2)
     assert np.allclose(s2.mats, 1.0)  # (-1)^2
     with pytest.raises(SizeLimitError):
-        sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 40, dim_cap=100)
+        sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 40)  # C(43, 40) > cap
 
 
 def test_sym_power_character_frozen():
