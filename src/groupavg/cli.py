@@ -107,6 +107,11 @@ def _int_arg(text: str, what: str) -> int:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
 
 
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, such as ``--subsets 1,5,100``."""
+    return tuple(_int_arg(tok, f"each entry of {what}") for tok in text.split(","))
+
+
 def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
     kind, _, arg = spec.partition(":")
     if spec == "uniform":
@@ -343,7 +348,7 @@ def cmd_lowerbound(args) -> int:
 
 
 def cmd_figure1(args) -> int:
-    sizes = tuple(int(tok) for tok in args.subsets.split(","))
+    sizes = _int_list(args.subsets, "--subsets")
     cfg = RotationDemoConfig(
         n_rotations=args.n, grid=args.grid, subset_sizes=sizes, seed=args.seed
     )
@@ -379,7 +384,7 @@ def cmd_regress(args) -> int:
 
 
 def cmd_mlp(args) -> int:
-    exponents = tuple(int(tok) for tok in args.subset_exponents.split(","))
+    exponents = _int_list(args.subset_exponents, "--subset-exponents")
     cfg = MlpConfig(
         input_dim=args.dim,
         n_train=args.train,

@@ -16,6 +16,10 @@ import numpy as np
 from ..errors import TrainingFailureError, UsageError
 
 INIT_SCALE = 1.0  # weights/biases ~ U(-c/sqrt(fan_in), +c/sqrt(fan_in)) with c = 1
+# Sign patterns per forward call in averaged_predictions.  Per-pattern
+# predictions are summed within a chunk first, so this constant fixes
+# the summation order and with it the bits of every averaged prediction.
+PATTERN_CHUNK = 32
 
 
 @dataclass
@@ -33,12 +37,22 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.input_dim < 1:
+            raise UsageError("input dimension must be >= 1")
         if min(self.widths) < 1:
             raise UsageError("hidden widths must be >= 1")
+        if self.batch_size < 1:
+            raise UsageError("batch size must be >= 1")
         if self.batch_size > self.n_train:
             raise UsageError("batch size cannot exceed the training set")
+        if self.n_test < 1 or self.epoch_eval_size < 1:
+            raise UsageError("test and per-epoch evaluation sets need at least one point")
         if max(self.subset_exponents, default=0) > self.input_dim:
             raise UsageError("subset exponent exceeds the group size exponent")
+        if min(self.subset_exponents, default=0) < 0:
+            raise UsageError("subset exponents must be >= 0")
+        if not 0 <= self.curve_subset_exponent <= self.input_dim:
+            raise UsageError("curve subset exponent must lie in 0..input_dim")
 
 
 class SignAveragedMlp:
@@ -56,8 +70,12 @@ class SignAveragedMlp:
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
         for w, b in zip(self.weights[:-1], self.biases[:-1]):
-            h = np.maximum(h @ w + b, 0.0)
-        return (h @ self.weights[-1] + self.biases[-1]).ravel()
+            h = h @ w
+            h += b
+            np.maximum(h, 0.0, out=h)
+        h = h @ self.weights[-1]
+        h += self.biases[-1]
+        return h.ravel()
 
     def sgd_step(self, x: np.ndarray, y: np.ndarray, lr: float) -> float:
         h1_pre = x @ self.weights[0] + self.biases[0]
@@ -85,13 +103,17 @@ class SignAveragedMlp:
         return loss
 
 
-def averaged_predictions(
-    model: SignAveragedMlp, x: np.ndarray, signs: np.ndarray, chunk: int = 32
-) -> np.ndarray:
-    """Mean prediction over sign patterns applied to the inputs."""
+def averaged_predictions(model: SignAveragedMlp, x: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Mean prediction over sign patterns applied to the inputs.
+
+    ``model`` needs only ``forward``.  Patterns go through it
+    ``PATTERN_CHUNK`` at a time, stacked as one batch of flipped inputs;
+    each chunk's predictions are summed over its patterns and added to
+    the running total, in pattern order.
+    """
     total = np.zeros(x.shape[0])
-    for start in range(0, signs.shape[0], chunk):
-        block = signs[start : start + chunk]
+    for start in range(0, signs.shape[0], PATTERN_CHUNK):
+        block = signs[start : start + PATTERN_CHUNK]
         flipped = x[None, :, :] * block[:, None, :]
         flat = flipped.reshape(-1, x.shape[1])
         total += model.forward(flat).reshape(block.shape[0], x.shape[0]).sum(axis=0)

@@ -121,24 +121,30 @@ def regression_risk(cfg: RegressionConfig, group: Optional[Group] = None) -> Reg
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     scale = np.sqrt(m)  # indicator basis normalized against the uniform measure
-    sq = {name: np.empty(cfg.trials) for name in ("erm", "exact", "weak")}
+    # Trials draw from one stream in turn, so the draws stay in a per-trial
+    # loop; each trial keeps only its per-element counts and X^T y, and the
+    # estimators and their errors are computed for all trials at once.
+    counts = np.empty((cfg.trials, m), dtype=np.int64)
+    xty = np.empty((cfg.trials, m))
     for t in range(cfg.trials):
         for _ in range(_MAX_REDRAWS):
             draws = rng.integers(0, m, size=cfg.n_samples)
-            counts = np.bincount(draws, minlength=m)
-            if counts.min() > 0:  # diagonal design: full rank iff all elements hit
+            counts[t] = np.bincount(draws, minlength=m)
+            if counts[t].min() > 0:  # diagonal design: full rank iff all elements hit
                 break
         else:
             raise UsageError("could not draw a full-rank design; increase n_samples")
         y = scale * target[draws] + (
             rng.normal(0.0, cfg.sigma, size=cfg.n_samples) if cfg.sigma > 0 else 0.0
         )
-        # normal equations; X^T X = m * diag(counts), X^T y accumulates per element
-        xty = scale * np.bincount(draws, weights=y, minlength=m)
-        coef = xty / (m * counts)
-        sq["erm"][t] = float(((coef - target) ** 2).sum())
-        sq["exact"][t] = float(((projector @ coef - target) ** 2).sum())
-        sq["weak"][t] = float(((averaging @ coef - target) ** 2).sum())
+        xty[t] = scale * np.bincount(draws, weights=y, minlength=m)
+    # normal equations per trial; X^T X = m * diag(counts)
+    coef = xty / (m * counts)
+    sq = {
+        "erm": ((coef - target) ** 2).sum(axis=1),
+        "exact": ((np.einsum("ij,tj->ti", projector, coef) - target) ** 2).sum(axis=1),
+        "weak": ((np.einsum("ij,tj->ti", averaging, coef) - target) ** 2).sum(axis=1),
+    }
     risks = {k: float(v.mean()) for k, v in sq.items()}
     stderrs = {k: float(v.std(ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0 for k, v in sq.items()}
     return RegressionResult(

@@ -97,11 +97,16 @@ def rotation_averaging_demo(cfg: RotationDemoConfig) -> RotationDemoResult:
 
 
 def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
-    """x,y,value rows in row-major grid order."""
+    """x,y,value rows in row-major grid order (y outer, x inner).
+
+    ``values[iy, ix]`` is the value at ``(xs[ix], ys[iy])``.  Every number
+    is written with ``.17g``; each coordinate is formatted once.
+    """
+    x_text = [f"{x:.17g}" for x in xs.tolist()]
     lines = ["x,y,value"]
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            lines.append(f"{x:.17g},{y:.17g},{values[iy, ix]:.17g}")
+    for y, row in zip(ys.tolist(), values.tolist()):
+        y_text = f"{y:.17g}"
+        lines.extend(f"{x},{y_text},{v:.17g}" for x, v in zip(x_text, row))
     return "\n".join(lines) + "\n"
 
 

@@ -9,7 +9,6 @@ and direct products; arbitrary multiplication tables are accepted as the
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import permutations as _iter_permutations
 from typing import Iterable
@@ -20,6 +19,7 @@ from .errors import SizeLimitError, UsageError
 
 SIGN_FLIP_MAX_DIM = 16
 SYMMETRIC_MAX_DIM = 8
+_SYMMETRIC_BLOCK_ENTRIES = 1 << 20  # table entries composed per block
 
 
 class Group:
@@ -223,21 +223,14 @@ def symmetric_permutations(d: int) -> list[tuple[int, ...]]:
     return sorted(_iter_permutations(range(d)))
 
 
-def _lehmer_ranks(perms: np.ndarray) -> np.ndarray:
-    """Lexicographic ranks of permutation rows (factorial number system)."""
-    n, d = perms.shape
-    ranks = np.zeros(n, dtype=np.int64)
-    for i in range(d - 1):
-        smaller = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
-        ranks += smaller * math.factorial(d - 1 - i)
-    return ranks
-
-
 def symmetric_group(d: int) -> Group:
     """Permutations of d points under composition, lexicographic order.
 
     Composition convention: ``(sigma * tau)(x) = sigma(tau(x))``, so the
-    table row is the outer permutation.
+    table row is the outer permutation.  A permutation's code is its
+    one-line form read as a base-d number, which lexicographic order
+    sorts; the table maps the codes of all composites to ranks through
+    one lookup array of d**d entries.
     """
     if d < 1:
         raise UsageError(f"symmetric group needs d >= 1, got {d}")
@@ -245,10 +238,16 @@ def symmetric_group(d: int) -> Group:
         raise SizeLimitError(f"symmetric group capped at d <= {SYMMETRIC_MAX_DIM}, got {d}")
     perms = np.array(symmetric_permutations(d), dtype=np.int64)
     n = perms.shape[0]
+    place = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    rank_of_code = np.empty(d**d, dtype=np.int64)
+    rank_of_code[perms @ place] = np.arange(n)
+    # q[j, tau_j(x)] = d**(d-1-x), so (sigma @ q.T)[i, j] is the code of sigma_i o tau_j
+    q = np.empty((n, d), dtype=np.int64)
+    np.put_along_axis(q, perms, place[None, :], axis=1)
     mult = np.empty((n, n), dtype=np.int64)
-    for j in range(n):
-        composed = perms[:, perms[j]]  # sigma(tau(x)) for every sigma
-        mult[:, j] = _lehmer_ranks(composed)
+    rows = max(1, _SYMMETRIC_BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        mult[start : start + rows] = rank_of_code[perms[start : start + rows] @ q.T]
     labels = ["".join(str(v) for v in p) for p in perms]
     return Group(mult, labels, "symmetric", (d,))
 

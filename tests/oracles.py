@@ -1,5 +1,9 @@
 """Independent brute-force oracles shared by the group and separation tests."""
 
+import math
+
+import numpy as np
+
 
 def gf2_rank(vectors: list[int], d: int) -> int:
     """Row-reduction rank of bit-vectors over the two-element field."""
@@ -66,3 +70,13 @@ def reduced_latin_squares(n: int) -> list[list[list[int]]]:
 
     fill(0)
     return out
+
+
+def lehmer_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of permutation rows (factorial number system)."""
+    n, d = perms.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    for i in range(d - 1):
+        smaller = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
+        ranks += smaller * math.factorial(d - 1 - i)
+    return ranks

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from groupavg import irreps, reps, schemes, separation
 from groupavg.cli import main
@@ -262,6 +266,10 @@ def test_usage_error_exit_code(tmp_path):
     assert run(["sample", "--group", "cyclic:4", "--eps", "2.0", "--out", str(tmp_path / "y")]) == 1
 
 
+TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16", "--epochs", "1",
+            "--subset-exponents", "0,2", "--curve-exponent", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -272,9 +280,21 @@ def test_usage_error_exit_code(tmp_path):
         ["sample", "--group", "cyclic:4"],
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/empty.json"],
         ["separation", "--range", "5:2"],
+        [*TINY_MLP, "--curve-exponent", "6"],
+        [*TINY_MLP, "--subset-exponents", "0,-1"],
+        [*TINY_MLP, "--subset-exponents", "0,x"],
+        [*TINY_MLP, "--batch", "0"],
+        [*TINY_MLP, "--test", "0"],
+        [*TINY_MLP, "--epoch-eval", "0"],
+        [*TINY_MLP, "--dim", "0", "--subset-exponents", "0", "--curve-exponent", "0"],
+        ["figure1", "--subsets", "1,x"],
+        ["figure1", "--subsets", "1,,2"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
-         "missing-required-flag", "scheme-file-missing-keys", "empty-range"],
+         "missing-required-flag", "scheme-file-missing-keys", "empty-range",
+         "mlp-curve-exponent-above-dim", "mlp-negative-exponent", "mlp-non-integer-exponent",
+         "mlp-zero-batch", "mlp-empty-test-set", "mlp-empty-epoch-eval", "mlp-zero-dim",
+         "figure1-non-integer-subset", "figure1-empty-subset"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
@@ -282,6 +302,32 @@ def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+# list-valued flags on tiny runs: (argv without the flag, flag, separator)
+_LIST_FLAGS = {
+    "mlp": ([*TINY_MLP, "--width1", "4", "--width2", "4"], "--subset-exponents", ","),
+    "figure1": (["figure1", "--n", "6", "--grid", "3"], "--subsets", ","),
+    "separation": (["separation", "--trials", "8"], "--range", ":"),
+}
+_LIST_TOKENS = st.one_of(
+    st.integers(1, 4).map(str),
+    st.integers(-2, 6).map(str),
+    st.sampled_from(["", "x", " 2", "1.5", "+1", "0x1", "1_0", "\u0663"]),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(command=st.sampled_from(sorted(_LIST_FLAGS)), tokens=st.lists(_LIST_TOKENS, min_size=1, max_size=3))
+def test_list_flags_exit_cleanly(command, tokens):
+    base, flag, sep = _LIST_FLAGS[command]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run([*base, f"{flag}={sep.join(tokens)}", "--out", out])
+    assert code in (0, 1), (tokens, code)
+    if code == 1:
+        assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
 
 
 def test_meta_tolerances_are_the_module_constants(tmp_path):

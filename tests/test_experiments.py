@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,79 @@ def test_mlp_config_validation():
         _tiny_cfg(batch_size=10_000)
     with pytest.raises(UsageError):
         _tiny_cfg(subset_exponents=(9,))
+
+
+def _per_pattern_average(model, x, signs):
+    """Reference: predictions summed one sign pattern at a time in groups of
+    32 patterns, each group's sum added to the total in order.  Each group's
+    predictions come from one forward pass over its flipped inputs, because
+    the last bits of a matmul depend on how many rows it is given."""
+    n = x.shape[0]
+    total = np.zeros(n)
+    for start in range(0, signs.shape[0], 32):
+        group = signs[start : start + 32]
+        preds = model.forward(np.concatenate([x * s for s in group]))
+        group_sum = preds[:n].copy()
+        for i in range(1, group.shape[0]):
+            group_sum += preds[i * n : (i + 1) * n]
+        total += group_sum
+    return total / signs.shape[0]
+
+
+def test_averaged_predictions_matches_per_pattern_loop():
+    rng = np.random.default_rng(12)
+    model = SignAveragedMlp(6, (16, 8), rng)
+    x = rng.normal(size=(50, 6))
+
+    class ForwardOnly:
+        def forward(self, z):
+            return model.forward(np.abs(z))
+
+    for k, n_patterns in ((0, 1), (5, 32), (6, 40), (6, 64)):
+        signs = draw_sign_subsets(6, (k,), np.random.default_rng(k))[k][:n_patterns]
+        assert signs.shape == (n_patterns, 6)
+        for m in (model, ForwardOnly()):
+            assert np.array_equal(averaged_predictions(m, x, signs), _per_pattern_average(m, x, signs))
+
+
+# -- artifact bits ------------------------------------------------------------------
+# sha256 of artifacts written by the per-trial risk loop, the three-temporary
+# MLP forward pass and the per-cell grid formatting that the current batched
+# code replaced (numpy 2.4 on OpenBLAS, x86-64); the rewrites keep every bit.
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_mlp_csvs_frozen():
+    res = mlp_experiment(
+        MlpConfig(input_dim=7, n_train=512, n_test=200, widths=(16, 8), epochs=3, batch_size=64,
+                  subset_exponents=(0, 3, 7), curve_subset_exponent=7, epoch_eval_size=100, seed=4)
+    )
+    assert _sha(subset_csv(res)) == "7aeb85d6fcf6149399003de3a7f85e5596878065a48a0ce2a8a80978e1a4219a"
+    assert _sha(epoch_csv(res)) == "a17ad15cef968e83f3b14397d334814cbe05c75ba90d56a54dd48a5d5270dcd2"
+
+
+@pytest.mark.parametrize(
+    "d, eps, digest",
+    [
+        (2, 0.0, "10d3f3a55626c0696cc69d3ec4592b66d3744eb8bbcc22e5cae4e3c643519d5c"),
+        (2, 0.05, "c94daa9a596e4bf76fb652d96f5543ab10da93ff880d5122060291a941aaa432"),
+        (3, 0.0, "50d794889395fd00bb2caff93c4d9f8ad571fe3ad9f99b74d319d418d4c11d7c"),
+        (3, 0.05, "fa44935d932859ff4dd5393fc1ff6ef3a388a50004ed31745c90f3e38a182205"),
+    ],
+)
+def test_regression_csv_frozen(d, eps, digest):
+    cfg = RegressionConfig(group_spec=f"signflip:{d}", sigma=1.0, n_samples=100, trials=300, eps=eps, seed=6)
+    assert _sha(regression_csv(regression_risk(cfg))) == digest
+
+
+def test_grid_csv_frozen():
+    res = rotation_averaging_demo(RotationDemoConfig(n_rotations=12, grid=9, subset_sizes=(1, 5, 12), seed=2))
+    digests = {m: _sha(grid_csv(res.xs, res.ys, res.grids[m])) for m in (1, 5, 12)}
+    assert digests == {
+        1: "b4965e233158b5ef8d0520834391b16c4f316a98012d4184b0a21231d5499f05",
+        5: "171884beef6f9c6b568ad02a2bbb851b1d4f80869f7509f282ee83f6e58ac751",
+        12: "bc482d2094022aba3c4d71c757f43693e389b3a42896695c25c6e4c0536170da",
+    }

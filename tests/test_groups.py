@@ -17,7 +17,13 @@ from groupavg import (
     sample_uniform,
 )
 from groupavg.groups import custom_group
-from oracles import brute_force_classes, brute_force_is_group, gf2_rank, reduced_latin_squares
+from oracles import (
+    brute_force_classes,
+    brute_force_is_group,
+    gf2_rank,
+    lehmer_ranks,
+    reduced_latin_squares,
+)
 
 
 def test_family_orders(small_groups):
@@ -145,6 +151,16 @@ def test_symmetric_composition_convention():
     tau = s3.index_of_label("102")  # swap 0,1
     composed = s3.multiply(sigma, tau)
     assert s3.labels[composed] == "210"
+
+
+def test_symmetric_table_matches_lehmer_rank_oracle():
+    # column j of the table holds the lexicographic ranks of sigma o tau_j
+    for d in range(1, 7):
+        group = build_group("symmetric", d)
+        perms = np.array([[int(c) for c in label] for label in group.labels])
+        assert np.array_equal(lehmer_ranks(perms), np.arange(group.order))
+        for j in range(group.order):
+            assert np.array_equal(group.mult[:, j], lehmer_ranks(perms[:, perms[j]])), (d, j)
 
 
 def test_element_order_and_power(small_groups):
