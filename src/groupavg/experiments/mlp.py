@@ -41,6 +41,8 @@ class MlpConfig:
             raise UsageError("input dimension must be >= 1")
         if min(self.widths) < 1:
             raise UsageError("hidden widths must be >= 1")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise UsageError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise UsageError("batch size must be >= 1")
         if self.batch_size > self.n_train:
@@ -84,8 +86,7 @@ class SignAveragedMlp:
         h2 = np.maximum(h2_pre, 0.0)
         pred = (h2 @ self.weights[2] + self.biases[2]).ravel()
         err = pred - y
-        with np.errstate(over="ignore", invalid="ignore"):  # divergence -> inf, handled upstream
-            loss = float((err**2).mean())
+        loss = float((err**2).mean())
         batch = x.shape[0]
         grad_out = (2.0 / batch) * err[:, None]
         gw2 = h2.T @ grad_out
@@ -179,24 +180,26 @@ def mlp_experiment(cfg: MlpConfig) -> MlpResult:
     epoch_plain: list[float] = []
     epoch_avg: list[float] = []
     last_loss = float("nan")
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.permutation(cfg.n_train)
-        for start in range(0, cfg.n_train, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            last_loss = model.sgd_step(x_train[batch], y_train[batch], cfg.learning_rate)
-            if not np.isfinite(last_loss):
-                raise TrainingFailureError(f"training loss diverged at epoch {epoch}", epoch)
-        plain = float(((model.forward(x_eval) - y_eval) ** 2).mean())
-        avg = float(((averaged_predictions(model, x_eval, curve_signs) - y_eval) ** 2).mean())
-        if not (np.isfinite(plain) and np.isfinite(avg)):
-            raise TrainingFailureError(f"evaluation loss diverged at epoch {epoch}", epoch)
-        epoch_plain.append(plain)
-        epoch_avg.append(avg)
-
     loss_by_subset: dict[int, float] = {}
-    for k in sorted(set(cfg.subset_exponents)):
-        preds = averaged_predictions(model, x_test, subsets[k])
-        loss_by_subset[1 << k] = float(((preds - y_test) ** 2).mean())
+    # a diverging run overflows to inf; the finiteness checks below report it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = shuffle_rng.permutation(cfg.n_train)
+            for start in range(0, cfg.n_train, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                last_loss = model.sgd_step(x_train[batch], y_train[batch], cfg.learning_rate)
+                if not np.isfinite(last_loss):
+                    raise TrainingFailureError(f"training loss diverged at epoch {epoch}", epoch)
+            plain = float(((model.forward(x_eval) - y_eval) ** 2).mean())
+            avg = float(((averaged_predictions(model, x_eval, curve_signs) - y_eval) ** 2).mean())
+            if not (np.isfinite(plain) and np.isfinite(avg)):
+                raise TrainingFailureError(f"evaluation loss diverged at epoch {epoch}", epoch)
+            epoch_plain.append(plain)
+            epoch_avg.append(avg)
+
+        for k in sorted(set(cfg.subset_exponents)):
+            preds = averaged_predictions(model, x_test, subsets[k])
+            loss_by_subset[1 << k] = float(((preds - y_test) ** 2).mean())
     return MlpResult(
         config=cfg,
         loss_by_subset=loss_by_subset,

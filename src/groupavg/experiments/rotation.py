@@ -36,6 +36,8 @@ class RotationDemoConfig:
             raise UsageError("need at least one rotation")
         if any(m < 1 or m > self.n_rotations for m in self.subset_sizes):
             raise UsageError("subset sizes must lie in 1..n_rotations")
+        if len(set(self.subset_sizes)) != len(self.subset_sizes):
+            raise UsageError(f"subset sizes must be distinct, got {list(self.subset_sizes)}")
 
 
 @dataclass

@@ -3,7 +3,9 @@
 Transforms are direct summations against an irrep table (no fast
 transform), one summation per irrep dimension over the table's stacked
 matrices; spectral norms are closed form on 1x1 blocks and dense SVD on
-larger ones.
+larger ones.  The per-element deviation behind the strong certificate
+moves rows instead of multiplying when the representation is a
+permutation action, and takes its SVDs in real arithmetic there.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GroupMismatchError, UsageError
+from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
 from .groups import Group
 from .irreps import IrrepTable
+from .reps import Representation
 
 SUPPORT_EPS = 1e-15
 
@@ -54,14 +57,28 @@ def spectral_norm(mat: np.ndarray) -> float:
     return float(np.linalg.norm(mat, 2))
 
 
-def max_deviation(mats: np.ndarray, block: np.ndarray) -> float:
-    """max over g of the spectral norm of ``mats[g] @ block - block``.
+def max_deviation(rep: Representation, block: np.ndarray) -> float:
+    """max over g of the spectral norm of ``rep.mats[g] @ block - block``.
 
     The per-element worst case behind the strong certificate and the
-    exact-invariance violation; ``mats`` is a stack of one matrix per
-    group element.
+    exact-invariance violation, one ``spectral_norm`` call per element.
+    On a permutation action (``rep.perms`` set) ``rho(g) @ block`` sends
+    row j of ``block`` to row ``perms[g, j]``, so each product is a row
+    move with the same bits as the 0/1 matmul; ``block`` must then be
+    real (real weights, 0/1 matrices, real projector) and the SVDs run
+    in real arithmetic.
     """
-    return max(spectral_norm(m @ block - block) for m in mats)
+    if rep.perms is None:
+        return max(spectral_norm(m @ block - block) for m in rep.mats)
+    if np.any(block.imag != 0):
+        raise NumericalConsistencyError("operator on a permutation action has an imaginary part")
+    real = block.real
+    moved = np.empty_like(real)
+    norms = []
+    for perm in rep.perms:
+        moved[perm] = real
+        norms.append(spectral_norm(moved - real))
+    return max(norms)
 
 
 def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoefficients:

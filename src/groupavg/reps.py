@@ -34,7 +34,7 @@ EIG_SNAP_TOL = 1e-6
 INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
-REGULAR_REP_MAX_ORDER = 4096
+REGULAR_REP_MAX_BYTES = 2 << 30
 
 _HOM_EXHAUSTIVE_MAX_ORDER = 256
 _HOM_FLOP_BUDGET = 4e9
@@ -233,12 +233,15 @@ def sign_action_rep(group: Group, d: Optional[int] = None) -> Representation:
 def regular_rep(group: Group) -> Representation:
     """Left-translation action on functions over the group itself.
 
-    Memory scales as ``order**3``; the cap admits orders where that is
-    already hundreds of megabytes.
+    The dense complex stack takes ``order**3 * 16`` bytes; that estimate
+    is checked against ``REGULAR_REP_MAX_BYTES`` (2 GiB, so order at most
+    512) before anything is allocated.
     """
-    if group.order > REGULAR_REP_MAX_ORDER:
+    need = group.order**3 * 16
+    if need > REGULAR_REP_MAX_BYTES:
         raise SizeLimitError(
-            f"regular representation capped at order {REGULAR_REP_MAX_ORDER}, got {group.order}"
+            f"regular representation of order {group.order} needs {need:,} bytes "
+            f"(order**3 * 16), above the cap of {REGULAR_REP_MAX_BYTES:,}"
         )
     perms = group.mult.copy()  # e_h -> e_{g h}
     return Representation(group, _mats_from_perms(perms), name="regular", perms=perms)

@@ -183,7 +183,7 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
         return 0.0
     proj = invariant_projector(rep)
     averaged = apply_scheme(scheme, rep) @ (np.eye(rep.dim) - proj)
-    return 0.5 * max_deviation(rep.mats, averaged) ** 2
+    return 0.5 * max_deviation(rep, averaged) ** 2
 
 
 def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict_to) -> float:
@@ -194,7 +194,7 @@ def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict
         if restrict_to is not None and restrict_to[i] < 1:
             continue
         block = mat.conj().T  # operator induced on the irrep block
-        worst = max(worst, max_deviation(rep.mats, block))
+        worst = max(worst, max_deviation(rep, block))
     return 0.5 * worst**2
 
 

@@ -76,7 +76,7 @@ def exact_violation(scheme: AveragingScheme, rep: Representation) -> float:
     max over g of the spectral norm of (rho(g) - I) M; zero exactly when
     every averaged function is invariant.
     """
-    return max_deviation(rep.mats, apply_scheme(scheme, rep))
+    return max_deviation(rep, apply_scheme(scheme, rep))
 
 
 def exact_feasible_on_support(support: Iterable[int], table: IrrepTable) -> FeasibilityResult:

@@ -1,4 +1,4 @@
-"""Independent brute-force oracles shared by the group and separation tests."""
+"""Independent brute-force oracles shared by the group, separation and Fourier tests."""
 
 import math
 
@@ -80,3 +80,9 @@ def lehmer_ranks(perms: np.ndarray) -> np.ndarray:
         smaller = (perms[:, i + 1 :] < perms[:, i : i + 1]).sum(axis=1)
         ranks += smaller * math.factorial(d - 1 - i)
     return ranks
+
+
+def dense_max_deviation(rep, block: np.ndarray) -> float:
+    """Independent strong-certificate oracle: one complex matmul and one
+    complex SVD per element, ignoring any permutation arrays."""
+    return max(float(np.linalg.norm(m @ block - block, 2)) for m in rep.mats)

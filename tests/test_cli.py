@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -287,14 +288,19 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         [*TINY_MLP, "--test", "0"],
         [*TINY_MLP, "--epoch-eval", "0"],
         [*TINY_MLP, "--dim", "0", "--subset-exponents", "0", "--curve-exponent", "0"],
+        [*TINY_MLP, "--lr", "-1"],
+        [*TINY_MLP, "--lr", "0"],
+        [*TINY_MLP, "--lr", "nan"],
         ["figure1", "--subsets", "1,x"],
         ["figure1", "--subsets", "1,,2"],
+        ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,1"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
          "mlp-curve-exponent-above-dim", "mlp-negative-exponent", "mlp-non-integer-exponent",
          "mlp-zero-batch", "mlp-empty-test-set", "mlp-empty-epoch-eval", "mlp-zero-dim",
-         "figure1-non-integer-subset", "figure1-empty-subset"],
+         "mlp-negative-lr", "mlp-zero-lr", "mlp-nan-lr",
+         "figure1-non-integer-subset", "figure1-empty-subset", "figure1-repeated-subset"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
@@ -302,6 +308,14 @@ def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_diverging_mlp_is_one_line_numerical_error(tmp_path, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # outside pytest a numpy warning would print to stderr
+        assert run([*TINY_MLP, "--lr", "100", "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical-consistency error: ") and err.count("\n") == 1
 
 
 # list-valued flags on tiny runs: (argv without the flag, flag, separator)

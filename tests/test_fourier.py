@@ -5,17 +5,30 @@ from hypothesis import given, settings, strategies as st
 from groupavg import (
     GroupMismatchError,
     GroupSignal,
+    NumericalConsistencyError,
+    apply_scheme,
     convolve,
     delta_scheme,
+    direct_sum,
     fourier_transform,
+    invariant_projector,
     inverse_fourier,
     irreps_of,
     max_nontrivial_norm,
     parse_group_spec,
+    permutation_rep,
     plancherel_residual,
+    random_scheme,
+    regular_rep,
+    sign_action_rep,
+    sym_power_rep,
+    tensor_product,
     uniform_scheme,
 )
-from groupavg.fourier import coefficients_to_json, spectral_norm
+from groupavg import fourier as fourier_module
+from groupavg.fourier import coefficients_to_json, max_deviation, spectral_norm
+
+from oracles import dense_max_deviation
 
 SIGNAL_SPECS = ["cyclic:5", "signflip:2", "dihedral:4", "symmetric:3", "symmetric:4"]
 
@@ -137,3 +150,64 @@ def test_scalar_spectral_norm_is_abs():
         assert spectral_norm(block) == abs(z)
         svd = np.linalg.svd(block, compute_uv=False)[0]
         assert abs(spectral_norm(block) - svd) <= 1e-15 * svd
+
+
+def _s3_perm():
+    return permutation_rep(parse_group_spec("symmetric:3"))
+
+
+# every constructor that carries permutation arrays
+PERM_ACTIONS = {
+    "regular-cyclic": lambda: regular_rep(parse_group_spec("cyclic:7")),
+    "regular-dihedral": lambda: regular_rep(parse_group_spec("dihedral:5")),
+    "regular-symmetric": lambda: regular_rep(parse_group_spec("symmetric:4")),
+    "regular-product": lambda: regular_rep(parse_group_spec("product(cyclic:2,symmetric:3)")),
+    "permutation": lambda: permutation_rep(parse_group_spec("symmetric:4")),
+    "direct-sum": lambda: direct_sum(_s3_perm(), regular_rep(parse_group_spec("symmetric:3"))),
+    "tensor-product": lambda: tensor_product(_s3_perm(), _s3_perm()),
+    "sym-power": lambda: sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
+def test_row_gathers_match_the_dense_products(name, monkeypatch):
+    rep = PERM_ACTIONS[name]()
+    assert rep.perms is not None
+    seen = []
+
+    def recording(mat):
+        seen.append(mat)
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
+    comp = np.eye(rep.dim) - invariant_projector(rep)
+    rng = np.random.default_rng(17)
+    blocks = [
+        apply_scheme(random_scheme(rep.group, 5, 1), rep) @ comp,  # the strong certificate's block
+        rng.normal(size=(rep.dim, rep.dim)).astype(np.complex128),
+    ]
+    for block in blocks:
+        seen.clear()
+        value = max_deviation(rep, block)
+        assert len(seen) == rep.group.order  # one norm per element
+        for g, diff in enumerate(seen):
+            assert diff.dtype == np.float64
+            assert np.array_equal(diff, (rep.mats[g] @ block - block).real), g
+        assert abs(value - dense_max_deviation(rep, block)) <= 1e-14
+
+
+def test_row_gathers_reject_an_imaginary_part():
+    rep = regular_rep(parse_group_spec("cyclic:4"))
+    block = np.eye(4, dtype=np.complex128)
+    block[1, 2] = 1e-300j
+    with pytest.raises(NumericalConsistencyError, match="imaginary"):
+        max_deviation(rep, block)
+
+
+def test_dense_actions_keep_the_complex_products():
+    s3 = irreps_of(parse_group_spec("symmetric:3"))
+    rng = np.random.default_rng(23)
+    for rep in (sign_action_rep(parse_group_spec("signflip:3")), s3.irreps[s3.dims.index(2)]):
+        assert rep.perms is None
+        block = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+        assert max_deviation(rep, block) == dense_max_deviation(rep, block)

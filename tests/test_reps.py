@@ -87,6 +87,23 @@ def test_regular_rep_cap():
         regular_rep(parse_group_spec("cyclic:4097"))
 
 
+def test_regular_rep_cap_is_a_byte_estimate(monkeypatch):
+    assert 512**3 * 16 == reps_module.REGULAR_REP_MAX_BYTES < 513**3 * 16
+    with pytest.raises(SizeLimitError, match="2,160,091,152 bytes"):
+        regular_rep(parse_group_spec("cyclic:513"))
+
+    class Allocating(Exception):
+        pass
+
+    def stop(perms):
+        raise Allocating
+
+    # order 512 passes the check; stop it where the 2 GiB stack would be built
+    monkeypatch.setattr(reps_module, "_mats_from_perms", stop)
+    with pytest.raises(Allocating):
+        regular_rep(parse_group_spec("cyclic:512"))
+
+
 @pytest.mark.parametrize("corruption", ["swap", "extra-entry"])
 def test_perm_rep_rejects_dense_matrices_off_their_perms(corruption):
     c5 = parse_group_spec("cyclic:5")

@@ -122,6 +122,29 @@ def test_certify_frozen_values():
     assert certify_strong(uniform_scheme(rep.group), rep) < 1e-20
 
 
+# Frozen from the complex matmul path.  Row gathers leave the weak
+# certificate and the projector-path search bit for bit the same, and move
+# the strong certificate by rounding only.
+@pytest.mark.parametrize(
+    "spec, kind, weak, strong, size, eps, support",
+    [
+        ("symmetric:4", "permutation", 0.7515365134794425, 1.5000000000000002,
+         2, 0.4999999999999999, [2, 15]),
+        ("dihedral:5", "regular", 0.5923954978124794, 1.0736798845138484,
+         4, 0.31250000000000017, [0, 2, 5, 6]),
+    ],
+)
+def test_projector_path_frozen_on_permutation_actions(spec, kind, weak, strong, size, eps, support):
+    group = parse_group_spec(spec)
+    rep = permutation_rep(group) if kind == "permutation" else regular_rep(group)
+    report = certify(random_scheme(group, 6, 3), rep)
+    assert report.eps_weak == weak
+    assert abs(report.eps_strong - strong) <= 1e-14
+    result = minimize_scheme(group, rep, 0.5, seed=3)
+    assert (result.status, result.size, result.eps) == ("ok", size, eps)
+    assert result.scheme.support.tolist() == support
+
+
 def test_certify_degenerate_rep():
     s3 = parse_group_spec("symmetric:3")
     tri = trivial_rep(s3)
