@@ -2,8 +2,9 @@
 
 Every subcommand writes its artifacts plus a ``<subcommand>_meta.json``
 sidecar (config, seed, tool version, tolerances) into ``--out``; outputs
-are byte-identical for identical (argv, seed).  Exit codes: 0 success,
-1 usage error, 2 numerical-consistency error, 3 search failure.
+are byte-identical for identical (argv, seed) at a fixed BLAS thread
+count.  Exit codes: 0 success, 1 usage error, 2 numerical-consistency
+error, 3 search failure.
 """
 
 from __future__ import annotations
@@ -320,14 +321,13 @@ def cmd_separation(args) -> int:
 
 def cmd_lowerbound(args) -> int:
     reports = []
+    group = parse_group_spec(f"signflip:{args.d}")
     if args.support:
-        group = parse_group_spec(f"signflip:{args.d}")
         support = [group.index_of_label(tok) for tok in args.support.split(",")]
         weights = np.full(len(support), 1.0 / len(support))
         reports.append(sign_flip_generation_report(args.d, support, weights))
     else:
         rng = np.random.default_rng(args.seed)
-        group = parse_group_spec(f"signflip:{args.d}")
         for _ in range(args.trials):
             size = int(rng.integers(1, max(2, group.order // 2)))
             support = rng.choice(group.order, size=size, replace=False)
@@ -497,9 +497,21 @@ def _run_selftest(seed: int) -> list[dict]:
 # -- parser ---------------------------------------------------------------------
 
 
+def _int_at_least(minimum: int):
+    """argparse ``type`` for an integer flag bounded below."""
+
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _add_common(p: argparse.ArgumentParser, *, seed=0) -> None:
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=seed)
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
 
 
@@ -572,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lowerbound", help="generating-set check on sign-flip groups")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--support", default=None, help="comma-separated bit-string labels")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_int_at_least(1), default=20)
     _add_common(p)
     p.set_defaults(func=cmd_lowerbound)
 
@@ -615,30 +627,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Load a flat key = value file as defaults; explicit flags win."""
+    """Load a flat key = value file as flags placed before ``argv``; argparse
+    keeps the last occurrence of a flag, so explicit flags win."""
+    argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
     if idx + 1 >= len(argv):
         raise UsageError("--config needs a path")
     path = Path(argv[idx + 1])
-    if not path.exists():
-        raise UsageError(f"config file {path} does not exist")
-    pairs = {}
-    for line in path.read_text().splitlines():
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {str(path)!r}: {exc}") from None
+    extra = []
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise UsageError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip().replace("-", "_")] = value.strip()
-    extra = []
-    for key, value in pairs.items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in argv and f"--{key}" not in argv:
-            extra.extend([flag, value])
-    # config-derived flags go first; explicit flags keep precedence by being absent above
+        extra.extend(["--" + key.strip().replace("_", "-"), value.strip()])
     return extra + argv
 
 

@@ -39,13 +39,12 @@ class RegressionConfig:
     trials: int = 2000
     eps: float = 0.0  # 0 -> uniform scheme for the weak estimator
     seed: int = 0
-    invariant_perturbation: float = 0.0
 
     def __post_init__(self):
         if self.trials < 1:
             raise UsageError("need at least one trial")
-        if self.sigma < 0:
-            raise UsageError("noise level must be nonnegative")
+        if not (np.isfinite(self.sigma) and self.sigma >= 0):
+            raise UsageError(f"noise level must be finite and nonnegative, got {self.sigma!r}")
 
 
 @dataclass
@@ -113,11 +112,6 @@ def regression_risk(cfg: RegressionConfig, group: Optional[Group] = None) -> Reg
     averaging = apply_scheme(scheme, rep).real
 
     target = np.full(m, 1.0 / np.sqrt(m))
-    if cfg.invariant_perturbation:
-        rng0 = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(1,)))
-        bump = projector @ rng0.normal(size=m)
-        target = target + cfg.invariant_perturbation * bump
-        target /= np.linalg.norm(target)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(2,)))
     scale = np.sqrt(m)  # indicator basis normalized against the uniform measure

@@ -9,17 +9,17 @@ and direct products; arbitrary multiplication tables are accepted as the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import permutations as _iter_permutations
-from typing import Iterable
+from itertools import islice, permutations as _iter_permutations, takewhile
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
 from .errors import SizeLimitError, UsageError
 
-SIGN_FLIP_MAX_DIM = 16
-SYMMETRIC_MAX_DIM = 8
-_SYMMETRIC_BLOCK_ENTRIES = 1 << 20  # table entries composed per block
+GROUP_TABLE_MAX_BYTES = 2 << 30
+_BLOCK_ENTRIES = 1 << 20  # table or power-orbit entries built per block
 
 
 class Group:
@@ -43,8 +43,8 @@ class Group:
     ``generators`` holds at most ``log2(order)`` elements that generate
     the group, found and checked by :meth:`validate` on construction.
 
-    Large caps are accepted but memory scales as ``order**2`` for the
-    table; the families are capped to keep things at desk scale.
+    Memory scales as ``order**2``; the family constructors refuse a
+    table whose build would pass ``GROUP_TABLE_MAX_BYTES``.
     """
 
     def __init__(self, mult, labels, family, params, factors=None):
@@ -100,16 +100,19 @@ class Group:
             k >>= 1
         return out
 
-    def element_order(self, a: int) -> int:
+    def element_orders(self) -> np.ndarray:
+        """Order of every element, from one power walk over all of them."""
         if self._orders is None:
-            self._orders = np.full(self.order, -1, dtype=np.int64)
-        if self._orders[a] < 0:
-            x, k = a, 1
-            while x != 0:
-                x = int(self.mult[x, a])
-                k += 1
-            self._orders[a] = k
-        return int(self._orders[a])
+            orders = np.zeros(self.order, dtype=np.int64)
+            for j, x in enumerate(power_walk(self, np.arange(self.order))):
+                orders[(x == 0) & (orders == 0)] = j  # j = 0 marks nothing
+                if orders.all():
+                    break
+            self._orders = orders
+        return self._orders
+
+    def element_order(self, a: int) -> int:
+        return int(self.element_orders()[a])
 
     @property
     def is_abelian(self) -> bool:
@@ -173,10 +176,20 @@ class ConjugacyPartition:
 # -- constructors ---------------------------------------------------------
 
 
+def _check_table_size(order: int) -> None:
+    """Refuse a table over ``GROUP_TABLE_MAX_BYTES`` (2 GiB: order <= 7327).
+    40 bytes per entry is the measured peak RSS of a build over order**2."""
+    need = order**2 * 40
+    if need > GROUP_TABLE_MAX_BYTES:
+        raise SizeLimitError(f"group table of order {order:,} needs about {need:,} bytes "
+                             f"(order**2 * 40), above the cap of {GROUP_TABLE_MAX_BYTES:,}")
+
+
 def cyclic_group(n: int) -> Group:
     """Integers mod n under addition; element index == residue."""
     if n < 1:
         raise UsageError(f"cyclic group needs n >= 1, got {n}")
+    _check_table_size(n)
     idx = np.arange(n)
     mult = (idx[:, None] + idx[None, :]) % n
     return Group(mult, [str(i) for i in range(n)], "cyclic", (n,))
@@ -190,8 +203,7 @@ def sign_flip_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"sign-flip group needs d >= 1, got {d}")
-    if d > SIGN_FLIP_MAX_DIM:
-        raise SizeLimitError(f"sign-flip dimension capped at {SIGN_FLIP_MAX_DIM}, got {d}")
+    _check_table_size(1 << d)
     n = 1 << d
     idx = np.arange(n)
     mult = idx[:, None] ^ idx[None, :]
@@ -207,6 +219,7 @@ def dihedral_group(n: int) -> Group:
     """
     if n < 3:
         raise UsageError(f"dihedral group needs n >= 3, got {n}")
+    _check_table_size(2 * n)
     order = 2 * n
     a = np.arange(order) % n
     b = np.arange(order) // n
@@ -234,8 +247,7 @@ def symmetric_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"symmetric group needs d >= 1, got {d}")
-    if d > SYMMETRIC_MAX_DIM:
-        raise SizeLimitError(f"symmetric group capped at d <= {SYMMETRIC_MAX_DIM}, got {d}")
+    _check_table_size(math.factorial(d))
     perms = np.array(symmetric_permutations(d), dtype=np.int64)
     n = perms.shape[0]
     place = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -245,7 +257,7 @@ def symmetric_group(d: int) -> Group:
     q = np.empty((n, d), dtype=np.int64)
     np.put_along_axis(q, perms, place[None, :], axis=1)
     mult = np.empty((n, n), dtype=np.int64)
-    rows = max(1, _SYMMETRIC_BLOCK_ENTRIES // n)
+    rows = max(1, _BLOCK_ENTRIES // n)
     for start in range(0, n, rows):
         mult[start : start + rows] = rank_of_code[perms[start : start + rows] @ q.T]
     labels = ["".join(str(v) for v in p) for p in perms]
@@ -256,6 +268,7 @@ def product_group(g1: Group, g2: Group) -> Group:
     """Direct product with index packing ``(a, b) -> a * |G2| + b``."""
     o1, o2 = g1.order, g2.order
     n = o1 * o2
+    _check_table_size(n)
     idx = np.arange(n)
     a, b = idx // o2, idx % o2
     mult = g1.mult[a[:, None], a[None, :]] * o2 + g2.mult[b[:, None], b[None, :]]
@@ -312,6 +325,23 @@ def conjugacy_classes(group: Group) -> ConjugacyPartition:
         sizes=tuple(len(c) for c in classes),
         class_of=class_of,
     )
+
+
+def power_walk(group: Group, elements: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield ``elements ** j`` elementwise for j = 0, 1, 2, ..., without end."""
+    x = np.zeros(len(elements), dtype=np.int64)
+    while True:
+        yield x
+        x = group.mult[x, elements]
+
+
+def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None) -> np.ndarray:
+    """``out[j, i]`` = ``elements[i] ** j`` for j < steps; without ``steps``, for
+    one period: j below the lcm of the orders, the first j > 0 with all identity."""
+    walk = power_walk(group, elements)
+    if steps is None:
+        return np.array([next(walk), *takewhile(np.ndarray.any, walk)])
+    return np.array(list(islice(walk, steps)))
 
 
 def _generated(mult: np.ndarray, generators: list[int]) -> np.ndarray:

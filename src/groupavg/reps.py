@@ -2,12 +2,14 @@
 
 Dense complex matrices per element, plus characters, the invariant
 projector, symmetric tensor powers, eigenvalue profiles over roots of
-unity, and the polynomial-degree bound derived from them.
+unity, and the polynomial-degree bound derived from them.  Eigenvalue
+multiplicities come from the character on each element's power orbit,
+so a profile needs no eigensolver and the regular action's degree bound
+needs no matrices.
 
 Representations built from permutations (permutation action, regular
 action, symmetric powers of either) also carry integer permutation
-arrays; validation and eigenvalue profiles then use exact integer
-arithmetic with output identical to the dense path.
+arrays; validation then uses exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from .errors import (
     UsageError,
 )
 from .groups import Group, ConjugacyPartition, conjugacy_classes, symmetric_permutations
+from .groups import _BLOCK_ENTRIES, power_table
 
 UNITARITY_TOL = 1e-9
 HOMOMORPHISM_TOL = 1e-9
 IDENTITY_TOL = 1e-9
-EIG_SNAP_TOL = 1e-6
+EIG_SNAP_TOL = 1e-6  # multiplicity snap
 INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
@@ -386,14 +389,8 @@ def power_class_map(group: Group, partition: ConjugacyPartition, max_power: int)
 
     Well-defined on classes since conjugation commutes with powers.
     """
-    r = len(partition)
-    out = np.empty((r, max_power + 1), dtype=np.int64)
-    for c, g in enumerate(partition.representatives):
-        x = 0
-        for j in range(max_power + 1):
-            out[c, j] = partition.class_of[x]
-            x = int(group.mult[x, g])
-    return out
+    reps = np.array(partition.representatives, dtype=np.int64)
+    return partition.class_of[power_table(group, reps, max_power + 1)].T
 
 
 def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
@@ -441,93 +438,60 @@ def invariant_dimension(rep: Representation) -> int:
     return int(nearest)
 
 
-def _reduced(p: int, q: int) -> tuple[int, int]:
-    p %= q
-    g = math.gcd(p, q)
-    return (p // g, q // g)
+def _character_profile(group: Group, traces: np.ndarray) -> EigenProfile:
+    """Eigenvalue profile of a representation from its character alone.
 
-
-def _perm_cycle_lengths(perm: np.ndarray) -> list[int]:
-    n = perm.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    lengths = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        length, x = 0, start
-        while not seen[x]:
-            seen[x] = True
-            x = int(perm[x])
-            length += 1
-        lengths.append(length)
-    return lengths
+    Over a period L of the power walk (a multiple of each element's
+    order), ``exp(2*pi*1j*t/L)`` is an eigenvalue of g with multiplicity
+    ``(1/L) * sum_{j<L} chi(g**j) * exp(-2*pi*1j*t*j/L)``: one FFT along
+    the power orbit of g.  Elements are walked in blocks of at most
+    ``_BLOCK_ENTRIES`` orbit entries, each block until its own period.
+    """
+    n = group.order
+    rows = max(1, _BLOCK_ENTRIES // n)  # a period divides the exponent, so it is at most n
+    keys, peaks = [], []
+    for start in range(0, n, rows):
+        orbits = power_table(group, np.arange(start, min(start + rows, n))).T
+        period = orbits.shape[1]
+        mults = np.fft.fft(traces[orbits], axis=1) / period
+        counts = np.rint(mults.real)
+        bad = float(np.abs(mults - counts).max())
+        if bad > EIG_SNAP_TOL:
+            raise NumericalConsistencyError(f"eigenvalue multiplicity is {bad:.3e} from an integer")
+        t = np.arange(period)
+        common = np.gcd(t, period)
+        keys.append(period // common * n + t // common)  # root t/period in lowest terms, by (q, p)
+        peaks.append(counts.max(axis=0).astype(np.int64))
+    keys, peak = np.concatenate(keys), np.concatenate(peaks)
+    order = np.lexsort((peak, keys))
+    keys, peak = keys[order], peak[order]
+    last = np.append(keys[1:] != keys[:-1], True) & (peak > 0)  # largest peak per root
+    fracs = tuple(zip((keys[last] % n).tolist(), (keys[last] // n).tolist()))
+    roots = np.array([np.exp(2j * np.pi * p / q) for p, q in fracs])
+    return EigenProfile(fractions=fracs, roots=roots, max_mult=peak[last])
 
 
 def eigen_profile(rep: Representation) -> EigenProfile:
-    """Eigenvalues of every element matrix, snapped to roots of unity.
-
-    Eigenvalues of ``mats[g]`` are snapped to ``exp(2*pi*1j*p/ord(g))``
-    (tolerance 1e-6), deduplicated across the group as reduced fractions,
-    and the per-root maximum multiplicity is recorded.
-    """
-    counts: dict[tuple[int, int], int] = {}
-    if rep.perms is not None:
-        for g in range(rep.group.order):
-            local: dict[tuple[int, int], int] = {}
-            for length in _perm_cycle_lengths(rep.perms[g]):
-                for p in range(length):
-                    key = _reduced(p, length)
-                    local[key] = local.get(key, 0) + 1
-            for key, c in local.items():
-                counts[key] = max(counts.get(key, 0), c)
-    else:
-        for g in range(rep.group.order):
-            q = rep.group.element_order(g)
-            eigs = np.linalg.eigvals(rep.mats[g])
-            ps = np.mod(np.rint(np.angle(eigs) / (2 * np.pi) * q).astype(np.int64), q)
-            snapped = np.exp(2j * np.pi * ps / q)
-            bad = np.abs(eigs - snapped).max()
-            if bad > EIG_SNAP_TOL:
-                raise NumericalConsistencyError(
-                    f"eigenvalue of element {g} is {bad:.3e} from the nearest order-{q} root"
-                )
-            local = {}
-            for p in ps:
-                key = _reduced(int(p), q)
-                local[key] = local.get(key, 0) + 1
-            for key, c in local.items():
-                counts[key] = max(counts.get(key, 0), c)
-    fracs = sorted(counts, key=lambda pq: (pq[1], pq[0]))
-    roots = np.array([np.exp(2j * np.pi * p / q) for p, q in fracs])
-    mult = np.array([counts[f] for f in fracs], dtype=np.int64)
-    return EigenProfile(fractions=tuple(fracs), roots=roots, max_mult=mult)
+    """Root-of-unity eigenvalues of the element matrices, from the character:
+    multiplicities rounded to integers (tolerance ``EIG_SNAP_TOL``), roots
+    deduplicated as reduced fractions, the peak multiplicity per root."""
+    return _character_profile(rep.group, np.einsum("gii->g", rep.mats))
 
 
 def k_bound(rep: Representation) -> int:
     """Polynomial-feature degree bound min{order, sum of peak multiplicities - 1}."""
-    profile = eigen_profile(rep)
-    return int(min(rep.group.order, int(profile.max_mult.sum()) - 1))
+    return int(min(rep.group.order, int(eigen_profile(rep).max_mult.sum()) - 1))
 
 
 def regular_k_bound(group: Group) -> int:
-    """Degree bound of the regular action, from element orders only.
+    """Degree bound of the regular action, from its character alone.
 
-    Left translation by g decomposes into |G|/ord(g) cycles of length
-    ord(g), so its eigenvalues are the ord(g)-th roots of unity with
-    multiplicity |G|/ord(g) each; no matrices are materialized.
+    The regular character is |G| at the identity and 0 elsewhere, so no
+    matrices are materialized.
     """
-    orders = sorted({group.element_order(g) for g in range(group.order)})
-    divisors: dict[int, int] = {}
-    for q in orders:
-        for dv in range(1, q + 1):
-            if q % dv == 0:
-                best = divisors.get(dv)
-                mult = group.order // q
-                if best is None or mult > best:
-                    divisors[dv] = mult
-    euler = lambda n: sum(1 for t in range(1, n + 1) if math.gcd(t, n) == 1)
-    total = sum(euler(dv) * m for dv, m in divisors.items())
-    return int(min(group.order, total - 1))
+    traces = np.zeros(group.order)
+    traces[0] = group.order
+    return int(min(group.order, int(_character_profile(group, traces).max_mult.sum()) - 1))
 
 
 # -- export ------------------------------------------------------------------

@@ -54,13 +54,11 @@ class AveragingScheme:
             raise UsageError("support and weights must be matching 1-d arrays")
         if support.size and (support.min() < 0 or support.max() >= self.group.order):
             raise UsageError("support index out of range")
-        # merge duplicates, sort, drop numerically-zero weights
-        merged: dict[int, float] = {}
-        for g, w in zip(support.tolist(), weights.tolist()):
-            merged[g] = merged.get(g, 0.0) + w
-        items = sorted((g, w) for g, w in merged.items() if abs(w) > SUPPORT_EPS)
-        self.support = np.array([g for g, _ in items], dtype=np.int64)
-        self.weights = np.array([w for _, w in items], dtype=np.float64)
+        # merge duplicates in input order from 0.0, sort, drop numerically-zero weights
+        elements, inverse = np.unique(support, return_inverse=True)
+        merged = np.bincount(inverse, weights=weights, minlength=elements.size)
+        keep = np.abs(merged) > SUPPORT_EPS
+        self.support, self.weights = elements[keep], merged[keep]
         total = float(self.weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise UsageError(f"weights sum to {total!r}, expected 1")

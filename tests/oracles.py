@@ -86,3 +86,59 @@ def dense_max_deviation(rep, block: np.ndarray) -> float:
     """Independent strong-certificate oracle: one complex matmul and one
     complex SVD per element, ignoring any permutation arrays."""
     return max(float(np.linalg.norm(m @ block - block, 2)) for m in rep.mats)
+
+
+def eigvals_profile(rep) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
+    """Independent eigenvalue-profile oracle: one dense eigensolve per
+    element, each eigenvalue snapped to the nearest root of unity of the
+    element's order (loop oracle) and reduced to lowest terms.  Returns
+    ``(fractions, max_mult)`` sorted by denominator, then numerator."""
+    counts: dict[tuple[int, int], int] = {}
+    for g in range(rep.group.order):
+        q = element_order_by_loop(rep.group, g)
+        eigs = np.linalg.eigvals(rep.mats[g])
+        ps = np.mod(np.rint(np.angle(eigs) / (2 * np.pi) * q).astype(np.int64), q)
+        assert np.abs(eigs - np.exp(2j * np.pi * ps / q)).max() < 1e-6
+        local: dict[tuple[int, int], int] = {}
+        for p in ps.tolist():
+            common = math.gcd(p, q)
+            key = (p // common, q // common)
+            local[key] = local.get(key, 0) + 1
+        for key, c in local.items():
+            counts[key] = max(counts.get(key, 0), c)
+    fracs = tuple(sorted(counts, key=lambda pq: (pq[1], pq[0])))
+    return fracs, np.array([counts[f] for f in fracs], dtype=np.int64)
+
+
+def element_order_by_loop(group, a: int) -> int:
+    """Smallest k >= 1 with a**k the identity, one multiplication at a time."""
+    x, k = a, 1
+    while x != 0:
+        x = int(group.mult[x, a])
+        k += 1
+    return k
+
+
+def power_class_map_by_loop(group, partition, max_power: int) -> np.ndarray:
+    """``out[c, j]`` = class of ``rep_c ** j``, one multiplication at a time."""
+    out = np.empty((len(partition), max_power + 1), dtype=np.int64)
+    for c, g in enumerate(partition.representatives):
+        x = 0
+        for j in range(max_power + 1):
+            out[c, j] = partition.class_of[x]
+            x = int(group.mult[x, g])
+    return out
+
+
+def merged_support(support, weights, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Independent scheme-normalization oracle: merge duplicate elements
+    with a dict, in input order from 0.0, sort, and drop weights of
+    magnitude at most ``support_eps``."""
+    merged: dict[int, float] = {}
+    for g, w in zip(np.asarray(support).tolist(), np.asarray(weights, dtype=float).tolist()):
+        merged[g] = merged.get(g, 0.0) + w
+    items = sorted((g, w) for g, w in merged.items() if abs(w) > support_eps)
+    return (
+        np.array([g for g, _ in items], dtype=np.int64),
+        np.array([w for _, w in items], dtype=np.float64),
+    )

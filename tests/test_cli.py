@@ -294,16 +294,36 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["figure1", "--subsets", "1,x"],
         ["figure1", "--subsets", "1,,2"],
         ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,1"],
+        ["certify", "--group", "cyclic:4", "--scheme", "random:3", "--seed", "-1"],
+        ["sample", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
+        ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
+        ["separation", "--range", "2:3", "--seed", "-1"],
+        ["lowerbound", "--d", "3", "--seed", "-1"],
+        ["figure1", "--n", "5", "--grid", "3", "--seed", "-1"],
+        ["regress", "--n", "16", "--trials", "2", "--seed", "-1"],
+        [*TINY_MLP, "--seed", "-1"],
+        ["selftest", "--seed", "-1"],
+        ["lowerbound", "--d", "3", "--trials", "0"],
+        ["regress", "--n", "16", "--trials", "2", "--sigma", "nan"],
+        ["group", "--config", "{tmp}"],
+        ["group", "--config", "{tmp}/latin1.cfg"],
+        ["group", "--config={tmp}/latin1.cfg", "--group", "cyclic:3"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
          "mlp-curve-exponent-above-dim", "mlp-negative-exponent", "mlp-non-integer-exponent",
          "mlp-zero-batch", "mlp-empty-test-set", "mlp-empty-epoch-eval", "mlp-zero-dim",
          "mlp-negative-lr", "mlp-zero-lr", "mlp-nan-lr",
-         "figure1-non-integer-subset", "figure1-empty-subset", "figure1-repeated-subset"],
+         "figure1-non-integer-subset", "figure1-empty-subset", "figure1-repeated-subset",
+         "certify-negative-seed", "sample-negative-seed", "minimize-negative-seed",
+         "separation-negative-seed", "lowerbound-negative-seed", "figure1-negative-seed",
+         "regress-negative-seed", "mlp-negative-seed", "selftest-negative-seed",
+         "lowerbound-zero-trials", "regress-nan-sigma", "config-is-a-directory",
+         "config-not-utf8", "config-equals-form-not-utf8"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "latin1.cfg").write_bytes("group = cyclic:3  # \xe9\n".encode("latin-1"))
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -382,6 +402,21 @@ def test_config_file_with_flag_precedence(tmp_path):
     code = run(["group", "--config", str(cfg), "--group", "cyclic:3", "--out", str(out2)])
     assert code == 0
     assert read_json(out2 / "group_info.json")["order"] == 3
+
+
+def test_config_file_loses_to_explicit_flags_in_equals_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("group = cyclic:8\nseed = 5\n")
+    out = tmp_path / "eq"
+    argv = ["certify", "--config", str(cfg), "--group=cyclic:3", "--seed=2",
+            "--scheme", "random:2", "--out", str(out)]
+    assert run(argv) == 0
+    meta = read_json(out / "certify_meta.json")
+    assert meta["seed"] == 2 and meta["config"]["group"] == "cyclic:3"
+    # the file itself may also be given in the equals form
+    out2 = tmp_path / "eq2"
+    assert run(["group", f"--config={cfg}", "--out", str(out2)]) == 0
+    assert read_json(out2 / "group_info.json")["order"] == 8
 
 
 def test_scheme_file_round_trip_via_cli(tmp_path):

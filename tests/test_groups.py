@@ -16,10 +16,12 @@ from groupavg import (
     parse_group_spec,
     sample_uniform,
 )
-from groupavg.groups import custom_group
+from groupavg import groups as groups_module
+from groupavg.groups import custom_group, product_group
 from oracles import (
     brute_force_classes,
     brute_force_is_group,
+    element_order_by_loop,
     gf2_rank,
     lehmer_ranks,
     reduced_latin_squares,
@@ -53,6 +55,53 @@ def test_parameter_caps_and_usage_errors():
         build_group("symmetric", 9)
     with pytest.raises(UsageError):
         build_group("nonsense", 3)
+
+
+class _Allocating(Exception):
+    pass
+
+
+class _NumpyStub:
+    """Stands in for numpy inside ``groups``: any use means the size check passed."""
+
+    def __getattr__(self, name):
+        raise _Allocating(name)
+
+
+def _family(name):
+    return lambda n: (lambda: build_group(name, n))
+
+
+def _product_with_c17(n):
+    factors = build_group("cyclic", 17), build_group("cyclic", n)
+    return lambda: product_group(*factors)
+
+
+@pytest.mark.parametrize(
+    "prepare, fits, over, order",
+    [
+        (_family("cyclic"), 7327, 7328, lambda n: n),
+        (_family("dihedral"), 3663, 3664, lambda n: 2 * n),
+        (_family("sign_flip"), 12, 13, lambda d: 2**d),
+        (_family("symmetric"), 7, 8, math.factorial),
+        (_product_with_c17, 431, 432, lambda n: 17 * n),
+    ],
+    ids=["cyclic", "dihedral", "signflip", "symmetric", "product"],
+)
+def test_group_table_cap_is_a_byte_estimate(monkeypatch, prepare, fits, over, order):
+    cap = groups_module.GROUP_TABLE_MAX_BYTES
+    assert cap == 2 << 30 and 7327**2 * 40 <= cap < 7328**2 * 40
+    assert order(fits) ** 2 * 40 <= cap < order(over) ** 2 * 40
+    build_fits, build_over = prepare(fits), prepare(over)
+    with pytest.raises(SizeLimitError, match=f"needs about {order(over) ** 2 * 40:,} bytes"):
+        build_over()
+    # every table is built with numpy; without it, a size that passes the
+    # check stops at its first allocation and one that fails never gets there
+    monkeypatch.setattr(groups_module, "np", _NumpyStub())
+    with pytest.raises(SizeLimitError):
+        build_over()
+    with pytest.raises(_Allocating):
+        build_fits()
 
 
 def test_conjugacy_class_counts(small_groups):
@@ -161,6 +210,16 @@ def test_symmetric_table_matches_lehmer_rank_oracle():
         assert np.array_equal(lehmer_ranks(perms), np.arange(group.order))
         for j in range(group.order):
             assert np.array_equal(group.mult[:, j], lehmer_ranks(perms[:, perms[j]])), (d, j)
+
+
+def test_element_orders_match_loop_oracle(small_groups):
+    specs = [*small_groups, "cyclic:30", "dihedral:7", "symmetric:4", "signflip:5",
+             "product(cyclic:3,dihedral:4)"]
+    for spec in specs:
+        group = small_groups.get(spec) or parse_group_spec(spec)
+        expect = [element_order_by_loop(group, a) for a in range(group.order)]
+        assert group.element_orders().tolist() == expect, spec
+        assert [group.element_order(a) for a in range(group.order)] == expect, spec
 
 
 def test_element_order_and_power(small_groups):

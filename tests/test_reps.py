@@ -8,9 +8,11 @@ from groupavg import (
     Representation,
     SizeLimitError,
     UsageError,
+    conjugacy_classes,
     direct_sum,
     eigen_profile,
     invariant_dimension,
+    irreps_of,
     invariant_projector,
     k_bound,
     parse_group_spec,
@@ -24,6 +26,8 @@ from groupavg import (
     tensor_product,
     trivial_rep,
 )
+from groupavg.reps import power_class_map
+from oracles import eigvals_profile, power_class_map_by_loop
 
 RESID = 1e-9
 
@@ -260,6 +264,47 @@ def test_eigen_profile_dense_matches_perm_path(small_groups):
     assert np.array_equal(a.max_mult, b.max_mult)
 
 
+def _profile_cases(group):
+    """Regular, trivial, the family's natural action, every irrep, a direct
+    sum, a tensor product and symmetric squares."""
+    table = irreps_of(group)
+    top = table.irreps[-1]
+    cases = [regular_rep(group), trivial_rep(group), *table.irreps,
+             direct_sum(top, trivial_rep(group)), tensor_product(top, top), sym_power_rep(top, 2)]
+    if group.family == "symmetric":
+        cases += [permutation_rep(group), sym_power_rep(permutation_rep(group), 2)]
+    if group.family == "sign_flip":
+        cases += [sign_action_rep(group), sym_power_rep(sign_action_rep(group), 2)]
+    return cases
+
+
+def test_eigen_profile_matches_eigvals_oracle(small_groups):
+    for spec, group in small_groups.items():
+        for rep in _profile_cases(group):
+            fractions, max_mult = eigvals_profile(rep)
+            prof = eigen_profile(rep)
+            assert prof.fractions == fractions, (spec, rep.name)
+            assert np.array_equal(prof.max_mult, max_mult), (spec, rep.name)
+            expect = np.array([np.exp(2j * np.pi * p / q) for p, q in fractions])
+            assert np.array_equal(prof.roots, expect), (spec, rep.name)
+
+
+def test_eigen_profile_rejects_a_non_integer_multiplicity():
+    # traces (1, 0.5) on C2 would give the roots 1 and -1 multiplicities 0.75 and 0.25
+    c2 = parse_group_spec("cyclic:2")
+    with pytest.raises(NumericalConsistencyError, match="multiplicity"):
+        reps_module._character_profile(c2, np.array([1.0, 0.5]))
+
+
+def test_power_class_map_matches_loop_oracle(small_groups):
+    for spec in [*small_groups, "symmetric:4", "product(cyclic:3,dihedral:4)"]:
+        group = small_groups.get(spec) or parse_group_spec(spec)
+        part = conjugacy_classes(group)
+        for max_power in (0, 1, 7, 25):
+            got = power_class_map(group, part, max_power)
+            assert np.array_equal(got, power_class_map_by_loop(group, part, max_power)), spec
+
+
 def test_k_bound_closed_form():
     for d, expect in ((2, 2), (3, 5), (4, 9), (5, 14)):
         rep = permutation_rep(parse_group_spec(f"symmetric:{d}"))
@@ -274,9 +319,10 @@ def test_k_bound_monotone_under_direct_sum(small_groups):
 
 
 def test_regular_k_bound_matches_dense(small_groups):
-    for spec in ("cyclic:6", "dihedral:4", "symmetric:3", "signflip:3", "cyclic:12"):
+    for spec in ("cyclic:6", "dihedral:4", "symmetric:3", "signflip:3", "cyclic:12",
+                 "dihedral:7", "symmetric:4", "cyclic:30", "product(cyclic:3,dihedral:4)"):
         group = small_groups.get(spec) or parse_group_spec(spec)
-        assert regular_k_bound(group) == k_bound(regular_rep(group))
+        assert regular_k_bound(group) == k_bound(regular_rep(group)), spec
 
 
 def test_homomorphism_and_unitarity_residuals(small_groups):

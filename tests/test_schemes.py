@@ -28,6 +28,8 @@ from groupavg import (
     trivial_rep,
     uniform_scheme,
 )
+from groupavg.fourier import SUPPORT_EPS
+from oracles import merged_support
 
 def sign_rep_c2():
     table = irreps_of(parse_group_spec("cyclic:2"))
@@ -63,6 +65,39 @@ def test_collisions_merge():
     sch = AveragingScheme(c3, np.array([1, 1, 0]), np.array([0.25, 0.25, 0.5]))
     assert sch.size == 2
     assert np.allclose(sch.weights, [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "support, weights",
+    [
+        ([5, 0, 3, 1], [0.1, 0.2, 0.3, 0.4]),
+        ([2, 2, 7, 2, 0, 7], [0.3, -0.1, 0.25, 0.05, 0.4, 0.1]),
+        ([4, 1, 4, 6, 1], [0.3, 0.6, -0.3, 0.4, 0.0]),  # element 4 cancels and is dropped
+        ([3, 3, 3], [0.1, 0.7, 0.2]),
+    ],
+)
+def test_scheme_merge_matches_dict_oracle(support, weights):
+    c8 = parse_group_spec("cyclic:8")
+    sch = AveragingScheme(c8, np.array(support), np.array(weights))
+    expect_support, expect_weights = merged_support(support, weights, SUPPORT_EPS)
+    assert np.array_equal(sch.support, expect_support)
+    assert np.array_equal(sch.weights, expect_weights)
+
+
+@settings(max_examples=50, deadline=None)
+@given(draws=st.lists(st.tuples(st.integers(0, 11), st.floats(-2, 2)), min_size=1, max_size=30))
+def test_scheme_merge_matches_dict_oracle_random(draws):
+    support = np.array([g for g, _ in draws])
+    raw = np.array([w for _, w in draws])
+    if abs(raw.sum()) < 1e-3:
+        return
+    weights = raw / raw.sum()
+    expect_support, expect_weights = merged_support(support, weights, SUPPORT_EPS)
+    if abs(expect_weights.sum() - 1.0) > 1e-12:
+        return
+    sch = AveragingScheme(parse_group_spec("cyclic:12"), support, weights)
+    assert np.array_equal(sch.support, expect_support)
+    assert np.array_equal(sch.weights, expect_weights)
 
 
 def test_random_scheme_contract():
