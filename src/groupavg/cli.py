@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rep", default="regular", choices=["regular", "permutation", "sign", "trivial"])
     p.add_argument("--path", default="projector", choices=["projector", "fourier"])
     p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--trials", type=_int_at_least(1), default=40)
     p.add_argument("--swaps", type=int, default=200)
     _add_common(p)
     p.set_defaults(func=cmd_minimize)
@@ -577,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default="signflip")
     p.add_argument("--range", default="2:9", help="inclusive parameter range lo:hi")
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--trials", type=_int_at_least(1), default=40)
     _add_common(p)
     p.set_defaults(func=cmd_separation)
 

@@ -45,6 +45,8 @@ class RegressionConfig:
             raise UsageError("need at least one trial")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise UsageError(f"noise level must be finite and nonnegative, got {self.sigma!r}")
+        if not self.eps >= 0:
+            raise UsageError(f"eps must be nonnegative (0 for the uniform scheme), got {self.eps!r}")
 
 
 @dataclass

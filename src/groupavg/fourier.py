@@ -1,11 +1,16 @@
 """Fourier analysis of signals on finite groups.
 
 Transforms are direct summations against an irrep table (no fast
-transform), one summation per irrep dimension over the table's stacked
-matrices; spectral norms are closed form on 1x1 blocks and dense SVD on
-larger ones.  The per-element deviation behind the strong certificate
-moves rows instead of multiplying when the representation is a
-permutation action, and takes its SVDs in real arithmetic there.
+transform), one summation per irrep dimension over the table's stacked,
+conjugated matrices; spectral norms are closed form on 1x1 blocks and
+dense SVD on larger ones.  The weak certificate skips the SVD of every
+block whose Frobenius norm cannot beat the running maximum; it keeps
+the same bits, since sigma_max <= ||.||_F and the maximum does not
+depend on the order the blocks are visited in.  The per-element
+deviation behind the strong certificate takes one SVD per element.  On
+a permutation action it moves rows instead of multiplying and takes its
+SVDs in real arithmetic; otherwise it forms every
+``rho(g) @ block - block`` with one stacked product.
 """
 
 from __future__ import annotations
@@ -21,6 +26,12 @@ from .irreps import IrrepTable
 from .reps import Representation
 
 SUPPORT_EPS = 1e-15
+# slack on a block's squared Frobenius norm before it may skip its SVD:
+# relative rounding in either norm is a few ulps, far below the margin,
+# and the absolute rounding of subnormal squares is far below the
+# smallest normal float
+_PRUNE_MARGIN = 1e-12
+_PRUNE_FLOOR = float(np.finfo(np.float64).tiny)
 
 
 @dataclass
@@ -50,11 +61,15 @@ class FourierCoefficients:
 
 
 def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value: ``abs`` of a 1x1 block, dense SVD otherwise."""
+    """Largest singular value: ``abs`` of a 1x1 block, dense SVD otherwise.
+
+    The SVD is the one ``np.linalg.norm(mat, 2)`` runs, without its axis
+    handling and reduction: singular values come sorted, largest first.
+    """
     mat = np.atleast_2d(mat)
     if mat.size == 1:
         return float(abs(mat[0, 0]))
-    return float(np.linalg.norm(mat, 2))
+    return float(np.linalg.svd(mat, compute_uv=False)[0])
 
 
 def max_deviation(rep: Representation, block: np.ndarray) -> float:
@@ -69,7 +84,7 @@ def max_deviation(rep: Representation, block: np.ndarray) -> float:
     in real arithmetic.
     """
     if rep.perms is None:
-        return max(spectral_norm(m @ block - block) for m in rep.mats)
+        return max(spectral_norm(diff) for diff in np.matmul(rep.mats, block) - block)
     if np.any(block.imag != 0):
         raise NumericalConsistencyError("operator on a permutation action has an imaginary part")
     real = block.real
@@ -88,8 +103,8 @@ def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoeffici
     idx = signal.support
     w = signal.weights[idx]
     mats: list = [None] * len(table)
-    for irreps, stack in table.stacks:
-        blocks = np.einsum("g,kgji->kij", w, stack[:, idx].conj())
+    for irreps, conj_stack in table.conj_stacks:
+        blocks = np.einsum("g,kgji->kij", w, conj_stack[:, idx])
         for i, block in zip(irreps, blocks):
             mats[i] = block
     return FourierCoefficients(table=table, mats=mats)
@@ -130,13 +145,29 @@ def max_nontrivial_norm(
 
     ``restrict_to`` optionally limits the maximum to irreps with nonzero
     multiplicity in a supplied decomposition vector.
+
+    Pruned but exact: 1x1 blocks go first, then larger blocks in
+    decreasing squared Frobenius norm, and the SVDs stop at the first
+    block whose Frobenius bound, widened for rounding, falls below the
+    running maximum.  sigma_max <= ||.||_F, so no skipped block could
+    raise the maximum, and ``max`` does not depend on the order of its
+    arguments, so the result has the same bits as the maximum over
+    every block.
     """
     best = 0.0
+    blocks = []
     for i, mat in enumerate(coeffs.mats):
         if i == table.trivial_index:
             continue
         if restrict_to is not None and restrict_to[i] < 1:
             continue
+        if mat.size == 1:
+            best = max(best, spectral_norm(mat) ** 2)
+        else:
+            blocks.append((float(np.vdot(mat, mat).real), mat))
+    for frob2, mat in sorted(blocks, key=lambda fm: fm[0], reverse=True):
+        if frob2 * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
+            break
         best = max(best, spectral_norm(mat) ** 2)
     return best
 

@@ -56,6 +56,12 @@ class IrrepTable:
             out.append((idx, np.stack([self.irreps[i].mats for i in idx])))
         return out
 
+    @functools.cached_property
+    def conj_stacks(self) -> list[tuple[list[int], np.ndarray]]:
+        """:attr:`stacks` with every matrix entry complex-conjugated, the
+        operand every Fourier transform over this table reads."""
+        return [(idx, mats.conj()) for idx, mats in self.stacks]
+
     def labels(self) -> list[str]:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
 

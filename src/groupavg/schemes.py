@@ -40,7 +40,7 @@ class AveragingScheme:
 
     ``support`` holds sorted distinct element indices and ``weights`` the
     matching values; entries below the support threshold are dropped.
-    The weight sum must be 1 within 1e-12.
+    Every weight must be finite and the weight sum 1 within 1e-12.
     """
 
     group: Group
@@ -52,6 +52,8 @@ class AveragingScheme:
         weights = np.asarray(self.weights, dtype=np.float64)
         if support.shape != weights.shape or support.ndim != 1:
             raise UsageError("support and weights must be matching 1-d arrays")
+        if not np.isfinite(weights).all():
+            raise UsageError("weights must be finite")
         if support.size and (support.min() < 0 or support.max() >= self.group.order):
             raise UsageError("support index out of range")
         # merge duplicates in input order from 0.0, sort, drop numerically-zero weights

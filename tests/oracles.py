@@ -88,6 +88,19 @@ def dense_max_deviation(rep, block: np.ndarray) -> float:
     return max(float(np.linalg.norm(m @ block - block, 2)) for m in rep.mats)
 
 
+def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:
+    """Weak-certificate oracle: the squared spectral norm of every
+    nontrivial block in table order, ``abs`` on a 1x1 block and
+    ``np.linalg.norm(..., 2)`` otherwise, with no block skipped."""
+    best = 0.0
+    for i, mat in enumerate(coeffs.mats):
+        if i == table.trivial_index or (restrict_to is not None and restrict_to[i] < 1):
+            continue
+        norm = abs(mat[0, 0]) if mat.size == 1 else np.linalg.norm(mat, 2)
+        best = max(best, float(norm) ** 2)
+    return best
+
+
 def eigvals_profile(rep) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """Independent eigenvalue-profile oracle: one dense eigensolve per
     element, each eigenvalue snapped to the nearest root of unity of the

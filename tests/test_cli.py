@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -308,6 +309,12 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["group", "--config", "{tmp}"],
         ["group", "--config", "{tmp}/latin1.cfg"],
         ["group", "--config={tmp}/latin1.cfg", "--group", "cyclic:3"],
+        ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--trials", "0"],
+        ["separation", "--range", "2:3", "--trials", "0"],
+        ["regress", "--n", "16", "--trials", "2", "--eps", "-1"],
+        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/nan.json"],
+        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
+        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
@@ -319,11 +326,20 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
          "separation-negative-seed", "lowerbound-negative-seed", "figure1-negative-seed",
          "regress-negative-seed", "mlp-negative-seed", "selftest-negative-seed",
          "lowerbound-zero-trials", "regress-nan-sigma", "config-is-a-directory",
-         "config-not-utf8", "config-equals-form-not-utf8"],
+         "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
+         "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
+         "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "latin1.cfg").write_bytes("group = cyclic:3  # \xe9\n".encode("latin-1"))
+    # json reads NaN and Infinity; the unit-sum check alone passes both
+    # files: a NaN weight counts as below the support threshold, and the
+    # infinities sum to NaN
+    (tmp_path / "nan.json").write_text(
+        '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [NaN, 0.5, 0.5]}')
+    (tmp_path / "inf.json").write_text(
+        '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [Infinity, -Infinity, 1.0]}')
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -388,6 +404,58 @@ def test_byte_identical_reruns(tmp_path):
     assert run(argv + ["--out", str(out2)]) == 0
     for name in ("certification.json", "scheme.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# sha256 of the Fourier-path artifacts, recorded before the pruned weak
+# certificate and the lean spectral norm: a change to the certificate
+# arithmetic that moves any bit, or any search tie-break, fails here
+FOURIER_PATH_SHA256 = {
+    ("certify", "dihedral:12", "regular"): {
+        "certification.json": "e5d730214c41cac8493ab99b0f2c8afb8597c6318cc9fbc5c16ec9cec52403a8",
+        "scheme.json": "50d6b5fdde549a60c4f4b6a599b54c1c40908cd225ae28fb07255ebe51062711",
+    },
+    ("certify", "symmetric:4", "permutation"): {
+        "certification.json": "f33e11e2d0fe3ab1f275c89f11d28b5f5872b6e9949169f77fb68b75ecdf6a32",
+        "scheme.json": "221c7d6f22e023e289eb468fca1757ea8bf68015a90e9dee8531a552243040b2",
+    },
+    ("certify", "product(cyclic:3,dihedral:5)", "regular"): {
+        "certification.json": "cbdb205f0cf4d33e04d038c41e3a6e2553fe1b285a7b93d3f036fbba24440331",
+        "scheme.json": "abdb227076803f5dd30c6cc4df17d2346f4827abf4925039e0ac1843e88b3e22",
+    },
+    ("minimize", "dihedral:12", "regular"): {
+        "scheme.json": "9edbc8babefacb02fa6dc048b7547be0196ca6d5915feef0e1c2959e097ceb90",
+        "search.json": "3508ede397fcfb80f845ebd6085940444f3fa5ed084b2015fe5662b4f7c838e4",
+    },
+    ("minimize", "symmetric:4", "permutation"): {
+        "scheme.json": "7910aebb71c75b7ea16ecb73f5636fa9c9340e5b872e0c8b55d128539675e0c3",
+        "search.json": "1584db6be8b259202b103780479a4e61d796832caff0f2f63c993f0303654291",
+    },
+    ("minimize", "product(cyclic:3,dihedral:5)", "regular"): {
+        "scheme.json": "c96c6d8494faed4d14ddd611576c6ea64acef2356f523342600b2a5b17633a26",
+        "search.json": "092ce09978ad29797a0c39ed4fa3e94e50ce06d15274ade163fec82f97428328",
+    },
+}
+_FOURIER_PATH_ARGS = {
+    ("certify", "dihedral:12"): ["--scheme", "random:8"],
+    ("certify", "symmetric:4"): ["--scheme", "random:6"],
+    ("certify", "product(cyclic:3,dihedral:5)"): ["--scheme", "random:10"],
+    ("minimize", "dihedral:12"): ["--eps", "0.5"],
+    ("minimize", "symmetric:4"): ["--eps", "0.5"],
+    ("minimize", "product(cyclic:3,dihedral:5)"): ["--eps", "0.3"],
+}
+
+
+@pytest.mark.parametrize("key", sorted(FOURIER_PATH_SHA256), ids=lambda k: "-".join(k))
+def test_fourier_path_artifacts_keep_their_bytes(key, tmp_path):
+    command, spec, rep = key
+    argv = [command, "--group", spec, "--path", "fourier", "--rep", rep,
+            *_FOURIER_PATH_ARGS[command, spec], "--seed", "11", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in FOURIER_PATH_SHA256[key]
+    }
+    assert digests == FOURIER_PATH_SHA256[key]
 
 
 def test_config_file_with_flag_precedence(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupavg import (
+    AveragingScheme,
     GroupMismatchError,
     GroupSignal,
     NumericalConsistencyError,
@@ -28,7 +29,7 @@ from groupavg import (
 from groupavg import fourier as fourier_module
 from groupavg.fourier import coefficients_to_json, max_deviation, spectral_norm
 
-from oracles import dense_max_deviation
+from oracles import dense_max_deviation, unpruned_max_nontrivial_norm
 
 SIGNAL_SPECS = ["cyclic:5", "signflip:2", "dihedral:4", "symmetric:3", "symmetric:4"]
 
@@ -150,6 +151,96 @@ def test_scalar_spectral_norm_is_abs():
         assert spectral_norm(block) == abs(z)
         svd = np.linalg.svd(block, compute_uv=False)[0]
         assert abs(spectral_norm(block) - svd) <= 1e-15 * svd
+
+
+def _norm_blocks(d: int, complex_: bool) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(10 * d + complex_)
+
+    def draw(*shape):
+        real = rng.normal(size=shape)
+        return real + 1j * rng.normal(size=shape) if complex_ else real
+
+    u, v = draw(d, 1), draw(d, 1)
+    dense = draw(d, d)
+    return {
+        "zero": np.zeros((d, d), dtype=np.complex128 if complex_ else np.float64),
+        "rank-1": u @ v.conj().T,
+        "unitary": np.linalg.qr(draw(d, d))[0],
+        "dense": dense,
+        "tiny": 1e-200 * dense,
+        "huge": 1e200 * dense,
+    }
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_spectral_norm_has_the_bits_of_numpy_2_norm(d, complex_):
+    for name, block in _norm_blocks(d, complex_).items():
+        got = spectral_norm(block)
+        # a complex 1x1 block takes abs (test_scalar_spectral_norm_is_abs),
+        # which may differ from LAPACK's value in the last bit
+        want = abs(block[0, 0]) if d == 1 and complex_ else np.linalg.norm(block, 2)
+        assert got.hex() == float(want).hex(), name
+
+
+# dihedral and product(cyclic:3, dihedral) tables mix 1x1 and 2x2 blocks;
+# symmetric:5 has blocks up to 6x6
+WEAK_SPECS = ["dihedral:3", "dihedral:8", "dihedral:13", "symmetric:4", "symmetric:5",
+              "product(cyclic:3,dihedral:4)", "product(cyclic:3,dihedral:7)"]
+
+
+@pytest.fixture(scope="module")
+def weak_tables():
+    return {spec: irreps_of(parse_group_spec(spec)) for spec in WEAK_SPECS}
+
+
+def _weak_scheme(group, kind: str, size: int, seed: int) -> AveragingScheme:
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        return uniform_scheme(group)
+    if kind == "delta":
+        return delta_scheme(group, int(rng.integers(group.order)))
+    if kind == "random":
+        return random_scheme(group, size, seed)
+    support = rng.choice(group.order, size=min(size, group.order), replace=False)
+    weights = rng.normal(size=support.size)
+    weights[0] += 1.0 - weights.sum()
+    return AveragingScheme(group, support, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=st.sampled_from(WEAK_SPECS),
+    kind=st.sampled_from(["uniform", "delta", "random", "signed"]),
+    size=st.integers(1, 16),
+    seed=st.integers(0, 2**32 - 1),
+    restrict=st.booleans(),
+)
+def test_pruned_weak_certificate_has_the_bits_of_the_full_maximum(
+    weak_tables, spec, kind, size, seed, restrict
+):
+    table = weak_tables[spec]
+    coeffs = fourier_transform(_weak_scheme(table.group, kind, size, seed).to_signal(), table)
+    restrict_to = np.random.default_rng(seed).integers(0, 2, len(table)) if restrict else None
+    got = max_nontrivial_norm(coeffs, table, restrict_to=restrict_to)
+    assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table, restrict_to).hex()
+
+
+def test_weak_certificate_skips_blocks_below_the_running_maximum(weak_tables, monkeypatch):
+    table = weak_tables["dihedral:13"]
+    coeffs = fourier_transform(random_scheme(table.group, 6, 2).to_signal(), table)
+    seen = []
+
+    def recording(mat):
+        seen.append(mat.shape)
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
+    got = max_nontrivial_norm(coeffs, table)
+    svds = sum(shape != (1, 1) for shape in seen)
+    assert seen.count((1, 1)) == table.dims.count(1) - 1  # every nontrivial 1x1 block
+    assert 1 <= svds < table.dims.count(2)
+    assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table).hex()
 
 
 def _s3_perm():
