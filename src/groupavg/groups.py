@@ -52,6 +52,8 @@ class Group:
         if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
             raise UsageError("multiplication table must be square")
         self.order = int(self.mult.shape[0])
+        if self.order < 1:
+            raise UsageError("group must be nonempty")
         self.labels = [str(x) for x in labels]
         if len(self.labels) != self.order:
             raise UsageError("labels length must equal group order")
@@ -135,8 +137,6 @@ class Group:
         generator b.  A monoid with two-sided inverses is a group.
         """
         m, n = self.mult, self.order
-        if n < 1:
-            raise UsageError("group must be nonempty")
         if m.min() < 0 or m.max() >= n:
             raise UsageError("table entries out of range")
         idx = np.arange(n)
@@ -277,7 +277,16 @@ def product_group(g1: Group, g2: Group) -> Group:
 
 
 def custom_group(mult, labels=None) -> Group:
-    mult = np.asarray(mult, dtype=np.int64)
+    """Group from a given multiplication table, validated as any other.
+
+    The table's size is checked against the cap before ``Group`` builds
+    its order**2 temporaries (the identity mask, Light's-test gathers).
+    """
+    try:
+        mult = np.asarray(mult, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise UsageError("multiplication table must be a square array of integers") from None
+    _check_table_size(max(mult.shape, default=0))  # Group rejects a non-square table
     if labels is None:
         labels = [str(i) for i in range(mult.shape[0])]
     return Group(mult, labels, "custom", ())
@@ -441,23 +450,33 @@ def group_to_text(group: Group) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _text_int(field: str, what: str) -> int:
+    try:
+        return int(field)
+    except ValueError:
+        raise UsageError(f"non-integer {what} {field!r} in group text") from None
+
+
 def group_from_text(text: str) -> Group:
     """Inverse of :func:`group_to_text`; round-trip is exact."""
-    lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 4 or head[0] != "group":
+    lines = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
+    if not lines or len(lines[0]) != 4 or lines[0][0] != "group":
         raise UsageError("malformed group header")
-    _, family, param, order_s = head
-    order = int(order_s)
+    _, family, param, order_s = lines[0]
+    order = _text_int(order_s, "group order")
     if len(lines) != order + 1:
         raise UsageError("table row count does not match order")
-    mult = np.array([[int(x) for x in ln.split()] for ln in lines[1:]], dtype=np.int64)
+    for i, row in enumerate(lines[1:]):
+        if len(row) != order:
+            raise UsageError(f"table row {i} has {len(row)} entries, expected {order}")
+    mult = np.array([[_text_int(x, "table entry") for x in row] for row in lines[1:]],
+                    dtype=np.int64)
     if family == "custom":
         return custom_group(mult)
     if family == "product":
         rebuilt = parse_group_spec(param)
     else:
-        rebuilt = build_group(family, int(param))
+        rebuilt = build_group(family, _text_int(param, "group parameter"))
     if not np.array_equal(rebuilt.mult, mult):
         raise UsageError("serialized table disagrees with the named family")
     return rebuilt

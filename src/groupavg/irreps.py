@@ -283,16 +283,6 @@ def _product_irreps(group: Group) -> list[Representation]:
     return out
 
 
-def _char_sort_key(rep: Representation, representatives: list[int]):
-    values = np.einsum("gii->g", rep.mats)[representatives]
-    is_trivial = rep.dim == 1 and np.abs(values - 1.0).max() < 1e-9
-    return (
-        0 if is_trivial else 1,
-        rep.dim,
-        tuple(zip(np.round(values.real, 9).tolist(), np.round(values.imag, 9).tolist())),
-    )
-
-
 def irreps_of(group: Group) -> IrrepTable:
     """Full irrep table for a supported family.
 
@@ -314,8 +304,13 @@ def irreps_of(group: Group) -> IrrepTable:
         raise CapabilityError(f"irreps not available for family {group.family!r}")
     partition = conjugacy_classes(group)
     reps = list(partition.representatives)
-    raw.sort(key=lambda r: _char_sort_key(r, reps))
     characters = np.array([np.trace(r.mats[reps], axis1=1, axis2=2) for r in raw])
+    # trivial first, then by dimension, then by rounded (re, im) per class in turn
+    dims = np.array([r.dim for r in raw])
+    trivial = (dims == 1) & (np.abs(characters - 1.0).max(axis=1) < 1e-9)
+    values = np.stack([np.round(characters.real, 9), np.round(characters.imag, 9)], axis=2)
+    order = np.lexsort([*values.reshape(len(raw), -1).T[::-1], dims, ~trivial])
+    raw, characters = [raw[i] for i in order], characters[order]
     sizes = np.array(partition.sizes, dtype=float)
     norms = (sizes * np.abs(characters) ** 2).sum(axis=1) / group.order
     for r, norm in zip(raw, norms.tolist()):

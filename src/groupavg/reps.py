@@ -7,9 +7,17 @@ multiplicities come from the character on each element's power orbit,
 so a profile needs no eigensolver and the regular action's degree bound
 needs no matrices.
 
-Representations built from permutations (permutation action, regular
-action, symmetric powers of either) also carry integer permutation
-arrays; validation then uses exact integer arithmetic.
+Validation takes one of two paths.  When every matrix is a signed
+permutation matrix (entries 0 and +-1 with zero imaginary part, one
+nonzero per row and column) it reads off integer (perm, sign) arrays and
+checks the homomorphism law exactly on the group's generators.  This
+covers characters with values +-1, the sign action, and the
+representations built from permutations (permutation action, regular
+action, symmetric powers of either), which carry their permutation
+arrays with them: those are the all-plus case.  Every other
+representation is checked in floating point: unitarity per element, and
+the homomorphism law on all pairs up to order 256, on seeded random
+pairs above it.
 """
 
 from __future__ import annotations
@@ -48,6 +56,53 @@ _HOM_CHUNK_ELEMENTS = 1 << 14  # complex entries per batched homomorphism check
 def _max_frobenius(diff: np.ndarray) -> float:
     """Largest Frobenius norm over the trailing matrix axes of ``diff``."""
     return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+
+
+def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """Exact homomorphism law for signed permutation matrices.
+
+    Checks rho(g*s) == rho(g) @ rho(s) for every g and every s in
+    ``group.generators`` in one gather; with rho(e) = I it then holds for
+    all pairs, by induction on word length.  In (perm, sign) form,
+    rho(g) @ rho(s) maps e_j to sign[s, j] * sign[g, perm[s, j]] times
+    e_{perm[g, perm[s, j]]}.
+    """
+    gens = np.array(group.generators, dtype=np.int64)
+    at_product = group.mult[:, gens]  # (order, generators)
+    after = perm[gens]  # (generators, dim)
+    return bool(
+        np.array_equal(perm[at_product], perm[:, after])
+        and np.array_equal(sign[at_product], sign[:, after] * sign[gens])
+    )
+
+
+def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
+    """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h] in floats.
+
+    Exhaustive over all pairs when affordable, seeded random pairs
+    otherwise, in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
+    """
+    n, d = mats.shape[0], mats.shape[1]
+    exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
+    worst = 0.0
+    if exhaustive:
+        step = max(1, _HOM_CHUNK_ELEMENTS // (n * d * d))
+        for start in range(0, n, step):
+            gs = slice(start, start + step)
+            prods = np.tensordot(mats[gs], mats, axes=([2], [1]))  # (g, i, h, k)
+            diff = mats[mult[gs]] - prods.transpose(0, 2, 1, 3)
+            worst = max(worst, _max_frobenius(diff))
+    else:
+        rng = np.random.default_rng(_HOM_SAMPLE_SEED)
+        count = max(64, 2 * n)
+        gs = rng.integers(0, n, size=count)
+        hs = rng.integers(0, n, size=count)
+        step = max(1, _HOM_CHUNK_ELEMENTS // (d * d))
+        for start in range(0, count, step):
+            g, h = gs[start : start + step], hs[start : start + step]
+            diff = mats[mult[g, h]] - np.matmul(mats[g], mats[h])
+            worst = max(worst, _max_frobenius(diff))
+    return worst
 
 
 class Representation:
@@ -96,53 +151,52 @@ class Representation:
         gram -= np.eye(self.dim)
         return _max_frobenius(gram)
 
+    def signed_permutation(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
+        or None when some matrix is not a signed permutation matrix.
+
+        With ``perms`` given this is ``(perms, +1)``; :meth:`validate`
+        checks that the dense matrices agree.
+        """
+        if self.perms is not None:
+            return self.perms, np.ones(self.perms.shape, dtype=np.int8)
+        if np.any(self.mats.imag):
+            return None
+        re = self.mats.real
+        nonzero = re != 0
+        if not (np.all(np.abs(re[nonzero]) == 1)
+                and np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
+            return None
+        # each column holds one +-1: its row is the argmax, its sign the column sum
+        return nonzero.argmax(axis=1), re.sum(axis=1).astype(np.int8)
+
     def homomorphism_residual(self) -> float:
         """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h].
 
-        Exhaustive over all pairs when affordable, seeded random pairs
-        otherwise, in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
-        Exact with perms: perms[g*s] == perms[g][perms[s]] for all g and
-        each s in ``group.generators``, so for all pairs by induction.
+        Exact on signed permutation matrices: 0 when the law holds for all
+        pairs, inf otherwise (two distinct signed permutation matrices lie
+        at least sqrt(2) apart).  Otherwise in floating point, see
+        :func:`_dense_homomorphism_residual`.
         """
-        n, d, mult = self.group.order, self.dim, self.group.mult
-        if self.perms is not None:
-            for s in self.group.generators:
-                if not np.array_equal(self.perms[mult[:, s]], self.perms[:, self.perms[s]]):
-                    return float("inf")
-            return 0.0
-        exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
-        worst = 0.0
-        if exhaustive:
-            step = max(1, _HOM_CHUNK_ELEMENTS // (n * d * d))
-            for start in range(0, n, step):
-                gs = slice(start, start + step)
-                prods = np.tensordot(self.mats[gs], self.mats, axes=([2], [1]))  # (g, i, h, k)
-                diff = self.mats[mult[gs]] - prods.transpose(0, 2, 1, 3)
-                worst = max(worst, _max_frobenius(diff))
-        else:
-            rng = np.random.default_rng(_HOM_SAMPLE_SEED)
-            count = max(64, 2 * n)
-            gs = rng.integers(0, n, size=count)
-            hs = rng.integers(0, n, size=count)
-            step = max(1, _HOM_CHUNK_ELEMENTS // (d * d))
-            for start in range(0, count, step):
-                g, h = gs[start : start + step], hs[start : start + step]
-                diff = self.mats[mult[g, h]] - np.matmul(self.mats[g], self.mats[h])
-                worst = max(worst, _max_frobenius(diff))
-        return worst
+        signed = self.signed_permutation()
+        if signed is None:
+            return _dense_homomorphism_residual(self.mats, self.group.mult)
+        return 0.0 if _signed_homomorphism_holds(self.group, *signed) else float("inf")
 
     def validate(self) -> None:
         if self.perms is not None:
-            # exact 0/1 matrices of a homomorphism into permutations are unitary
             n, d = self.perms.shape
             ones = self.mats[np.arange(n)[:, None], self.perms, np.arange(d)]
             if not (np.all(ones == 1) and np.count_nonzero(self.mats) == n * d):
                 raise NumericalConsistencyError("dense matrices disagree with perm arrays")
-        else:
+        signed = self.signed_permutation()
+        if signed is None:
             resid = self.unitarity_residual()
             if resid > UNITARITY_TOL:
                 raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
-        resid = self.homomorphism_residual()
+            resid = _dense_homomorphism_residual(self.mats, self.group.mult)
+        else:  # signed permutation matrices are orthogonal
+            resid = 0.0 if _signed_homomorphism_holds(self.group, *signed) else float("inf")
         if resid > HOMOMORPHISM_TOL:
             raise NumericalConsistencyError(f"homomorphism residual {resid:.3e} exceeds tolerance")
 

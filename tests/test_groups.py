@@ -104,6 +104,23 @@ def test_group_table_cap_is_a_byte_estimate(monkeypatch, prepare, fits, over, or
         build_fits()
 
 
+def test_custom_group_cap_is_a_byte_estimate(monkeypatch):
+    fits, over = 7327, 7328
+    assert fits**2 * 40 <= groups_module.GROUP_TABLE_MAX_BYTES < over**2 * 40
+
+    def stop(*args, **kwargs):
+        raise _Allocating
+
+    # ``Group`` copies the table and builds its temporaries: stop there.
+    # Zero-stride views stand for tables of either order without memory.
+    monkeypatch.setattr(groups_module, "Group", stop)
+    view = lambda n: np.broadcast_to(np.int64(0), (n, n))
+    with pytest.raises(SizeLimitError, match=f"needs about {over**2 * 40:,} bytes"):
+        custom_group(view(over))
+    with pytest.raises(_Allocating):
+        custom_group(view(fits))
+
+
 def test_conjugacy_class_counts(small_groups):
     # abelian groups split into singletons
     assert len(conjugacy_classes(small_groups["cyclic:4"])) == 4
@@ -246,6 +263,34 @@ def test_group_text_rejects_tampered_table(small_groups):
     lines[1] = "0 2 1"
     with pytest.raises(UsageError):
         group_from_text("\n".join(lines))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("group custom 0 2\n0 1\n1", "row 1 has 1 entries, expected 2"),
+        ("group custom - 2\n0 1 1\n1 0", "row 0 has 3 entries"),
+        ("group custom - 2\n0 1\n1 x", "non-integer table entry 'x'"),
+        ("group custom - 2\n0 1\n1 0.5", "non-integer table entry '0.5'"),
+        ("group custom - two\n0", "non-integer group order 'two'"),
+        ("group cyclic three 3\n0 1 2\n1 2 0\n2 0 1", "non-integer group parameter"),
+        ("", "malformed group header"),
+        ("group custom - 0", "square"),
+    ],
+)
+def test_group_text_malformed_input_is_a_usage_error(text, message):
+    with pytest.raises(UsageError, match=message) as err:
+        group_from_text(text)
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mult, message",
+    [(np.zeros((0, 0), dtype=np.int64), "nonempty"), ([[0, 1], [1]], "square array of integers")],
+)
+def test_custom_group_malformed_table_is_a_usage_error(mult, message):
+    with pytest.raises(UsageError, match=message):
+        custom_group(mult)
 
 
 def test_spec_string_round_trip(small_groups):

@@ -343,7 +343,8 @@ def test_rep_export_header():
 
 # -- batched homomorphism check against a per-pair loop ---------------------
 
-HOM_PATHS = ["perm", "exhaustive-1x1", "exhaustive", "sampled-1x1", "sampled"]
+HOM_PATHS = ["perm", "signed-1x1", "signed", "exhaustive-1x1", "exhaustive", "sampled-1x1",
+             "sampled"]
 
 
 def _parity_character(d: int) -> Representation:
@@ -352,28 +353,45 @@ def _parity_character(d: int) -> Representation:
     return Representation(group, signs.astype(complex).reshape(-1, 1, 1), name="parity")
 
 
+def _cyclic_character(n: int) -> Representation:
+    group = parse_group_spec(f"cyclic:{n}")
+    values = np.exp(2j * np.pi * np.arange(n) / n)
+    return Representation(group, values.reshape(-1, 1, 1), name="chi1")
+
+
+def _rotated_sign_action(d: int) -> Representation:
+    """The sign action of signflip:d in a fixed random orthonormal basis:
+    dense real matrices, no longer signed permutations."""
+    rep = sign_action_rep(parse_group_spec(f"signflip:{d}"))
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    return Representation(rep.group, q @ rep.mats @ q.T, name="rotated")
+
+
 def _path_rep(path: str) -> Representation:
     """A representation whose homomorphism check takes the named path.
 
-    Orders up to 256 are checked exhaustively (all of these are within the
-    flop budget), larger ones on seeded pairs; each dense case spans
-    several batches.
+    Signed permutation matrices take the exact path on generators; other
+    matrices of orders up to 256 are checked exhaustively (all of these
+    are within the flop budget), larger ones on seeded pairs; each dense
+    case spans several batches.
     """
     if path == "perm":
         return permutation_rep(parse_group_spec("symmetric:4"))
-    if path == "exhaustive-1x1":
+    if path == "signed-1x1":
         return _parity_character(8)
-    if path == "exhaustive":
+    if path == "signed":
         return sign_action_rep(parse_group_spec("signflip:7"))
+    if path == "exhaustive-1x1":
+        return _cyclic_character(200)
+    if path == "exhaustive":
+        table = irreps_of(parse_group_spec("dihedral:60"))
+        return table.irreps[table.dims.index(2)]
     if path == "sampled-1x1":
-        return _parity_character(9)
-    return sign_action_rep(parse_group_spec("signflip:9"))
+        return _cyclic_character(300)
+    return _rotated_sign_action(9)
 
 
-def _checked_pairs(rep: Representation) -> list[tuple[int, int]]:
-    n = rep.group.order
-    if rep.perms is not None or n <= reps_module._HOM_EXHAUSTIVE_MAX_ORDER:
-        return [(g, h) for g in range(n) for h in range(n)]
+def _sampled_pairs(n: int) -> list[tuple[int, int]]:
     rng = np.random.default_rng(reps_module._HOM_SAMPLE_SEED)
     count = max(64, 2 * n)
     gs = rng.integers(0, n, size=count)
@@ -381,7 +399,15 @@ def _checked_pairs(rep: Representation) -> list[tuple[int, int]]:
     return list(zip(gs.tolist(), hs.tolist()))
 
 
+def _checked_pairs(rep: Representation) -> list[tuple[int, int]]:
+    n = rep.group.order
+    if rep.signed_permutation() is not None or n <= reps_module._HOM_EXHAUSTIVE_MAX_ORDER:
+        return [(g, h) for g in range(n) for h in range(n)]
+    return _sampled_pairs(n)
+
+
 def _reference_residual(rep: Representation) -> float:
+    """Per-pair loop; on signed permutation matrices, 0 or inf as the exact path."""
     mult = rep.group.mult
     pairs = _checked_pairs(rep)
     if rep.perms is not None:
@@ -389,9 +415,12 @@ def _reference_residual(rep: Representation) -> float:
             np.array_equal(rep.perms[mult[g, h]], rep.perms[g][rep.perms[h]]) for g, h in pairs
         )
         return 0.0 if ok else float("inf")
-    return max(
+    worst = max(
         float(np.linalg.norm(rep.mats[mult[g, h]] - rep.mats[g] @ rep.mats[h])) for g, h in pairs
     )
+    if rep.signed_permutation() is not None:
+        return 0.0 if worst <= RESID else float("inf")
+    return worst
 
 
 def _corruptible_element(rep: Representation) -> int:
@@ -400,12 +429,15 @@ def _corruptible_element(rep: Representation) -> int:
 
 
 def _corrupted(rep: Representation, g: int, phase: float) -> Representation:
-    """Copy of ``rep`` with element g changed: another element's permutation
-    on the perm path, a phase factor on the dense paths; still unitary."""
+    """Copy of ``rep`` with element g changed, still unitary and on the same
+    path: another element's permutation with perm arrays, the negated
+    matrix on signed permutation matrices, a phase factor otherwise."""
     mats, perms = rep.mats.copy(), rep.perms
     if perms is not None:
         perms = perms.copy()
         perms[g], mats[g] = perms[g + 1], mats[g + 1]
+    elif rep.signed_permutation() is not None:
+        mats[g] *= -1
     else:
         mats[g] *= np.exp(1j * phase)
     return Representation(rep.group, mats, name="corrupted", perms=perms, validate=False)
@@ -415,6 +447,7 @@ def _corrupted(rep: Representation, g: int, phase: float) -> Representation:
 def test_homomorphism_check_rejects_one_corrupted_element(path):
     rep = _path_rep(path)
     bad = _corrupted(rep, _corruptible_element(rep), np.pi)
+    assert (bad.signed_permutation() is None) == path.startswith(("exhaustive", "sampled"))
     assert bad.unitarity_residual() < RESID
     with pytest.raises(NumericalConsistencyError, match="homomorphism"):
         bad.validate()
@@ -427,4 +460,128 @@ def test_homomorphism_residual_matches_per_pair_loop(path):
     for r in (rep, nudged):
         got, want = r.homomorphism_residual(), _reference_residual(r)
         assert got == want or abs(got - want) <= 1e-12, (got, want)
-    assert nudged.homomorphism_residual() > (1e-7 if rep.perms is None else 1.0)
+    exact = rep.signed_permutation() is not None
+    assert nudged.homomorphism_residual() > (1.0 if exact else 1e-7)
+
+
+# -- exact path on signed permutation matrices --------------------------------
+
+EQUIVALENCE_SPECS = [
+    "signflip:4", "signflip:6", "dihedral:8", "dihedral:32", "symmetric:4", "cyclic:64",
+    "product(cyclic:2,symmetric:4)", "product(signflip:2,dihedral:4)",
+    "product(cyclic:3,dihedral:10)",
+]
+
+
+def _signed_cases(group) -> list[Representation]:
+    """Signed permutation representations without perm arrays: up to four
+    +-1 characters, and the last of them times a permutation action (the
+    regular one up to order 16, the family's natural one above)."""
+    chars = [r for r in irreps_of(group).irreps
+             if r.dim == 1 and not r.mats.imag.any() and np.all(np.abs(r.mats.real) == 1)]
+    cases = chars[:: max(1, len(chars) // 4)][:4]
+    if group.order <= 16:
+        action = regular_rep(group)
+    elif group.family == "symmetric":
+        action = permutation_rep(group)
+    elif group.family == "sign_flip":
+        action = sign_action_rep(group)
+    else:
+        return cases
+    action = Representation(group, action.mats, name=action.name)  # drop the perm arrays
+    return [*cases, tensor_product(cases[-1], action)]
+
+
+def _corruptions(rep: Representation, rng) -> list[tuple[str, np.ndarray]]:
+    """The clean matrices, one element's sign flipped (one column of its
+    matrix), two elements' matrices swapped, and a second nonzero +-1 in
+    one column of one element's matrix."""
+    n, d = rep.group.order, rep.dim
+    out = [("clean", rep.mats)]
+    if n < 3:
+        return out
+    g, h = rng.choice(np.arange(1, n), size=2, replace=False)
+    j = int(rng.integers(d))
+    flipped = rep.mats.copy()
+    flipped[g, :, j] *= -1
+    swapped = rep.mats.copy()
+    swapped[[g, h]] = swapped[[h, g]]
+    out += [("sign", flipped), ("swap", swapped)]
+    if d > 1:
+        doubled = rep.mats.copy()
+        i = int(rng.choice(np.flatnonzero(doubled[g, :, j] == 0)))
+        doubled[g, i, j] = rng.choice([-1.0, 1.0])
+        out.append(("column", doubled))
+    return out
+
+
+def _unitary(rep: Representation) -> bool:
+    eye = np.eye(rep.dim)
+    return all(np.linalg.norm(m.conj().T @ m - eye) <= RESID for m in rep.mats)
+
+
+def test_exact_path_accepts_exactly_what_the_pair_loop_accepts(small_groups):
+    rng = np.random.default_rng(909)
+    verdicts = {True: 0, False: 0}
+    groups = [*small_groups.values(), *map(parse_group_spec, EQUIVALENCE_SPECS)]
+    for group in groups:
+        assert group.order <= 64
+        for rep in _signed_cases(group):
+            for kind, mats in _corruptions(rep, rng):
+                case = Representation(group, mats, name=kind, validate=False)
+                assert (case.signed_permutation() is None) == (kind == "column"), kind
+                want = _unitary(case) and _reference_residual(case) <= RESID
+                try:
+                    case.validate()
+                    got = True
+                except NumericalConsistencyError:
+                    got = False
+                assert got == want, (group, rep.name, kind)
+                verdicts[got] += 1
+    assert min(verdicts.values()) > 50, verdicts
+
+
+def test_signed_permutation_reads_perm_and_sign():
+    s3 = parse_group_spec("symmetric:3")
+    sign = irreps_of(s3).irreps[1]  # the sign character
+    action = Representation(s3, permutation_rep(s3).mats)
+    perm, signs = tensor_product(sign, action).signed_permutation()
+    assert np.array_equal(perm, permutation_rep(s3).perms)
+    assert np.array_equal(signs, np.repeat(sign.mats.real.reshape(-1, 1), 3, axis=1))
+    assert signs.dtype == np.int8
+    assert _cyclic_character(4).signed_permutation() is None  # i is not real
+    assert _rotated_sign_action(3).signed_permutation() is None
+
+
+def test_exact_path_rejects_a_corruption_the_sampled_pairs_miss():
+    # the seeded pairs on signflip:10 never touch one element, as g, h or g*h
+    # (on signflip:9 every element is reached by some pair)
+    rep = _parity_character(10)
+    group = rep.group
+    touched = set()
+    for g, h in _sampled_pairs(group.order):
+        touched |= {g, h, int(group.mult[g, h])}
+    missed = sorted(set(range(group.order)) - touched)
+    assert missed
+    mats = rep.mats.copy()
+    mats[missed[0]] *= -1
+    bad = Representation(group, mats, validate=False)
+    assert reps_module._dense_homomorphism_residual(bad.mats, group.mult) == 0.0
+    with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+        bad.validate()
+
+
+def test_sign_flip_irreps_never_enter_the_float_kernel(monkeypatch):
+    class FloatKernel(Exception):
+        pass
+
+    def refuse(*args):
+        raise FloatKernel
+
+    monkeypatch.setattr(reps_module, "_dense_homomorphism_residual", refuse)
+    monkeypatch.setattr(Representation, "unitarity_residual", refuse)
+    table = irreps_of(parse_group_spec("signflip:6"))
+    assert len(table) == 64
+    sign_action_rep(table.group)
+    with pytest.raises(FloatKernel):  # the 2-dim irrep is not a signed permutation
+        irreps_of(parse_group_spec("dihedral:4"))
