@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -79,6 +79,7 @@ TOLERANCES = {
     "support_zero": schemes.SUPPORT_EPS,
     "sandwich_slack": schemes.SANDWICH_SLACK,
 }
+REP_KINDS = ("regular", "permutation", "sign", "trivial")
 
 
 def _build_rep(group: Group, kind: str) -> Representation:
@@ -93,12 +94,18 @@ def _build_rep(group: Group, kind: str) -> Representation:
     raise UsageError(f"unknown representation kind {kind!r}")
 
 
-def _fourier_multiplicities(group: Group, kind: str, table: IrrepTable) -> Optional[np.ndarray]:
-    """Irrep multiplicities of the ``--rep`` class for the Fourier path;
-    None for the regular rep, which holds every irrep."""
-    if kind == "regular":
-        return None
-    return decompose(_build_rep(group, kind), table)
+def _certify_target(
+    group: Group, args
+) -> tuple[Union[Representation, IrrepTable], Optional[np.ndarray]]:
+    """``--path`` target of certify and minimize, with the ``--rep`` irrep
+    multiplicities on the Fourier path (None for the regular rep, which
+    holds every irrep, and on the projector path)."""
+    if args.path == "projector":
+        return _build_rep(group, args.rep), None
+    table = irreps_of(group)
+    if args.rep == "regular":
+        return table, None
+    return table, decompose(_build_rep(group, args.rep), table)
 
 
 def _int_arg(text: str, what: str) -> int:
@@ -135,6 +142,14 @@ def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
     raise UsageError(f"unknown scheme spec {spec!r} (uniform | delta:g | random:n | file:path)")
 
 
+def _write_artifact(path: Path, payload: dict) -> None:
+    """Check a JSON artifact against the schema its file names, then write
+    it: ``<name>.json`` takes ``<name>``, ``*_meta.json`` ``metadata``."""
+    name = "metadata" if path.name.endswith("_meta.json") else path.stem
+    validate_schema(payload, load_schema(name))
+    write_json(path, payload)
+
+
 def _write_meta(out: Path, subcommand: str, args: argparse.Namespace) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None
@@ -148,8 +163,7 @@ def _write_meta(out: Path, subcommand: str, args: argparse.Namespace) -> None:
         "config": config,
         "tolerances": TOLERANCES,
     }
-    validate_schema(payload, load_schema("metadata"))
-    write_json(out / f"{subcommand}_meta.json", payload)
+    _write_artifact(out / f"{subcommand}_meta.json", payload)
 
 
 def _out_dir(args) -> Path:
@@ -173,9 +187,8 @@ def cmd_group(args) -> int:
         "class_sizes": [int(s) for s in part.sizes],
         "abelian": group.is_abelian,
     }
-    validate_schema(info, load_schema("group_info"))
+    _write_artifact(out / "group_info.json", info)
     write_text(out / "group.txt", group_to_text(group))
-    write_json(out / "group_info.json", info)
     _write_meta(out, "group", args)
     print(f"group {info['spec']}: order {info['order']}, {info['n_classes']} classes")
     return 0
@@ -191,9 +204,8 @@ def cmd_irreps(args) -> int:
         "dims": [int(d) for d in table.dims],
         "sum_squared_dims": int(sum(d * d for d in table.dims)),
     }
-    validate_schema(info, load_schema("irreps_info"))
+    _write_artifact(out / "irreps_info.json", info)
     write_text(out / "character_table.csv", character_table_csv(table))
-    write_json(out / "irreps_info.json", info)
     _write_meta(out, "irreps", args)
     print(f"irreps of {info['spec']}: dims {info['dims']}")
     return 0
@@ -203,18 +215,9 @@ def cmd_certify(args) -> int:
     group = parse_group_spec(args.group)
     scheme = _build_scheme(group, args.scheme, args.seed)
     out = _out_dir(args)
-    if args.path == "fourier":
-        table = irreps_of(group)
-        report = certify(scheme, table, _fourier_multiplicities(group, args.rep, table))
-    else:
-        rep = _build_rep(group, args.rep)
-        report = certify(scheme, rep)
-    payload = report.to_json()
-    validate_schema(payload, load_schema("certification"))
-    write_json(out / "certification.json", payload)
-    scheme_payload = scheme_to_json(scheme)
-    validate_schema(scheme_payload, load_schema("scheme"))
-    write_json(out / "scheme.json", scheme_payload)
+    report = certify(scheme, *_certify_target(group, args))
+    _write_artifact(out / "certification.json", report.to_json())
+    _write_artifact(out / "scheme.json", scheme_to_json(scheme))
     _write_meta(out, "certify", args)
     print(
         f"certified size-{scheme.size} scheme on {args.group}: "
@@ -230,12 +233,10 @@ def cmd_sample(args) -> int:
     rep = _build_rep(group, args.rep)
     report = certify(scheme, rep)
     out = _out_dir(args)
-    scheme_payload = scheme_to_json(scheme)
-    validate_schema(scheme_payload, load_schema("scheme"))
-    write_json(out / "scheme.json", scheme_payload)
+    _write_artifact(out / "scheme.json", scheme_to_json(scheme))
     payload = report.to_json()
     payload["draws"] = n
-    write_json(out / "certification.json", payload)
+    _write_artifact(out / "certification.json", payload)
     _write_meta(out, "sample", args)
     ok = report.eps_weak <= args.eps
     print(f"draw count n = ceil(2.67*(ln({group.order}) + ln(1/{args.delta:g}) + 0.7)/{args.eps:g}) = {n}")
@@ -248,12 +249,7 @@ def cmd_sample(args) -> int:
 
 def cmd_minimize(args) -> int:
     group = parse_group_spec(args.group)
-    mults = None
-    if args.path == "fourier":
-        target = irreps_of(group)
-        mults = _fourier_multiplicities(group, args.rep, target)
-    else:
-        target = _build_rep(group, args.rep)
+    target, mults = _certify_target(group, args)
     result = minimize_scheme(
         group,
         target,
@@ -264,9 +260,7 @@ def cmd_minimize(args) -> int:
         multiplicities=mults,
     )
     out = _out_dir(args)
-    scheme_payload = scheme_to_json(result.scheme)
-    validate_schema(scheme_payload, load_schema("scheme"))
-    write_json(out / "scheme.json", scheme_payload)
+    _write_artifact(out / "scheme.json", scheme_to_json(result.scheme))
     search = {
         "status": result.status,
         "eps": float(result.eps),
@@ -274,8 +268,7 @@ def cmd_minimize(args) -> int:
         "size": result.size,
         "trace": result.trace,
     }
-    validate_schema(search, load_schema("search"))
-    write_json(out / "search.json", search)
+    _write_artifact(out / "search.json", search)
     _write_meta(out, "minimize", args)
     print(f"minimize on {args.group}: size {result.size}, eps {result.eps:.17g} [{result.status}]")
     return 0 if result.feasible else 3
@@ -292,8 +285,7 @@ def cmd_kbound(args) -> int:
         "order": group.order,
         "k_bound": int(value),
     }
-    validate_schema(payload, load_schema("kbound"))
-    write_json(out / "kbound.json", payload)
+    _write_artifact(out / "kbound.json", payload)
     _write_meta(out, "kbound", args)
     print(f"degree bound for {args.rep} rep of {args.group}: {value}")
     return 0
@@ -322,7 +314,7 @@ def cmd_separation(args) -> int:
 def cmd_lowerbound(args) -> int:
     reports = []
     group = parse_group_spec(f"signflip:{args.d}")
-    if args.support:
+    if args.support is not None:
         support = [group.index_of_label(tok) for tok in args.support.split(",")]
         weights = np.full(len(support), 1.0 / len(support))
         reports.append(sign_flip_generation_report(args.d, support, weights))
@@ -336,8 +328,7 @@ def cmd_lowerbound(args) -> int:
             reports.append(sign_flip_generation_report(args.d, support, weights))
     out = _out_dir(args)
     payload = {"d": args.d, "reports": reports}
-    validate_schema(payload, load_schema("lowerbound"))
-    write_json(out / "lowerbound.json", payload)
+    _write_artifact(out / "lowerbound.json", payload)
     _write_meta(out, "lowerbound", args)
     for rep in reports:
         print(
@@ -357,8 +348,7 @@ def cmd_figure1(args) -> int:
     for m in cfg.subset_sizes:
         write_text(out / f"grid_subset_{m}.csv", grid_csv(result.xs, result.ys, result.grids[m]))
     summary = summary_json(result)
-    validate_schema(summary, load_schema("figure1_summary"))
-    write_json(out / "figure1_summary.json", summary)
+    _write_artifact(out / "figure1_summary.json", summary)
     _write_meta(out, "figure1", args)
     for m in cfg.subset_sizes:
         print(f"subset {m}: relative distance to full average {result.rel_l2_to_full[m]:.17g}")
@@ -412,8 +402,7 @@ def cmd_selftest(args) -> int:
     checks = _run_selftest(args.seed)
     out = _out_dir(args)
     payload = {"checks": checks, "passed": all(c["ok"] for c in checks)}
-    validate_schema(payload, load_schema("selftest"))
-    write_json(out / "selftest.json", payload)
+    _write_artifact(out / "selftest.json", payload)
     _write_meta(out, "selftest", args)
     for c in checks:
         print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}")
@@ -543,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a scheme on a representation")
     p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=["regular", "permutation", "sign", "trivial"])
+    p.add_argument("--rep", default="regular", choices=REP_KINDS)
     p.add_argument("--scheme", default="uniform", help="uniform | delta:g | random:n | file:path")
     p.add_argument("--path", default="projector", choices=["projector", "fourier"])
     _add_common(p)
@@ -551,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="random scheme at the sufficient draw count")
     p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=["regular", "permutation", "sign", "trivial"])
+    p.add_argument("--rep", default="regular", choices=REP_KINDS)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--delta", type=float, default=0.1)
     _add_common(p)
@@ -559,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minimize", help="search for a small certified scheme")
     p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=["regular", "permutation", "sign", "trivial"])
+    p.add_argument("--rep", default="regular", choices=REP_KINDS)
     p.add_argument("--path", default="projector", choices=["projector", "fourier"])
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--trials", type=_int_at_least(1), default=40)
@@ -569,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kbound", help="polynomial-degree bound of a representation")
     p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=["regular", "permutation", "sign", "trivial"])
+    p.add_argument("--rep", default="regular", choices=REP_KINDS)
     _add_common(p)
     p.set_defaults(func=cmd_kbound)
 

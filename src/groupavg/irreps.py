@@ -16,12 +16,10 @@ import numpy as np
 
 from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyError, UsageError
 from .groups import Group, ConjugacyPartition, conjugacy_classes, symmetric_permutations
-from .reps import CharacterVector, Representation
+from .reps import INT_ROUND_TOL, CharacterVector, Representation
 
 ORTHOGONALITY_TOL = 1e-9
-IRREDUCIBILITY_TOL = 1e-9
 SYMMETRIC_IRREPS_MAX_DIM = 6
-CHARACTER_MATCH_TOL = 1e-8
 
 
 @dataclass
@@ -66,6 +64,8 @@ class IrrepTable:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
 
     def validate(self) -> None:
+        """The character gram must be the identity: its diagonal certifies
+        each irrep irreducible, its off-diagonal the irreps inequivalent."""
         group, part = self.group, self.partition
         if len(self.irreps) != len(part):
             raise NumericalConsistencyError(
@@ -73,10 +73,9 @@ class IrrepTable:
             )
         if sum(d * d for d in self.dims) != group.order:
             raise NumericalConsistencyError("sum of squared dims does not equal the group order")
-        sizes = np.array(part.sizes, dtype=float)
-        gram = (self.characters * sizes) @ self.characters.conj().T / group.order
+        gram = _class_inner(self.characters, self)
         dev = float(np.abs(gram - np.eye(len(self.irreps))).max())
-        if dev > ORTHOGONALITY_TOL:
+        if not dev <= ORTHOGONALITY_TOL:
             raise NumericalConsistencyError(f"character orthogonality deviation {dev:.3e}")
         triv = self.irreps[self.trivial_index]
         if triv.dim != 1 or np.abs(triv.mats - 1.0).max() > 1e-12:
@@ -194,16 +193,16 @@ def _symmetric_irreps(group: Group) -> list[Representation]:
         raise CapabilityError(
             f"symmetric-group irreps supported up to d = {SYMMETRIC_IRREPS_MAX_DIM}, got {d}"
         )
-    perms = symmetric_permutations(d)
+    words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d)]
     out = []
     for shape in partitions_of(d):
         tabs, gens = _adjacent_transposition_matrices(shape)
         dim = len(tabs)
         mats = np.empty((group.order, dim, dim), dtype=np.complex128)
         eye = np.eye(dim)
-        for g, perm in enumerate(perms):
+        for g, word in enumerate(words):
             m = eye
-            for i in _adjacent_decomposition(perm):
+            for i in word:
                 m = m @ gens[i]
             mats[g] = m
         out.append(Representation(group, mats, name=f"yor{shape}"))
@@ -311,13 +310,6 @@ def irreps_of(group: Group) -> IrrepTable:
     values = np.stack([np.round(characters.real, 9), np.round(characters.imag, 9)], axis=2)
     order = np.lexsort([*values.reshape(len(raw), -1).T[::-1], dims, ~trivial])
     raw, characters = [raw[i] for i in order], characters[order]
-    sizes = np.array(partition.sizes, dtype=float)
-    norms = (sizes * np.abs(characters) ** 2).sum(axis=1) / group.order
-    for r, norm in zip(raw, norms.tolist()):
-        if abs(norm - 1.0) > IRREDUCIBILITY_TOL:
-            raise NumericalConsistencyError(
-                f"irrep {r.name} fails the irreducibility certificate ({norm})"
-            )
     table = IrrepTable(
         group=group,
         partition=partition,
@@ -332,6 +324,13 @@ def irreps_of(group: Group) -> IrrepTable:
 # -- multiplicities ------------------------------------------------------------
 
 
+def _class_inner(values: np.ndarray, table: IrrepTable) -> np.ndarray:
+    """Inner products ``sum_c |c| * f(c) * conj(chi_i(c)) / |G|`` of the class
+    functions f on the last axis of ``values`` with every irrep character."""
+    sizes = np.array(table.partition.sizes, dtype=float)
+    return (values * sizes) @ table.characters.conj().T / table.group.order
+
+
 def _as_character(rho, table: IrrepTable) -> CharacterVector:
     if isinstance(rho, CharacterVector):
         if rho.group != table.group:
@@ -344,31 +343,22 @@ def _as_character(rho, table: IrrepTable) -> CharacterVector:
     raise UsageError("expected a Representation or CharacterVector")
 
 
-def multiplicity(rho, irrep_index: int, table: IrrepTable) -> int:
-    """How many copies of the indexed irrep appear in ``rho``.
-
-    Character inner product rounded to the nearest integer; residuals
-    beyond 1e-6 raise a numerical-consistency error.
-    """
-    chi = _as_character(rho, table)
-    sizes = np.array(table.partition.sizes, dtype=float)
-    value = complex(
-        (sizes * chi.values * table.characters[irrep_index].conj()).sum() / table.group.order
-    )
-    nearest = round(value.real)
-    if abs(value - nearest) > 1e-6:
-        raise NumericalConsistencyError(
-            f"multiplicity {value} is {abs(value - nearest):.3e} from an integer"
-        )
-    if nearest < 0:
-        raise NumericalConsistencyError(f"negative multiplicity {nearest}")
-    return int(nearest)
-
-
 def decompose(rho, table: IrrepTable) -> np.ndarray:
-    """Multiplicity vector of ``rho`` over the table, checked for dim match."""
+    """Multiplicity vector of ``rho`` over the table: character inner
+    products rounded to integers, each within ``INT_ROUND_TOL``, checked
+    non-negative and for dim match."""
     chi = _as_character(rho, table)
-    mults = np.array([multiplicity(chi, i, table) for i in range(len(table))], dtype=np.int64)
+    values = _class_inner(chi.values, table)
+    nearest = np.rint(values.real)
+    off = np.abs(values - nearest)
+    worst = int(off.argmax())
+    if not off[worst] <= INT_ROUND_TOL:
+        raise NumericalConsistencyError(
+            f"multiplicity {values[worst]} is {off[worst]:.3e} from an integer"
+        )
+    if nearest.min() < 0:
+        raise NumericalConsistencyError(f"negative multiplicity {int(nearest.min())}")
+    mults = nearest.astype(np.int64)
     total = int((mults * np.array(table.dims)).sum())
     expected = round(chi.values[table.partition.class_of[0]].real)
     if total != expected:
@@ -376,6 +366,12 @@ def decompose(rho, table: IrrepTable) -> np.ndarray:
             f"multiplicities reconstruct dim {total}, expected {expected}"
         )
     return mults
+
+
+def multiplicity(rho, irrep_index: int, table: IrrepTable) -> int:
+    """How many copies of the indexed irrep appear in ``rho``: one entry of
+    :func:`decompose`."""
+    return int(decompose(rho, table)[irrep_index])
 
 
 def _csv_field(text: str) -> str:

@@ -2,10 +2,13 @@
 
 Dense complex matrices per element, plus characters, the invariant
 projector, symmetric tensor powers, eigenvalue profiles over roots of
-unity, and the polynomial-degree bound derived from them.  Eigenvalue
-multiplicities come from the character on each element's power orbit,
-so a profile needs no eigensolver and the regular action's degree bound
-needs no matrices.
+unity, and the polynomial-degree bound derived from them.  A character
+is the traces gathered at the class representatives, checked constant
+on each class in one array step.  The characters of all symmetric
+powers up to a degree come from one walk of the power-sum recursion.
+Eigenvalue multiplicities come from the character on each element's
+power orbit, so a profile needs no eigensolver and the regular action's
+degree bound needs no matrices.
 
 Validation takes one of two paths.  When every matrix is a signed
 permutation matrix (entries 0 and +-1 with zero imaginary part, one
@@ -17,7 +20,7 @@ action, symmetric powers of either), which carry their permutation
 arrays with them: those are the all-plus case.  Every other
 representation is checked in floating point: unitarity per element, and
 the homomorphism law on all pairs up to order 256, on seeded random
-pairs above it.
+pairs above it.  A residual that is not finite fails either check.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -81,6 +84,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
 
     Exhaustive over all pairs when affordable, seeded random pairs
     otherwise, in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
+    A NaN in any batch is the result.
     """
     n, d = mats.shape[0], mats.shape[1]
     exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
@@ -91,7 +95,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
             gs = slice(start, start + step)
             prods = np.tensordot(mats[gs], mats, axes=([2], [1]))  # (g, i, h, k)
             diff = mats[mult[gs]] - prods.transpose(0, 2, 1, 3)
-            worst = max(worst, _max_frobenius(diff))
+            worst = np.maximum(worst, _max_frobenius(diff))
     else:
         rng = np.random.default_rng(_HOM_SAMPLE_SEED)
         count = max(64, 2 * n)
@@ -101,8 +105,8 @@ def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
         for start in range(0, count, step):
             g, h = gs[start : start + step], hs[start : start + step]
             diff = mats[mult[g, h]] - np.matmul(mats[g], mats[h])
-            worst = max(worst, _max_frobenius(diff))
-    return worst
+            worst = np.maximum(worst, _max_frobenius(diff))
+    return float(worst)
 
 
 class Representation:
@@ -192,12 +196,12 @@ class Representation:
         signed = self.signed_permutation()
         if signed is None:
             resid = self.unitarity_residual()
-            if resid > UNITARITY_TOL:
+            if not resid <= UNITARITY_TOL:  # a NaN residual fails too
                 raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
             resid = _dense_homomorphism_residual(self.mats, self.group.mult)
         else:  # signed permutation matrices are orthogonal
             resid = 0.0 if _signed_homomorphism_holds(self.group, *signed) else float("inf")
-        if resid > HOMOMORPHISM_TOL:
+        if not resid <= HOMOMORPHISM_TOL:
             raise NumericalConsistencyError(f"homomorphism residual {resid:.3e} exceeds tolerance")
 
     # -- characters ---------------------------------------------------
@@ -205,10 +209,8 @@ class Representation:
     def character(self, partition: Optional[ConjugacyPartition] = None) -> "CharacterVector":
         part = partition if partition is not None else self.partition()
         traces = np.einsum("gii->g", self.mats)
-        values = np.array([traces[c[0]] for c in part.classes])
-        spread = max(
-            float(np.abs(traces[list(c)] - values[i]).max()) for i, c in enumerate(part.classes)
-        )
+        values = traces[list(part.representatives)]
+        spread = float(np.abs(traces - values[part.class_of]).max())
         if spread > CHARACTER_CLASS_TOL:
             raise NumericalConsistencyError(f"character varies on a class by {spread:.3e}")
         return CharacterVector(group=self.group, partition=part, values=values)
@@ -221,16 +223,6 @@ class CharacterVector:
     group: Group
     partition: ConjugacyPartition
     values: np.ndarray  # complex, one per class
-
-    def at_elements(self) -> np.ndarray:
-        """Expand to one value per element index."""
-        return self.values[self.partition.class_of]
-
-    def __add__(self, other: "CharacterVector") -> "CharacterVector":
-        return CharacterVector(self.group, self.partition, self.values + other.values)
-
-    def __mul__(self, other: "CharacterVector") -> "CharacterVector":
-        return CharacterVector(self.group, self.partition, self.values * other.values)
 
 
 @dataclass(frozen=True)
@@ -447,26 +439,33 @@ def power_class_map(group: Group, partition: ConjugacyPartition, max_power: int)
     return partition.class_of[power_table(group, reps, max_power + 1)].T
 
 
-def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
-    """Character of the degree-k symmetric power via the power-sum recursion.
-
+def sym_power_characters(chi: CharacterVector, max_degree: int) -> Iterator[CharacterVector]:
+    """Characters of the symmetric powers of degree 0..max_degree, in turn,
+    from one walk of the power-sum recursion over one power-class map:
     chi_k(g) = (1/k) * sum_{j=1..k} chi(g^j) * chi_{k-j}(g), chi_0 = 1.
-    Matches the trace of the explicit symmetric power whenever that is
-    buildable.
     """
-    if k < 0:
+    if max_degree < 0:
         raise UsageError("symmetric power degree must be >= 0")
     part = chi.partition
-    pcm = power_class_map(chi.group, part, k)
-    r = len(part)
-    table = np.zeros((k + 1, r), dtype=np.complex128)
+    powers = chi.values[power_class_map(chi.group, part, max_degree)]  # chi(rep_c ** j)
+    table = np.zeros((max_degree + 1, len(part)), dtype=np.complex128)
     table[0] = 1.0
-    for kk in range(1, k + 1):
-        acc = np.zeros(r, dtype=np.complex128)
-        for j in range(1, kk + 1):
-            acc += chi.values[pcm[np.arange(r), j]] * table[kk - j]
-        table[kk] = acc / kk
-    return CharacterVector(group=chi.group, partition=part, values=table[k])
+    yield CharacterVector(group=chi.group, partition=part, values=table[0])
+    for k in range(1, max_degree + 1):
+        acc = np.zeros(len(part), dtype=np.complex128)
+        for j in range(1, k + 1):
+            acc += powers[:, j] * table[k - j]
+        table[k] = acc / k
+        yield CharacterVector(group=chi.group, partition=part, values=table[k])
+
+
+def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
+    """Character of the degree-k symmetric power, the last of
+    :func:`sym_power_characters`; it matches the trace of the explicit
+    symmetric power whenever that is buildable."""
+    for chi_k in sym_power_characters(chi, k):
+        pass
+    return chi_k
 
 
 # -- invariants and spectra --------------------------------------------------

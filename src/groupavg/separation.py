@@ -16,12 +16,12 @@ import numpy as np
 from .errors import UsageError
 from .fourier import fourier_transform, max_deviation, max_nontrivial_norm
 from .groups import build_group, closure, group_spec_string
-from .irreps import IrrepTable, irreps_of, multiplicity
+from .irreps import IrrepTable, _as_character, decompose, irreps_of
 from .reps import (
     CharacterVector,
     Representation,
     regular_k_bound,
-    sym_power_character,
+    sym_power_characters,
 )
 from .schemes import AveragingScheme, apply_scheme, minimize_scheme
 
@@ -53,18 +53,16 @@ def sym_power_coverage(
 ) -> np.ndarray:
     """Which irreps appear in some symmetric power of degree 0..max_degree.
 
-    Character-recursion path only; for a faithful base class every entry
-    is True once max_degree reaches the degree bound.
+    One walk of the character recursion, each degree decomposed in full,
+    stopping at the first degree by which every irrep has appeared; for a
+    faithful base class every entry is True once max_degree reaches the
+    degree bound.
     """
     if max_degree < 0:
         raise UsageError("max_degree must be >= 0")
-    chi = rho.character(table.partition) if isinstance(rho, Representation) else rho
     present = np.zeros(len(table), dtype=bool)
-    for k in range(max_degree + 1):
-        chi_k = sym_power_character(chi, k)
-        for i in range(len(table)):
-            if not present[i] and multiplicity(chi_k, i, table) >= 1:
-                present[i] = True
+    for chi_k in sym_power_characters(_as_character(rho, table), max_degree):
+        present |= decompose(chi_k, table) >= 1
         if present.all():
             break
     return present

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from groupavg import permutation_rep, regular_rep, sign_action_rep, sym_power_rep, trivial_rep
+
 
 def gf2_rank(vectors: list[int], d: int) -> int:
     """Row-reduction rank of bit-vectors over the two-element field."""
@@ -155,3 +157,79 @@ def merged_support(support, weights, support_eps: float) -> tuple[np.ndarray, np
         np.array([g for g, _ in items], dtype=np.int64),
         np.array([w for _, w in items], dtype=np.float64),
     )
+
+
+# -- character layer as per-class and per-irrep loops --------------------------
+
+
+def character_layer_reps(group) -> list:
+    """The representations the character-layer oracles are compared on:
+    regular, trivial and the family's permutation or sign action, then the
+    symmetric square of each."""
+    base = [regular_rep(group), trivial_rep(group)]
+    if group.family == "symmetric":
+        base.append(permutation_rep(group))
+    if group.family == "sign_flip":
+        base.append(sign_action_rep(group))
+    return base + [sym_power_rep(rep, 2) for rep in base]
+
+
+def character_by_loop(rep, partition, tol: float = 1e-8) -> np.ndarray:
+    """Character oracle: the trace at each class's first element, and the
+    largest deviation of any member's trace, class by class."""
+    traces = np.einsum("gii->g", rep.mats)
+    values = np.array([traces[c[0]] for c in partition.classes])
+    spread = max(
+        float(np.abs(traces[list(c)] - values[i]).max()) for i, c in enumerate(partition.classes)
+    )
+    assert spread <= tol, spread
+    return values
+
+
+def multiplicity_by_loop(values, irrep_index: int, table, tol: float = 1e-6) -> int:
+    """Multiplicity oracle: one class-weighted sum per irrep, rounded."""
+    sizes = np.array(table.partition.sizes, dtype=float)
+    value = complex(
+        (sizes * values * table.characters[irrep_index].conj()).sum() / table.group.order
+    )
+    nearest = round(value.real)
+    assert abs(value - nearest) <= tol and nearest >= 0, value
+    return int(nearest)
+
+
+def decompose_by_loop(values, table) -> np.ndarray:
+    """Decomposition oracle: :func:`multiplicity_by_loop` irrep by irrep,
+    checked against the dimension at the identity class."""
+    mults = np.array([multiplicity_by_loop(values, i, table) for i in range(len(table))])
+    assert (mults * np.array(table.dims)).sum() == round(values[table.partition.class_of[0]].real)
+    return mults
+
+
+def sym_power_character_by_restart(values, group, partition, k: int) -> np.ndarray:
+    """Symmetric-power character oracle: the power-sum recursion restarted
+    from degree 0, over a power-class map built by loop."""
+    pcm = power_class_map_by_loop(group, partition, k)
+    r = len(partition)
+    table = np.zeros((k + 1, r), dtype=np.complex128)
+    table[0] = 1.0
+    for kk in range(1, k + 1):
+        acc = np.zeros(r, dtype=np.complex128)
+        for j in range(1, kk + 1):
+            acc += values[pcm[np.arange(r), j]] * table[kk - j]
+        table[kk] = acc / kk
+    return table[k]
+
+
+def sym_power_coverage_by_loop(values, max_degree: int, table) -> np.ndarray:
+    """Coverage oracle: every degree recomputed from scratch, each irrep
+    tested until it has appeared."""
+    part = table.partition
+    present = np.zeros(len(table), dtype=bool)
+    for k in range(max_degree + 1):
+        chi_k = sym_power_character_by_restart(values, table.group, part, k)
+        for i in range(len(table)):
+            if not present[i] and multiplicity_by_loop(chi_k, i, table) >= 1:
+                present[i] = True
+        if present.all():
+            break
+    return present

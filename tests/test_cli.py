@@ -315,6 +315,7 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/nan.json"],
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
+        ["lowerbound", "--d", "3", "--support", ""],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
@@ -328,7 +329,8 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
          "lowerbound-zero-trials", "regress-nan-sigma", "config-is-a-directory",
          "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
          "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
-         "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier"],
+         "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
+         "lowerbound-empty-support"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")

@@ -3,6 +3,8 @@ import pytest
 
 from groupavg import (
     CapabilityError,
+    CharacterVector,
+    NumericalConsistencyError,
     character_table_csv,
     decompose,
     direct_sum,
@@ -13,6 +15,8 @@ from groupavg import (
     regular_rep,
     trivial_rep,
 )
+from groupavg.irreps import IrrepTable
+from oracles import character_by_loop, character_layer_reps, decompose_by_loop
 
 TABLE_SPECS = [
     "cyclic:1",
@@ -161,3 +165,35 @@ def test_character_table_csv_frozen(spec):
     table = irreps_of(parse_group_spec(spec))
     assert table.labels() == labels
     assert hashlib.sha256(character_table_csv(table).encode()).hexdigest() == digest
+
+
+def test_characters_and_multiplicities_match_loop_oracles(small_groups):
+    for spec, group in small_groups.items():
+        table = irreps_of(group)
+        for rep in character_layer_reps(group):
+            chi = rep.character(table.partition)
+            assert np.array_equal(chi.values, character_by_loop(rep, table.partition)), spec
+            want = decompose_by_loop(chi.values, table)
+            assert np.array_equal(decompose(rep, table), want), (spec, rep.name)
+            assert [multiplicity(chi, i, table) for i in range(len(table))] == want.tolist()
+
+
+def test_validate_rejects_a_reducible_block(tables):
+    # trivial + sign has the standard irrep's dimension, so the irrep count
+    # and the squared dimensions still match; the gram's diagonal reads 2
+    table = tables["symmetric:3"]
+    trivial, sign, _ = table.irreps
+    block = direct_sum(trivial, sign)
+    characters = table.characters.copy()
+    characters[2] = block.character(table.partition).values
+    bad = IrrepTable(table.group, table.partition, [trivial, sign, block], table.dims, characters)
+    with pytest.raises(NumericalConsistencyError, match="orthogonality"):
+        bad.validate()
+
+
+@pytest.mark.parametrize("scale", [0.5, np.nan], ids=["half", "nan"])
+def test_decompose_rejects_a_character_off_the_integers(tables, scale):
+    table = tables["symmetric:3"]
+    chi = regular_rep(table.group).character(table.partition)
+    with pytest.raises(NumericalConsistencyError, match="from an integer"):
+        decompose(CharacterVector(chi.group, chi.partition, chi.values * scale), table)

@@ -26,8 +26,13 @@ from groupavg import (
     tensor_product,
     trivial_rep,
 )
-from groupavg.reps import power_class_map
-from oracles import eigvals_profile, power_class_map_by_loop
+from groupavg.reps import power_class_map, sym_power_characters
+from oracles import (
+    character_layer_reps,
+    eigvals_profile,
+    power_class_map_by_loop,
+    sym_power_character_by_restart,
+)
 
 RESID = 1e-9
 
@@ -206,6 +211,18 @@ def test_sym_character_matches_explicit_traces(spec, k):
     chi_explicit = explicit.character()
     chi_rec = sym_power_character(rep.character(), k)
     assert np.abs(chi_explicit.values - chi_rec.values).max() < 1e-8
+
+
+def test_sym_power_walk_matches_restarted_recursion(small_groups):
+    for spec, group in small_groups.items():
+        part = conjugacy_classes(group)
+        for rep in character_layer_reps(group):
+            chi = rep.character(part)
+            walk = [chi_k.values for chi_k in sym_power_characters(chi, 5)]
+            for k in range(6):
+                want = sym_power_character_by_restart(chi.values, group, part, k)
+                assert np.array_equal(walk[k], want), (spec, rep.name, k)
+                assert np.array_equal(sym_power_character(chi, k).values, want)
 
 
 def test_sym_power_stays_unitary():
@@ -462,6 +479,30 @@ def test_homomorphism_residual_matches_per_pair_loop(path):
         assert got == want or abs(got - want) <= 1e-12, (got, want)
     exact = rep.signed_permutation() is not None
     assert nudged.homomorphism_residual() > (1.0 if exact else 1e-7)
+
+
+def _with_nan(case: str) -> tuple:
+    """Group and matrices of a float-path representation with one NaN entry
+    at an element that the homomorphism check reaches."""
+    if case == "1x1":
+        rep, g = _cyclic_character(3), 1
+    elif case == "2x2":
+        table = irreps_of(parse_group_spec("dihedral:5"))
+        rep, g = table.irreps[table.dims.index(2)], 1
+    else:
+        rep = _cyclic_character(300)
+        g = _corruptible_element(rep)
+    mats = rep.mats.copy()
+    mats[g, 0, -1] = np.nan
+    return rep.group, mats
+
+
+@pytest.mark.parametrize("case", ["1x1", "2x2", "sampled-1x1"])
+def test_nan_matrices_fail_validation(case):
+    group, mats = _with_nan(case)
+    assert np.isnan(Representation(group, mats, validate=False).homomorphism_residual())
+    with pytest.raises(NumericalConsistencyError, match="unitarity"):
+        Representation(group, mats)
 
 
 # -- exact path on signed permutation matrices --------------------------------

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupavg import (
+    GroupMismatchError,
     UsageError,
     certify_weak,
     delta_scheme,
@@ -26,7 +27,7 @@ from groupavg import (
     k_bound,
 )
 from groupavg.schemes import AveragingScheme
-from oracles import gf2_rank
+from oracles import character_layer_reps, gf2_rank, sym_power_coverage_by_loop
 
 
 def test_coverage_all_true_at_bound():
@@ -63,6 +64,23 @@ def test_coverage_monotone_in_degree():
         flags = sym_power_coverage(rep, k, table)
         assert (flags | prev == flags).all()  # never flips true -> false
         prev = flags
+
+
+def test_coverage_matches_loop_oracle(small_groups):
+    for spec, group in small_groups.items():
+        table = irreps_of(group)
+        for rep in character_layer_reps(group):
+            values = rep.character(table.partition).values
+            for degree in sorted({0, 1, 2, min(k_bound(rep), 8)}):
+                want = sym_power_coverage_by_loop(values, degree, table)
+                got = sym_power_coverage(rep, degree, table)
+                assert np.array_equal(got, want), (spec, rep.name, degree)
+
+
+def test_coverage_rejects_a_rep_over_another_group():
+    table = irreps_of(parse_group_spec("symmetric:3"))
+    with pytest.raises(GroupMismatchError):
+        sym_power_coverage(regular_rep(parse_group_spec("cyclic:3")), 3, table)
 
 
 def test_exact_violation_values():
