@@ -498,9 +498,9 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser, *, seed=0) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=_int_at_least(0), default=seed)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--config", default=None, help="flat key = value config file; flags win")
 
 

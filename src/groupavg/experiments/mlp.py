@@ -45,6 +45,8 @@ class MlpConfig:
             raise UsageError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise UsageError("batch size must be >= 1")
+        if self.epochs < 1:
+            raise UsageError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size > self.n_train:
             raise UsageError("batch size cannot exceed the training set")
         if self.n_test < 1 or self.epoch_eval_size < 1:

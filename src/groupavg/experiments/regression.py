@@ -11,7 +11,6 @@ scheme certified at a requested shrink factor (weak symmetrization).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -89,7 +88,7 @@ def find_certified_scheme(
     raise SearchFailureError(f"no random scheme certified eps={eps} in {_MAX_SCHEME_TRIES} tries")
 
 
-def regression_risk(cfg: RegressionConfig, group: Optional[Group] = None) -> RegressionResult:
+def regression_risk(cfg: RegressionConfig) -> RegressionResult:
     """Monte Carlo excess risks of the three estimators.
 
     Exact symmetrization multiplies coefficients by the averaging matrix
@@ -97,8 +96,7 @@ def regression_risk(cfg: RegressionConfig, group: Optional[Group] = None) -> Reg
     uses a scheme certified at ``cfg.eps``.  Risks are mean squared
     coefficient-space distances to the target.
     """
-    if group is None:
-        group = parse_group_spec(cfg.group_spec)
+    group = parse_group_spec(cfg.group_spec)
     rep = regular_rep(group)
     m = rep.dim
     if cfg.n_samples < m:

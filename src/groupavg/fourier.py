@@ -77,11 +77,12 @@ def max_deviation(rep: Representation, block: np.ndarray) -> float:
 
     The per-element worst case behind the strong certificate and the
     exact-invariance violation, one ``spectral_norm`` call per element.
-    On a permutation action (``rep.perms`` set) ``rho(g) @ block`` sends
-    row j of ``block`` to row ``perms[g, j]``, so each product is a row
-    move with the same bits as the 0/1 matmul; ``block`` must then be
-    real (real weights, 0/1 matrices, real projector) and the SVDs run
-    in real arithmetic.
+    On a permutation action (``rep.perms`` set, as it is whenever every
+    matrix is a permutation matrix) ``rho(g) @ block`` sends row j of
+    ``block`` to row ``perms[g, j]``, so each product is a row move with
+    the same bits as the 0/1 matmul; ``block`` must then be real (real
+    weights, 0/1 matrices, real projector) and the SVDs run in real
+    arithmetic.
     """
     if rep.perms is None:
         return max(spectral_norm(diff) for diff in np.matmul(rep.mats, block) - block)

@@ -72,7 +72,7 @@ class Group:
         return self.order
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Group)
             and self.order == other.order
             and np.array_equal(self.mult, other.mult)
@@ -276,7 +276,7 @@ def product_group(g1: Group, g2: Group) -> Group:
     return Group(mult, labels, "product", (o1, o2), factors=(g1, g2))
 
 
-def custom_group(mult, labels=None) -> Group:
+def custom_group(mult) -> Group:
     """Group from a given multiplication table, validated as any other.
 
     The table's size is checked against the cap before ``Group`` builds
@@ -287,9 +287,7 @@ def custom_group(mult, labels=None) -> Group:
     except (TypeError, ValueError):
         raise UsageError("multiplication table must be a square array of integers") from None
     _check_table_size(max(mult.shape, default=0))  # Group rejects a non-square table
-    if labels is None:
-        labels = [str(i) for i in range(mult.shape[0])]
-    return Group(mult, labels, "custom", ())
+    return Group(mult, [str(i) for i in range(mult.shape[0])], "custom", ())
 
 
 def build_group(family: str, *params) -> Group:

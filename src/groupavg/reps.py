@@ -10,17 +10,18 @@ Eigenvalue multiplicities come from the character on each element's
 power orbit, so a profile needs no eigensolver and the regular action's
 degree bound needs no matrices.
 
-Validation takes one of two paths.  When every matrix is a signed
+A representation is its matrices.  When every matrix is a signed
 permutation matrix (entries 0 and +-1 with zero imaginary part, one
-nonzero per row and column) it reads off integer (perm, sign) arrays and
-checks the homomorphism law exactly on the group's generators.  This
-covers characters with values +-1, the sign action, and the
-representations built from permutations (permutation action, regular
-action, symmetric powers of either), which carry their permutation
-arrays with them: those are the all-plus case.  Every other
-representation is checked in floating point: unitarity per element, and
-the homomorphism law on all pairs up to order 256, on seeded random
-pairs above it.  A residual that is not finite fails either check.
+nonzero per row and column) the integer (perm, sign) form is read off
+the stack once, when the representation is built.  This covers
+characters with values +-1, the sign action, and every permutation
+action (the all-plus case), however its matrices were made.  On that
+form validation checks the homomorphism law exactly on the group's
+generators, and a permutation action's products are row moves.  Every
+other representation is checked in floating point: unitarity per
+element, and the homomorphism law on all pairs up to order 256, on
+seeded random pairs above it.  A residual that is not finite fails
+either check.
 """
 
 from __future__ import annotations
@@ -79,6 +80,32 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     )
 
 
+def _signed_permutation_of(mats: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
+    or None when some matrix is not a signed permutation matrix.
+
+    One ``!= 0`` pass over the float64 view, real and imaginary parts
+    interleaved, gives the count of nonzero parts and each column's row,
+    the argmax of its real part.  Exactly ``order * dim`` nonzero parts and
+    a +-1 in each column's row leave one real nonzero per column and no
+    imaginary part; the rows must then form a permutation.  NaN and inf
+    count as nonzero but are not +-1.
+    """
+    n, d = mats.shape[0], mats.shape[1]
+    parts = mats.view(np.float64)  # (order, dim, 2 * dim)
+    nonzero = parts != 0
+    if np.count_nonzero(nonzero) != n * d:
+        return None
+    perm = nonzero[:, :, ::2].argmax(axis=1)
+    at = np.arange(0, n * d, d)[:, None] + perm  # flat (element, row) of each column's entry
+    sign = parts.reshape(-1)[2 * (at * d + np.arange(d))]
+    hit = np.zeros(n * d, dtype=bool)
+    hit[at] = True
+    if not (np.all(np.abs(sign) == 1) and hit.all()):
+        return None
+    return perm, sign.astype(np.int8)
+
+
 def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
     """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h] in floats.
 
@@ -113,25 +140,25 @@ class Representation:
     """Unitary representation stored as one dense complex matrix per element.
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
-    exact identity.  ``perms`` optionally holds the permutation realized
-    by each matrix (``e_j -> e_{perms[g][j]}``) when the representation
-    is a permutation action.
+    exact identity.  ``perms`` is the permutation each matrix realizes
+    (``e_j -> e_{perms[g][j]}``), read off the matrices when all of them
+    are permutation matrices, and None otherwise.
     """
 
-    def __init__(self, group: Group, mats, name: str = "rep", perms=None, validate: bool = True):
+    def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True):
         self.group = group
         m = np.ascontiguousarray(mats, dtype=np.complex128)
-        if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2]:
-            raise UsageError("mats must have shape (order, dim, dim)")
+        if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2] or not m.shape[1]:
+            raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
         eye = np.eye(m.shape[1], dtype=np.complex128)
-        if np.linalg.norm(m[0] - eye) > IDENTITY_TOL:
+        if not np.linalg.norm(m[0] - eye) <= IDENTITY_TOL:  # a NaN identity fails too
             raise NumericalConsistencyError("identity element does not map to the identity matrix")
         m[0] = eye
         self.mats = m
         self.name = str(name)
-        self.perms = None if perms is None else np.ascontiguousarray(perms, dtype=np.int64)
-        if self.perms is not None and self.perms.shape != (group.order, m.shape[1]):
-            raise UsageError("perms must have shape (order, dim)")
+        self._signed = _signed_permutation_of(m)
+        all_plus = self._signed is not None and np.all(self._signed[1] == 1)
+        self.perms = self._signed[0] if all_plus else None
         self._partition: Optional[ConjugacyPartition] = None
         if validate:
             self.validate()
@@ -139,9 +166,6 @@ class Representation:
     @property
     def dim(self) -> int:
         return int(self.mats.shape[1])
-
-    def matrix(self, g: int) -> np.ndarray:
-        return self.mats[g]
 
     def partition(self) -> ConjugacyPartition:
         if self._partition is None:
@@ -157,22 +181,9 @@ class Representation:
 
     def signed_permutation(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
-        or None when some matrix is not a signed permutation matrix.
-
-        With ``perms`` given this is ``(perms, +1)``; :meth:`validate`
-        checks that the dense matrices agree.
-        """
-        if self.perms is not None:
-            return self.perms, np.ones(self.perms.shape, dtype=np.int8)
-        if np.any(self.mats.imag):
-            return None
-        re = self.mats.real
-        nonzero = re != 0
-        if not (np.all(np.abs(re[nonzero]) == 1)
-                and np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
-            return None
-        # each column holds one +-1: its row is the argmax, its sign the column sum
-        return nonzero.argmax(axis=1), re.sum(axis=1).astype(np.int8)
+        or None when some matrix is not a signed permutation matrix; read
+        off the matrices when the representation was built."""
+        return self._signed
 
     def homomorphism_residual(self) -> float:
         """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h].
@@ -182,25 +193,16 @@ class Representation:
         at least sqrt(2) apart).  Otherwise in floating point, see
         :func:`_dense_homomorphism_residual`.
         """
-        signed = self.signed_permutation()
-        if signed is None:
+        if self._signed is None:
             return _dense_homomorphism_residual(self.mats, self.group.mult)
-        return 0.0 if _signed_homomorphism_holds(self.group, *signed) else float("inf")
+        return 0.0 if _signed_homomorphism_holds(self.group, *self._signed) else float("inf")
 
     def validate(self) -> None:
-        if self.perms is not None:
-            n, d = self.perms.shape
-            ones = self.mats[np.arange(n)[:, None], self.perms, np.arange(d)]
-            if not (np.all(ones == 1) and np.count_nonzero(self.mats) == n * d):
-                raise NumericalConsistencyError("dense matrices disagree with perm arrays")
-        signed = self.signed_permutation()
-        if signed is None:
+        if self._signed is None:  # signed permutation matrices are orthogonal
             resid = self.unitarity_residual()
             if not resid <= UNITARITY_TOL:  # a NaN residual fails too
                 raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
-            resid = _dense_homomorphism_residual(self.mats, self.group.mult)
-        else:  # signed permutation matrices are orthogonal
-            resid = 0.0 if _signed_homomorphism_holds(self.group, *signed) else float("inf")
+        resid = self.homomorphism_residual()
         if not resid <= HOMOMORPHISM_TOL:
             raise NumericalConsistencyError(f"homomorphism residual {resid:.3e} exceeds tolerance")
 
@@ -211,7 +213,7 @@ class Representation:
         traces = np.einsum("gii->g", self.mats)
         values = traces[list(part.representatives)]
         spread = float(np.abs(traces - values[part.class_of]).max())
-        if spread > CHARACTER_CLASS_TOL:
+        if not spread <= CHARACTER_CLASS_TOL:  # a NaN trace fails too
             raise NumericalConsistencyError(f"character varies on a class by {spread:.3e}")
         return CharacterVector(group=self.group, partition=part, values=values)
 
@@ -260,16 +262,14 @@ def permutation_rep(group: Group) -> Representation:
         raise UsageError("permutation representation requires the symmetric family")
     d = group.params[0]
     perms = np.array(symmetric_permutations(d), dtype=np.int64)
-    return Representation(group, _mats_from_perms(perms), name=f"perm{d}", perms=perms)
+    return Representation(group, _mats_from_perms(perms), name=f"perm{d}")
 
 
-def sign_action_rep(group: Group, d: Optional[int] = None) -> Representation:
+def sign_action_rep(group: Group) -> Representation:
     """Diagonal +-1 action of a sign-flip group on coordinates."""
     if group.family != "sign_flip":
         raise UsageError("sign action requires the sign_flip family")
     dim = group.params[0]
-    if d is not None and int(d) != dim:
-        raise UsageError(f"requested dimension {d} but group has d={dim}")
     x = np.arange(group.order)
     shifts = dim - 1 - np.arange(dim)
     bits = (x[:, None] >> shifts[None, :]) & 1
@@ -292,8 +292,7 @@ def regular_rep(group: Group) -> Representation:
             f"regular representation of order {group.order} needs {need:,} bytes "
             f"(order**3 * 16), above the cap of {REGULAR_REP_MAX_BYTES:,}"
         )
-    perms = group.mult.copy()  # e_h -> e_{g h}
-    return Representation(group, _mats_from_perms(perms), name="regular", perms=perms)
+    return Representation(group, _mats_from_perms(group.mult), name="regular")  # e_h -> e_{g h}
 
 
 def trivial_rep(group: Group) -> Representation:
@@ -308,10 +307,7 @@ def direct_sum(r1: Representation, r2: Representation) -> Representation:
     mats = np.zeros((n, d1 + d2, d1 + d2), dtype=np.complex128)
     mats[:, :d1, :d1] = r1.mats
     mats[:, d1:, d1:] = r2.mats
-    perms = None
-    if r1.perms is not None and r2.perms is not None:
-        perms = np.concatenate([r1.perms, r2.perms + d1], axis=1)
-    return Representation(r1.group, mats, name=f"({r1.name})+({r2.name})", perms=perms)
+    return Representation(r1.group, mats, name=f"({r1.name})+({r2.name})")
 
 
 def tensor_product(r1: Representation, r2: Representation) -> Representation:
@@ -320,12 +316,7 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
     mats = np.einsum("gij,gkl->gikjl", r1.mats, r2.mats).reshape(
         r1.group.order, r1.dim * r2.dim, r1.dim * r2.dim
     )
-    perms = None
-    if r1.perms is not None and r2.perms is not None:
-        perms = (r1.perms[:, :, None] * r2.dim + r2.perms[:, None, :]).reshape(
-            r1.group.order, r1.dim * r2.dim
-        )
-    return Representation(r1.group, mats, name=f"({r1.name})x({r2.name})", perms=perms)
+    return Representation(r1.group, mats, name=f"({r1.name})x({r2.name})")
 
 
 # -- symmetric powers -------------------------------------------------------
@@ -423,10 +414,10 @@ def sym_power_rep(rep: Representation, k: int) -> Representation:
             rep.group, np.ones((rep.group.order, 1, 1), dtype=np.complex128), name=name
         )
     if k == 1:
-        return Representation(rep.group, rep.mats.copy(), name=name, perms=rep.perms)
+        return Representation(rep.group, rep.mats.copy(), name=name)
     if rep.perms is not None:
         perms = _sym_power_perms(rep.perms, k)
-        return Representation(rep.group, _mats_from_perms(perms), name=name, perms=perms)
+        return Representation(rep.group, _mats_from_perms(perms), name=name)
     return Representation(rep.group, _sym_power_dense(rep, k), name=name)
 
 

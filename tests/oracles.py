@@ -90,6 +90,22 @@ def dense_max_deviation(rep, block: np.ndarray) -> float:
     return max(float(np.linalg.norm(m @ block - block, 2)) for m in rep.mats)
 
 
+def signed_permutation_by_masks(mats: np.ndarray):
+    """Signed-permutation oracle: ``(perm, sign)`` with ``mats[g] e_j =
+    sign[g, j] e_{perm[g, j]}``, or None.  Each condition is its own pass:
+    no imaginary part, +-1 at every nonzero real entry, one nonzero per
+    column and one per row; then each column's row is its argmax and its
+    sign the column sum."""
+    if np.any(mats.imag):
+        return None
+    re = mats.real
+    nonzero = re != 0
+    if not (np.all(np.abs(re[nonzero]) == 1)
+            and np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
+        return None
+    return nonzero.argmax(axis=1), re.sum(axis=1).astype(np.int8)
+
+
 def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:
     """Weak-certificate oracle: the squared spectral norm of every
     nontrivial block in table order, ``abs`` on a 1x1 block and

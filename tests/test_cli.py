@@ -316,6 +316,8 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
         ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
         ["lowerbound", "--d", "3", "--support", ""],
+        [*TINY_MLP, "--epochs", "0"],
+        [*TINY_MLP, "--epochs", "-1"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
@@ -330,7 +332,7 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
          "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
          "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
          "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
-         "lowerbound-empty-support"],
+         "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
@@ -380,6 +382,35 @@ def test_list_flags_exit_cleanly(command, tokens):
     assert code in (0, 1), (tokens, code)
     if code == 1:
         assert err.getvalue().startswith("usage error: ") and err.getvalue().count("\n") == 1
+
+
+# integer and float flags on tiny runs: (argv without the flag, flags)
+_NUMBER_FLAGS = {
+    "mlp": ([*TINY_MLP, "--width1", "4", "--width2", "4", "--epoch-eval", "8"],
+            ["--dim", "--train", "--test", "--width1", "--width2", "--lr", "--batch", "--epochs",
+             "--curve-exponent", "--epoch-eval", "--seed"]),
+    "figure1": (["figure1", "--n", "6", "--grid", "3"], ["--n", "--grid", "--seed"]),
+    "regress": (["regress", "--n", "16", "--trials", "2"],
+                ["--sigma", "--n", "--trials", "--eps", "--seed"]),
+    "minimize": (["minimize", "--group", "cyclic:4", "--eps", "0.5", "--trials", "2", "--swaps", "5"],
+                 ["--eps", "--trials", "--swaps", "--seed"]),
+    "separation": (["separation", "--range", "2:3", "--trials", "4"], ["--eps", "--trials", "--seed"]),
+    "lowerbound": (["lowerbound", "--d", "3", "--trials", "2"], ["--d", "--trials", "--seed"]),
+    "sample": (["sample", "--group", "cyclic:4", "--eps", "0.5"], ["--eps", "--delta", "--seed"]),
+}
+_NUMBER_CASES = [(command, flag) for command, (_, flags) in _NUMBER_FLAGS.items() for flag in flags]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=st.sampled_from(_NUMBER_CASES), token=st.sampled_from(["0", "-1", "nan", "inf", "", "1e3"]))
+def test_number_flags_exit_cleanly(case, token):
+    command, flag = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = run([*_NUMBER_FLAGS[command][0], f"{flag}={token}", "--out", out])
+    assert code in (0, 1, 2, 3), (case, token, code)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (case, token)
 
 
 def test_meta_tolerances_are_the_module_constants(tmp_path):

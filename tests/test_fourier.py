@@ -7,6 +7,7 @@ from groupavg import (
     GroupMismatchError,
     GroupSignal,
     NumericalConsistencyError,
+    Representation,
     apply_scheme,
     convolve,
     delta_scheme,
@@ -24,6 +25,7 @@ from groupavg import (
     sign_action_rep,
     sym_power_rep,
     tensor_product,
+    trivial_rep,
     uniform_scheme,
 )
 from groupavg import fourier as fourier_module
@@ -247,7 +249,12 @@ def _s3_perm():
     return permutation_rep(parse_group_spec("symmetric:3"))
 
 
-# every constructor that carries permutation arrays
+def _d5():
+    return parse_group_spec("dihedral:5")
+
+
+# every constructor that builds a permutation action, and two stacks of
+# permutation matrices no constructor declares as one
 PERM_ACTIONS = {
     "regular-cyclic": lambda: regular_rep(parse_group_spec("cyclic:7")),
     "regular-dihedral": lambda: regular_rep(parse_group_spec("dihedral:5")),
@@ -257,6 +264,8 @@ PERM_ACTIONS = {
     "direct-sum": lambda: direct_sum(_s3_perm(), regular_rep(parse_group_spec("symmetric:3"))),
     "tensor-product": lambda: tensor_product(_s3_perm(), _s3_perm()),
     "sym-power": lambda: sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 2),
+    "direct-sum-trivial": lambda: direct_sum(_s3_perm(), trivial_rep(parse_group_spec("symmetric:3"))),
+    "undeclared": lambda: Representation(_d5(), regular_rep(_d5()).mats, name="undeclared"),
 }
 
 

@@ -31,6 +31,7 @@ from oracles import (
     character_layer_reps,
     eigvals_profile,
     power_class_map_by_loop,
+    signed_permutation_by_masks,
     sym_power_character_by_restart,
 )
 
@@ -114,16 +115,17 @@ def test_regular_rep_cap_is_a_byte_estimate(monkeypatch):
 
 
 @pytest.mark.parametrize("corruption", ["swap", "extra-entry"])
-def test_perm_rep_rejects_dense_matrices_off_their_perms(corruption):
+def test_perm_rep_reads_its_perms_off_the_matrices(corruption):
     c5 = parse_group_spec("cyclic:5")
-    good = regular_rep(c5)
-    mats = good.mats.copy()
+    mats = regular_rep(c5).mats.copy()
     if corruption == "swap":
         mats[[2, 3]] = mats[[3, 2]]  # still a unitary permutation matrix per element
+        with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+            Representation(c5, mats)
     else:
-        mats[2, 0, 0] = 1e-12
-    with pytest.raises(NumericalConsistencyError, match="perm arrays"):
-        Representation(c5, mats, name="swapped", perms=good.perms)
+        mats[2, 0, 0] = 1e-12  # no longer a permutation matrix, within the float tolerances
+        rep = Representation(c5, mats)
+        assert rep.perms is None and rep.signed_permutation() is None
 
 
 def test_direct_sum_and_tensor_characters(small_groups):
@@ -155,7 +157,7 @@ def test_perm_homomorphism_check_uses_every_generator():
     assert group.generators == (1, 2, 4)
     good = regular_rep(group)
     order = np.array([0, 1, 3, 2, 4, 5, 6, 7])
-    bad = Representation(group, good.mats[order], perms=good.perms[order], validate=False)
+    bad = Representation(group, good.mats[order], validate=False)
     assert np.array_equal(bad.perms[group.mult[:, 1]], bad.perms[:, bad.perms[1]])
     with pytest.raises(NumericalConsistencyError, match="homomorphism"):
         bad.validate()
@@ -188,10 +190,9 @@ def test_sym_power_character_frozen():
 def test_sym_power_dense_matches_perm_path():
     s3 = parse_group_spec("symmetric:3")
     rep = permutation_rep(s3)
-    dense_base = Representation(s3, rep.mats.copy(), name="dense")  # drop the perm arrays
     for k in (2, 3):
         via_perms = sym_power_rep(rep, k)
-        via_dense = sym_power_rep(dense_base, k)
+        via_dense = Representation(s3, reps_module._sym_power_dense(rep, k))
         assert np.allclose(
             via_perms.character().values, via_dense.character().values, atol=1e-10
         )
@@ -227,9 +228,7 @@ def test_sym_power_walk_matches_restarted_recursion(small_groups):
 
 def test_sym_power_stays_unitary():
     d4 = parse_group_spec("dihedral:4")
-    reg = regular_rep(d4)
-    dense = Representation(d4, reg.mats.copy())  # force the dense recursion
-    power = sym_power_rep(dense, 2)
+    power = Representation(d4, reps_module._sym_power_dense(regular_rep(d4), 2))
     assert power.unitarity_residual() < RESID
     assert power.homomorphism_residual() < RESID
 
@@ -447,17 +446,16 @@ def _corruptible_element(rep: Representation) -> int:
 
 def _corrupted(rep: Representation, g: int, phase: float) -> Representation:
     """Copy of ``rep`` with element g changed, still unitary and on the same
-    path: another element's permutation with perm arrays, the negated
-    matrix on signed permutation matrices, a phase factor otherwise."""
-    mats, perms = rep.mats.copy(), rep.perms
-    if perms is not None:
-        perms = perms.copy()
-        perms[g], mats[g] = perms[g + 1], mats[g + 1]
+    path: another element's matrix on a permutation action, the negated
+    matrix on other signed permutation matrices, a phase factor otherwise."""
+    mats = rep.mats.copy()
+    if rep.perms is not None:
+        mats[g] = mats[g + 1]
     elif rep.signed_permutation() is not None:
         mats[g] *= -1
     else:
         mats[g] *= np.exp(1j * phase)
-    return Representation(rep.group, mats, name="corrupted", perms=perms, validate=False)
+    return Representation(rep.group, mats, name="corrupted", validate=False)
 
 
 @pytest.mark.parametrize("path", HOM_PATHS)
@@ -505,6 +503,27 @@ def test_nan_matrices_fail_validation(case):
         Representation(group, mats)
 
 
+def test_nan_identity_is_rejected():
+    rep = _cyclic_character(3)
+    mats = rep.mats.copy()
+    mats[0] = np.nan
+    with pytest.raises(NumericalConsistencyError, match="identity"):
+        Representation(rep.group, mats)
+
+
+def test_nan_trace_fails_the_character_class_check():
+    rep = _cyclic_character(3)
+    mats = rep.mats.copy()
+    mats[1] = np.nan
+    with pytest.raises(NumericalConsistencyError, match="character varies"):
+        Representation(rep.group, mats, validate=False).character()
+
+
+def test_empty_matrices_are_a_usage_error():
+    with pytest.raises(UsageError, match="dim >= 1"):
+        Representation(parse_group_spec("cyclic:3"), np.zeros((3, 0, 0)), validate=False)
+
+
 # -- exact path on signed permutation matrices --------------------------------
 
 EQUIVALENCE_SPECS = [
@@ -515,9 +534,9 @@ EQUIVALENCE_SPECS = [
 
 
 def _signed_cases(group) -> list[Representation]:
-    """Signed permutation representations without perm arrays: up to four
-    +-1 characters, and the last of them times a permutation action (the
-    regular one up to order 16, the family's natural one above)."""
+    """Signed permutation representations: up to four +-1 characters, and
+    the last of them times a permutation action (the regular one up to
+    order 16, the family's natural one above)."""
     chars = [r for r in irreps_of(group).irreps
              if r.dim == 1 and not r.mats.imag.any() and np.all(np.abs(r.mats.real) == 1)]
     cases = chars[:: max(1, len(chars) // 4)][:4]
@@ -529,7 +548,6 @@ def _signed_cases(group) -> list[Representation]:
         action = sign_action_rep(group)
     else:
         return cases
-    action = Representation(group, action.mats, name=action.name)  # drop the perm arrays
     return [*cases, tensor_product(cases[-1], action)]
 
 
@@ -592,6 +610,56 @@ def test_signed_permutation_reads_perm_and_sign():
     assert signs.dtype == np.int8
     assert _cyclic_character(4).signed_permutation() is None  # i is not real
     assert _rotated_sign_action(3).signed_permutation() is None
+
+
+def _signed_form_cases(group, rng) -> list[tuple[str, np.ndarray]]:
+    """Stacks the signed-permutation form is compared on: the regular,
+    trivial and the family's natural action and every irrep, the direct
+    sum and tensor product of each pair of them, the corrupted signed
+    cases, and the regular action with a NaN or an infinity in one entry
+    of its last element's matrix."""
+    base = [regular_rep(group), trivial_rep(group)]
+    if group.family == "symmetric":
+        base.append(permutation_rep(group))
+    if group.family == "sign_flip":
+        base.append(sign_action_rep(group))
+    base += irreps_of(group).irreps
+    cases = [(rep.name, rep.mats) for rep in base]
+    for i, a in enumerate(base):
+        for b in base[i:]:
+            cases += [("+", direct_sum(a, b).mats), ("x", tensor_product(a, b).mats)]
+    for rep in _signed_cases(group):
+        cases += _corruptions(rep, rng)
+    if group.order > 1:
+        g = group.order - 1
+        one = int(group.mult[g, 0])  # the 1 in column 0 of the last element's matrix
+        for value in (np.nan, np.inf, -np.inf, complex(1, np.nan), complex(1, np.inf)):
+            for row in {one, (one + 1) % group.order}:
+                mats = regular_rep(group).mats.copy()
+                mats[g, row, 0] = value
+                cases.append((f"{value}@{row}", mats))
+    return cases
+
+
+def test_signed_form_matches_the_mask_oracle(small_groups):
+    rng = np.random.default_rng(31)
+    found = {True: 0, False: 0}
+    for spec, group in small_groups.items():
+        for name, mats in _signed_form_cases(group, rng):
+            rep = Representation(group, mats, validate=False)
+            got, want = rep.signed_permutation(), signed_permutation_by_masks(rep.mats)
+            assert (got is None) == (want is None), (spec, name)
+            found[want is None] += 1
+            if want is None:
+                assert rep.perms is None, (spec, name)
+                continue
+            assert np.array_equal(got[0], want[0]) and got[0].dtype == np.int64, (spec, name)
+            assert np.array_equal(got[1], want[1]) and got[1].dtype == np.int8, (spec, name)
+            if np.all(want[1] == 1):
+                assert np.array_equal(rep.perms, want[0]), (spec, name)
+            else:
+                assert rep.perms is None, (spec, name)
+    assert min(found.values()) > 100, found
 
 
 def test_exact_path_rejects_a_corruption_the_sampled_pairs_miss():

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from groupavg import (
     AveragingScheme,
+    Representation,
     UsageError,
     apply_scheme,
     certify,
@@ -178,6 +179,17 @@ def test_projector_path_frozen_on_permutation_actions(spec, kind, weak, strong, 
     result = minimize_scheme(group, rep, 0.5, seed=3)
     assert (result.status, result.size, result.eps) == ("ok", size, eps)
     assert result.scheme.support.tolist() == support
+
+
+def test_strong_certificate_depends_only_on_the_matrices():
+    specs = ("cyclic:7", "dihedral:5", "symmetric:4", "signflip:4", "product(cyclic:2,symmetric:3)")
+    for spec in specs:
+        group = parse_group_spec(spec)
+        built = regular_rep(group)
+        given_mats = Representation(group, built.mats.copy())
+        for seed in range(5):
+            scheme = random_scheme(group, 5, seed)
+            assert certify_strong(scheme, built) == certify_strong(scheme, given_mats), (spec, seed)
 
 
 def test_certify_degenerate_rep():
