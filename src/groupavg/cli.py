@@ -131,7 +131,7 @@ def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
     if kind == "file":
         try:
             payload = json.loads(Path(arg).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON, or a NUL in the path
             raise UsageError(f"cannot read scheme file {arg!r}: {exc}") from None
         try:
             return scheme_from_json(payload, group)
@@ -627,7 +627,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     path = Path(argv[idx + 1])
     try:
         text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise UsageError(f"cannot read config file {str(path)!r}: {exc}") from None
     extra = []
     for line in text.splitlines():

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, permutations as _iter_permutations, takewhile
+from itertools import chain, islice, permutations as _iter_permutations, takewhile
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -64,6 +64,7 @@ class Group:
         self.inv = np.argmax(self.mult == 0, axis=1).astype(np.int64)
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._orders = None
+        self._word_basis = None
         self.validate()
 
     # -- basic queries ---------------------------------------------------
@@ -152,8 +153,30 @@ class Group:
             if not np.array_equal(m[m[:, b]], np.take(m, m[b], axis=1)):
                 raise UsageError(f"associativity fails at b={b}")
             generators.append(b)
-            generated = _generated(m, generators)
+            generated, _ = _generated(m, generators)
         self.generators = tuple(generators)
+
+    def word_basis(self) -> tuple[tuple[int, ...], int]:
+        """Each generator's repeated squares s, s**2, s**4, ... below its
+        order, and the depth: every element is a product of at most
+        ``depth`` basis elements, found breadth first.
+
+        The basis pairs bound every pair of a float homomorphism check.
+        With D(g, h) = rho(g h) - rho(g) rho(h) and rho(e) = I exactly,
+        D(g, h' t) = D(g h', t) + D(g, h') rho(t) - rho(g) D(h', t).  If
+        every ||rho(g)|| <= sigma and every basis pair (g, t) deviates by at
+        most delta, each step of a breadth-first word adds at most
+        (1 + sigma) * delta and multiplies the earlier deviation by at most
+        sigma, so every pair deviates by at most
+        depth * (1 + sigma) * sigma**(depth - 1) * delta.
+        """
+        if self._word_basis is None:
+            orders = self.element_orders()
+            squares = (self.power(s, 1 << j) for s in self.generators
+                       for j in range(int(orders[s] - 1).bit_length()))  # 2**j < order
+            basis = tuple(dict.fromkeys(squares))
+            self._word_basis = (basis, _generated(self.mult, list(basis))[1])
+        return self._word_basis
 
 
 @dataclass(frozen=True)
@@ -231,9 +254,11 @@ def dihedral_group(n: int) -> Group:
     return Group(mult, labels, "dihedral", (n,))
 
 
-def symmetric_permutations(d: int) -> list[tuple[int, ...]]:
-    """All permutations of range(d) in lexicographic one-line order."""
-    return sorted(_iter_permutations(range(d)))
+def symmetric_permutations(d: int) -> np.ndarray:
+    """All permutations of range(d) in lexicographic one-line order, the
+    order ``itertools.permutations`` yields, as the rows of an array."""
+    flat = chain.from_iterable(_iter_permutations(range(d)))
+    return np.fromiter(flat, dtype=np.int64, count=d * math.factorial(d)).reshape(-1, d)
 
 
 def symmetric_group(d: int) -> Group:
@@ -248,7 +273,7 @@ def symmetric_group(d: int) -> Group:
     if d < 1:
         raise UsageError(f"symmetric group needs d >= 1, got {d}")
     _check_table_size(math.factorial(d))
-    perms = np.array(symmetric_permutations(d), dtype=np.int64)
+    perms = symmetric_permutations(d)
     n = perms.shape[0]
     place = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
     rank_of_code = np.empty(d**d, dtype=np.int64)
@@ -351,17 +376,20 @@ def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None)
     return np.array(list(islice(walk, steps)))
 
 
-def _generated(mult: np.ndarray, generators: list[int]) -> np.ndarray:
+def _generated(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int]:
     """Mask of the elements reached from the identity by right
-    multiplication with ``generators``, breadth first."""
+    multiplication with ``generators``, breadth first, and the depth: the
+    number of steps to the last element reached."""
     reached = np.zeros(mult.shape[0], dtype=bool)
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int64)
+    depth = -1
     while frontier.size:
         step = mult[np.ix_(frontier, generators)].ravel()
         frontier = np.unique(step[~reached[step]])
         reached[frontier] = True
-    return reached
+        depth += 1
+    return reached, depth
 
 
 def closure(group: Group, generators: Iterable[int]) -> list[int]:
@@ -375,13 +403,16 @@ def closure(group: Group, generators: Iterable[int]) -> list[int]:
         raise UsageError("closure needs a nonempty generating set")
     if min(gens) < 0 or max(gens) >= group.order:
         raise UsageError("generator index out of range")
-    return np.flatnonzero(_generated(group.mult, gens)).tolist()
+    return np.flatnonzero(_generated(group.mult, gens)[0]).tolist()
 
 
 def sample_uniform(group: Group, n: int, seed) -> np.ndarray:
-    """n i.i.d. uniform element indices from a seeded generator."""
+    """n i.i.d. uniform element indices from a seeded generator, refused when
+    the draws and their sort (19 bytes each measured) could pass the cap."""
     if n < 1:
         raise UsageError(f"sample count must be >= 1, got {n}")
+    if n * 24 > GROUP_TABLE_MAX_BYTES:
+        raise SizeLimitError(f"{n:,} draws need {n * 24:,} bytes, above {GROUP_TABLE_MAX_BYTES:,}")
     rng = np.random.default_rng(seed)
     return rng.integers(0, group.order, size=int(n))
 

@@ -172,7 +172,7 @@ def _adjacent_transposition_matrices(shape: tuple[int, ...]) -> tuple[list, list
     return tabs, mats
 
 
-def _adjacent_decomposition(one_line: tuple[int, ...]) -> list[int]:
+def _adjacent_decomposition(one_line: list[int]) -> list[int]:
     """Swap positions s.t. sigma = s[last] ... s[first] as composition."""
     work = list(one_line)
     swaps = []
@@ -193,7 +193,7 @@ def _symmetric_irreps(group: Group) -> list[Representation]:
         raise CapabilityError(
             f"symmetric-group irreps supported up to d = {SYMMETRIC_IRREPS_MAX_DIM}, got {d}"
         )
-    words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d)]
+    words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d).tolist()]
     out = []
     for shape in partitions_of(d):
         tabs, gens = _adjacent_transposition_matrices(shape)

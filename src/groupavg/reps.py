@@ -19,9 +19,10 @@ action (the all-plus case), however its matrices were made.  On that
 form validation checks the homomorphism law exactly on the group's
 generators, and a permutation action's products are row moves.  Every
 other representation is checked in floating point: unitarity per
-element, and the homomorphism law on all pairs up to order 256, on
-seeded random pairs above it.  A residual that is not finite fails
-either check.
+element, then the homomorphism law on each element against the group's
+word basis, which bounds the deviation of every pair (see
+:meth:`Group.word_basis`).  A residual that is not finite fails either
+check.
 """
 
 from __future__ import annotations
@@ -50,11 +51,6 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 REGULAR_REP_MAX_BYTES = 2 << 30
-
-_HOM_EXHAUSTIVE_MAX_ORDER = 256
-_HOM_FLOP_BUDGET = 4e9
-_HOM_SAMPLE_SEED = 0xC0FFEE
-_HOM_CHUNK_ELEMENTS = 1 << 14  # complex entries per batched homomorphism check
 
 
 def _max_frobenius(diff: np.ndarray) -> float:
@@ -106,34 +102,16 @@ def _signed_permutation_of(mats: np.ndarray) -> Optional[tuple[np.ndarray, np.nd
     return perm, sign.astype(np.int8)
 
 
-def _dense_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
-    """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h] in floats.
-
-    Exhaustive over all pairs when affordable, seeded random pairs
-    otherwise, in batches of at most ``_HOM_CHUNK_ELEMENTS`` entries.
-    A NaN in any batch is the result.
-    """
-    n, d = mats.shape[0], mats.shape[1]
-    exhaustive = n <= _HOM_EXHAUSTIVE_MAX_ORDER and (n * n * 2 * d**3) <= _HOM_FLOP_BUDGET
+def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
+    """Bound on the deviation over all pairs from each element against the
+    group's word basis, one batched product per basis element (proof at
+    :meth:`Group.word_basis`).  A NaN in any product is the result."""
+    basis, depth = group.word_basis()
     worst = 0.0
-    if exhaustive:
-        step = max(1, _HOM_CHUNK_ELEMENTS // (n * d * d))
-        for start in range(0, n, step):
-            gs = slice(start, start + step)
-            prods = np.tensordot(mats[gs], mats, axes=([2], [1]))  # (g, i, h, k)
-            diff = mats[mult[gs]] - prods.transpose(0, 2, 1, 3)
-            worst = np.maximum(worst, _max_frobenius(diff))
-    else:
-        rng = np.random.default_rng(_HOM_SAMPLE_SEED)
-        count = max(64, 2 * n)
-        gs = rng.integers(0, n, size=count)
-        hs = rng.integers(0, n, size=count)
-        step = max(1, _HOM_CHUNK_ELEMENTS // (d * d))
-        for start in range(0, count, step):
-            g, h = gs[start : start + step], hs[start : start + step]
-            diff = mats[mult[g, h]] - np.matmul(mats[g], mats[h])
-            worst = np.maximum(worst, _max_frobenius(diff))
-    return float(worst)
+    for t in basis:
+        worst = np.maximum(worst, _max_frobenius(mats[group.mult[:, t]] - mats @ mats[t]))
+    sigma = math.sqrt(1.0 + UNITARITY_TOL)
+    return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 
 
 class Representation:
@@ -186,15 +164,17 @@ class Representation:
         return self._signed
 
     def homomorphism_residual(self) -> float:
-        """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h].
+        """Bound on the Frobenius deviation of mats[g*h] from mats[g] @ mats[h]
+        over all pairs g, h.
 
         Exact on signed permutation matrices: 0 when the law holds for all
         pairs, inf otherwise (two distinct signed permutation matrices lie
-        at least sqrt(2) apart).  Otherwise in floating point, see
+        at least sqrt(2) apart).  Otherwise a float bound, valid once the
+        unitarity check of :meth:`validate` passes; see
         :func:`_dense_homomorphism_residual`.
         """
         if self._signed is None:
-            return _dense_homomorphism_residual(self.mats, self.group.mult)
+            return _dense_homomorphism_residual(self.mats, self.group)
         return 0.0 if _signed_homomorphism_holds(self.group, *self._signed) else float("inf")
 
     def validate(self) -> None:
@@ -247,12 +227,11 @@ class EigenProfile:
 # -- constructors ----------------------------------------------------------
 
 
-def _mats_from_perms(perms: np.ndarray) -> np.ndarray:
+def _mats_from_perms(perms: np.ndarray, signs=1.0) -> np.ndarray:
+    """Stack with ``mats[g] e_j = signs[g, j] e_{perms[g, j]}``."""
     n, d = perms.shape
     mats = np.zeros((n, d, d), dtype=np.complex128)
-    rows = perms.reshape(-1)
-    cols = np.tile(np.arange(d), n)
-    mats[np.repeat(np.arange(n), d), rows, cols] = 1.0
+    np.put_along_axis(mats, perms[:, None, :], np.broadcast_to(signs, (n, d))[:, None, :], axis=1)
     return mats
 
 
@@ -261,8 +240,7 @@ def permutation_rep(group: Group) -> Representation:
     if group.family != "symmetric":
         raise UsageError("permutation representation requires the symmetric family")
     d = group.params[0]
-    perms = np.array(symmetric_permutations(d), dtype=np.int64)
-    return Representation(group, _mats_from_perms(perms), name=f"perm{d}")
+    return Representation(group, _mats_from_perms(symmetric_permutations(d)), name=f"perm{d}")
 
 
 def sign_action_rep(group: Group) -> Representation:
@@ -337,17 +315,16 @@ def sym_power_dim(dim: int, k: int) -> int:
     return math.comb(dim + k - 1, k)
 
 
-def _sym_power_perms(base_perms: np.ndarray, k: int) -> np.ndarray:
-    """Permutation of degree-k monomials induced by coordinate permutations."""
-    n, d = base_perms.shape
-    monos = list(combinations_with_replacement(range(d), k))
-    index = {m: i for i, m in enumerate(monos)}
-    out = np.empty((n, len(monos)), dtype=np.int64)
-    for g in range(n):
-        p = base_perms[g]
-        for j, m in enumerate(monos):
-            out[g, j] = index[tuple(sorted(int(p[v]) for v in m))]
-    return out
+def _sym_power_signed(perm: np.ndarray, sign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(perm, sign)`` form of the degree-k symmetric power of a signed
+    permutation action: each monomial maps to the sorted images of its
+    coordinates, with the product of their signs.  The identity's images
+    list every monomial, so one ``np.unique`` ranks them all."""
+    n, d = perm.shape
+    monos = np.array(list(combinations_with_replacement(range(d), k)), dtype=np.int64)
+    images = np.sort(perm[:, monos], axis=2).reshape(-1, k)  # (order * monomials, k)
+    _, rank = np.unique(images, axis=0, return_inverse=True)
+    return rank.reshape(n, -1), sign[:, monos].prod(axis=2)
 
 
 def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
@@ -397,8 +374,9 @@ def sym_power_rep(rep: Representation, k: int) -> Representation:
     """Induced representation on degree-k products of base coordinates.
 
     The monomial basis carries multiplicity weights so the result is
-    unitary.  Raises a size-limit error pointing at the character-only
-    path when the monomial count exceeds ``SYM_POWER_DIM_CAP``.
+    unitary; the power of a signed permutation action is built from its
+    ``(perm, sign)`` form.  Raises a size-limit error pointing at the
+    character-only path when the monomial count exceeds ``SYM_POWER_DIM_CAP``.
     """
     if k < 0:
         raise UsageError("symmetric power degree must be >= 0")
@@ -415,9 +393,10 @@ def sym_power_rep(rep: Representation, k: int) -> Representation:
         )
     if k == 1:
         return Representation(rep.group, rep.mats.copy(), name=name)
-    if rep.perms is not None:
-        perms = _sym_power_perms(rep.perms, k)
-        return Representation(rep.group, _mats_from_perms(perms), name=name)
+    signed = rep.signed_permutation()
+    if signed is not None:
+        mats = _mats_from_perms(*_sym_power_signed(*signed, k))
+        return Representation(rep.group, mats, name=name)
     return Representation(rep.group, _sym_power_dense(rep, k), name=name)
 
 

@@ -146,7 +146,10 @@ def required_sample_count(order: int, eps: float, delta: float) -> int:
         raise UsageError(f"delta must lie in (0, 1), got {delta}")
     if order < 1:
         raise UsageError("order must be positive")
-    return int(math.ceil(2.67 * (math.log(order) + math.log(1.0 / delta) + 0.7) / eps))
+    count = 2.67 * (math.log(order) + math.log(1.0 / delta) + 0.7) / eps
+    if math.isinf(count):
+        raise UsageError(f"eps {eps} is so small that the draw count overflows")
+    return int(math.ceil(count))
 
 
 # -- certification ----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Independent brute-force oracles shared by the group, separation and Fourier tests."""
 
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -104,6 +105,77 @@ def signed_permutation_by_masks(mats: np.ndarray):
             and np.all(nonzero.sum(axis=1) == 1) and np.all(nonzero.sum(axis=2) == 1)):
         return None
     return nonzero.argmax(axis=1), re.sum(axis=1).astype(np.int8)
+
+
+# -- homomorphism law on pairs ---------------------------------------------------
+
+SAMPLED_PAIRS_ABOVE_ORDER = 256
+SAMPLED_PAIRS_SEED = 0xC0FFEE
+
+
+def seeded_pairs(n: int) -> list[tuple[int, int]]:
+    """The ``max(64, 2 n)`` seeded random pairs that :func:`forked_homomorphism_residual`
+    checks above order 256."""
+    rng = np.random.default_rng(SAMPLED_PAIRS_SEED)
+    count = max(64, 2 * n)
+    gs = rng.integers(0, n, size=count)
+    hs = rng.integers(0, n, size=count)
+    return list(zip(gs.tolist(), hs.tolist()))
+
+
+def forked_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
+    """A float homomorphism check that forks on the order: the max Frobenius
+    deviation of mats[g*h] from mats[g] @ mats[h] over all pairs up to order
+    256 (and 4e9 flops), over :func:`seeded_pairs` above it.  The sampled
+    branch proves nothing; the tests keep it to show the corruptions it misses."""
+    n, d = mats.shape[0], mats.shape[1]
+    if n <= SAMPLED_PAIRS_ABOVE_ORDER and n * n * 2 * d**3 <= 4e9:
+        return all_pairs_homomorphism_residual(mats, mult)
+    g, h = np.array(seeded_pairs(n)).T
+    diff = mats[mult[g, h]] - np.matmul(mats[g], mats[h])
+    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+
+
+def all_pairs_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float:
+    """Max Frobenius deviation of mats[g*h] from mats[g] @ mats[h] over every
+    pair: each mats[g] times all matrices side by side, a block of g at a
+    time; a NaN anywhere is the result."""
+    n, d = mats.shape[0], mats.shape[1]
+    side_by_side = mats.transpose(1, 0, 2).reshape(d, n * d)  # [i, (h, k)] = mats[h, i, k]
+    rows = max(1, (1 << 16) // (n * d * d))
+    worst = 0.0
+    for start in range(0, n, rows):
+        gs = np.arange(start, min(start + rows, n))
+        prods = (mats[gs] @ side_by_side).reshape(len(gs), d, n, d).transpose(0, 2, 1, 3)
+        diff = mats[mult[gs]] - prods
+        worst = np.maximum(worst, np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+    return float(worst)
+
+
+def word_layers_by_sets(mult, basis) -> list[set[int]]:
+    """Breadth-first layers of the words in ``basis`` from the identity,
+    one Python set per layer, until no new element appears."""
+    layers, seen = [{0}], {0}
+    while True:
+        new = {int(mult[x][t]) for x in layers[-1] for t in basis} - seen
+        if not new:
+            return layers
+        seen |= new
+        layers.append(new)
+
+
+def sym_power_perms_by_loop(base_perms: np.ndarray, k: int) -> np.ndarray:
+    """Permutation of degree-k monomials induced by coordinate permutations,
+    one dictionary lookup per element and monomial."""
+    n, d = base_perms.shape
+    monos = list(combinations_with_replacement(range(d), k))
+    index = {m: i for i, m in enumerate(monos)}
+    out = np.empty((n, len(monos)), dtype=np.int64)
+    for g in range(n):
+        p = base_perms[g]
+        for j, m in enumerate(monos):
+            out[g, j] = index[tuple(sorted(int(p[v]) for v in m))]
+    return out
 
 
 def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:

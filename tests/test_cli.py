@@ -318,6 +318,10 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["lowerbound", "--d", "3", "--support", ""],
         [*TINY_MLP, "--epochs", "0"],
         [*TINY_MLP, "--epochs", "-1"],
+        ["certify", "--group", "cyclic:4", "--scheme", "random:99999999999999999999999"],
+        ["sample", "--group", "cyclic:4", "--eps", "1e-300"],
+        ["sample", "--group", "cyclic:4", "--eps", "5e-324"],
+        ["certify", "--group", "cyclic:4", "--config", "{tmp}/nul.cfg"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
@@ -332,11 +336,14 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
          "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
          "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
          "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
-         "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs"],
+         "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
+         "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
+         "config-scheme-path-with-nul"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "latin1.cfg").write_bytes("group = cyclic:3  # \xe9\n".encode("latin-1"))
+    (tmp_path / "nul.cfg").write_text("scheme = file:a\x00b\n")
     # json reads NaN and Infinity; the unit-sum check alone passes both
     # files: a NaN weight counts as below the support threshold, and the
     # infinities sum to NaN
@@ -411,6 +418,66 @@ def test_number_flags_exit_cleanly(case, token):
         code = run([*_NUMBER_FLAGS[command][0], f"{flag}={token}", "--out", out])
     assert code in (0, 1, 2, 3), (case, token, code)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (case, token)
+
+
+# string flags on tiny groups: malformed and valid values mixed
+_GROUP_VALUES = st.one_of(
+    st.sampled_from(["cyclic:3", "dihedral:3", "signflip:2", "symmetric:3",
+                     "product(cyclic:2,cyclic:2)"]),
+    st.builds("{}{}{}".format,
+              st.sampled_from(["cyclic", "Signflip", "dihedral", "symmetric", "custom", "product",
+                               ""]),
+              st.sampled_from([":", "", "::", " : "]),
+              st.sampled_from(["", "0", "-1", "1", "2", "3", "x", "1.5", "1e1", "nan", "\u0663"])),
+    st.sampled_from(["product(", "product()", "product(cyclic:2)", "product(cyclic:2,)",
+                     "product(,cyclic:2)", "product(cyclic:2,cyclic:2))", ")(", "cyclic:2,cyclic:3"]),
+    st.text(max_size=12),
+)
+_SCHEME_VALUES = st.one_of(
+    st.builds("{}:{}".format,
+              st.sampled_from(["delta", "random", "file", "uniform", ""]),
+              st.sampled_from(["", "0", "-1", "1", "3", "99", "x", "1.5", "1e3", "/", ".",
+                               "99999999999999999999999", "missing.json", "a\x00b"])),
+    st.sampled_from(["uniform", "delta", "random"]),
+    st.text(max_size=12),
+)
+_REP_VALUES = st.one_of(st.sampled_from(["regular", "permutation", "sign", "trivial"]),
+                        st.text(max_size=8))
+_CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(["group", "scheme", "rep", "path", "seed"]),
+              st.one_of(_GROUP_VALUES, _SCHEME_VALUES, _REP_VALUES)),
+    st.sampled_from(["", "# note", "=", "group", "seed = -1", "seed = x", "bogus = 1",
+                     "config = x", "path = fourier", "rep ="]),
+    st.text(max_size=15),
+)
+_STRING_FLAGS = {
+    "group": ["--group"],
+    "irreps": ["--group"],
+    "certify": ["--group", "--scheme", "--rep"],
+    "kbound": ["--group", "--rep"],
+    "selftest": [],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(command=st.sampled_from(sorted(_STRING_FLAGS)), data=st.data())
+def test_string_flags_and_config_exit_cleanly(command, data):
+    strategies = {"--group": _GROUP_VALUES, "--scheme": _SCHEME_VALUES, "--rep": _REP_VALUES}
+    argv = [command]
+    for flag in _STRING_FLAGS[command]:
+        argv.append(f"{flag}={data.draw(strategies[flag], label=flag)}")
+    lines = data.draw(st.lists(_CONFIG_LINES, max_size=3), label="config")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        config = Path(out) / "run.cfg"
+        config.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            code = run([*argv, "--config", str(config), "--out", str(Path(out) / "o")])
+        except SystemExit as stop:  # a config key that abbreviates --help
+            code = stop.code
+    assert code in (0, 1, 2, 3), (argv, lines, code)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, lines)
 
 
 def test_meta_tolerances_are_the_module_constants(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from oracles import (
     gf2_rank,
     lehmer_ranks,
     reduced_latin_squares,
+    word_layers_by_sets,
 )
 
 
@@ -317,6 +319,41 @@ def test_generators_are_greedy_and_generate(small_groups):
             generated = closure(group, gens[:i]) if i else [0]
             assert b == min(set(range(group.order)) - set(generated))
         assert closure(group, gens or [0]) == list(range(group.order))
+
+
+WORD_BASIS_SPECS = ["dihedral:60", "symmetric:5", "symmetric:6", "product(cyclic:3,dihedral:12)",
+                    "cyclic:300"]
+
+
+def test_word_basis_is_repeated_squares_that_reach_every_element(small_groups):
+    for spec in [*small_groups, *WORD_BASIS_SPECS]:
+        group = small_groups.get(spec) or parse_group_spec(spec)
+        basis, depth = group.word_basis()
+        assert set(group.generators) <= set(basis), spec
+        assert len(set(basis)) == len(basis), spec
+        squares = set()
+        for s in group.generators:
+            order = element_order_by_loop(group, s)
+            squares |= {group.power(s, 2**j) for j in range(order.bit_length()) if 2**j < order}
+        assert set(basis) == squares, spec
+        layers = word_layers_by_sets(group.mult, basis)
+        assert set().union(*layers) == set(range(group.order)), spec
+        assert depth == len(layers) - 1, spec
+
+
+def test_word_basis_sizes_and_depths_frozen():
+    frozen = {"cyclic:1": (0, 0), "cyclic:1000": (10, 9), "dihedral:58": (7, 5),
+              "symmetric:6": (5, 15), "signflip:9": (9, 9)}
+    for spec, (size, depth) in frozen.items():
+        basis, got = parse_group_spec(spec).word_basis()
+        assert (len(basis), got) == (size, depth), spec
+
+
+def test_symmetric_permutations_are_a_lexicographic_array():
+    for d in range(1, 8):
+        perms = groups_module.symmetric_permutations(d)
+        assert isinstance(perms, np.ndarray) and perms.dtype == np.int64, d
+        assert np.array_equal(perms, np.array(sorted(permutations(range(d))))), d
 
 
 @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56)])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,11 +30,15 @@ from groupavg import (
 )
 from groupavg.reps import power_class_map, sym_power_characters
 from oracles import (
+    all_pairs_homomorphism_residual,
     character_layer_reps,
     eigvals_profile,
+    forked_homomorphism_residual,
     power_class_map_by_loop,
+    seeded_pairs,
     signed_permutation_by_masks,
     sym_power_character_by_restart,
+    sym_power_perms_by_loop,
 )
 
 RESID = 1e-9
@@ -387,9 +393,10 @@ def _path_rep(path: str) -> Representation:
     """A representation whose homomorphism check takes the named path.
 
     Signed permutation matrices take the exact path on generators; other
-    matrices of orders up to 256 are checked exhaustively (all of these
-    are within the flop budget), larger ones on seeded pairs; each dense
-    case spans several batches.
+    matrices are checked in floats, each element against the group's word
+    basis.  The "exhaustive" cases have orders up to 256, where
+    :func:`forked_homomorphism_residual` checks all pairs, the "sampled"
+    ones lie above, where it checks seeded pairs only.
     """
     if path == "perm":
         return permutation_rep(parse_group_spec("symmetric:4"))
@@ -407,23 +414,27 @@ def _path_rep(path: str) -> Representation:
     return _rotated_sign_action(9)
 
 
-def _sampled_pairs(n: int) -> list[tuple[int, int]]:
-    rng = np.random.default_rng(reps_module._HOM_SAMPLE_SEED)
-    count = max(64, 2 * n)
-    gs = rng.integers(0, n, size=count)
-    hs = rng.integers(0, n, size=count)
-    return list(zip(gs.tolist(), hs.tolist()))
-
-
 def _checked_pairs(rep: Representation) -> list[tuple[int, int]]:
+    """Every pair on signed permutation matrices; otherwise each element
+    against each word-basis element."""
     n = rep.group.order
-    if rep.signed_permutation() is not None or n <= reps_module._HOM_EXHAUSTIVE_MAX_ORDER:
+    if rep.signed_permutation() is not None:
         return [(g, h) for g in range(n) for h in range(n)]
-    return _sampled_pairs(n)
+    basis, _ = rep.group.word_basis()
+    return [(g, t) for g in range(n) for t in basis]
+
+
+def _word_factor(group) -> float:
+    """L (1 + sigma) sigma**(L - 1): the worst basis pair times this bounds
+    every pair, with L the word depth and sigma**2 = 1 + UNITARITY_TOL."""
+    _, depth = group.word_basis()
+    sigma = math.sqrt(1 + reps_module.UNITARITY_TOL)
+    return depth * (1 + sigma) * sigma ** max(depth - 1, 0)
 
 
 def _reference_residual(rep: Representation) -> float:
-    """Per-pair loop; on signed permutation matrices, 0 or inf as the exact path."""
+    """Per-pair loop; on signed permutation matrices, 0 or inf as the exact
+    path, otherwise the worst checked pair scaled to the all-pairs bound."""
     mult = rep.group.mult
     pairs = _checked_pairs(rep)
     if rep.perms is not None:
@@ -436,7 +447,7 @@ def _reference_residual(rep: Representation) -> float:
     )
     if rep.signed_permutation() is not None:
         return 0.0 if worst <= RESID else float("inf")
-    return worst
+    return _word_factor(rep.group) * worst
 
 
 def _corruptible_element(rep: Representation) -> int:
@@ -474,7 +485,7 @@ def test_homomorphism_residual_matches_per_pair_loop(path):
     nudged = _corrupted(rep, _corruptible_element(rep), 1e-6)
     for r in (rep, nudged):
         got, want = r.homomorphism_residual(), _reference_residual(r)
-        assert got == want or abs(got - want) <= 1e-12, (got, want)
+        assert got == want or abs(got - want) <= 1e-12 * want, (got, want)
     exact = rep.signed_permutation() is not None
     assert nudged.homomorphism_residual() > (1.0 if exact else 1e-7)
 
@@ -668,14 +679,14 @@ def test_exact_path_rejects_a_corruption_the_sampled_pairs_miss():
     rep = _parity_character(10)
     group = rep.group
     touched = set()
-    for g, h in _sampled_pairs(group.order):
+    for g, h in seeded_pairs(group.order):
         touched |= {g, h, int(group.mult[g, h])}
     missed = sorted(set(range(group.order)) - touched)
     assert missed
     mats = rep.mats.copy()
     mats[missed[0]] *= -1
     bad = Representation(group, mats, validate=False)
-    assert reps_module._dense_homomorphism_residual(bad.mats, group.mult) == 0.0
+    assert forked_homomorphism_residual(bad.mats, group.mult) == 0.0
     with pytest.raises(NumericalConsistencyError, match="homomorphism"):
         bad.validate()
 
@@ -694,3 +705,64 @@ def test_sign_flip_irreps_never_enter_the_float_kernel(monkeypatch):
     sign_action_rep(table.group)
     with pytest.raises(FloatKernel):  # the 2-dim irrep is not a signed permutation
         irreps_of(parse_group_spec("dihedral:4"))
+
+
+# -- float check against the word basis -----------------------------------------
+
+BOUND_SPECS = ["dihedral:60", "symmetric:5", "symmetric:6", "product(cyclic:3,dihedral:12)",
+               "cyclic:300"]
+
+
+def test_float_check_rejects_corruptions_the_seeded_pairs_miss():
+    for n, g in ((300, 141), (1000, 53)):
+        bad = _corrupted(_cyclic_character(n), g, np.pi)  # negated
+        assert forked_homomorphism_residual(bad.mats, bad.group.mult) <= RESID
+        assert all_pairs_homomorphism_residual(bad.mats, bad.group.mult) >= 2.0
+        with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+            bad.validate()
+
+
+def test_every_negated_element_of_a_cyclic_character_is_rejected():
+    rep = _cyclic_character(300)
+    missed = 0
+    for g in range(1, rep.group.order):
+        bad = _corrupted(rep, g, np.pi)  # negated
+        missed += forked_homomorphism_residual(bad.mats, bad.group.mult) <= RESID
+        with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+            bad.validate()
+    assert missed == 2  # what a check on seeded pairs lets through
+
+
+def test_homomorphism_residual_bounds_every_pair():
+    """oracle <= residual <= L (1 + sigma) sigma**(L - 1) * oracle, with the
+    all-pairs oracle; signed permutation matrices give 0 on both sides."""
+    cases = [_path_rep(path) for path in HOM_PATHS]
+    for spec in BOUND_SPECS:
+        cases += [r for r in irreps_of(parse_group_spec(spec)).irreps
+                  if r.signed_permutation() is None]
+    assert sum(r.signed_permutation() is None for r in cases) > 20
+    for rep in cases:
+        oracle = all_pairs_homomorphism_residual(rep.mats, rep.group.mult)
+        resid = rep.homomorphism_residual()
+        assert oracle <= resid <= _word_factor(rep.group) * oracle, (rep.group, rep.name)
+
+
+# -- symmetric powers of signed permutation actions -------------------------------
+
+
+def test_sym_power_of_a_signed_action_is_read_off_its_form():
+    s4 = parse_group_spec("symmetric:4")
+    sign = irreps_of(s4).irreps[1]  # the sign character
+    all_plus = [permutation_rep(s4), regular_rep(parse_group_spec("dihedral:4")),
+                trivial_rep(s4), direct_sum(permutation_rep(s4), trivial_rep(s4))]
+    signed = [sign_action_rep(parse_group_spec("signflip:3")), _parity_character(4),
+              tensor_product(sign, permutation_rep(s4)), sign]
+    for k in (2, 3):
+        for rep in all_plus:
+            power = sym_power_rep(rep, k)
+            assert np.array_equal(power.perms, sym_power_perms_by_loop(rep.perms, k)), rep.name
+        for rep in signed:
+            power = sym_power_rep(rep, k)
+            assert power.signed_permutation() is not None, rep.name
+            dense = reps_module._sym_power_dense(rep, k)
+            assert np.abs(power.mats - dense).max() <= 1e-12, rep.name
