@@ -35,6 +35,7 @@ from .reps import (
     invariant_dimension,
     k_bound,
     permutation_rep,
+    regular_k_bound,
     regular_rep,
     sign_action_rep,
     trivial_rep,
@@ -276,8 +277,8 @@ def cmd_minimize(args) -> int:
 
 def cmd_kbound(args) -> int:
     group = parse_group_spec(args.group)
-    rep = _build_rep(group, args.rep)
-    value = k_bound(rep)
+    # the regular action's bound needs only its character, not its matrices
+    value = regular_k_bound(group) if args.rep == "regular" else k_bound(_build_rep(group, args.rep))
     out = _out_dir(args)
     payload = {
         "group": group_spec_string(group),
@@ -505,7 +506,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argument errors become usage errors (exit 1), not argparse's exit 2."""
+    """Argument errors become usage errors (exit 1), not argparse's exit 2.
+    A flag, or a config key, must name an option exactly: no prefixes."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

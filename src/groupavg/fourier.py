@@ -103,11 +103,9 @@ def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoeffici
         raise GroupMismatchError("signal and table are over different groups")
     idx = signal.support
     w = signal.weights[idx]
-    mats: list = [None] * len(table)
-    for irreps, conj_stack in table.conj_stacks:
-        blocks = np.einsum("g,kgji->kij", w, conj_stack[:, idx])
-        for i, block in zip(irreps, blocks):
-            mats[i] = block
+    mats: list = []
+    for conj_stack in table.conj_stacks:
+        mats.extend(np.einsum("g,kgji->kij", w, conj_stack[:, idx]))
     return FourierCoefficients(table=table, mats=mats)
 
 
@@ -116,11 +114,14 @@ def inverse_fourier(coeffs: FourierCoefficients, table: IrrepTable) -> GroupSign
     if coeffs.table.group != table.group:
         raise GroupMismatchError("coefficients and table are over different groups")
     n = table.group.order
-    out = np.zeros(n, dtype=np.complex128)
-    for d, rep, mat in zip(table.dims, table.irreps, coeffs.mats):
+    for d, mat in zip(table.dims, coeffs.mats):
         if mat.shape != (d, d):
             raise UsageError(f"coefficient block has shape {mat.shape}, expected {(d, d)}")
-        out += d * np.einsum("ij,gji->g", mat, rep.mats)
+    out = np.zeros(n, dtype=np.complex128)
+    ends = np.cumsum([len(s) for s in table.stacks])
+    for stack, end in zip(table.stacks, ends):
+        blocks = coeffs.mats[end - len(stack) : end]
+        out += stack.shape[2] * np.einsum("kij,kgji->g", blocks, stack)
     out /= n
     if np.abs(out.imag).max() < 1e-12:
         out = out.real

@@ -1,10 +1,16 @@
 """Irreducible representation tables for the built-in group families.
 
-Construction routes: cyclic and sign-flip groups get their character
-irreps, dihedral groups get explicit 1- and 2-dimensional blocks,
-symmetric groups (d <= 6) get Young's orthogonal form over standard
-tableaux, and products get tensor products of factor irreps.  Everything
-is complex and unitary; real forms are embedded as complex.
+A table is its per-dimension stacks: one ``(k, |G|, d, d)`` complex array
+per irrep dimension d, in ascending d.  The builders return stacks:
+cyclic and sign-flip groups all their characters as one array, dihedral
+groups one 1- and one 2-dimensional stack, symmetric groups (d <= 6) one
+stack per shape from Young's orthogonal form over standard tableaux, and
+products one tensor product per pair of factor stacks.  Everything is
+complex and unitary; real forms are embedded as complex.  Each irrep is
+a validated :class:`Representation` viewing its slice of a stack, so the
+matrices are held once, plus the conjugated copy the Fourier transforms
+read.  A build peaks near ``order**2 * 96`` bytes and is refused above
+``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
 """
 
 from __future__ import annotations
@@ -14,8 +20,10 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyError, UsageError
-from .groups import Group, ConjugacyPartition, conjugacy_classes, symmetric_permutations
+from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyError
+from .errors import SizeLimitError, UsageError
+from .groups import GROUP_TABLE_MAX_BYTES, Group, ConjugacyPartition, conjugacy_classes
+from .groups import group_spec_string, symmetric_permutations
 from .reps import INT_ROUND_TOL, CharacterVector, Representation
 
 ORTHOGONALITY_TOL = 1e-9
@@ -26,39 +34,34 @@ SYMMETRIC_IRREPS_MAX_DIM = 6
 class IrrepTable:
     """All irreducible representations of a group, trivial first.
 
-    Ordering after the trivial: by dimension, then lexicographically by
-    character values over the class list.  ``characters[i, c]`` is the
-    trace of irrep i at the representative of class c.
+    ``stacks`` holds one ``(k, |G|, d, d)`` array per irrep dimension d, in
+    ascending d, and the irreps are numbered through them in turn: the
+    trivial irrep, then by dimension, then lexicographically by character
+    values over the class list.  ``characters[i, c]`` is the trace of
+    irrep i at the representative of class c; ``irreps[i]`` views irrep
+    i's slice of its stack.
     """
 
     group: Group
     partition: ConjugacyPartition
-    irreps: list[Representation]
-    dims: tuple[int, ...]
+    stacks: list[np.ndarray]
     characters: np.ndarray
-    trivial_index: int = 0
+
+    trivial_index = 0  # the sort puts the trivial irrep first
+
+    def __post_init__(self):
+        self.dims = tuple(int(s.shape[2]) for s in self.stacks for _ in range(len(s)))
+        mats = (m for s in self.stacks for m in s)
+        self.irreps = [Representation(self.group, m, name) for m, name in zip(mats, self.labels())]
 
     def __len__(self) -> int:
-        return len(self.irreps)
+        return len(self.dims)
 
     @functools.cached_property
-    def stacks(self) -> list[tuple[list[int], np.ndarray]]:
-        """Irreps grouped by dimension d, in order of first appearance.
-
-        Each entry is ``(indices, mats)``: the table indices of the irreps
-        of that dimension and their matrices stacked as ``(k, |G|, d, d)``.
-        """
-        out = []
-        for d in dict.fromkeys(self.dims):
-            idx = [i for i, di in enumerate(self.dims) if di == d]
-            out.append((idx, np.stack([self.irreps[i].mats for i in idx])))
-        return out
-
-    @functools.cached_property
-    def conj_stacks(self) -> list[tuple[list[int], np.ndarray]]:
+    def conj_stacks(self) -> list[np.ndarray]:
         """:attr:`stacks` with every matrix entry complex-conjugated, the
         operand every Fourier transform over this table reads."""
-        return [(idx, mats.conj()) for idx, mats in self.stacks]
+        return [s.conj() for s in self.stacks]
 
     def labels(self) -> list[str]:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
@@ -67,19 +70,16 @@ class IrrepTable:
         """The character gram must be the identity: its diagonal certifies
         each irrep irreducible, its off-diagonal the irreps inequivalent."""
         group, part = self.group, self.partition
-        if len(self.irreps) != len(part):
-            raise NumericalConsistencyError(
-                f"irrep count {len(self.irreps)} != class count {len(part)}"
-            )
+        if len(self) != len(part):
+            raise NumericalConsistencyError(f"irrep count {len(self)} != class count {len(part)}")
         if sum(d * d for d in self.dims) != group.order:
             raise NumericalConsistencyError("sum of squared dims does not equal the group order")
         gram = _class_inner(self.characters, self)
-        dev = float(np.abs(gram - np.eye(len(self.irreps))).max())
+        dev = float(np.abs(gram - np.eye(len(self))).max())
         if not dev <= ORTHOGONALITY_TOL:
             raise NumericalConsistencyError(f"character orthogonality deviation {dev:.3e}")
-        triv = self.irreps[self.trivial_index]
-        if triv.dim != 1 or np.abs(triv.mats - 1.0).max() > 1e-12:
-            raise NumericalConsistencyError("trivial irrep is not at trivial_index")
+        if self.dims[0] != 1 or np.abs(self.stacks[0][0] - 1.0).max() > 1e-12:
+            raise NumericalConsistencyError("trivial irrep is not first")
 
 
 # -- Young's orthogonal form -------------------------------------------------
@@ -187,12 +187,8 @@ def _adjacent_decomposition(one_line: list[int]) -> list[int]:
     return swaps[::-1]
 
 
-def _symmetric_irreps(group: Group) -> list[Representation]:
+def _symmetric_stacks(group: Group) -> list[np.ndarray]:
     d = group.params[0]
-    if d > SYMMETRIC_IRREPS_MAX_DIM:
-        raise CapabilityError(
-            f"symmetric-group irreps supported up to d = {SYMMETRIC_IRREPS_MAX_DIM}, got {d}"
-        )
     words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d).tolist()]
     out = []
     for shape in partitions_of(d):
@@ -205,81 +201,69 @@ def _symmetric_irreps(group: Group) -> list[Representation]:
             for i in word:
                 m = m @ gens[i]
             mats[g] = m
-        out.append(Representation(group, mats, name=f"yor{shape}"))
+        out.append(mats[None])
     return out
 
 
-# -- per-family tables --------------------------------------------------------
+# -- per-family stacks ---------------------------------------------------------
 
 
-def _cyclic_irreps(group: Group) -> list[Representation]:
+def _cyclic_stacks(group: Group) -> list[np.ndarray]:
     n = group.order
-    g_idx = np.arange(n)
-    out = []
-    for j in range(n):
-        vals = np.exp(2j * np.pi * j * g_idx / n)
-        out.append(Representation(group, vals.reshape(n, 1, 1), name=f"chi{j}"))
-    return out
+    theta = 2j * np.pi * np.arange(n)[:, None] * np.arange(n)  # (character, element)
+    theta /= n
+    return [np.exp(theta, out=theta).reshape(n, n, 1, 1)]
 
 
-def _sign_flip_irreps(group: Group) -> list[Representation]:
+def _sign_flip_stacks(group: Group) -> list[np.ndarray]:
     n = group.order
     x = np.arange(n)
-    out = []
-    for mask in range(n):
-        signs = 1.0 - 2.0 * (np.bitwise_count(x & mask) % 2)
-        out.append(
-            Representation(
-                group, signs.astype(np.complex128).reshape(n, 1, 1), name=f"chi{mask:b}"
-            )
-        )
-    return out
+    signs = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & x) % 2)  # (mask, element)
+    return [signs.astype(np.complex128).reshape(n, n, 1, 1)]
 
 
-def _dihedral_irreps(group: Group) -> list[Representation]:
+def _dihedral_stacks(group: Group) -> list[np.ndarray]:
     n = group.params[0]
     order = group.order
     a = np.arange(order) % n
     b = np.arange(order) // n
-    out = []
-
-    def one_dim(values):
-        out.append(Representation(group, values.reshape(order, 1, 1), name="chi"))
-
-    one_dim(np.ones(order, dtype=np.complex128))
-    one_dim(np.where(b == 1, -1.0, 1.0).astype(np.complex128))
+    chars = [np.ones(order), np.where(b == 1, -1.0, 1.0)]
     if n % 2 == 0:
-        one_dim(((-1.0) ** a).astype(np.complex128))
-        one_dim(((-1.0) ** (a + b)).astype(np.complex128))
-    two_dim_count = (n - 1) // 2 if n % 2 == 1 else n // 2 - 1
-    reflect = np.array([[1.0, 0.0], [0.0, -1.0]])
-    for h in range(1, two_dim_count + 1):
-        theta = 2 * np.pi * h * a / n
-        mats = np.zeros((order, 2, 2), dtype=np.complex128)
-        mats[:, 0, 0] = np.cos(theta)
-        mats[:, 0, 1] = -np.sin(theta)
-        mats[:, 1, 0] = np.sin(theta)
-        mats[:, 1, 1] = np.cos(theta)
-        flip = b == 1
-        mats[flip] = mats[flip] @ reflect
-        out.append(Representation(group, mats, name=f"rot{h}"))
-    return out
+        chars += [(-1.0) ** a, (-1.0) ** (a + b)]
+    h = np.arange(1, (n - 1) // 2 + 1)[:, None]  # one rotation block per h
+    theta = 2 * np.pi * h * a / n
+    mats = np.zeros((len(h), order, 2, 2), dtype=np.complex128)
+    mats[..., 0, 0] = np.cos(theta)
+    mats[..., 0, 1] = -np.sin(theta)
+    mats[..., 1, 0] = np.sin(theta)
+    mats[..., 1, 1] = np.cos(theta)
+    flip = b == 1
+    mats[:, flip] = mats[:, flip] @ np.array([[1.0, 0.0], [0.0, -1.0]])
+    return [np.array(chars, dtype=np.complex128).reshape(-1, order, 1, 1), mats]
 
 
-def _product_irreps(group: Group) -> list[Representation]:
+def _product_stacks(group: Group) -> list[np.ndarray]:
     g1, g2 = group.factors
-    t1, t2 = irreps_of(g1), irreps_of(g2)
     o2 = g2.order
     idx = np.arange(group.order)
     a, b = idx // o2, idx % o2
-    out = []
-    for p1 in t1.irreps:
-        for p2 in t2.irreps:
-            mats = np.einsum("gij,gkl->gikjl", p1.mats[a], p2.mats[b]).reshape(
-                group.order, p1.dim * p2.dim, p1.dim * p2.dim
-            )
-            out.append(Representation(group, mats, name=f"{p1.name}*{p2.name}"))
-    return out
+    return [
+        np.einsum("pgij,qgkl->pqgikjl", s1[:, a], s2[:, b]).reshape(
+            len(s1) * len(s2), group.order, s1.shape[2] * s2.shape[2], s1.shape[2] * s2.shape[2]
+        )
+        for s1 in irreps_of(g1).stacks
+        for s2 in irreps_of(g2).stacks
+    ]
+
+
+_BUILDERS = {
+    "cyclic": _cyclic_stacks,
+    "sign_flip": _sign_flip_stacks,
+    "dihedral": _dihedral_stacks,
+    "symmetric": _symmetric_stacks,
+    "product": _product_stacks,
+}
+_PEAK_BYTES_PER_ENTRY = 96
 
 
 def irreps_of(group: Group) -> IrrepTable:
@@ -287,36 +271,48 @@ def irreps_of(group: Group) -> IrrepTable:
 
     Supported: cyclic, sign_flip, dihedral, symmetric (d <= 6), and
     products of supported families.  Custom table groups are out of
-    scope for irrep computation.
+    scope for irrep computation.  The build's peak, about
+    ``order**2 * 96`` bytes (the largest peak RSS over order**2 measured
+    on every family at two sizes), is checked against
+    ``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
     """
-    if group.family == "cyclic":
-        raw = _cyclic_irreps(group)
-    elif group.family == "sign_flip":
-        raw = _sign_flip_irreps(group)
-    elif group.family == "dihedral":
-        raw = _dihedral_irreps(group)
-    elif group.family == "symmetric":
-        raw = _symmetric_irreps(group)
-    elif group.family == "product":
-        raw = _product_irreps(group)
-    else:
-        raise CapabilityError(f"irreps not available for family {group.family!r}")
+    builder = _BUILDERS.get(group.family)
+    too_large = group.family == "symmetric" and group.params[0] > SYMMETRIC_IRREPS_MAX_DIM
+    if builder is None or too_large:
+        raise CapabilityError(
+            f"no irreps for {group_spec_string(group)}: supported are cyclic, signflip, dihedral, "
+            f"symmetric up to d = {SYMMETRIC_IRREPS_MAX_DIM} and products of them"
+        )
+    need = group.order**2 * _PEAK_BYTES_PER_ENTRY
+    if need > GROUP_TABLE_MAX_BYTES:
+        raise SizeLimitError(
+            f"irrep table of order {group.order:,} needs about {need:,} bytes "
+            f"(order**2 * {_PEAK_BYTES_PER_ENTRY}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
+        )
+    raw = builder(group)
     partition = conjugacy_classes(group)
     reps = list(partition.representatives)
-    characters = np.array([np.trace(r.mats[reps], axis1=1, axis2=2) for r in raw])
+    characters = np.concatenate([np.trace(s[:, reps], axis1=2, axis2=3) for s in raw])
+    dims = np.concatenate([np.full(len(s), s.shape[2]) for s in raw])
     # trivial first, then by dimension, then by rounded (re, im) per class in turn
-    dims = np.array([r.dim for r in raw])
     trivial = (dims == 1) & (np.abs(characters - 1.0).max(axis=1) < 1e-9)
     values = np.stack([np.round(characters.real, 9), np.round(characters.imag, 9)], axis=2)
-    order = np.lexsort([*values.reshape(len(raw), -1).T[::-1], dims, ~trivial])
-    raw, characters = [raw[i] for i in order], characters[order]
-    table = IrrepTable(
-        group=group,
-        partition=partition,
-        irreps=raw,
-        dims=tuple(r.dim for r in raw),
-        characters=characters,
-    )
+    order = np.lexsort([*values.reshape(len(dims), -1).T[::-1], dims, ~trivial])
+    del values
+    characters = characters[order]
+    # each dimension is a contiguous run of the order: gather its rows from
+    # that dimension's raw stacks, releasing them as it goes
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for stack in raw:
+        by_dim.setdefault(stack.shape[2], []).append(stack)
+    del raw, stack
+    ranked, stacks = dims[order], []
+    for d in sorted(by_dim):
+        parts = by_dim.pop(d)
+        rows = np.searchsorted(np.flatnonzero(dims == d), order[ranked == d])
+        stacks.append((parts[0] if len(parts) == 1 else np.concatenate(parts))[rows])
+    del parts
+    table = IrrepTable(group, partition, stacks, characters)
     table.validate()
     return table
 

@@ -88,18 +88,14 @@ def exact_feasible_on_support(support: Iterable[int], table: IrrepTable) -> Feas
     sup = sorted(set(int(g) for g in support))
     if not sup:
         raise UsageError("support must be nonempty")
-    group = table.group
-    cols = []
-    for g in sup:
-        col = [1.0]
-        for i, rep in enumerate(table.irreps):
-            if i == table.trivial_index:
-                continue
-            block = rep.mats[g].conj().T
-            col.extend(block.real.ravel())
-            col.extend(block.imag.ravel())
-        cols.append(col)
-    mat = np.array(cols).T  # rows: constraints, cols: support weights
+    # rows: the unit sum, then the real and the imaginary parts of each
+    # nontrivial block pi(g)^dagger, row-major; one column per support element
+    rows = [np.ones((1, len(sup)))]
+    for stack in [table.stacks[0][1:], *table.stacks[1:]]:  # the trivial irrep is first
+        k, d = len(stack), stack.shape[2]
+        adjoint = stack[:, sup].conj().transpose(0, 3, 2, 1).reshape(k, d * d, len(sup))
+        rows.append(np.concatenate([adjoint.real, adjoint.imag], axis=1).reshape(-1, len(sup)))
+    mat = np.concatenate(rows)
     rhs = np.zeros(mat.shape[0])
     rhs[0] = 1.0
     sv = np.linalg.svd(mat, compute_uv=False)

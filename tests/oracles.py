@@ -321,3 +321,77 @@ def sym_power_coverage_by_loop(values, max_degree: int, table) -> np.ndarray:
         if present.all():
             break
     return present
+
+
+def _pinned(mats: np.ndarray) -> np.ndarray:
+    """A representation's matrices as stored: element 0 is the exact identity."""
+    mats = np.array(mats, dtype=np.complex128)
+    mats[0] = np.eye(mats.shape[1])
+    return mats
+
+
+def irrep_mats_by_loop(group) -> tuple[list[np.ndarray], np.ndarray]:
+    """Irrep-table oracle: one ``(order, d, d)`` array per irrep, built one
+    irrep at a time as the per-irrep builders did, pinned at the identity
+    and put in table order by the same key, with the characters in that
+    order.  Returns ``(mats, characters)``."""
+    from groupavg.groups import conjugacy_classes, symmetric_permutations
+    from groupavg.irreps import (
+        _adjacent_decomposition,
+        _adjacent_transposition_matrices,
+        partitions_of,
+    )
+
+    n = group.order
+    raw = []
+    if group.family == "cyclic":
+        for j in range(n):
+            raw.append(np.exp(2j * np.pi * j * np.arange(n) / n).reshape(n, 1, 1))
+    elif group.family == "sign_flip":
+        x = np.arange(n)
+        for mask in range(n):
+            signs = 1.0 - 2.0 * (np.bitwise_count(x & mask) % 2)
+            raw.append(signs.astype(np.complex128).reshape(n, 1, 1))
+    elif group.family == "dihedral":
+        m = group.params[0]
+        a, b = np.arange(n) % m, np.arange(n) // m
+        ones = [np.ones(n), np.where(b == 1, -1.0, 1.0)]
+        if m % 2 == 0:
+            ones += [(-1.0) ** a, (-1.0) ** (a + b)]
+        raw += [v.astype(np.complex128).reshape(n, 1, 1) for v in ones]
+        for h in range(1, (m - 1) // 2 + 1):
+            theta = 2 * np.pi * h * a / m
+            mats = np.zeros((n, 2, 2), dtype=np.complex128)
+            mats[:, 0, 0], mats[:, 0, 1] = np.cos(theta), -np.sin(theta)
+            mats[:, 1, 0], mats[:, 1, 1] = np.sin(theta), np.cos(theta)
+            mats[b == 1] = mats[b == 1] @ np.array([[1.0, 0.0], [0.0, -1.0]])
+            raw.append(mats)
+    elif group.family == "symmetric":
+        words = [_adjacent_decomposition(p) for p in symmetric_permutations(group.params[0]).tolist()]
+        for shape in partitions_of(group.params[0]):
+            tabs, gens = _adjacent_transposition_matrices(shape)
+            mats = np.empty((n, len(tabs), len(tabs)), dtype=np.complex128)
+            for g, word in enumerate(words):
+                acc = np.eye(len(tabs))
+                for i in word:
+                    acc = acc @ gens[i]
+                mats[g] = acc
+            raw.append(mats)
+    elif group.family == "product":
+        g1, g2 = group.factors
+        a, b = np.arange(n) // g2.order, np.arange(n) % g2.order
+        second = irrep_mats_by_loop(g2)[0]
+        for p1 in irrep_mats_by_loop(g1)[0]:
+            for p2 in second:
+                d = p1.shape[1] * p2.shape[1]
+                raw.append(np.einsum("gij,gkl->gikjl", p1[a], p2[b]).reshape(n, d, d))
+    else:
+        raise ValueError(group.family)
+    raw = [_pinned(m) for m in raw]
+    reps = list(conjugacy_classes(group).representatives)
+    chars = np.array([np.trace(m[reps], axis1=1, axis2=2) for m in raw])
+    dims = np.array([m.shape[1] for m in raw])
+    trivial = (dims == 1) & (np.abs(chars - 1.0).max(axis=1) < 1e-9)
+    values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+    order = np.lexsort([*values.reshape(len(raw), -1).T[::-1], dims, ~trivial])
+    return [raw[i] for i in order], chars[order]

@@ -42,6 +42,14 @@ def test_kbound_subcommand(tmp_path):
     validate_schema(payload, load_schema("kbound"))
 
 
+def test_kbound_regular_builds_no_regular_matrices(tmp_path):
+    # the regular stack of cyclic:600 needs 600**3 * 16 bytes, over its cap;
+    # K = min(n, sum over q | n of phi(q) * n / q - 1) = min(600, 6499)
+    out = tmp_path / "k"
+    assert run(["kbound", "--group", "cyclic:600", "--rep", "regular", "--out", str(out)]) == 0
+    assert read_json(out / "kbound.json")["k_bound"] == 600
+
+
 def test_certify_uniform_is_exact(tmp_path):
     out = tmp_path / "c"
     code = run(
@@ -322,6 +330,9 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
         ["sample", "--group", "cyclic:4", "--eps", "1e-300"],
         ["sample", "--group", "cyclic:4", "--eps", "5e-324"],
         ["certify", "--group", "cyclic:4", "--config", "{tmp}/nul.cfg"],
+        ["certify", "--group", "cyclic:4", "--config", "{tmp}/h.cfg"],
+        ["group", "--config", "{tmp}/gr.cfg"],
+        ["group", "--gro", "cyclic:3"],
     ],
     ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
          "missing-required-flag", "scheme-file-missing-keys", "empty-range",
@@ -338,12 +349,15 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
          "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
          "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
          "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
-         "config-scheme-path-with-nul"],
+         "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
+         "flag-prefix"],
 )
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "latin1.cfg").write_bytes("group = cyclic:3  # \xe9\n".encode("latin-1"))
     (tmp_path / "nul.cfg").write_text("scheme = file:a\x00b\n")
+    (tmp_path / "h.cfg").write_text("h = 1\n")
+    (tmp_path / "gr.cfg").write_text("gr = cyclic:5\n")
     # json reads NaN and Infinity; the unit-sum check alone passes both
     # files: a NaN weight counts as below the support threshold, and the
     # infinities sum to NaN
@@ -450,21 +464,41 @@ _CONFIG_LINES = st.one_of(
                      "config = x", "path = fourier", "rep ="]),
     st.text(max_size=15),
 )
+_FAMILY_VALUES = st.one_of(
+    st.sampled_from(["signflip", "sign_flip", "cyclic", "dihedral", "symmetric", "product",
+                     "custom", "Cyclic", "", " ", "x"]),
+    st.text(max_size=10),
+)
+_SUPPORT_VALUES = st.one_of(
+    st.lists(st.sampled_from(["000", "001", "010", "111", "11", "0000", "2", "x", "", " 1"]),
+             min_size=1, max_size=4).map(",".join),
+    st.sampled_from([",,", ",", "001,", ",001"]),
+    st.text(max_size=10),
+)
+_PATH_VALUES = st.one_of(st.sampled_from(["projector", "fourier", "xyz", "", "Fourier"]),
+                         st.text(max_size=8))
+# (argv after the subcommand, the string flags drawn on top of it)
 _STRING_FLAGS = {
-    "group": ["--group"],
-    "irreps": ["--group"],
-    "certify": ["--group", "--scheme", "--rep"],
-    "kbound": ["--group", "--rep"],
-    "selftest": [],
+    "group": ([], ["--group"]),
+    "irreps": ([], ["--group"]),
+    "certify": ([], ["--group", "--scheme", "--rep", "--path"]),
+    "kbound": ([], ["--group", "--rep"]),
+    "selftest": ([], []),
+    "separation": (["--range", "2:3", "--trials", "4"], ["--family"]),
+    "lowerbound": (["--d", "3", "--trials", "2"], ["--support"]),
+    "minimize": (["--group", "cyclic:4", "--eps", "0.5", "--trials", "2", "--swaps", "5"],
+                 ["--path"]),
 }
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(command=st.sampled_from(sorted(_STRING_FLAGS)), data=st.data())
 def test_string_flags_and_config_exit_cleanly(command, data):
-    strategies = {"--group": _GROUP_VALUES, "--scheme": _SCHEME_VALUES, "--rep": _REP_VALUES}
-    argv = [command]
-    for flag in _STRING_FLAGS[command]:
+    strategies = {"--group": _GROUP_VALUES, "--scheme": _SCHEME_VALUES, "--rep": _REP_VALUES,
+                  "--family": _FAMILY_VALUES, "--support": _SUPPORT_VALUES, "--path": _PATH_VALUES}
+    base, flags = _STRING_FLAGS[command]
+    argv = [command, *base]
+    for flag in flags:
         argv.append(f"{flag}={data.draw(strategies[flag], label=flag)}")
     lines = data.draw(st.lists(_CONFIG_LINES, max_size=3), label="config")
     err = io.StringIO()
@@ -474,7 +508,7 @@ def test_string_flags_and_config_exit_cleanly(command, data):
         config.write_text("\n".join(lines), encoding="utf-8")
         try:
             code = run([*argv, "--config", str(config), "--out", str(Path(out) / "o")])
-        except SystemExit as stop:  # a config key that abbreviates --help
+        except SystemExit as stop:  # a config key named help
             code = stop.code
     assert code in (0, 1, 2, 3), (argv, lines, code)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, lines)

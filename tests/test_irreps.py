@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,11 @@ from groupavg import (
     regular_rep,
     trivial_rep,
 )
+from groupavg import SizeLimitError
+from groupavg import irreps as irreps_module
+from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.irreps import IrrepTable
-from oracles import character_by_loop, character_layer_reps, decompose_by_loop
+from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
 
 TABLE_SPECS = [
     "cyclic:1",
@@ -186,7 +191,7 @@ def test_validate_rejects_a_reducible_block(tables):
     block = direct_sum(trivial, sign)
     characters = table.characters.copy()
     characters[2] = block.character(table.partition).values
-    bad = IrrepTable(table.group, table.partition, [trivial, sign, block], table.dims, characters)
+    bad = IrrepTable(table.group, table.partition, [table.stacks[0], block.mats[None]], characters)
     with pytest.raises(NumericalConsistencyError, match="orthogonality"):
         bad.validate()
 
@@ -197,3 +202,74 @@ def test_decompose_rejects_a_character_off_the_integers(tables, scale):
     chi = regular_rep(table.group).character(table.partition)
     with pytest.raises(NumericalConsistencyError, match="from an integer"):
         decompose(CharacterVector(chi.group, chi.partition, chi.values * scale), table)
+
+
+STACK_ORACLE_SPECS = {
+    "cyclic": [f"cyclic:{n}" for n in range(1, 129)],
+    "signflip": [f"signflip:{d}" for d in range(1, 9)],
+    "dihedral": [f"dihedral:{n}" for n in range(3, 61)],
+    "symmetric": [f"symmetric:{d}" for d in range(1, 7)],
+    "product": ["product(cyclic:3,dihedral:6)", "product(signflip:2,symmetric:3)"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(STACK_ORACLE_SPECS))
+def test_stacks_match_per_irrep_oracle(family):
+    # same bits as building one irrep at a time and sorting afterwards
+    for spec in STACK_ORACLE_SPECS[family]:
+        table = irreps_of(parse_group_spec(spec))
+        mats, characters = irrep_mats_by_loop(table.group)
+        assert [s.shape[2] for s in table.stacks] == sorted(set(table.dims)), spec
+        want = [np.stack([m for m in mats if m.shape[1] == s.shape[2]]) for s in table.stacks]
+        for got, expect in zip(table.stacks, want):
+            assert np.array_equal(got.view(np.uint64), expect.view(np.uint64)), spec
+        assert np.array_equal(table.characters.view(np.uint64), characters.view(np.uint64)), spec
+
+
+def test_irreps_view_their_stacks(tables):
+    for spec, table in tables.items():
+        views = [(i, s) for s in table.stacks for i in range(len(s))]
+        assert len(views) == len(table.irreps), spec
+        for rep, (i, stack) in zip(table.irreps, views):
+            assert np.shares_memory(rep.mats, stack), spec
+            assert np.array_equal(rep.mats, stack[i]), spec
+
+
+def _fake(family, order, **attrs):
+    return SimpleNamespace(family=family, order=order, **attrs)
+
+
+class _Allocating(Exception):
+    pass
+
+
+class _NumpyStub:
+    """Stands in for numpy inside ``irreps``: any use means the size check passed."""
+
+    def __getattr__(self, name):
+        raise _Allocating(name)
+
+
+@pytest.mark.parametrize(
+    "fits, over",
+    [
+        (_fake("cyclic", 4729), _fake("cyclic", 4730)),
+        (_fake("dihedral", 4728, params=(2364,)), _fake("dihedral", 4730, params=(2365,))),
+        (_fake("sign_flip", 4096, params=(12,)), _fake("sign_flip", 8192, params=(13,))),
+        (_fake("product", 4729, factors=(_fake("cyclic", 1), _fake("cyclic", 4729))),
+         _fake("product", 4730, factors=(_fake("cyclic", 10), _fake("cyclic", 473)))),
+    ],
+    ids=["cyclic", "dihedral", "signflip", "product"],
+)
+def test_irrep_table_cap_is_a_byte_estimate(monkeypatch, fits, over):
+    assert irreps_module._PEAK_BYTES_PER_ENTRY == 96 and GROUP_TABLE_MAX_BYTES == 2 << 30
+    assert 4729**2 * 96 <= GROUP_TABLE_MAX_BYTES < 4730**2 * 96
+    assert fits.order**2 * 96 <= GROUP_TABLE_MAX_BYTES < over.order**2 * 96
+    # every builder allocates with numpy; without it, a size that passes the
+    # check stops at its first allocation and one that fails never gets there
+    monkeypatch.setattr(irreps_module, "np", _NumpyStub())
+    with pytest.raises(SizeLimitError, match=f"needs about {over.order**2 * 96:,} bytes"):
+        irreps_of(over)
+    with pytest.raises(_Allocating):
+        irreps_of(fits)
+
