@@ -4,7 +4,9 @@ Every subcommand writes its artifacts plus a ``<subcommand>_meta.json``
 sidecar (config, seed, tool version, tolerances) into ``--out``; outputs
 are byte-identical for identical (argv, seed) at a fixed BLAS thread
 count.  Exit codes: 0 success, 1 usage error, 2 numerical-consistency
-error, 3 search failure.
+error, 3 search failure.  A run builds the parser of the subcommand it
+names alone; ``--help``, ``--version`` and a missing or unknown
+subcommand build them all.
 """
 
 from __future__ import annotations
@@ -499,12 +501,6 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--config", default=None, help="flat key = value config file; flags win")
-
-
 class _Parser(argparse.ArgumentParser):
     """Argument errors become usage errors (exit 1), not argparse's exit 2.
     A flag, or a config key, must name an option exactly: no prefixes."""
@@ -516,7 +512,89 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_GROUP = ("--group", dict(required=True))
+_REP = ("--rep", dict(default="regular", choices=REP_KINDS))
+_PATH = ("--path", dict(default="projector", choices=["projector", "fourier"]))
+_EPS = ("--eps", dict(type=float, required=True))
+_TRIALS = ("--trials", dict(type=_int_at_least(1), default=40))
+_COMMON = (
+    ("--out", dict(default="out", help="output directory")),
+    ("--seed", dict(type=_int_at_least(0), default=0)),
+    ("--config", dict(default=None, help="flat key = value config file; flags win")),
+)
+
+# name -> (help, handler, flags); every subcommand takes _COMMON after its flags
+_SUBCOMMANDS = {
+    "group": ("build and export a group", cmd_group, [
+        ("--group", dict(required=True, help="e.g. cyclic:12, signflip:6, dihedral:7")),
+    ]),
+    "irreps": ("irrep table and character CSV", cmd_irreps, [_GROUP]),
+    "certify": ("certify a scheme on a representation", cmd_certify, [
+        _GROUP,
+        _REP,
+        ("--scheme", dict(default="uniform", help="uniform | delta:g | random:n | file:path")),
+        _PATH,
+    ]),
+    "sample": ("random scheme at the sufficient draw count", cmd_sample, [
+        _GROUP,
+        _REP,
+        _EPS,
+        ("--delta", dict(type=float, default=0.1)),
+    ]),
+    "minimize": ("search for a small certified scheme", cmd_minimize, [
+        _GROUP,
+        _REP,
+        _PATH,
+        _EPS,
+        _TRIALS,
+        ("--swaps", dict(type=int, default=200)),
+    ]),
+    "kbound": ("polynomial-degree bound of a representation", cmd_kbound, [_GROUP, _REP]),
+    "separation": ("exact vs approximate cost table", cmd_separation, [
+        ("--family", dict(default="signflip")),
+        ("--range", dict(default="2:9", help="inclusive parameter range lo:hi")),
+        ("--eps", dict(type=float, default=0.5)),
+        _TRIALS,
+    ]),
+    "lowerbound": ("generating-set check on sign-flip groups", cmd_lowerbound, [
+        ("--d", dict(type=int, required=True)),
+        ("--support", dict(default=None, help="comma-separated bit-string labels")),
+        ("--trials", dict(type=_int_at_least(1), default=20)),
+    ]),
+    "figure1": ("rotation-averaging demo grids", cmd_figure1, [
+        ("--n", dict(type=int, default=100)),
+        ("--grid", dict(type=int, default=200)),
+        ("--subsets", dict(default="1,5,100")),
+    ]),
+    "regress": ("symmetrized least-squares risk study", cmd_regress, [
+        ("--group", dict(default="signflip:2")),
+        ("--sigma", dict(type=float, default=1.0)),
+        ("--n", dict(type=int, default=400)),
+        ("--trials", dict(type=int, default=2000)),
+        ("--eps", dict(type=float, default=0.0)),
+    ]),
+    "mlp": ("evaluation-time averaging for an invariant MLP task", cmd_mlp, [
+        ("--dim", dict(type=int, default=20)),
+        ("--train", dict(type=int, default=50_000)),
+        ("--test", dict(type=int, default=50_000)),
+        ("--width1", dict(type=int, default=128)),
+        ("--width2", dict(type=int, default=64)),
+        ("--lr", dict(type=float, default=1e-3)),
+        ("--batch", dict(type=int, default=256)),
+        ("--epochs", dict(type=int, default=500)),
+        ("--subset-exponents", dict(default="0,1,2,3,4,5,6,7,8,9,10")),
+        ("--curve-exponent", dict(type=int, default=5)),
+        ("--epoch-eval", dict(type=int, default=2000)),
+    ]),
+    "selftest": ("run the built-in invariant battery", cmd_selftest, []),
+}
+
+
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The ``groupavg`` parser with ``command``'s subparser alone when it
+    names a subcommand, every subparser otherwise (each ``add_argument``
+    builds a help formatter).  Errors print no usage line listing the
+    subcommands, so both give the same namespaces, errors and help."""
     parser = _Parser(
         prog="groupavg",
         description="Averaging schemes over finite groups: construction, "
@@ -524,103 +602,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("group", help="build and export a group")
-    p.add_argument("--group", required=True, help="e.g. cyclic:12, signflip:6, dihedral:7")
-    _add_common(p)
-    p.set_defaults(func=cmd_group)
-
-    p = sub.add_parser("irreps", help="irrep table and character CSV")
-    p.add_argument("--group", required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_irreps)
-
-    p = sub.add_parser("certify", help="certify a scheme on a representation")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=REP_KINDS)
-    p.add_argument("--scheme", default="uniform", help="uniform | delta:g | random:n | file:path")
-    p.add_argument("--path", default="projector", choices=["projector", "fourier"])
-    _add_common(p)
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("sample", help="random scheme at the sufficient draw count")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=REP_KINDS)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--delta", type=float, default=0.1)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("minimize", help="search for a small certified scheme")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=REP_KINDS)
-    p.add_argument("--path", default="projector", choices=["projector", "fourier"])
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--trials", type=_int_at_least(1), default=40)
-    p.add_argument("--swaps", type=int, default=200)
-    _add_common(p)
-    p.set_defaults(func=cmd_minimize)
-
-    p = sub.add_parser("kbound", help="polynomial-degree bound of a representation")
-    p.add_argument("--group", required=True)
-    p.add_argument("--rep", default="regular", choices=REP_KINDS)
-    _add_common(p)
-    p.set_defaults(func=cmd_kbound)
-
-    p = sub.add_parser("separation", help="exact vs approximate cost table")
-    p.add_argument("--family", default="signflip")
-    p.add_argument("--range", default="2:9", help="inclusive parameter range lo:hi")
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--trials", type=_int_at_least(1), default=40)
-    _add_common(p)
-    p.set_defaults(func=cmd_separation)
-
-    p = sub.add_parser("lowerbound", help="generating-set check on sign-flip groups")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--support", default=None, help="comma-separated bit-string labels")
-    p.add_argument("--trials", type=_int_at_least(1), default=20)
-    _add_common(p)
-    p.set_defaults(func=cmd_lowerbound)
-
-    p = sub.add_parser("figure1", help="rotation-averaging demo grids")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--grid", type=int, default=200)
-    p.add_argument("--subsets", default="1,5,100")
-    _add_common(p)
-    p.set_defaults(func=cmd_figure1)
-
-    p = sub.add_parser("regress", help="symmetrized least-squares risk study")
-    p.add_argument("--group", default="signflip:2")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--n", type=int, default=400)
-    p.add_argument("--trials", type=int, default=2000)
-    p.add_argument("--eps", type=float, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_regress)
-
-    p = sub.add_parser("mlp", help="evaluation-time averaging for an invariant MLP task")
-    p.add_argument("--dim", type=int, default=20)
-    p.add_argument("--train", type=int, default=50_000)
-    p.add_argument("--test", type=int, default=50_000)
-    p.add_argument("--width1", type=int, default=128)
-    p.add_argument("--width2", type=int, default=64)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--subset-exponents", default="0,1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--curve-exponent", type=int, default=5)
-    p.add_argument("--epoch-eval", type=int, default=2000)
-    _add_common(p)
-    p.set_defaults(func=cmd_mlp)
-
-    p = sub.add_parser("selftest", help="run the built-in invariant battery")
-    _add_common(p)
-    p.set_defaults(func=cmd_selftest)
-
+    for name in [command] if command in _SUBCOMMANDS else _SUBCOMMANDS:
+        help_text, func, flags = _SUBCOMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in (*flags, *_COMMON):
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str]) -> list[str]:
     """Load a flat key = value file as flags placed before ``argv``; argparse
     keeps the last occurrence of a flag, so explicit flags win."""
     argv = [t for a in argv for t in (a.split("=", 1) if a.startswith("--config=") else [a])]
@@ -648,10 +639,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         if argv and not argv[0].startswith("-"):
-            argv = [argv[0]] + _apply_config_file(parser, argv[1:])
+            argv = [argv[0]] + _apply_config_file(argv[1:])
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

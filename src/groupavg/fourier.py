@@ -66,10 +66,11 @@ def spectral_norm(mat: np.ndarray) -> float:
     The SVD is the one ``np.linalg.norm(mat, 2)`` runs, without its axis
     handling and reduction: singular values come sorted, largest first.
     """
-    mat = np.atleast_2d(mat)
+    mat = np.asarray(mat)
     if mat.size == 1:
-        return float(abs(mat[0, 0]))
-    return float(np.linalg.svd(mat, compute_uv=False)[0])
+        # numpy's abs: Python's complex abs raises OverflowError where it gives inf
+        return float(abs(mat.flat[0]))
+    return float(np.linalg.svd(np.atleast_2d(mat), compute_uv=False)[0])
 
 
 def max_deviation(rep: Representation, block: np.ndarray) -> float:

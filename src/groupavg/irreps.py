@@ -188,20 +188,24 @@ def _adjacent_decomposition(one_line: list[int]) -> list[int]:
 
 
 def _symmetric_stacks(group: Group) -> list[np.ndarray]:
+    """Each element's matrix is the product of its word's generators, left
+    to right from the identity: step j multiplies, in one batched matmul,
+    every element whose word is longer than j by its j-th generator."""
     d = group.params[0]
     words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d).tolist()]
+    lengths = np.array([len(word) for word in words])
+    letters = np.zeros((group.order, lengths.max()), dtype=np.intp)
+    for g, word in enumerate(words):
+        letters[g, : len(word)] = word
     out = []
     for shape in partitions_of(d):
         tabs, gens = _adjacent_transposition_matrices(shape)
-        dim = len(tabs)
-        mats = np.empty((group.order, dim, dim), dtype=np.complex128)
-        eye = np.eye(dim)
-        for g, word in enumerate(words):
-            m = eye
-            for i in word:
-                m = m @ gens[i]
-            mats[g] = m
-        out.append(mats[None])
+        gens, dim = np.array(gens), len(tabs)
+        mats = np.broadcast_to(np.eye(dim), (group.order, dim, dim)).copy()
+        for j in range(letters.shape[1]):
+            live = np.flatnonzero(lengths > j)
+            mats[live] = np.matmul(mats[live], gens[letters[live, j]])
+        out.append(mats.astype(np.complex128)[None])
     return out
 
 

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from groupavg import irreps, reps, schemes, separation
+from groupavg import cli, irreps, reps, schemes, separation
 from groupavg.cli import main
+from groupavg.errors import UsageError
 from groupavg.io import load_schema, validate_schema
 
 
@@ -280,79 +281,81 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
             "--subset-exponents", "0,2", "--curve-exponent", "1"]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["separation", "--range", "2-5"],
-        ["certify", "--group", "cyclic:4", "--scheme", "random:x"],
-        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/missing.json"],
-        ["group", "--group", "cyclic:3", "--bogus"],
-        ["sample", "--group", "cyclic:4"],
-        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/empty.json"],
-        ["separation", "--range", "5:2"],
-        [*TINY_MLP, "--curve-exponent", "6"],
-        [*TINY_MLP, "--subset-exponents", "0,-1"],
-        [*TINY_MLP, "--subset-exponents", "0,x"],
-        [*TINY_MLP, "--batch", "0"],
-        [*TINY_MLP, "--test", "0"],
-        [*TINY_MLP, "--epoch-eval", "0"],
-        [*TINY_MLP, "--dim", "0", "--subset-exponents", "0", "--curve-exponent", "0"],
-        [*TINY_MLP, "--lr", "-1"],
-        [*TINY_MLP, "--lr", "0"],
-        [*TINY_MLP, "--lr", "nan"],
-        ["figure1", "--subsets", "1,x"],
-        ["figure1", "--subsets", "1,,2"],
-        ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,1"],
-        ["certify", "--group", "cyclic:4", "--scheme", "random:3", "--seed", "-1"],
-        ["sample", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
-        ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
-        ["separation", "--range", "2:3", "--seed", "-1"],
-        ["lowerbound", "--d", "3", "--seed", "-1"],
-        ["figure1", "--n", "5", "--grid", "3", "--seed", "-1"],
-        ["regress", "--n", "16", "--trials", "2", "--seed", "-1"],
-        [*TINY_MLP, "--seed", "-1"],
-        ["selftest", "--seed", "-1"],
-        ["lowerbound", "--d", "3", "--trials", "0"],
-        ["regress", "--n", "16", "--trials", "2", "--sigma", "nan"],
-        ["group", "--config", "{tmp}"],
-        ["group", "--config", "{tmp}/latin1.cfg"],
-        ["group", "--config={tmp}/latin1.cfg", "--group", "cyclic:3"],
-        ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--trials", "0"],
-        ["separation", "--range", "2:3", "--trials", "0"],
-        ["regress", "--n", "16", "--trials", "2", "--eps", "-1"],
-        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/nan.json"],
-        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
-        ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
-        ["lowerbound", "--d", "3", "--support", ""],
-        [*TINY_MLP, "--epochs", "0"],
-        [*TINY_MLP, "--epochs", "-1"],
-        ["certify", "--group", "cyclic:4", "--scheme", "random:99999999999999999999999"],
-        ["sample", "--group", "cyclic:4", "--eps", "1e-300"],
-        ["sample", "--group", "cyclic:4", "--eps", "5e-324"],
-        ["certify", "--group", "cyclic:4", "--config", "{tmp}/nul.cfg"],
-        ["certify", "--group", "cyclic:4", "--config", "{tmp}/h.cfg"],
-        ["group", "--config", "{tmp}/gr.cfg"],
-        ["group", "--gro", "cyclic:3"],
-    ],
-    ids=["range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
-         "missing-required-flag", "scheme-file-missing-keys", "empty-range",
-         "mlp-curve-exponent-above-dim", "mlp-negative-exponent", "mlp-non-integer-exponent",
-         "mlp-zero-batch", "mlp-empty-test-set", "mlp-empty-epoch-eval", "mlp-zero-dim",
-         "mlp-negative-lr", "mlp-zero-lr", "mlp-nan-lr",
-         "figure1-non-integer-subset", "figure1-empty-subset", "figure1-repeated-subset",
-         "certify-negative-seed", "sample-negative-seed", "minimize-negative-seed",
-         "separation-negative-seed", "lowerbound-negative-seed", "figure1-negative-seed",
-         "regress-negative-seed", "mlp-negative-seed", "selftest-negative-seed",
-         "lowerbound-zero-trials", "regress-nan-sigma", "config-is-a-directory",
-         "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
-         "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
-         "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
-         "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
-         "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
-         "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
-         "flag-prefix"],
-)
-def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
+_MALFORMED = [
+    ["separation", "--range", "2-5"],
+    ["certify", "--group", "cyclic:4", "--scheme", "random:x"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/missing.json"],
+    ["group", "--group", "cyclic:3", "--bogus"],
+    ["sample", "--group", "cyclic:4"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/empty.json"],
+    ["separation", "--range", "5:2"],
+    [*TINY_MLP, "--curve-exponent", "6"],
+    [*TINY_MLP, "--subset-exponents", "0,-1"],
+    [*TINY_MLP, "--subset-exponents", "0,x"],
+    [*TINY_MLP, "--batch", "0"],
+    [*TINY_MLP, "--test", "0"],
+    [*TINY_MLP, "--epoch-eval", "0"],
+    [*TINY_MLP, "--dim", "0", "--subset-exponents", "0", "--curve-exponent", "0"],
+    [*TINY_MLP, "--lr", "-1"],
+    [*TINY_MLP, "--lr", "0"],
+    [*TINY_MLP, "--lr", "nan"],
+    ["figure1", "--subsets", "1,x"],
+    ["figure1", "--subsets", "1,,2"],
+    ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,1"],
+    ["certify", "--group", "cyclic:4", "--scheme", "random:3", "--seed", "-1"],
+    ["sample", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
+    ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--seed", "-1"],
+    ["separation", "--range", "2:3", "--seed", "-1"],
+    ["lowerbound", "--d", "3", "--seed", "-1"],
+    ["figure1", "--n", "5", "--grid", "3", "--seed", "-1"],
+    ["regress", "--n", "16", "--trials", "2", "--seed", "-1"],
+    [*TINY_MLP, "--seed", "-1"],
+    ["selftest", "--seed", "-1"],
+    ["lowerbound", "--d", "3", "--trials", "0"],
+    ["regress", "--n", "16", "--trials", "2", "--sigma", "nan"],
+    ["group", "--config", "{tmp}"],
+    ["group", "--config", "{tmp}/latin1.cfg"],
+    ["group", "--config={tmp}/latin1.cfg", "--group", "cyclic:3"],
+    ["minimize", "--group", "cyclic:4", "--eps", "0.5", "--trials", "0"],
+    ["separation", "--range", "2:3", "--trials", "0"],
+    ["regress", "--n", "16", "--trials", "2", "--eps", "-1"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/nan.json"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
+    ["lowerbound", "--d", "3", "--support", ""],
+    [*TINY_MLP, "--epochs", "0"],
+    [*TINY_MLP, "--epochs", "-1"],
+    ["certify", "--group", "cyclic:4", "--scheme", "random:99999999999999999999999"],
+    ["sample", "--group", "cyclic:4", "--eps", "1e-300"],
+    ["sample", "--group", "cyclic:4", "--eps", "5e-324"],
+    ["certify", "--group", "cyclic:4", "--config", "{tmp}/nul.cfg"],
+    ["certify", "--group", "cyclic:4", "--config", "{tmp}/h.cfg"],
+    ["group", "--config", "{tmp}/gr.cfg"],
+    ["group", "--gro", "cyclic:3"],
+]
+_MALFORMED_IDS = [
+    "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
+    "missing-required-flag", "scheme-file-missing-keys", "empty-range",
+    "mlp-curve-exponent-above-dim", "mlp-negative-exponent", "mlp-non-integer-exponent",
+    "mlp-zero-batch", "mlp-empty-test-set", "mlp-empty-epoch-eval", "mlp-zero-dim",
+    "mlp-negative-lr", "mlp-zero-lr", "mlp-nan-lr",
+    "figure1-non-integer-subset", "figure1-empty-subset", "figure1-repeated-subset",
+    "certify-negative-seed", "sample-negative-seed", "minimize-negative-seed",
+    "separation-negative-seed", "lowerbound-negative-seed", "figure1-negative-seed",
+    "regress-negative-seed", "mlp-negative-seed", "selftest-negative-seed",
+    "lowerbound-zero-trials", "regress-nan-sigma", "config-is-a-directory",
+    "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
+    "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
+    "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
+    "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
+    "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
+    "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
+         "flag-prefix",
+]
+
+
+def _write_malformed_inputs(tmp_path: Path) -> None:
+    """The files the ``{tmp}`` paths of ``_MALFORMED`` name."""
     (tmp_path / "empty.json").write_text("{}")
     (tmp_path / "latin1.cfg").write_bytes("group = cyclic:3  # \xe9\n".encode("latin-1"))
     (tmp_path / "nul.cfg").write_text("scheme = file:a\x00b\n")
@@ -365,6 +368,11 @@ def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [NaN, 0.5, 0.5]}')
     (tmp_path / "inf.json").write_text(
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [Infinity, -Infinity, 1.0]}')
+
+
+@pytest.mark.parametrize("argv", _MALFORMED, ids=_MALFORMED_IDS)
+def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
+    _write_malformed_inputs(tmp_path)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert run(argv + ["--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
@@ -491,16 +499,21 @@ _STRING_FLAGS = {
 }
 
 
-@settings(max_examples=100, deadline=None)
-@given(command=st.sampled_from(sorted(_STRING_FLAGS)), data=st.data())
-def test_string_flags_and_config_exit_cleanly(command, data):
+def _draw_string_flags(command: str, data) -> tuple[list[str], list[str]]:
+    """An argv of ``command`` with its ``_STRING_FLAGS`` drawn, and config lines."""
     strategies = {"--group": _GROUP_VALUES, "--scheme": _SCHEME_VALUES, "--rep": _REP_VALUES,
                   "--family": _FAMILY_VALUES, "--support": _SUPPORT_VALUES, "--path": _PATH_VALUES}
     base, flags = _STRING_FLAGS[command]
     argv = [command, *base]
     for flag in flags:
         argv.append(f"{flag}={data.draw(strategies[flag], label=flag)}")
-    lines = data.draw(st.lists(_CONFIG_LINES, max_size=3), label="config")
+    return argv, data.draw(st.lists(_CONFIG_LINES, max_size=3), label="config")
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_STRING_FLAGS)), data=st.data())
+def test_string_flags_and_config_exit_cleanly(command, data):
+    argv, lines = _draw_string_flags(command, data)
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
@@ -512,6 +525,104 @@ def test_string_flags_and_config_exit_cleanly(command, data):
             code = stop.code
     assert code in (0, 1, 2, 3), (argv, lines, code)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue(), (argv, lines)
+
+
+def test_a_job_builds_only_its_own_subparser(tmp_path, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert run(["kbound", "--group", "cyclic:4", "--out", str(tmp_path)]) == 0
+    assert built == ["groupavg", "groupavg kbound"]
+
+
+def _parse(parser, argv: list[str]):
+    """What ``main`` makes of ``argv`` short of running it: the namespace
+    (as its repr, so NaN values compare), the usage error's text, or the
+    exit code and output of ``--help``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            return repr(parser.parse_args([argv[0], *cli._apply_config_file(argv[1:])]))
+    except UsageError as exc:
+        return str(exc)
+    except SystemExit as stop:  # --help, also as a config key
+        return stop.code, out.getvalue()
+
+
+def _parses_as_the_full_parser(argv: list[str]) -> None:
+    narrowed = cli.build_parser(argv[0])
+    assert list(narrowed._subparsers._group_actions[0].choices) == [argv[0]]
+    assert _parse(narrowed, argv) == _parse(cli.build_parser(), argv), argv
+
+
+# one valid run of each subcommand
+_VALID = {
+    "group": ["group", "--group", "cyclic:3"],
+    "irreps": ["irreps", "--group", "dihedral:3"],
+    "certify": ["certify", "--group", "cyclic:4", "--scheme", "random:3", "--path", "fourier"],
+    "sample": ["sample", "--group", "cyclic:4", "--eps", "0.5", "--rep", "sign"],
+    "minimize": _NUMBER_FLAGS["minimize"][0],
+    "kbound": ["kbound", "--group", "cyclic:4", "--rep", "permutation"],
+    "separation": _NUMBER_FLAGS["separation"][0],
+    "lowerbound": [*_NUMBER_FLAGS["lowerbound"][0], "--support", "001,010"],
+    "figure1": _NUMBER_FLAGS["figure1"][0],
+    "regress": _NUMBER_FLAGS["regress"][0],
+    "mlp": _NUMBER_FLAGS["mlp"][0],
+    "selftest": ["selftest", "--seed", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", [*_MALFORMED, *_VALID.values()],
+                         ids=[*_MALFORMED_IDS, *(f"valid-{name}" for name in _VALID)])
+def test_narrowed_parser_parses_as_the_full_one(argv, tmp_path):
+    _write_malformed_inputs(tmp_path)
+    (tmp_path / "help.cfg").write_text("help = 1\n")
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    _parses_as_the_full_parser([*argv, "--out", str(tmp_path / "x")])
+    _parses_as_the_full_parser([*argv, "--config", str(tmp_path / "help.cfg")])
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(sorted(_STRING_FLAGS)), data=st.data())
+def test_narrowed_parser_parses_string_flags_as_the_full_one(command, data):
+    argv, lines = _draw_string_flags(command, data)
+    with tempfile.TemporaryDirectory() as out:
+        config = Path(out) / "run.cfg"
+        config.write_text("\n".join(lines), encoding="utf-8")
+        _parses_as_the_full_parser([*argv, "--config", str(config), "--out", out])
+
+
+# sha256 of the help texts at COLUMNS=80, recorded with Python 3.11's argparse
+# when every subparser was built on each call
+HELP_SHA256 = {
+    None: "006444527d123791103742d2eb2989cdfe1702be50c88535e53ad2cbdaa7a11b",
+    "group": "c48966241896495024894e0abfe85c8ef9a42125f878cdcc45d9ceed98533a16",
+    "irreps": "dde566cf5a2acaa3866b9cabbe23dccbc30e2d3ef13b77f4532cbe254df5e0b8",
+    "certify": "7446d5b15b822d54d26443680c822d531085ab57b0e0f8694c9f37b019144323",
+    "sample": "0ee2e68e967e6255da99a01e14ae55c2f9e0ceb3a3e1fd255da7baf28dad40e5",
+    "minimize": "59e5eba4e26c831aa8e5211081cce5b52a244b4cfc7062cc268d35c908fd8fb9",
+    "kbound": "865d7b581b94d51081e5a8a35af180067179b06e166f41815ea603754c41efd2",
+    "separation": "7ea40041088d04c852be3745a634db6324c68172ae19abf12556384ae77544ca",
+    "lowerbound": "d3e5b10c73eb6b35218511be47f8e53e715b52199efc68bc612166c588f9b589",
+    "figure1": "9f34a7cd0b61ef311ac198965fd606ec1a27946901025346fdbcfe9ebca62abc",
+    "regress": "708065cb2187d3399ed3a85383cd61a72561117435b1b6043dde282396772ec8",
+    "mlp": "5cf85c274dc161773bb859478809c0d450a1c5ca8e76cf005379b416f0ec5382",
+    "selftest": "8c4fc5081390e4a27c93cb48e1b3cb4c526bf1a4f074a398c44195717b1ff66b",
+}
+
+
+@pytest.mark.parametrize("command", list(HELP_SHA256), ids=str)
+def test_help_texts_keep_their_bytes(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run(["--help"] if command is None else [command, "--help"])
+    assert stop.value.code == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HELP_SHA256[command]
 
 
 def test_meta_tolerances_are_the_module_constants(tmp_path):

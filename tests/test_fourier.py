@@ -155,6 +155,21 @@ def test_scalar_spectral_norm_is_abs():
         assert abs(spectral_norm(block) - svd) <= 1e-15 * svd
 
 
+def test_scalar_spectral_norm_has_the_bits_of_numpy_abs():
+    rng = np.random.default_rng(0)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324]
+    real = np.concatenate([rng.normal(size=10_000), special])
+    complex_ = np.concatenate([rng.normal(size=10_000) + 1j * rng.normal(size=10_000),
+                               special, [complex(-0.0, np.nan), 1.5e308 + 1.5e308j]])
+    for values in (real, complex_):
+        # 1x1 views of one stack, as the certificates pass them
+        got = np.array([spectral_norm(block) for block in values.reshape(-1, 1, 1)])
+        want = np.array([float(abs(np.atleast_2d(v)[0, 0])) for v in values])
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # Python's complex abs would raise OverflowError here
+    assert spectral_norm(np.array([[1.5e308 + 1.5e308j]])) == np.inf
+
+
 def _norm_blocks(d: int, complex_: bool) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(10 * d + complex_)
 
