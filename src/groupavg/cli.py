@@ -633,7 +633,10 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         if "=" not in line:
             raise UsageError(f"malformed config line {line!r}")
         key, _, value = line.partition("=")
-        extra.extend(["--" + key.strip().replace("_", "-"), value.strip()])
+        flag = "--" + key.strip().replace("_", "-")
+        if flag == "--help":  # the one option of a subcommand that stores no value
+            raise UsageError(f"config key {key.strip()!r} takes no value")
+        extra.extend([flag, value.strip()])
     return extra + argv
 
 

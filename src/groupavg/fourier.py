@@ -2,11 +2,14 @@
 
 Transforms are direct summations against an irrep table (no fast
 transform), one summation per irrep dimension over the table's stacked,
-conjugated matrices; spectral norms are closed form on 1x1 blocks and
-dense SVD on larger ones.  The weak certificate skips the SVD of every
-block whose Frobenius norm cannot beat the running maximum; it keeps
-the same bits, since sigma_max <= ||.||_F and the maximum does not
-depend on the order the blocks are visited in.  The per-element
+conjugated matrices.  The coefficients keep that layout: one ``(k, d, d)``
+stack per irrep dimension, and the per-irrep blocks are views of it.
+Spectral norms are closed form on 1x1 blocks and dense SVD on larger
+ones.  The weak certificate takes the Frobenius norms of a stack in one
+reduction and skips the SVD of every block whose Frobenius norm cannot
+beat the running maximum; it keeps the same bits, since
+sigma_max <= ||.||_F and the maximum does not depend on the order the
+blocks are visited in.  The per-element
 deviation behind the strong certificate takes one SVD per element.  On
 a permutation action it moves rows instead of multiplying and takes its
 SVDs in real arithmetic; otherwise it forms every
@@ -15,6 +18,8 @@ SVDs in real arithmetic; otherwise it forms every
 
 from __future__ import annotations
 
+import bisect
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,10 +59,19 @@ class GroupSignal:
 
 @dataclass
 class FourierCoefficients:
-    """One ``d_pi x d_pi`` complex matrix per irrep of the table."""
+    """The transform over an irrep table, as the table lays out its irreps.
+
+    ``stacks`` holds one ``(k, d, d)`` complex array per stack of the
+    table, in the same order; ``mats`` lists one ``d_pi x d_pi`` view per
+    irrep, in table order, made when first read.
+    """
 
     table: IrrepTable
-    mats: list[np.ndarray]
+    stacks: list[np.ndarray]
+
+    @functools.cached_property
+    def mats(self) -> list[np.ndarray]:
+        return [m for stack in self.stacks for m in stack]
 
 
 def spectral_norm(mat: np.ndarray) -> float:
@@ -104,10 +118,8 @@ def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoeffici
         raise GroupMismatchError("signal and table are over different groups")
     idx = signal.support
     w = signal.weights[idx]
-    mats: list = []
-    for conj_stack in table.conj_stacks:
-        mats.extend(np.einsum("g,kgji->kij", w, conj_stack[:, idx]))
-    return FourierCoefficients(table=table, mats=mats)
+    stacks = [np.einsum("g,kgji->kij", w, s[:, idx], order="C") for s in table.conj_stacks]
+    return FourierCoefficients(table=table, stacks=stacks)
 
 
 def inverse_fourier(coeffs: FourierCoefficients, table: IrrepTable) -> GroupSignal:
@@ -115,13 +127,12 @@ def inverse_fourier(coeffs: FourierCoefficients, table: IrrepTable) -> GroupSign
     if coeffs.table.group != table.group:
         raise GroupMismatchError("coefficients and table are over different groups")
     n = table.group.order
-    for d, mat in zip(table.dims, coeffs.mats):
-        if mat.shape != (d, d):
-            raise UsageError(f"coefficient block has shape {mat.shape}, expected {(d, d)}")
+    shapes = [(len(s), s.shape[2], s.shape[2]) for s in table.stacks]
+    if [np.shape(c) for c in coeffs.stacks] != shapes:
+        raise UsageError(f"coefficient stacks have shapes "
+                         f"{[np.shape(c) for c in coeffs.stacks]}, expected {shapes}")
     out = np.zeros(n, dtype=np.complex128)
-    ends = np.cumsum([len(s) for s in table.stacks])
-    for stack, end in zip(table.stacks, ends):
-        blocks = coeffs.mats[end - len(stack) : end]
+    for blocks, stack in zip(coeffs.stacks, table.stacks):
         out += stack.shape[2] * np.einsum("kij,kgji->g", blocks, stack)
     out /= n
     if np.abs(out.imag).max() < 1e-12:
@@ -134,7 +145,7 @@ def plancherel_residual(signal: GroupSignal, table: IrrepTable) -> float:
     coeffs = fourier_transform(signal, table)
     lhs = float((np.abs(signal.weights) ** 2).sum())
     rhs = sum(
-        d * float((np.abs(m) ** 2).sum()) for d, m in zip(table.dims, coeffs.mats)
+        s.shape[2] * float((np.abs(s) ** 2).sum()) for s in coeffs.stacks
     ) / table.group.order
     return abs(lhs - rhs)
 
@@ -150,28 +161,35 @@ def max_nontrivial_norm(
     multiplicity in a supplied decomposition vector.
 
     Pruned but exact: 1x1 blocks go first, then larger blocks in
-    decreasing squared Frobenius norm, and the SVDs stop at the first
-    block whose Frobenius bound, widened for rounding, falls below the
-    running maximum.  sigma_max <= ||.||_F, so no skipped block could
-    raise the maximum, and ``max`` does not depend on the order of its
-    arguments, so the result has the same bits as the maximum over
-    every block.
+    decreasing squared Frobenius norm (one reduction per stack, ties in
+    table order), and the SVDs stop at the first block whose Frobenius
+    bound, widened for rounding, falls below the running maximum.
+    sigma_max <= ||.||_F, so no skipped block could raise the maximum,
+    and ``max`` does not depend on the order of its arguments, so the
+    result has the same bits as the maximum over every block.
     """
     best = 0.0
-    blocks = []
-    for i, mat in enumerate(coeffs.mats):
-        if i == table.trivial_index:
-            continue
-        if restrict_to is not None and restrict_to[i] < 1:
-            continue
-        if mat.size == 1:
-            best = max(best, spectral_norm(mat) ** 2)
-        else:
-            blocks.append((float(np.vdot(mat, mat).real), mat))
-    for frob2, mat in sorted(blocks, key=lambda fm: fm[0], reverse=True):
-        if frob2 * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
+    frob2, parts, starts = [], [], []
+    first = 0
+    for stack in coeffs.stacks:
+        kept = stack[1:] if first == 0 else stack  # the trivial irrep opens the table
+        end = first + len(stack)
+        if restrict_to is not None:
+            kept = kept[~(np.asarray(restrict_to[end - len(kept) : end]) < 1)]
+        first = end
+        if stack.shape[2] == 1:
+            for mat in kept:
+                best = max(best, spectral_norm(mat) ** 2)
+        elif len(kept):
+            flat = kept.reshape(len(kept), -1)
+            starts.append(len(frob2))
+            frob2 += np.vecdot(flat, flat).real.tolist()  # the bits of np.vdot per block
+            parts.append(kept)
+    for i in sorted(range(len(frob2)), key=frob2.__getitem__, reverse=True):  # stable
+        if frob2[i] * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
             break
-        best = max(best, spectral_norm(mat) ** 2)
+        p = bisect.bisect_right(starts, i) - 1
+        best = max(best, spectral_norm(parts[p][i - starts[p]]) ** 2)
     return best
 
 

@@ -54,8 +54,9 @@ REGULAR_REP_MAX_BYTES = 2 << 30
 
 
 def _max_frobenius(diff: np.ndarray) -> float:
-    """Largest Frobenius norm over the trailing matrix axes of ``diff``."""
-    return float(np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+    """Largest Frobenius norm over the matrices of the ``(k, d, d)`` stack ``diff``."""
+    flat = diff.reshape(len(diff), -1)
+    return float(np.sqrt(np.vecdot(flat, flat).real.max()))
 
 
 def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray) -> bool:
@@ -104,12 +105,15 @@ def _signed_permutation_of(mats: np.ndarray) -> Optional[tuple[np.ndarray, np.nd
 
 def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     """Bound on the deviation over all pairs from each element against the
-    group's word basis, one batched product per basis element (proof at
-    :meth:`Group.word_basis`).  A NaN in any product is the result."""
+    group's word basis, one ``(order * dim, dim) @ (dim, dim)`` product per
+    basis element: the rows of every rho(g) side by side times rho(t) (proof
+    at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
+    rows = mats.reshape(-1, mats.shape[2])
     worst = 0.0
     for t in basis:
-        worst = np.maximum(worst, _max_frobenius(mats[group.mult[:, t]] - mats @ mats[t]))
+        prods = (rows @ mats[t]).reshape(mats.shape)
+        worst = np.maximum(worst, _max_frobenius(mats[group.mult[:, t]] - prods))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 

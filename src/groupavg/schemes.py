@@ -57,10 +57,9 @@ class AveragingScheme:
         if support.size and (support.min() < 0 or support.max() >= self.group.order):
             raise UsageError("support index out of range")
         # merge duplicates in input order from 0.0, sort, drop numerically-zero weights
-        elements, inverse = np.unique(support, return_inverse=True)
-        merged = np.bincount(inverse, weights=weights, minlength=elements.size)
-        keep = np.abs(merged) > SUPPORT_EPS
-        self.support, self.weights = elements[keep], merged[keep]
+        merged = np.bincount(support, weights=weights, minlength=self.group.order)
+        self.support = np.flatnonzero(np.abs(merged) > SUPPORT_EPS)
+        self.weights = merged[self.support]
         total = float(self.weights.sum())
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise UsageError(f"weights sum to {total!r}, expected 1")
@@ -128,9 +127,9 @@ def delta_scheme(group: Group, g: int) -> AveragingScheme:
 
 def random_scheme(group: Group, n: int, seed) -> AveragingScheme:
     """Empirical measure of n i.i.d. uniform draws; collisions merge."""
-    draws = sample_uniform(group, n, seed)
-    support, counts = np.unique(draws, return_counts=True)
-    return AveragingScheme(group, support, counts / float(n))
+    counts = np.bincount(sample_uniform(group, n, seed), minlength=group.order)
+    support = np.flatnonzero(counts)
+    return AveragingScheme(group, support, counts[support] / float(n))
 
 
 def required_sample_count(order: int, eps: float, delta: float) -> int:

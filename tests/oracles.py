@@ -191,6 +191,80 @@ def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:
     return best
 
 
+def sorted_weak_visits(blocks, table, restrict_to=None) -> list[int]:
+    """Weak-certificate visiting oracle, the ``sorted`` form: the indices of
+    the blocks whose spectral norm the pruned certificate takes, in order.
+    Every nontrivial 1x1 block in table order, then the larger ones by
+    decreasing ``np.vdot`` squared Frobenius norm (``sorted(reverse=True)``
+    keeps ties in table order), stopping at the first one whose widened
+    bound falls below the running maximum."""
+    from groupavg.fourier import _PRUNE_FLOOR, _PRUNE_MARGIN
+
+    best, visits, larger = 0.0, [], []
+    for i, mat in enumerate(blocks):
+        if i == table.trivial_index or (restrict_to is not None and restrict_to[i] < 1):
+            continue
+        if mat.size == 1:
+            visits.append(i)
+            best = max(best, float(abs(mat[0, 0])) ** 2)
+        else:
+            larger.append((float(np.vdot(mat, mat).real), i))
+    for frob2, i in sorted(larger, key=lambda fi: fi[0], reverse=True):
+        if frob2 * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
+            break
+        visits.append(i)
+        best = max(best, float(np.linalg.norm(blocks[i], 2)) ** 2)
+    return visits
+
+
+def fourier_blocks_by_list(signal, table) -> list[np.ndarray]:
+    """Fourier-transform oracle, the list form: one einsum per stack of the
+    table's conjugated matrices, its blocks appended to one list of
+    per-irrep arrays in table order."""
+    idx = signal.support
+    w = signal.weights[idx]
+    blocks = []
+    for conj_stack in table.conj_stacks:
+        blocks.extend(np.einsum("g,kgji->kij", w, conj_stack[:, idx]))
+    return blocks
+
+
+def unique_merged_support(support, weights, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Scheme-normalization oracle, the ``np.unique`` form: duplicates merged
+    by a bincount over ``np.unique``'s inverse, in input order from 0.0,
+    sorted, and weights of magnitude at most ``support_eps`` dropped."""
+    elements, inverse = np.unique(np.asarray(support, dtype=np.int64), return_inverse=True)
+    merged = np.bincount(inverse, weights=np.asarray(weights, dtype=np.float64),
+                         minlength=elements.size)
+    keep = np.abs(merged) > support_eps
+    return elements[keep], merged[keep]
+
+
+def unique_random_scheme(group, n: int, seed, support_eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Random-scheme oracle, the ``np.unique`` form: the seeded draws counted
+    by ``np.unique(..., return_counts=True)``, divided by n, then normalized
+    by :func:`unique_merged_support`.  Returns ``(support, weights)``."""
+    from groupavg.groups import sample_uniform
+
+    support, counts = np.unique(sample_uniform(group, n, seed), return_counts=True)
+    return unique_merged_support(support, counts / float(n), support_eps)
+
+
+def stacked_homomorphism_residual(mats: np.ndarray, group) -> float:
+    """Word-basis homomorphism oracle, the stacked form: for each basis
+    element t, |G| stacked d x d products ``mats @ mats[t]``, Frobenius norms
+    through ``np.abs``, scaled by the word-basis factor."""
+    from groupavg.reps import UNITARITY_TOL
+
+    basis, depth = group.word_basis()
+    worst = 0.0
+    for t in basis:
+        diff = mats[group.mult[:, t]] - mats @ mats[t]
+        worst = np.maximum(worst, np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+    sigma = math.sqrt(1.0 + UNITARITY_TOL)
+    return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
+
+
 def eigvals_profile(rep) -> tuple[tuple[tuple[int, int], ...], np.ndarray]:
     """Independent eigenvalue-profile oracle: one dense eigensolve per
     element, each eigenvalue snapped to the nearest root of unity of the

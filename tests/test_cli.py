@@ -332,6 +332,7 @@ _MALFORMED = [
     ["certify", "--group", "cyclic:4", "--config", "{tmp}/h.cfg"],
     ["group", "--config", "{tmp}/gr.cfg"],
     ["group", "--gro", "cyclic:3"],
+    ["certify", "--group", "cyclic:4", "--config", "{tmp}/help.cfg"],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -350,7 +351,7 @@ _MALFORMED_IDS = [
     "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
     "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
     "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
-         "flag-prefix",
+         "flag-prefix", "config-key-help",
 ]
 
 
@@ -361,6 +362,7 @@ def _write_malformed_inputs(tmp_path: Path) -> None:
     (tmp_path / "nul.cfg").write_text("scheme = file:a\x00b\n")
     (tmp_path / "h.cfg").write_text("h = 1\n")
     (tmp_path / "gr.cfg").write_text("gr = cyclic:5\n")
+    (tmp_path / "help.cfg").write_text("help = 1\n")  # stores no value: not a help request
     # json reads NaN and Infinity; the unit-sum check alone passes both
     # files: a NaN weight counts as below the support threshold, and the
     # infinities sum to NaN
@@ -550,7 +552,7 @@ def _parse(parser, argv: list[str]):
             return repr(parser.parse_args([argv[0], *cli._apply_config_file(argv[1:])]))
     except UsageError as exc:
         return str(exc)
-    except SystemExit as stop:  # --help, also as a config key
+    except SystemExit as stop:  # --help
         return stop.code, out.getvalue()
 
 
@@ -581,7 +583,6 @@ _VALID = {
                          ids=[*_MALFORMED_IDS, *(f"valid-{name}" for name in _VALID)])
 def test_narrowed_parser_parses_as_the_full_one(argv, tmp_path):
     _write_malformed_inputs(tmp_path)
-    (tmp_path / "help.cfg").write_text("help = 1\n")
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     _parses_as_the_full_parser([*argv, "--out", str(tmp_path / "x")])
     _parses_as_the_full_parser([*argv, "--config", str(tmp_path / "help.cfg")])

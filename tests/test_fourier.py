@@ -31,7 +31,12 @@ from groupavg import (
 from groupavg import fourier as fourier_module
 from groupavg.fourier import coefficients_to_json, max_deviation, spectral_norm
 
-from oracles import dense_max_deviation, unpruned_max_nontrivial_norm
+from oracles import (
+    dense_max_deviation,
+    fourier_blocks_by_list,
+    sorted_weak_visits,
+    unpruned_max_nontrivial_norm,
+)
 
 SIGNAL_SPECS = ["cyclic:5", "signflip:2", "dihedral:4", "symmetric:3", "symmetric:4"]
 
@@ -241,6 +246,54 @@ def test_pruned_weak_certificate_has_the_bits_of_the_full_maximum(
     restrict_to = np.random.default_rng(seed).integers(0, 2, len(table)) if restrict else None
     got = max_nontrivial_norm(coeffs, table, restrict_to=restrict_to)
     assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table, restrict_to).hex()
+
+
+def _bits(mat: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(mat).view(np.uint64)
+
+
+@pytest.mark.parametrize("spec", SIGNAL_SPECS + WEAK_SPECS)
+def test_coefficient_stacks_have_the_bits_of_the_per_irrep_list(spec, weak_tables):
+    table = weak_tables.get(spec) or irreps_of(parse_group_spec(spec))
+    n = table.group.order
+    rng = np.random.default_rng(n)
+    signals = [random_scheme(table.group, 5, 1).to_signal(), uniform_scheme(table.group).to_signal()]
+    for trial in range(4):
+        w = rng.normal(size=n) * (rng.random(n) < 0.5)  # about half the elements in the support
+        signals.append(GroupSignal(table.group, w + 1j * rng.normal(size=n) if trial % 2 else w))
+    for signal in signals:
+        coeffs = fourier_transform(signal, table)
+        assert "mats" not in vars(coeffs)  # the per-irrep views are made when first read
+        assert [s.shape for s in coeffs.stacks] == [(len(s), s.shape[2], s.shape[2])
+                                                    for s in table.stacks]
+        want = fourier_blocks_by_list(signal, table)
+        assert len(coeffs.mats) == len(want) == len(table)
+        for i, (got, block) in enumerate(zip(coeffs.mats, want)):
+            assert any(np.shares_memory(got, s) for s in coeffs.stacks), i
+            assert np.array_equal(_bits(got), _bits(block)), (spec, i)
+
+
+def test_weak_certificate_visits_blocks_in_the_sorted_order(weak_tables, monkeypatch):
+    seen = []
+
+    def recording(mat):
+        seen.append(mat)
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
+    for spec, table in weak_tables.items():
+        for kind in ("uniform", "delta", "random", "signed"):
+            for seed in range(6):
+                scheme = _weak_scheme(table.group, kind, 1 + 3 * seed, seed)
+                coeffs = fourier_transform(scheme.to_signal(), table)
+                restrict_to = np.random.default_rng(seed).integers(0, 2, len(table))
+                for restrict in (None, restrict_to):
+                    seen.clear()
+                    max_nontrivial_norm(coeffs, table, restrict_to=restrict)
+                    want = sorted_weak_visits(coeffs.mats, table, restrict)
+                    assert len(seen) == len(want), (spec, kind, seed)
+                    for got, i in zip(seen, want):
+                        assert np.array_equal(got, coeffs.mats[i]), (spec, kind, seed, i)
 
 
 def test_weak_certificate_skips_blocks_below_the_running_maximum(weak_tables, monkeypatch):

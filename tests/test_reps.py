@@ -37,6 +37,7 @@ from oracles import (
     power_class_map_by_loop,
     seeded_pairs,
     signed_permutation_by_masks,
+    stacked_homomorphism_residual,
     sym_power_character_by_restart,
     sym_power_perms_by_loop,
 )
@@ -745,6 +746,29 @@ def test_homomorphism_residual_bounds_every_pair():
         oracle = all_pairs_homomorphism_residual(rep.mats, rep.group.mult)
         resid = rep.homomorphism_residual()
         assert oracle <= resid <= _word_factor(rep.group) * oracle, (rep.group, rep.name)
+
+
+def test_row_gemm_residual_matches_the_stacked_products():
+    """One ``(order * dim, dim)`` product per basis element gives the residual
+    of the per-element stacked products, up to the rounding of the norms."""
+    cases = []
+    for spec in ("dihedral:58", "symmetric:5", "product(cyclic:3,dihedral:12)"):
+        irreps = [r for r in irreps_of(parse_group_spec(spec)).irreps if r.dim > 1]
+        cases += irreps + [_corrupted(r, g, phase) for r in irreps[:2] for g in (1, r.group.order - 1)
+                           for phase in (1e-6, np.pi)]
+    for rep in cases:
+        got = reps_module._dense_homomorphism_residual(rep.mats, rep.group)
+        want = stacked_homomorphism_residual(rep.mats, rep.group)
+        assert abs(got - want) <= 1e-12 * want, (rep.group, rep.name, got, want)
+
+
+def test_every_corrupted_element_of_a_two_dim_irrep_is_rejected():
+    rep = next(r for r in irreps_of(parse_group_spec("dihedral:58")).irreps if r.dim == 2)
+    for g in range(1, rep.group.order):
+        bad = _corrupted(rep, g, np.pi / 3)
+        assert bad.unitarity_residual() < RESID
+        with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+            bad.validate()
 
 
 # -- symmetric powers of signed permutation actions -------------------------------

@@ -30,7 +30,8 @@ from groupavg import (
     uniform_scheme,
 )
 from groupavg.fourier import SUPPORT_EPS
-from oracles import merged_support
+from oracles import merged_support, unique_merged_support, unique_random_scheme
+from test_irreps import TABLE_SPECS
 
 def sign_rep_c2():
     table = irreps_of(parse_group_spec("cyclic:2"))
@@ -99,6 +100,21 @@ def test_scheme_merge_matches_dict_oracle_random(draws):
     sch = AveragingScheme(parse_group_spec("cyclic:12"), support, weights)
     assert np.array_equal(sch.support, expect_support)
     assert np.array_equal(sch.weights, expect_weights)
+    unique_support, unique_weights = unique_merged_support(support, weights, SUPPORT_EPS)
+    assert np.array_equal(sch.support, unique_support) and sch.support.dtype == np.int64
+    assert np.array_equal(sch.weights.view(np.uint64), unique_weights.view(np.uint64))
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_random_scheme_has_the_bits_of_np_unique(spec):
+    group = parse_group_spec(spec)
+    for n in (1, 2, 5, group.order, 3 * group.order + 1):
+        for seed in range(4):
+            got = random_scheme(group, n, np.random.SeedSequence(entropy=seed, spawn_key=(n, 0)))
+            support, weights = unique_random_scheme(
+                group, n, np.random.SeedSequence(entropy=seed, spawn_key=(n, 0)), SUPPORT_EPS)
+            assert np.array_equal(got.support, support) and got.support.dtype == np.int64
+            assert np.array_equal(got.weights.view(np.uint64), weights.view(np.uint64))
 
 
 def test_random_scheme_contract():
