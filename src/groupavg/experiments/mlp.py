@@ -20,6 +20,11 @@ INIT_SCALE = 1.0  # weights/biases ~ U(-c/sqrt(fan_in), +c/sqrt(fan_in)) with c 
 # predictions are summed within a chunk first, so this constant fixes
 # the summation order and with it the bits of every averaged prediction.
 PATTERN_CHUNK = 32
+# Flipped rows per forward call within a chunk; the remainder joins the
+# last block.  Every block starts at a multiple of this power of two, so
+# each row sits where it would in one call over the whole chunk, and the
+# BLAS kernels (one thread) give it the same bits.
+FORWARD_ROWS = 1024
 
 
 @dataclass
@@ -110,16 +115,24 @@ def averaged_predictions(model: SignAveragedMlp, x: np.ndarray, signs: np.ndarra
     """Mean prediction over sign patterns applied to the inputs.
 
     ``model`` needs only ``forward``.  Patterns go through it
-    ``PATTERN_CHUNK`` at a time, stacked as one batch of flipped inputs;
-    each chunk's predictions are summed over its patterns and added to
-    the running total, in pattern order.
+    ``PATTERN_CHUNK`` at a time, as one batch of flipped inputs, pattern
+    by pattern; each chunk's predictions are summed over its patterns and
+    added to the running total, in pattern order.  The batch is built and
+    evaluated ``FORWARD_ROWS`` rows at a time, so memory beyond the
+    chunk's predictions does not grow with the number of inputs.
     """
-    total = np.zeros(x.shape[0])
+    n = x.shape[0]
+    total = np.zeros(n)
     for start in range(0, signs.shape[0], PATTERN_CHUNK):
         block = signs[start : start + PATTERN_CHUNK]
-        flipped = x[None, :, :] * block[:, None, :]
-        flat = flipped.reshape(-1, x.shape[1])
-        total += model.forward(flat).reshape(block.shape[0], x.shape[0]).sum(axis=0)
+        rows = block.shape[0] * n
+        edges = np.arange(max(1, rows // FORWARD_ROWS) + 1) * FORWARD_ROWS
+        edges[-1] = rows
+        preds = np.empty(rows)
+        for lo, hi in zip(edges[:-1].tolist(), edges[1:].tolist()):
+            row = np.arange(lo, hi)  # pattern row // n applied to input row % n
+            preds[lo:hi] = model.forward(x[row % n] * block[row // n])
+        total += preds.reshape(block.shape[0], n).sum(axis=0)
     return total / signs.shape[0]
 
 

@@ -67,8 +67,10 @@ def averaged_field(xs: np.ndarray, ys: np.ndarray, angles: np.ndarray) -> np.nda
 def rotation_averaging_demo(cfg: RotationDemoConfig) -> RotationDemoResult:
     """Run the demo; subset draws are without replacement and sorted.
 
-    Sorting makes the full-size draw bitwise identical to the full-group
-    average and keeps per-seed output deterministic.
+    Sorting makes the full-size draw ``arange(n)``, whose average is the
+    full-group average bit for bit, so that subset reuses it; the draw is
+    still made, to keep the random stream of later sizes.  Sorting also
+    keeps per-seed output deterministic.
     """
     n = cfg.n_rotations
     all_angles = 2.0 * np.pi * np.arange(n) / n
@@ -83,7 +85,7 @@ def rotation_averaging_demo(cfg: RotationDemoConfig) -> RotationDemoResult:
     for m in cfg.subset_sizes:
         picks = np.sort(rng.choice(n, size=m, replace=False))
         angles = all_angles[picks]
-        avg = averaged_field(xs, ys, angles)
+        avg = full if m == n else averaged_field(xs, ys, angles)
         grids[m] = avg
         chosen[m] = angles
         rel[m] = float(np.linalg.norm(avg - full) / full_norm)

@@ -5,11 +5,15 @@ transform), one summation per irrep dimension over the table's stacked,
 conjugated matrices.  The coefficients keep that layout: one ``(k, d, d)``
 stack per irrep dimension, and the per-irrep blocks are views of it.
 Spectral norms are closed form on 1x1 blocks and dense SVD on larger
-ones.  The weak certificate takes the Frobenius norms of a stack in one
-reduction and skips the SVD of every block whose Frobenius norm cannot
-beat the running maximum; it keeps the same bits, since
-sigma_max <= ||.||_F and the maximum does not depend on the order the
-blocks are visited in.  The per-element
+ones.  The weak certificate passes the entries of the 1x1 stack to
+:func:`spectral_norm` as numpy scalars through one C-level ``map``, with
+no Python loop and no 1x1 views.  It takes the Frobenius norms of each
+larger stack in one reduction and skips the SVD of every block whose
+Frobenius norm cannot beat the running maximum; it keeps the same bits,
+since sigma_max <= ||.||_F and the maximum does not depend on the order
+the blocks are visited in.  A stacked 1x1 path would have to take
+``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
+:func:`spectral_norm`).  The per-element
 deviation behind the strong certificate takes one SVD per element.  On
 a permutation action it moves rows instead of multiplying and takes its
 SVDs in real arithmetic; otherwise it forms every
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,12 +79,20 @@ class FourierCoefficients:
         return [m for stack in self.stacks for m in stack]
 
 
-def spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value: ``abs`` of a 1x1 block, dense SVD otherwise.
+def spectral_norm(mat) -> float:
+    """Largest singular value: ``abs`` of a 1x1 block or of a numpy scalar
+    (the entry of one), dense SVD otherwise.
 
-    The SVD is the one ``np.linalg.norm(mat, 2)`` runs, without its axis
-    handling and reduction: singular values come sorted, largest first.
+    A numpy scalar goes straight to its ``abs``, which is what a 1x1
+    block's entry gets, so both give the same bits.  Scalar ``abs`` has
+    the bits of ``np.hypot(z.real, z.imag)``, but not always those of
+    ``np.abs`` over a complex array, whose vectorized loop rounds
+    differently.  The SVD is the one ``np.linalg.norm(mat, 2)`` runs,
+    without its axis handling and reduction: singular values come
+    sorted, largest first.
     """
+    if isinstance(mat, np.generic):
+        return float(abs(mat))
     mat = np.asarray(mat)
     if mat.size == 1:
         # numpy's abs: Python's complex abs raises OverflowError where it gives inf
@@ -160,10 +173,11 @@ def max_nontrivial_norm(
     ``restrict_to`` optionally limits the maximum to irreps with nonzero
     multiplicity in a supplied decomposition vector.
 
-    Pruned but exact: 1x1 blocks go first, then larger blocks in
-    decreasing squared Frobenius norm (one reduction per stack, ties in
-    table order), and the SVDs stop at the first block whose Frobenius
-    bound, widened for rounding, falls below the running maximum.
+    Pruned but exact: 1x1 blocks go first, each entry as a numpy scalar,
+    then larger blocks in decreasing squared Frobenius norm (one
+    reduction per stack, ties in table order), and the SVDs stop at the
+    first block whose Frobenius bound, widened for rounding, falls below
+    the running maximum.
     sigma_max <= ||.||_F, so no skipped block could raise the maximum,
     and ``max`` does not depend on the order of its arguments, so the
     result has the same bits as the maximum over every block.
@@ -178,8 +192,9 @@ def max_nontrivial_norm(
             kept = kept[~(np.asarray(restrict_to[end - len(kept) : end]) < 1)]
         first = end
         if stack.shape[2] == 1:
-            for mat in kept:
-                best = max(best, spectral_norm(mat) ** 2)
+            # each entry as a numpy scalar; the 0.0 seed skips NaN as a
+            # running max does, and squaring the max keeps its bits
+            best = max(best, max(itertools.chain((0.0,), map(spectral_norm, kept.ravel()))) ** 2)
         elif len(kept):
             flat = kept.reshape(len(kept), -1)
             starts.append(len(frob2))

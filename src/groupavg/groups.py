@@ -65,6 +65,7 @@ class Group:
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._orders = None
         self._word_basis = None
+        self._generator_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.validate()
 
     # -- basic queries ---------------------------------------------------
@@ -135,7 +136,10 @@ class Group:
         Range, two-sided identity at 0 and two-sided inverses, then Light's
         associativity test on greedy generators (each the smallest element
         not yet generated): (x*b)*y == x*(b*y) for all x, y and each
-        generator b.  A monoid with two-sided inverses is a group.
+        generator b.  A monoid with two-sided inverses is a group.  The
+        test gathers from a copy of the table in the narrowest unsigned
+        type that holds its entries (uint8 up to order 256), which moves
+        a fraction of the int64 table's bytes and gives the same answer.
         """
         m, n = self.mult, self.order
         if m.min() < 0 or m.max() >= n:
@@ -145,16 +149,27 @@ class Group:
             raise UsageError("index 0 is not a two-sided identity")
         if np.any(m[idx, self.inv]) or np.any(m[self.inv, idx]):
             raise UsageError("inverse table inconsistent")
+        narrow = m.astype(np.min_scalar_type(n - 1))
         generators: list[int] = []
         generated = idx == 0
         while not generated.all():
             b = int(np.argmin(generated))
             # (x*b)*y versus x*(b*y), all x, y at once
-            if not np.array_equal(m[m[:, b]], np.take(m, m[b], axis=1)):
+            if not np.array_equal(narrow[m[:, b]], np.take(narrow, m[b], axis=1)):
                 raise UsageError(f"associativity fails at b={b}")
             generators.append(b)
             generated, _ = _generated(m, generators)
         self.generators = tuple(generators)
+
+    def generator_rows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """``generators`` as an index array, and where row g*s of an
+        ``(order, width)`` array lies when it is read flat, for every element
+        g and generator s: ``mult[g, s] * width + j`` at ``[g, s, j]``.
+        Gathered once per group and width."""
+        if width not in self._generator_rows:
+            gens = np.array(self.generators, dtype=np.int64)
+            self._generator_rows[width] = gens, self.mult[:, gens, None] * width + np.arange(width)
+        return self._generator_rows[width]
 
     def word_basis(self) -> tuple[tuple[int, ...], int]:
         """Each generator's repeated squares s, s**2, s**4, ... below its
@@ -379,15 +394,23 @@ def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None)
 def _generated(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int]:
     """Mask of the elements reached from the identity by right
     multiplication with ``generators``, breadth first, and the depth: the
-    number of steps to the last element reached."""
-    reached = np.zeros(mult.shape[0], dtype=bool)
+    number of steps to the last element reached.
+
+    Each step marks the frontier's products in a fresh mask and clears
+    what was reached before, so the next frontier comes out sorted and
+    without repeats, with no sort."""
+    n = mult.shape[0]
+    gens = np.asarray(generators, dtype=np.int64)
+    reached = np.zeros(n, dtype=bool)
     reached[0] = True
     frontier = np.zeros(1, dtype=np.int64)
     depth = -1
     while frontier.size:
-        step = mult[np.ix_(frontier, generators)].ravel()
-        frontier = np.unique(step[~reached[step]])
-        reached[frontier] = True
+        new = np.zeros(n, dtype=bool)
+        new[mult[frontier[:, None], gens]] = True
+        np.greater(new, reached, out=new)  # new and not reached
+        frontier = np.flatnonzero(new)
+        reached |= new
         depth += 1
     return reached, depth
 

@@ -9,8 +9,10 @@ products one tensor product per pair of factor stacks.  Everything is
 complex and unitary; real forms are embedded as complex.  Each irrep is
 a validated :class:`Representation` viewing its slice of a stack, so the
 matrices are held once, plus the conjugated copy the Fourier transforms
-read.  A build peaks near ``order**2 * 96`` bytes and is refused above
-``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
+read.  The signed-permutation forms of a stack's irreps are read in one
+pass over the stack, and each irrep gets its slice.  A build peaks near
+``order**2 * 96`` bytes and is refused above ``GROUP_TABLE_MAX_BYTES``
+before any builder allocates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyErr
 from .errors import SizeLimitError, UsageError
 from .groups import GROUP_TABLE_MAX_BYTES, Group, ConjugacyPartition, conjugacy_classes
 from .groups import group_spec_string, symmetric_permutations
-from .reps import INT_ROUND_TOL, CharacterVector, Representation
+from .reps import INT_ROUND_TOL, CharacterVector, Representation, _signed_permutations
 
 ORTHOGONALITY_TOL = 1e-9
 SYMMETRIC_IRREPS_MAX_DIM = 6
@@ -51,8 +53,9 @@ class IrrepTable:
 
     def __post_init__(self):
         self.dims = tuple(int(s.shape[2]) for s in self.stacks for _ in range(len(s)))
-        mats = (m for s in self.stacks for m in s)
-        self.irreps = [Representation(self.group, m, name) for m, name in zip(mats, self.labels())]
+        labels = iter(self.labels())
+        self.irreps = [Representation(self.group, m, next(labels), signed=form)
+                       for s in self.stacks for m, form in zip(s, _signed_permutations(s))]
 
     def __len__(self) -> int:
         return len(self.dims)

@@ -13,7 +13,8 @@ degree bound needs no matrices.
 A representation is its matrices.  When every matrix is a signed
 permutation matrix (entries 0 and +-1 with zero imaginary part, one
 nonzero per row and column) the integer (perm, sign) form is read off
-the stack once, when the representation is built.  This covers
+the stack once, when the representation is built; an irrep table reads
+the forms of all the irreps in one of its stacks in one pass.  This covers
 characters with values +-1, the sign action, and every permutation
 action (the all-plus case), however its matrices were made.  On that
 form validation checks the homomorphism law exactly on the group's
@@ -51,6 +52,7 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 REGULAR_REP_MAX_BYTES = 2 << 30
+_READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
 def _max_frobenius(diff: np.ndarray) -> float:
@@ -66,14 +68,14 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     ``group.generators`` in one gather; with rho(e) = I it then holds for
     all pairs, by induction on word length.  In (perm, sign) form,
     rho(g) @ rho(s) maps e_j to sign[s, j] * sign[g, perm[s, j]] times
-    e_{perm[g, perm[s, j]]}.
+    e_{perm[g, perm[s, j]]}.  Row g*s of ``perm`` and ``sign`` is read
+    flat through :meth:`Group.generator_rows`, gathered once per group.
     """
-    gens = np.array(group.generators, dtype=np.int64)
-    at_product = group.mult[:, gens]  # (order, generators)
+    gens, at_product = group.generator_rows(perm.shape[1])  # (generators,), (order, generators, dim)
     after = perm[gens]  # (generators, dim)
     return bool(
-        np.array_equal(perm[at_product], perm[:, after])
-        and np.array_equal(sign[at_product], sign[:, after] * sign[gens])
+        (perm.ravel()[at_product] == perm[:, after]).all()
+        and (sign.ravel()[at_product] == sign[:, after] * sign[gens]).all()
     )
 
 
@@ -103,6 +105,46 @@ def _signed_permutation_of(mats: np.ndarray) -> Optional[tuple[np.ndarray, np.nd
     return perm, sign.astype(np.int8)
 
 
+def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
+    """:func:`_signed_permutation_of` for every ``(order, dim, dim)`` block of
+    the ``(k, order, dim, dim)`` stack, in one pass over the whole stack:
+    an irrep table's forms, without a call per irrep.
+
+    Element 0 is read as the exact identity a representation pins it to,
+    so a block gets the form its representation's matrices have.  On the
+    other elements a block needs exactly ``(order - 1) * dim`` nonzero
+    parts, real and imaginary counted apart, as :func:`_signed_permutation_of`
+    does.  One walk over the rows then sums each column's real parts and
+    the row indices of its nonzero real parts.  Every column summing to
+    +-1 leaves one real nonzero per column and no imaginary part, so a
+    column's row is its row-index sum and its sign its sum; the rows
+    must then each hold a nonzero.  NaN and inf count as nonzero but are
+    not +-1.  Every step is elementwise over the stack, so a 1x1 stack
+    costs no per-block work; the walk takes ``dim`` steps, which suits the
+    small blocks of a table, while :func:`_signed_permutation_of` suits one
+    large representation.
+    """
+    k, n, d = stack.shape[:3]
+    flat = stack.reshape(k, n, -1).view(np.float64)
+    counted = np.count_nonzero(flat.reshape(k, -1), axis=1) - np.count_nonzero(flat[:, 0], axis=1)
+    ok = counted == (n - 1) * d
+    if not ok.any():
+        return [None] * k
+    real = stack[:, 1:].view(np.float64)[..., ::2]  # (k, order - 1, row, column)
+    nonzero = real != 0
+    perm = np.zeros((k, n, d), dtype=np.intp)
+    perm[:, 0] = np.arange(d)
+    sign = np.ones((k, n, d))
+    sign[:, 1:] = real[:, :, 0]
+    for row in range(1, d):
+        sign[:, 1:] += real[:, :, row]
+        perm[:, 1:] += row * nonzero[:, :, row]
+    ok &= (np.abs(sign) == 1).all(axis=(1, 2)) & nonzero.any(axis=3).all(axis=(1, 2))
+    signs = np.zeros((k, n, d), dtype=np.int8)
+    signs[ok] = sign[ok]
+    return [(perm[i], signs[i]) if ok[i] else None for i in range(k)]
+
+
 def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     """Bound on the deviation over all pairs from each element against the
     group's word basis, one ``(order * dim, dim) @ (dim, dim)`` product per
@@ -124,10 +166,14 @@ class Representation:
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
     exact identity.  ``perms`` is the permutation each matrix realizes
     (``e_j -> e_{perms[g][j]}``), read off the matrices when all of them
-    are permutation matrices, and None otherwise.
+    are permutation matrices, and None otherwise.  A caller that has read
+    the signed-permutation form of ``mats`` already, as an irrep table
+    does for a whole stack with :func:`_signed_permutations`, passes it
+    as ``signed`` (None for none); otherwise it is read here.
     """
 
-    def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True):
+    def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True,
+                 signed=_READ_SIGNED):
         self.group = group
         m = np.ascontiguousarray(mats, dtype=np.complex128)
         if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2] or not m.shape[1]:
@@ -138,7 +184,7 @@ class Representation:
         m[0] = eye
         self.mats = m
         self.name = str(name)
-        self._signed = _signed_permutation_of(m)
+        self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
         all_plus = self._signed is not None and np.all(self._signed[1] == 1)
         self.perms = self._signed[0] if all_plus else None
         self._partition: Optional[ConjugacyPartition] = None

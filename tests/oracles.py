@@ -152,6 +152,41 @@ def all_pairs_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float
     return float(worst)
 
 
+def generated_by_unique(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int]:
+    """Closure oracle, the ``np.unique`` form: the mask of the elements
+    reached from the identity by right multiplication with ``generators``,
+    breadth first, each frontier the sorted distinct new products of the
+    last, and the number of steps to the last element reached."""
+    reached = np.zeros(mult.shape[0], dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    depth = -1
+    while frontier.size:
+        step = mult[np.ix_(frontier, generators)].ravel()
+        frontier = np.unique(step[~reached[step]])
+        reached[frontier] = True
+        depth += 1
+    return reached, depth
+
+
+def light_test_by_take(mult) -> tuple[tuple[int, ...], int | None]:
+    """Light's-test oracle, the ``np.take`` form on the int64 table: the
+    greedy generators (each the smallest element not yet generated) and
+    the generator b at which (x*b)*y == x*(b*y) first fails for some x, y,
+    or None when it holds for all of them.  Expects a table that passes
+    the range, identity and inverse checks."""
+    m = np.asarray(mult, dtype=np.int64)
+    generators: list[int] = []
+    generated = np.arange(m.shape[0]) == 0
+    while not generated.all():
+        b = int(np.argmin(generated))
+        if not np.array_equal(m[m[:, b]], np.take(m, m[b], axis=1)):
+            return tuple(generators), b
+        generators.append(b)
+        generated, _ = generated_by_unique(m, generators)
+    return tuple(generators), None
+
+
 def word_layers_by_sets(mult, basis) -> list[set[int]]:
     """Breadth-first layers of the words in ``basis`` from the identity,
     one Python set per layer, until no new element appears."""

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,20 @@ def test_rotation_full_subset_distance_zero():
     res = rotation_averaging_demo(cfg)
     assert res.rel_l2_to_full[40] == 0.0
     assert res.rel_l2_to_full[5] > 0.0
+
+
+def test_rotation_full_size_subset_is_the_full_average():
+    n = 16
+    res = rotation_averaging_demo(RotationDemoConfig(n_rotations=n, grid=21, subset_sizes=(n, 5), seed=4))
+    angles = 2.0 * np.pi * np.arange(n) / n
+    recomputed = averaged_field(res.xs, res.ys, angles)
+    for grid in (res.grids[n], res.full_average):
+        assert np.array_equal(grid.view(np.uint64), recomputed.view(np.uint64))
+    assert np.array_equal(res.subset_angles[n], angles)
+    # the full-size draw is still made, so later sizes see the same stream
+    rng = np.random.default_rng(4)
+    rng.choice(n, size=n, replace=False)
+    assert np.array_equal(res.subset_angles[5], angles[np.sort(rng.choice(n, size=5, replace=False))])
 
 
 def test_rotation_single_subset_is_rotated_field():
@@ -254,6 +269,25 @@ def test_averaged_predictions_matches_per_pattern_loop():
         assert signs.shape == (n_patterns, 6)
         for m in (model, ForwardOnly()):
             assert np.array_equal(averaged_predictions(m, x, signs), _per_pattern_average(m, x, signs))
+
+
+def test_averaged_predictions_memory_does_not_grow_with_the_flipped_batch():
+    rng = np.random.default_rng(21)
+    model = SignAveragedMlp(8, (32, 16), rng)
+    x = rng.normal(size=(5000, 8))
+    signs = draw_sign_subsets(8, (5,), np.random.default_rng(2))[5]
+    assert signs.shape == (32, 8)  # one chunk
+    tracemalloc.start()
+    try:
+        got = averaged_predictions(model, x, signs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the chunk's predictions (32 x 5000 floats, 1.28 MB) and a few row blocks;
+    # the flipped chunk alone takes 10 MB and its first hidden layer 41 MB
+    assert peak < 32 * 5000 * 8 + 2_000_000
+    # the row blocks keep the bits of one forward pass over the whole chunk
+    assert np.array_equal(got, _per_pattern_average(model, x, signs))
 
 
 # -- artifact bits ------------------------------------------------------------------

@@ -23,11 +23,14 @@ from oracles import (
     brute_force_classes,
     brute_force_is_group,
     element_order_by_loop,
+    generated_by_unique,
     gf2_rank,
     lehmer_ranks,
+    light_test_by_take,
     reduced_latin_squares,
     word_layers_by_sets,
 )
+from test_irreps import TABLE_SPECS
 
 
 def test_family_orders(small_groups):
@@ -424,3 +427,66 @@ def test_large_non_associative_table_is_rejected():
     assert np.array_equal(np.sort(mult, axis=1), np.tile(idx, (1000, 1)))
     with pytest.raises(UsageError, match="associativity"):
         custom_group(mult)
+
+
+def _generator_subsets(order: int, rng) -> list[list[int]]:
+    """Every single element and 20 seeded sets of one to three elements, sorted."""
+    subsets = [[g] for g in range(order)]
+    for _ in range(20):
+        size = int(rng.integers(1, min(3, order) + 1))
+        subsets.append(sorted(rng.choice(order, size=size, replace=False).tolist()))
+    return subsets
+
+
+def _assert_generated_matches_oracle(mult, gens) -> None:
+    mask, depth = groups_module._generated(mult, gens)
+    want_mask, want_depth = generated_by_unique(mult, gens)
+    assert np.array_equal(mask, want_mask) and depth == want_depth, gens
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_generators_depth_and_closure_match_the_unique_oracle(spec):
+    group = parse_group_spec(spec)
+    assert light_test_by_take(group.mult) == (group.generators, None)
+    basis, depth = group.word_basis()
+    reached, want_depth = generated_by_unique(group.mult, list(basis))
+    assert reached.all() and depth == want_depth
+    for gens in _generator_subsets(group.order, np.random.default_rng(group.order)):
+        _assert_generated_matches_oracle(group.mult, gens)
+        assert closure(group, gens) == np.flatnonzero(generated_by_unique(group.mult, gens)[0]).tolist()
+
+
+def _intercalate_swaps(spec: str):
+    """Every table made from ``spec``'s by swapping one 2x2 Latin subsquare
+    that avoids the identity's row, column and products."""
+    base = parse_group_spec(spec).mult
+    n = base.shape[0]
+    for a in range(1, n):
+        for a2 in range(a + 1, n):
+            for b in range(1, n):
+                for b2 in range(b + 1, n):
+                    u, v = base[a, b], base[a, b2]
+                    if base[a2, b2] != u or base[a2, b] != v or 0 in (u, v):
+                        continue
+                    mult = base.copy()
+                    mult[a, b] = mult[a2, b2] = v
+                    mult[a, b2] = mult[a2, b] = u
+                    yield mult
+
+
+def test_corrupted_tables_fail_where_the_take_oracle_fails():
+    rng = np.random.default_rng(53)
+    specs = ["signflip:3", "product(cyclic:4,cyclic:2)", "dihedral:4"]
+    tables = [mult for spec in specs for mult in _intercalate_swaps(spec)]
+    tables += [_swapped_intercalate(n, a, b) for n in (8, 12, 64, 200) for a, b in ((1, 2), (2, 3), (3, 2))]
+    failed_at = set()
+    for mult in tables:
+        _, b = light_test_by_take(mult)
+        assert b is not None
+        with pytest.raises(UsageError) as err:
+            custom_group(mult)
+        assert str(err.value) == f"associativity fails at b={b}"
+        failed_at.add(b)
+        for gens in _generator_subsets(mult.shape[0], rng)[-20:]:
+            _assert_generated_matches_oracle(mult, gens)
+    assert len(failed_at) > 1

@@ -19,6 +19,7 @@ from groupavg import (
 )
 from groupavg import SizeLimitError
 from groupavg import irreps as irreps_module
+from groupavg import reps as reps_module
 from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.irreps import IrrepTable
 from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
@@ -47,6 +48,26 @@ TABLE_SPECS = [
 @pytest.fixture(scope="module")
 def tables():
     return {spec: irreps_of(parse_group_spec(spec)) for spec in TABLE_SPECS}
+
+
+def test_table_signed_forms_match_the_per_irrep_form(tables):
+    mixed = set()
+    for spec, table in tables.items():
+        for irrep in table.irreps:
+            got = irrep.signed_permutation()
+            want = reps_module._signed_permutation_of(irrep.mats)
+            assert (got is None) == (want is None), (spec, irrep.name)
+            if want is not None:
+                assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+                assert np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype
+        start = 0
+        for stack in table.stacks:
+            signed = {table.irreps[i].signed_permutation() is None
+                      for i in range(start, start + len(stack))}
+            if len(signed) == 2:
+                mixed.add(spec)
+            start += len(stack)
+    assert {"cyclic:4", "cyclic:7", "product(cyclic:2,cyclic:3)"} <= mixed, mixed
 
 
 def test_table_invariants(tables):

@@ -674,6 +674,49 @@ def test_signed_form_matches_the_mask_oracle(small_groups):
     assert min(found.values()) > 100, found
 
 
+def _same_signed_form(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return (np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype
+            and np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype)
+
+
+def test_stacked_signed_forms_match_the_per_matrix_form(small_groups):
+    rng = np.random.default_rng(37)
+    found = {True: 0, False: 0}
+    mixed = 0
+    for spec, group in small_groups.items():
+        by_dim: dict[int, list[np.ndarray]] = {}
+        for name, mats in _signed_form_cases(group, rng):
+            pinned = Representation(group, mats, validate=False).mats
+            by_dim.setdefault(pinned.shape[1], []).append(pinned)
+        for dim, blocks in by_dim.items():
+            signed = [b for b in blocks if reps_module._signed_permutation_of(b) is not None]
+            if dim > 1 and signed and group.order > 1:
+                shared = signed[0].copy()
+                shared[-1, :, 1] = shared[-1, :, 0]  # two columns hit one row
+                blocks.append(shared)
+            stack = np.stack(blocks)
+            order = rng.permutation(len(blocks))  # signed and unsigned blocks interleaved
+            stack = stack[order]
+            forms = reps_module._signed_permutations(stack)
+            assert len(forms) == len(blocks)
+            for block, form in zip(stack, forms):
+                want = reps_module._signed_permutation_of(block)
+                assert _same_signed_form(form, want), (spec, dim)
+                assert _same_signed_form(form, signed_permutation_by_masks(block)), (spec, dim)
+                found[want is None] += 1
+            mixed += len({form is None for form in forms}) == 2
+            # element 0 is read as the identity a representation pins it to
+            if group.order > 1:
+                unpinned = stack.copy()
+                unpinned[:, 0] = rng.normal(size=unpinned[:, 0].shape)
+                unpinned[:, 0, 0, 0] = np.nan
+                assert all(_same_signed_form(a, b) for a, b in
+                           zip(reps_module._signed_permutations(unpinned), forms)), (spec, dim)
+    assert min(found.values()) > 100 and mixed >= 10, (found, mixed)
+
+
 def test_exact_path_rejects_a_corruption_the_sampled_pairs_miss():
     # the seeded pairs on signflip:10 never touch one element, as g, h or g*h
     # (on signflip:9 every element is reached by some pair)
