@@ -69,7 +69,8 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     all pairs, by induction on word length.  In (perm, sign) form,
     rho(g) @ rho(s) maps e_j to sign[s, j] * sign[g, perm[s, j]] times
     e_{perm[g, perm[s, j]]}.  Row g*s of ``perm`` and ``sign`` is read
-    flat through :meth:`Group.generator_rows`, gathered once per group.
+    flat through :meth:`Group.generator_rows`, made once per group and
+    row width.
     """
     gens, at_product = group.generator_rows(perm.shape[1])  # (generators,), (order, generators, dim)
     after = perm[gens]  # (generators, dim)

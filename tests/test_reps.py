@@ -696,9 +696,8 @@ def test_stacked_signed_forms_match_the_per_matrix_form(small_groups):
                 shared = signed[0].copy()
                 shared[-1, :, 1] = shared[-1, :, 0]  # two columns hit one row
                 blocks.append(shared)
-            stack = np.stack(blocks)
-            order = rng.permutation(len(blocks))  # signed and unsigned blocks interleaved
-            stack = stack[order]
+            # signed and unsigned blocks interleaved
+            stack = np.stack(blocks)[rng.permutation(len(blocks))]
             forms = reps_module._signed_permutations(stack)
             assert len(forms) == len(blocks)
             for block, form in zip(stack, forms):
