@@ -1,12 +1,14 @@
 """Command-line entry point.
 
-Every subcommand writes its artifacts plus a ``<subcommand>_meta.json``
-sidecar (config, seed, tool version, tolerances) into ``--out``; outputs
-are byte-identical for identical (argv, seed) at a fixed BLAS thread
-count.  Exit codes: 0 success, 1 usage error, 2 numerical-consistency
-error, 3 search failure.  A run builds the parser of the subcommand it
-names alone; ``--help``, ``--version`` and a missing or unknown
-subcommand build them all.
+A subcommand ``cmd_<name>(args, out)`` writes its own artifacts into
+``out`` and returns its exit code; ``main`` then writes the
+``<subcommand>_meta.json`` sidecar (config, seed, tool version,
+tolerances), so a refused run writes nothing.  Outputs are byte-identical
+for identical (argv, seed) at a fixed BLAS thread count.  ``main`` turns
+every toolkit error into one stderr line and its exit code (0 success;
+the others are in ``errors.py``).  A run builds the parser of the
+subcommand it names alone; ``--help``, ``--version`` and a missing or
+unknown subcommand build them all.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import __version__, irreps, reps, schemes, separation
-from .errors import NumericalConsistencyError, SearchFailureError, UsageError
+from .errors import GroupavgError, NumericalConsistencyError, UsageError
 from .fourier import GroupSignal, plancherel_residual
 from .groups import (
     Group,
@@ -30,7 +32,7 @@ from .groups import (
     group_to_text,
     parse_group_spec,
 )
-from .io import load_schema, validate_schema, write_json, write_text
+from .io import write_json, write_text
 from .irreps import IrrepTable, character_table_csv, decompose, irreps_of
 from .reps import (
     Representation,
@@ -145,42 +147,32 @@ def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
     raise UsageError(f"unknown scheme spec {spec!r} (uniform | delta:g | random:n | file:path)")
 
 
-def _write_artifact(path: Path, payload: dict) -> None:
-    """Check a JSON artifact against the schema its file names, then write
-    it: ``<name>.json`` takes ``<name>``, ``*_meta.json`` ``metadata``."""
-    name = "metadata" if path.name.endswith("_meta.json") else path.stem
-    validate_schema(payload, load_schema(name))
-    write_json(path, payload)
-
-
-def _write_meta(out: Path, subcommand: str, args: argparse.Namespace) -> None:
+def _write_meta(out: Path, args: argparse.Namespace) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "config") and v is not None
     }
-    config = {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()}
     payload = {
         "tool": "groupavg",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "seed": getattr(args, "seed", None),
         "config": config,
         "tolerances": TOLERANCES,
     }
-    _write_artifact(out / f"{subcommand}_meta.json", payload)
+    write_json(out / f"{args.subcommand}_meta.json", payload)
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+def _report(exc: GroupavgError) -> int:
+    """Print a toolkit error as its one stderr line; return its exit code."""
+    print(f"{exc.label}: {exc}", file=sys.stderr)
+    return exc.exit_code
 
 
 # -- subcommand implementations ------------------------------------------------
 
 
-def cmd_group(args) -> int:
+def cmd_group(args, out: Path) -> int:
     group = parse_group_spec(args.group)
-    out = _out_dir(args)
     part = conjugacy_classes(group)
     info = {
         "spec": group_spec_string(group),
@@ -190,38 +182,33 @@ def cmd_group(args) -> int:
         "class_sizes": [int(s) for s in part.sizes],
         "abelian": group.is_abelian,
     }
-    _write_artifact(out / "group_info.json", info)
+    write_json(out / "group_info.json", info)
     write_text(out / "group.txt", group_to_text(group))
-    _write_meta(out, "group", args)
     print(f"group {info['spec']}: order {info['order']}, {info['n_classes']} classes")
     return 0
 
 
-def cmd_irreps(args) -> int:
+def cmd_irreps(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     table = irreps_of(group)
-    out = _out_dir(args)
     info = {
         "spec": group_spec_string(group),
         "count": len(table),
         "dims": [int(d) for d in table.dims],
         "sum_squared_dims": int(sum(d * d for d in table.dims)),
     }
-    _write_artifact(out / "irreps_info.json", info)
+    write_json(out / "irreps_info.json", info)
     write_text(out / "character_table.csv", character_table_csv(table))
-    _write_meta(out, "irreps", args)
     print(f"irreps of {info['spec']}: dims {info['dims']}")
     return 0
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     scheme = _build_scheme(group, args.scheme, args.seed)
-    out = _out_dir(args)
     report = certify(scheme, *_certify_target(group, args))
-    _write_artifact(out / "certification.json", report.to_json())
-    _write_artifact(out / "scheme.json", scheme_to_json(scheme))
-    _write_meta(out, "certify", args)
+    write_json(out / "certification.json", report.to_json())
+    write_json(out / "scheme.json", scheme_to_json(scheme))
     print(
         f"certified size-{scheme.size} scheme on {args.group}: "
         f"eps_weak={report.eps_weak:.17g} eps_strong={report.eps_strong:.17g}"
@@ -229,20 +216,19 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     n = required_sample_count(group.order, args.eps, args.delta)
     scheme = random_scheme(group, n, args.seed)
     rep = _build_rep(group, args.rep)
     report = certify(scheme, rep)
-    out = _out_dir(args)
-    _write_artifact(out / "scheme.json", scheme_to_json(scheme))
+    write_json(out / "scheme.json", scheme_to_json(scheme))
     payload = report.to_json()
     payload["draws"] = n
-    _write_artifact(out / "certification.json", payload)
-    _write_meta(out, "sample", args)
+    write_json(out / "certification.json", payload)
     ok = report.eps_weak <= args.eps
-    print(f"draw count n = ceil(2.67*(ln({group.order}) + ln(1/{args.delta:g}) + 0.7)/{args.eps:g}) = {n}")
+    law = f"{schemes.SAMPLE_LAW_SCALE}*(ln({group.order}) + ln(1/{args.delta:g}) + {schemes.SAMPLE_LAW_OFFSET})"
+    print(f"draw count n = ceil({law}/{args.eps:g}) = {n}")
     print(
         f"drew {n} samples -> size {scheme.size}, eps_weak={report.eps_weak:.17g} "
         f"({'meets' if ok else 'misses'} target {args.eps:.17g})"
@@ -250,7 +236,7 @@ def cmd_sample(args) -> int:
     return 0
 
 
-def cmd_minimize(args) -> int:
+def cmd_minimize(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     target, mults = _certify_target(group, args)
     result = minimize_scheme(
@@ -262,8 +248,7 @@ def cmd_minimize(args) -> int:
         swap_budget=args.swaps,
         multiplicities=mults,
     )
-    out = _out_dir(args)
-    _write_artifact(out / "scheme.json", scheme_to_json(result.scheme))
+    write_json(out / "scheme.json", scheme_to_json(result.scheme))
     search = {
         "status": result.status,
         "eps": float(result.eps),
@@ -271,30 +256,27 @@ def cmd_minimize(args) -> int:
         "size": result.size,
         "trace": result.trace,
     }
-    _write_artifact(out / "search.json", search)
-    _write_meta(out, "minimize", args)
+    write_json(out / "search.json", search)
     print(f"minimize on {args.group}: size {result.size}, eps {result.eps:.17g} [{result.status}]")
     return 0 if result.feasible else 3
 
 
-def cmd_kbound(args) -> int:
+def cmd_kbound(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     # the regular action's bound needs only its character, not its matrices
     value = regular_k_bound(group) if args.rep == "regular" else k_bound(_build_rep(group, args.rep))
-    out = _out_dir(args)
     payload = {
         "group": group_spec_string(group),
         "rep": args.rep,
         "order": group.order,
         "k_bound": int(value),
     }
-    _write_artifact(out / "kbound.json", payload)
-    _write_meta(out, "kbound", args)
+    write_json(out / "kbound.json", payload)
     print(f"degree bound for {args.rep} rep of {args.group}: {value}")
     return 0
 
 
-def cmd_separation(args) -> int:
+def cmd_separation(args, out: Path) -> int:
     lo, sep, hi = args.range.partition(":")
     if not sep:
         raise UsageError(f"--range must be lo:hi, got {args.range!r}")
@@ -303,9 +285,7 @@ def cmd_separation(args) -> int:
         raise UsageError(f"--range {args.range!r} is empty: hi must be at least lo")
     params = list(range(lo, hi + 1))
     rows = separation_table(args.family, params, args.eps, trial_budget=args.trials, seed=args.seed)
-    out = _out_dir(args)
     write_text(out / "separation.csv", separation_csv(rows))
-    _write_meta(out, "separation", args)
     for r in rows:
         print(
             f"{r.family}: order {r.order}, K {r.k_bound}, exact {r.exact_cost}, "
@@ -314,7 +294,7 @@ def cmd_separation(args) -> int:
     return 0 if all(r.status == "ok" for r in rows) else 3
 
 
-def cmd_lowerbound(args) -> int:
+def cmd_lowerbound(args, out: Path) -> int:
     reports = []
     group = parse_group_spec(f"signflip:{args.d}")
     if args.support is not None:
@@ -329,10 +309,8 @@ def cmd_lowerbound(args) -> int:
             raw = rng.random(size)
             weights = raw / raw.sum()
             reports.append(sign_flip_generation_report(args.d, support, weights))
-    out = _out_dir(args)
     payload = {"d": args.d, "reports": reports}
-    _write_artifact(out / "lowerbound.json", payload)
-    _write_meta(out, "lowerbound", args)
+    write_json(out / "lowerbound.json", payload)
     for rep in reports:
         print(
             f"support size {rep['support_size']}: generates={rep['generates']} "
@@ -341,24 +319,22 @@ def cmd_lowerbound(args) -> int:
     return 0
 
 
-def cmd_figure1(args) -> int:
+def cmd_figure1(args, out: Path) -> int:
     sizes = _int_list(args.subsets, "--subsets")
     cfg = RotationDemoConfig(
         n_rotations=args.n, grid=args.grid, subset_sizes=sizes, seed=args.seed
     )
     result = rotation_averaging_demo(cfg)
-    out = _out_dir(args)
     for m in cfg.subset_sizes:
         write_text(out / f"grid_subset_{m}.csv", grid_csv(result.xs, result.ys, result.grids[m]))
     summary = summary_json(result)
-    _write_artifact(out / "figure1_summary.json", summary)
-    _write_meta(out, "figure1", args)
+    write_json(out / "figure1_summary.json", summary)
     for m in cfg.subset_sizes:
         print(f"subset {m}: relative distance to full average {result.rel_l2_to_full[m]:.17g}")
     return 0
 
 
-def cmd_regress(args) -> int:
+def cmd_regress(args, out: Path) -> int:
     cfg = RegressionConfig(
         group_spec=args.group,
         sigma=args.sigma,
@@ -368,15 +344,13 @@ def cmd_regress(args) -> int:
         seed=args.seed,
     )
     result = regression_risk(cfg)
-    out = _out_dir(args)
     write_text(out / "regression.csv", regression_csv(result))
-    _write_meta(out, "regress", args)
     for name in ("erm", "exact", "weak"):
         print(f"risk[{name}] = {result.risks[name]:.17g} (se {result.stderrs[name]:.17g})")
     return 0
 
 
-def cmd_mlp(args) -> int:
+def cmd_mlp(args, out: Path) -> int:
     exponents = _int_list(args.subset_exponents, "--subset-exponents")
     cfg = MlpConfig(
         input_dim=args.dim,
@@ -392,26 +366,21 @@ def cmd_mlp(args) -> int:
         seed=args.seed,
     )
     result = mlp_experiment(cfg)
-    out = _out_dir(args)
     write_text(out / "loss_vs_subset.csv", subset_csv(result))
     write_text(out / "loss_vs_epoch.csv", epoch_csv(result))
-    _write_meta(out, "mlp", args)
     for size in sorted(result.loss_by_subset):
         print(f"|S| = {size}: test loss {result.loss_by_subset[size]:.17g}")
     return 0
 
 
-def cmd_selftest(args) -> int:
+def cmd_selftest(args, out: Path) -> int:
     checks = _run_selftest(args.seed)
-    out = _out_dir(args)
     payload = {"checks": checks, "passed": all(c["ok"] for c in checks)}
-    _write_artifact(out / "selftest.json", payload)
-    _write_meta(out, "selftest", args)
+    write_json(out / "selftest.json", payload)
     for c in checks:
         print(f"{'PASS' if c['ok'] else 'FAIL'} {c['name']}")
-    if not payload["passed"]:
-        raise NumericalConsistencyError("selftest failed")
-    return 0
+    # a failed battery is a completed run: main still writes its sidecar
+    return 0 if payload["passed"] else _report(NumericalConsistencyError("selftest failed"))
 
 
 def _run_selftest(seed: int) -> list[dict]:
@@ -647,16 +616,12 @@ def main(argv=None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = [argv[0]] + _apply_config_file(argv[1:])
         args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalConsistencyError as exc:
-        print(f"numerical-consistency error: {exc}", file=sys.stderr)
-        return 2
-    except SearchFailureError as exc:
-        print(f"search failure: {exc}", file=sys.stderr)
-        return 3
+        out = Path(args.out)
+        code = args.func(args, out)
+        _write_meta(out, args)
+        return code
+    except GroupavgError as exc:
+        return _report(exc)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
 """Exception hierarchy shared across the toolkit.
 
-Exit-code mapping used by the CLI: usage errors -> 1, numerical
-consistency errors -> 2, search failures -> 3.
+Each error class carries the CLI's exit code and the label of its one
+stderr line: usage errors -> 1, numerical-consistency errors -> 2,
+search failures -> 3.
 """
 
 
-class UsageError(ValueError):
+class GroupavgError(Exception):
+    """Base of the errors the CLI reports as ``<label>: <message>``."""
+
+
+class UsageError(GroupavgError, ValueError):
     """Invalid parameters, unknown families, malformed inputs."""
 
-    exit_code = 1
+    exit_code, label = 1, "usage error"
 
 
 class SizeLimitError(UsageError):
@@ -23,10 +28,10 @@ class GroupMismatchError(UsageError):
     """Two objects defined over different groups were combined."""
 
 
-class NumericalConsistencyError(ArithmeticError):
+class NumericalConsistencyError(GroupavgError, ArithmeticError):
     """A quantity that must be integral/exact failed its residual check."""
 
-    exit_code = 2
+    exit_code, label = 2, "numerical-consistency error"
 
 
 class TrainingFailureError(NumericalConsistencyError):
@@ -37,7 +42,7 @@ class TrainingFailureError(NumericalConsistencyError):
         self.epoch = epoch
 
 
-class SearchFailureError(RuntimeError):
+class SearchFailureError(GroupavgError, RuntimeError):
     """A search exhausted its budget without a feasible result."""
 
-    exit_code = 3
+    exit_code, label = 3, "search failure"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, permutations as _iter_permutations, takewhile
+from itertools import accumulate, chain, islice, permutations as _iter_permutations, takewhile
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -19,6 +19,10 @@ import numpy as np
 from .errors import SizeLimitError, UsageError
 
 GROUP_TABLE_MAX_BYTES = 2 << 30
+# a product nested d deep has at least d + 1 factors, so without order-1
+# factors its order is at least 2**(d + 1): the table cap (order <= 7327)
+# has room for d <= 11
+PRODUCT_MAX_DEPTH = 11
 _BLOCK_ENTRIES = 1 << 20  # table or power-orbit entries built per block
 
 
@@ -463,6 +467,10 @@ def parse_group_spec(spec: str) -> Group:
     """Parse specs like ``cyclic:12``, ``signflip:6``, ``dihedral:7``,
     ``symmetric:4`` or ``product(cyclic:2,symmetric:3)``."""
     spec = spec.strip()
+    nesting = max(accumulate((ch == "(") - (ch == ")") for ch in spec), default=0)
+    if nesting > PRODUCT_MAX_DEPTH:  # refused before the parse recurses that deep
+        raise SizeLimitError(f"group spec nests products {nesting} deep, above the limit of "
+                             f"{PRODUCT_MAX_DEPTH} that the group table cap leaves room for")
     if spec.startswith("product(") and spec.endswith(")"):
         inner = spec[len("product(") : -1]
         depth, cut = 0, -1

@@ -3,7 +3,11 @@
 JSON artifacts are written with sorted keys and no timestamps so that
 identical configurations produce byte-identical files.  A small
 validator covering the JSON-schema subset used by the shipped schemas
-keeps the published contracts checkable without extra dependencies.
+keeps the published contracts checkable without extra dependencies;
+``write_json`` checks every payload against its schema as it writes.
+Every write goes through ``write_text``, which makes the directory and
+turns a path that cannot be written into a ``UsageError`` (exit codes:
+``errors.py``).
 """
 
 from __future__ import annotations
@@ -22,13 +26,21 @@ def fmt_float(x: float) -> str:
 
 
 def write_text(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    """The one write path: make the directory at the first write; a path
+    that cannot be written is a usage error."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Check ``payload`` against the schema its file names, then write it:
+    ``<name>.json`` takes ``<name>``, ``*_meta.json`` ``metadata``."""
+    name = "metadata" if path.name.endswith("_meta.json") else path.stem
+    validate_schema(payload, load_schema(name))
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def load_schema(name: str) -> dict:

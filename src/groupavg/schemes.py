@@ -132,6 +132,9 @@ def random_scheme(group: Group, n: int, seed) -> AveragingScheme:
     return AveragingScheme(group, support, counts[support] / float(n))
 
 
+SAMPLE_LAW_SCALE, SAMPLE_LAW_OFFSET = 2.67, 0.7
+
+
 def required_sample_count(order: int, eps: float, delta: float) -> int:
     """Draw count sufficient for a random scheme to certify eps w.p. 1 - delta.
 
@@ -145,7 +148,7 @@ def required_sample_count(order: int, eps: float, delta: float) -> int:
         raise UsageError(f"delta must lie in (0, 1), got {delta}")
     if order < 1:
         raise UsageError("order must be positive")
-    count = 2.67 * (math.log(order) + math.log(1.0 / delta) + 0.7) / eps
+    count = SAMPLE_LAW_SCALE * (math.log(order) + math.log(1.0 / delta) + SAMPLE_LAW_OFFSET) / eps
     if math.isinf(count):
         raise UsageError(f"eps {eps} is so small that the draw count overflows")
     return int(math.ceil(count))

@@ -11,7 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from groupavg import cli, irreps, reps, schemes, separation
 from groupavg.cli import main
-from groupavg.errors import UsageError
+from groupavg.errors import (
+    NumericalConsistencyError,
+    SearchFailureError,
+    SizeLimitError,
+    TrainingFailureError,
+    UsageError,
+)
 from groupavg.io import load_schema, validate_schema
 
 
@@ -280,6 +286,8 @@ def test_usage_error_exit_code(tmp_path):
 TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16", "--epochs", "1",
             "--subset-exponents", "0,2", "--curve-exponent", "1"]
 
+# a product nested 2 000 deep: refused before the parse recurses
+_DEEP_PRODUCT = "product(cyclic:2," * 2000 + "cyclic:2" + ")" * 2000
 
 _MALFORMED = [
     ["separation", "--range", "2-5"],
@@ -333,6 +341,13 @@ _MALFORMED = [
     ["group", "--config", "{tmp}/gr.cfg"],
     ["group", "--gro", "cyclic:3"],
     ["certify", "--group", "cyclic:4", "--config", "{tmp}/help.cfg"],
+    ["group", "--group", "cyclic:3", "--out", "{tmp}/empty.json"],
+    ["group", "--group", "cyclic:3", "--out", "{tmp}/empty.json/sub"],
+    ["group", "--group", "cyclic:3", "--config", "{tmp}/out.cfg"],
+    ["certify", "--group", "cyclic:4", "--rep", "permutation"],
+    ["minimize", "--group", "symmetric:7", "--path", "fourier", "--eps", "0.5"],
+    ["group", "--group", _DEEP_PRODUCT],
+    ["irreps", "--group", _DEEP_PRODUCT],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -351,7 +366,9 @@ _MALFORMED_IDS = [
     "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
     "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
     "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
-         "flag-prefix", "config-key-help",
+    "flag-prefix", "config-key-help", "out-is-a-file", "out-below-a-file", "config-out-with-nul",
+    "certify-permutation-of-cyclic", "minimize-over-the-irrep-cap", "group-nested-2000-deep",
+    "irreps-nested-2000-deep",
 ]
 
 
@@ -363,6 +380,7 @@ def _write_malformed_inputs(tmp_path: Path) -> None:
     (tmp_path / "h.cfg").write_text("h = 1\n")
     (tmp_path / "gr.cfg").write_text("gr = cyclic:5\n")
     (tmp_path / "help.cfg").write_text("help = 1\n")  # stores no value: not a help request
+    (tmp_path / "out.cfg").write_text("out = a\x00b\n")
     # json reads NaN and Infinity; the unit-sum check alone passes both
     # files: a NaN weight counts as below the support threshold, and the
     # infinities sum to NaN
@@ -376,9 +394,12 @@ def _write_malformed_inputs(tmp_path: Path) -> None:
 def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     _write_malformed_inputs(tmp_path)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
-    assert run(argv + ["--out", str(tmp_path / "x")]) == 1
+    if not {"--out", f"{tmp_path}/out.cfg"} & set(argv):  # the cases that set --out themselves
+        argv += ["--out", str(tmp_path / "x")]
+    assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()  # a refused run writes nothing
 
 
 def test_diverging_mlp_is_one_line_numerical_error(tmp_path, capsys):
@@ -703,6 +724,183 @@ def test_fourier_path_artifacts_keep_their_bytes(key, tmp_path):
     }
     assert digests == FOURIER_PATH_SHA256[key]
 
+
+# one small job of each subcommand, run from its own directory with
+# ``--out out`` so that ``_meta.json`` names no absolute path; the Fourier
+# and projector runs stay at order <= 16, where the bits do not move with
+# the BLAS thread count
+_EVERY_SUBCOMMAND = {
+    "group": ["group", "--group", "dihedral:5"],
+    "irreps": ["irreps", "--group", "symmetric:4"],
+    "certify": ["certify", "--group", "cyclic:8", "--scheme", "random:5", "--seed", "3"],
+    "sample": ["sample", "--group", "dihedral:4", "--eps", "0.5", "--seed", "7"],
+    "minimize": ["minimize", "--group", "signflip:3", "--path", "fourier", "--eps", "0.5",
+                 "--trials", "4", "--swaps", "5", "--seed", "1"],
+    "kbound": ["kbound", "--group", "symmetric:3", "--rep", "permutation"],
+    "separation": ["separation", "--range", "2:3", "--eps", "0.2", "--trials", "1", "--seed", "2"],
+    "lowerbound": ["lowerbound", "--d", "3", "--trials", "2", "--seed", "1"],
+    "figure1": ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,2", "--seed", "4"],
+    "regress": ["regress", "--n", "16", "--trials", "2", "--eps", "0.5", "--seed", "5"],
+    "mlp": [*TINY_MLP, "--width1", "4", "--width2", "4", "--epoch-eval", "8"],
+    "selftest": ["selftest", "--seed", "3"],
+}
+# sha256 of (stdout, {artifact: file}), recorded before main took over the
+# output directory and the sidecar from the subcommands
+EVERY_SUBCOMMAND_SHA256 = {
+    "group": (
+        "989429e46bc5f56ee91828d8673eb805049777aba413287f7f10374736242b33",
+        {
+            "group.txt": "f31a63c2bf7222f660dfc34ac43cc38b1dba34d15994cb859277d82c9dd910b6",
+            "group_info.json": "7c6f495cd84cf386760579da2c954348724dd09bff6dae6579d70aad3bc62612",
+            "group_meta.json": "5332528f4a5fd080f1a85549b235b9e22ca047f4b296696a8f2dc951472c58b4",
+        },
+    ),
+    "irreps": (
+        "4a4a862e8116abf40ad4f38bbbf58acb41a40f4283d465205d5e07df68a7883c",
+        {
+            "character_table.csv": "6c8d6f1cef2aa40754c3b7f8d084bbd6c872052875805d36043e3c2c9b54f663",
+            "irreps_info.json": "83a77d10e3c594b8d5dc3dcb215152c64e86b69155be997f479cfeff27e99a58",
+            "irreps_meta.json": "6774741871c39fb9048b45d764c950fe38c799faa19312b41bd8bda5209f6fc6",
+        },
+    ),
+    "certify": (
+        "82cf63e4230f417f1fff09f5a5ae0beba9f516144fb76a9abf0cbfcb51e20902",
+        {
+            "certification.json": "70be28a9e0508b5d37183aae0e31c874064c5bd046a3bd725eca4e7f054ccab3",
+            "certify_meta.json": "8fb1fb594330f024d9f554a20b0041a427d9a4182df6b95fc563472a70e1bbe7",
+            "scheme.json": "3588badbc27f638758e4c078111091008627e801ef438ad1ed4a1456ad780b86",
+        },
+    ),
+    "sample": (
+        "a0f408510c34854fd9b1378dfb173098d78549bf7920582391b7eddafb80393a",
+        {
+            "certification.json": "f7a00daef76435f0e9350d0fcd9d8e3e9830c0226ecffcb024b8cde87b601ef8",
+            "sample_meta.json": "ef017a39b8c4aa7fa1fa0ee0a8b82e80f9c2ad4b856f879eaa35e9f200e6faca",
+            "scheme.json": "aa11cedf51641878bbacfc9732e99906c2641de1bf9a13be89048cd26c939f1c",
+        },
+    ),
+    "minimize": (
+        "f983a8bb14614588f13f8fabdc2014afee792cbf895279301972d7611da0229a",
+        {
+            "minimize_meta.json": "4491f5936dd8b830c4f1ca9edf464ca168db17449a9c1dcf4ef0549a6aaf42b9",
+            "scheme.json": "ab51a823e6648fb1823d9028c55f565ea282e83efaecf8f8afcfaf493fa5b8c3",
+            "search.json": "87855ab289463d7a63abab00545845ddbd37023374e0e5664beaf26967be5b6b",
+        },
+    ),
+    "kbound": (
+        "a6d25366d03470c1b6b08b8b213f514d14107d8b944768018250bf6581fd7c07",
+        {
+            "kbound.json": "a8bbdb65575fd7d2f284e5a375bfeea7028befef176a59e2ffc6d9184a6ba239",
+            "kbound_meta.json": "24fdb8efd474709d695a0b411756b9f01eb47faa820b2df04e7e42375f4f9d7a",
+        },
+    ),
+    "separation": (
+        "546e967ba246b312a9e1d3e1cdac028e6c43232c4dcd9b2f3380c241d492e5c1",
+        {
+            "separation.csv": "b508b3ac8de4a276db1f66b27170cbd614edff5618229b3068db5a7c81a1d009",
+            "separation_meta.json": "d26b56b42177fd8d1625ce0a383537e13a9f278b65dc8c991df1bacc9aec1a13",
+        },
+    ),
+    "lowerbound": (
+        "558e52cf6e0c546a4e606974581e077b4672fe1d93264b0f1b801af35d76570e",
+        {
+            "lowerbound.json": "2bd8c50f5e068c71a4471f6f03233d16563aea4d92c1e0d365ad728b8e388e0b",
+            "lowerbound_meta.json": "bfd03665d6064fa6a49addb9785e52484f34139bf636d52fc76c2c0ab5b1b10e",
+        },
+    ),
+    "figure1": (
+        "1e1f62e8323016f64c7576fc3862b0c3dc7e253896451a56927954126e053d88",
+        {
+            "figure1_meta.json": "1f8a95254d3d0dd032ae90de44a913c786fc8dd921b154f0adac9cfbd3666858",
+            "figure1_summary.json": "14df380c4ecd06acc512297ab0b48182b72bf0b328d053c7b92f398be31ad6c5",
+            "grid_subset_1.csv": "31f4b6f53ee07360bc407ad1f3df2551659b1d76391b73a8aeb9404e586d3404",
+            "grid_subset_2.csv": "f94011e98be0d1860a347dc01fb7785c001148b01d20a96ab00b43cdb9135293",
+        },
+    ),
+    "regress": (
+        "d670083742028c51ff2907a0a449561e9a34e9a179b766eefcb4547a986484cf",
+        {
+            "regress_meta.json": "820636503eae133b4eff0bd3ad343bd1295a73587cd2f58e19f69d9d50ed9b4d",
+            "regression.csv": "7befc79ed0fb8d1e4a3543fe9b1088cde7115746da1ae17c1c351d394fda71cd",
+        },
+    ),
+    "mlp": (
+        "0b35fa281949c87b2fc669e110e5e87cb4b165bea54610a68c44302c435e3358",
+        {
+            "loss_vs_epoch.csv": "427e854e348df23d79fcace44dde8167e373067264d380b2b48b00044740ff1b",
+            "loss_vs_subset.csv": "6b3b15e4deffae6c76566c553c30d73af1b24ae56bcdc1af3bf48b7d1d5979ee",
+            "mlp_meta.json": "637507bc6c6098e89a5363b41cba0630b1819c594c4a8f90c58b00c476258976",
+        },
+    ),
+    "selftest": (
+        "bf7d27fb9fe81de1902b86718e7b318f4b3fd2fee81a35f67309faa7ce7487ee",
+        {
+            "selftest.json": "42f6fdf7c45dfcfb4ddc289b93652d9d9e9b7671c30bd020dae3be43ec7fa353",
+            "selftest_meta.json": "8d563dac13b5a99329840466f24a93176794de653b97014ed9db5be8295bd8e6",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
+def test_every_subcommand_keeps_its_bytes(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run([*_EVERY_SUBCOMMAND[command], "--out", "out"]) == 0
+    stdout, files = EVERY_SUBCOMMAND_SHA256[command]
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
+    assert sorted(written) == list(files) and written == files
+
+
+def _raises(exc):
+    def subcommand(*args):
+        raise exc
+
+    return subcommand
+
+
+@pytest.mark.parametrize(
+    "exc, code, prefix",
+    [
+        (UsageError("bad flag"), 1, "usage error: bad flag"),
+        (SizeLimitError("too big"), 1, "usage error: too big"),
+        (NumericalConsistencyError("drift"), 2, "numerical-consistency error: drift"),
+        (TrainingFailureError("loss is nan", epoch=3), 2, "numerical-consistency error: loss is nan"),
+        (SearchFailureError("budget spent"), 3, "search failure: budget spent"),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None,
+)
+def test_toolkit_errors_map_to_exit_codes(exc, code, prefix, tmp_path, monkeypatch, capsys):
+    help_text, _, flags = cli._SUBCOMMANDS["kbound"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "kbound", (help_text, _raises(exc), flags))
+    out = tmp_path / "x"
+    assert run(["kbound", "--group", "cyclic:4", "--out", str(out)]) == code
+    assert capsys.readouterr().err == prefix + "\n"
+    assert not out.exists()
+
+
+def test_failed_selftest_writes_its_artifacts_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "invariant_dimension", lambda rep: 0)
+    out = tmp_path / "st"
+    assert run(["selftest", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "numerical-consistency error: selftest failed\n"
+    assert "FAIL invariant dimension of perm rep" in captured.out
+    assert not read_json(out / "selftest.json")["passed"]
+    assert read_json(out / "selftest_meta.json")["subcommand"] == "selftest"
+
+
+def test_search_failure_run_writes_its_sidecar(tmp_path, monkeypatch):
+    def failing(group, *args, **kwargs):
+        scheme = schemes.uniform_scheme(group)
+        return schemes.MinimizeResult(scheme=scheme, eps=0.5, status="search_failure",
+                                      eps_target=0.1, trace=[])
+
+    monkeypatch.setattr(cli, "minimize_scheme", failing)
+    out = tmp_path / "m"
+    assert run(["minimize", "--group", "cyclic:4", "--eps", "0.1", "--out", str(out)]) == 3
+    assert read_json(out / "search.json")["status"] == "search_failure"
+    assert sorted(p.name for p in out.iterdir()) == ["minimize_meta.json", "scheme.json", "search.json"]
 
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"

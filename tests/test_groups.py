@@ -62,6 +62,24 @@ def test_parameter_caps_and_usage_errors():
         build_group("nonsense", 3)
 
 
+
+def _nested_product(depth: int, leaf: str) -> str:
+    spec = "cyclic:2"
+    for _ in range(depth):
+        spec = f"product({leaf},{spec})"
+    return spec
+
+
+def test_product_depth_limit_is_what_the_table_cap_leaves_room_for():
+    depth = groups_module.PRODUCT_MAX_DEPTH
+    # the smallest order of a product nested d deep without order-1 factors is 2**(d + 1)
+    assert 2 ** (depth + 1) <= 7327 < 2 ** (depth + 2)
+    assert parse_group_spec(_nested_product(depth, "cyclic:1")).order == 2
+    assert parse_group_spec(_nested_product(3, "cyclic:2")).order == 16
+    for too_deep in (depth + 1, 2000):
+        with pytest.raises(SizeLimitError, match=f"nests products {too_deep} deep, above the limit of {depth}"):
+            parse_group_spec(_nested_product(too_deep, "cyclic:1"))
+
 class _Allocating(Exception):
     pass
 

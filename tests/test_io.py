@@ -1,7 +1,7 @@
 import pytest
 
 from groupavg import UsageError
-from groupavg.io import fmt_float, load_schema, validate_schema
+from groupavg.io import fmt_float, load_schema, validate_schema, write_json
 
 
 def test_fmt_float_17_digits_round_trip():
@@ -61,3 +61,13 @@ def test_validator_enum_and_bool():
         validate_schema({**report, "method": "guesswork"}, schema)
     with pytest.raises(UsageError):
         validate_schema({**report, "degenerate": 1}, schema)  # bool is not integer
+
+
+def test_write_json_checks_the_schema_its_file_names(tmp_path):
+    payload = {"group": "cyclic:3", "rep": "regular", "order": 3, "k_bound": 3}
+    write_json(tmp_path / "out" / "kbound.json", payload)  # makes the directory
+    with pytest.raises(UsageError, match="missing required key 'k_bound'"):
+        write_json(tmp_path / "bad" / "kbound.json", {k: v for k, v in payload.items() if k != "k_bound"})
+    with pytest.raises(UsageError, match="missing required key"):  # the metadata schema
+        write_json(tmp_path / "bad" / "kbound_meta.json", payload)
+    assert not (tmp_path / "bad").exists()
