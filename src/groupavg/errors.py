@@ -13,7 +13,8 @@ class GroupavgError(Exception):
 class UsageError(GroupavgError, ValueError):
     """Invalid parameters, unknown families, malformed inputs."""
 
-    exit_code, label = 1, "usage error"
+    exit_code = 1
+    label = "usage error"
 
 
 class SizeLimitError(UsageError):
@@ -31,7 +32,8 @@ class GroupMismatchError(UsageError):
 class NumericalConsistencyError(GroupavgError, ArithmeticError):
     """A quantity that must be integral/exact failed its residual check."""
 
-    exit_code, label = 2, "numerical-consistency error"
+    exit_code = 2
+    label = "numerical-consistency error"
 
 
 class TrainingFailureError(NumericalConsistencyError):
@@ -45,4 +47,5 @@ class TrainingFailureError(NumericalConsistencyError):
 class SearchFailureError(GroupavgError, RuntimeError):
     """A search exhausted its budget without a feasible result."""
 
-    exit_code, label = 3, "search failure"
+    exit_code = 3
+    label = "search failure"

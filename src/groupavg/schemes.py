@@ -132,7 +132,8 @@ def random_scheme(group: Group, n: int, seed) -> AveragingScheme:
     return AveragingScheme(group, support, counts[support] / float(n))
 
 
-SAMPLE_LAW_SCALE, SAMPLE_LAW_OFFSET = 2.67, 0.7
+SAMPLE_LAW_SCALE = 2.67
+SAMPLE_LAW_OFFSET = 0.7
 
 
 def required_sample_count(order: int, eps: float, delta: float) -> int:

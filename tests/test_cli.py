@@ -725,24 +725,27 @@ def test_fourier_path_artifacts_keep_their_bytes(key, tmp_path):
     assert digests == FOURIER_PATH_SHA256[key]
 
 
-# one small job of each subcommand, run from its own directory with
-# ``--out out`` so that ``_meta.json`` names no absolute path; the Fourier
-# and projector runs stay at order <= 16, where the bits do not move with
-# the BLAS thread count
+# one small job of each subcommand, plus a search that fails (exit 3: only
+# the uniform scheme's rounding noise comes near 1e-300), each run from its
+# own directory with ``--out out`` so that ``_meta.json`` names no absolute
+# path; the Fourier and projector runs stay at order <= 16, where the bits
+# do not move with the BLAS thread count
 _EVERY_SUBCOMMAND = {
-    "group": ["group", "--group", "dihedral:5"],
-    "irreps": ["irreps", "--group", "symmetric:4"],
-    "certify": ["certify", "--group", "cyclic:8", "--scheme", "random:5", "--seed", "3"],
-    "sample": ["sample", "--group", "dihedral:4", "--eps", "0.5", "--seed", "7"],
-    "minimize": ["minimize", "--group", "signflip:3", "--path", "fourier", "--eps", "0.5",
-                 "--trials", "4", "--swaps", "5", "--seed", "1"],
-    "kbound": ["kbound", "--group", "symmetric:3", "--rep", "permutation"],
-    "separation": ["separation", "--range", "2:3", "--eps", "0.2", "--trials", "1", "--seed", "2"],
-    "lowerbound": ["lowerbound", "--d", "3", "--trials", "2", "--seed", "1"],
-    "figure1": ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,2", "--seed", "4"],
-    "regress": ["regress", "--n", "16", "--trials", "2", "--eps", "0.5", "--seed", "5"],
-    "mlp": [*TINY_MLP, "--width1", "4", "--width2", "4", "--epoch-eval", "8"],
-    "selftest": ["selftest", "--seed", "3"],
+    "group": (0, ["group", "--group", "dihedral:5"]),
+    "irreps": (0, ["irreps", "--group", "symmetric:4"]),
+    "certify": (0, ["certify", "--group", "cyclic:8", "--scheme", "random:5", "--seed", "3"]),
+    "sample": (0, ["sample", "--group", "dihedral:4", "--eps", "0.5", "--seed", "7"]),
+    "minimize": (0, ["minimize", "--group", "signflip:3", "--path", "fourier", "--eps", "0.5",
+                     "--trials", "4", "--swaps", "5", "--seed", "1"]),
+    "kbound": (0, ["kbound", "--group", "symmetric:3", "--rep", "permutation"]),
+    "separation": (0, ["separation", "--range", "2:3", "--eps", "0.2", "--trials", "1", "--seed", "2"]),
+    "lowerbound": (0, ["lowerbound", "--d", "3", "--trials", "2", "--seed", "1"]),
+    "figure1": (0, ["figure1", "--n", "5", "--grid", "3", "--subsets", "1,2", "--seed", "4"]),
+    "regress": (0, ["regress", "--n", "16", "--trials", "2", "--eps", "0.5", "--seed", "5"]),
+    "mlp": (0, [*TINY_MLP, "--width1", "4", "--width2", "4", "--epoch-eval", "8"]),
+    "selftest": (0, ["selftest", "--seed", "3"]),
+    "search-failure": (3, ["minimize", "--group", "dihedral:5", "--eps", "1e-300", "--trials", "1",
+                           "--swaps", "1"]),
 }
 # sha256 of (stdout, {artifact: file}), recorded before main took over the
 # output directory and the sidecar from the subcommands
@@ -839,13 +842,22 @@ EVERY_SUBCOMMAND_SHA256 = {
             "selftest_meta.json": "8d563dac13b5a99329840466f24a93176794de653b97014ed9db5be8295bd8e6",
         },
     ),
+    "search-failure": (
+        "7f2fff0ac6deee96d221cea0f911d76e804c03a3760ac959e56441dae4170dd1",
+        {
+            "minimize_meta.json": "9984f08a9769b9a6d9d7b48e883d2658afcda20c10a5380c2f1f95ea9483427e",
+            "scheme.json": "e3f7c2822d018058b4dd4cd06647ba31970c9e5231a5ab98ce94975540c83ab9",
+            "search.json": "15a89c4904289a03399d27c28e33d0ad4f2143eb7408d18dfd5a3c305c94f677",
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("command", list(_EVERY_SUBCOMMAND))
 def test_every_subcommand_keeps_its_bytes(command, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    assert run([*_EVERY_SUBCOMMAND[command], "--out", "out"]) == 0
+    code, argv = _EVERY_SUBCOMMAND[command]
+    assert run([*argv, "--out", "out"]) == code
     stdout, files = EVERY_SUBCOMMAND_SHA256[command]
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "out").iterdir()}
@@ -889,18 +901,6 @@ def test_failed_selftest_writes_its_artifacts_and_exits_2(tmp_path, monkeypatch,
     assert not read_json(out / "selftest.json")["passed"]
     assert read_json(out / "selftest_meta.json")["subcommand"] == "selftest"
 
-
-def test_search_failure_run_writes_its_sidecar(tmp_path, monkeypatch):
-    def failing(group, *args, **kwargs):
-        scheme = schemes.uniform_scheme(group)
-        return schemes.MinimizeResult(scheme=scheme, eps=0.5, status="search_failure",
-                                      eps_target=0.1, trace=[])
-
-    monkeypatch.setattr(cli, "minimize_scheme", failing)
-    out = tmp_path / "m"
-    assert run(["minimize", "--group", "cyclic:4", "--eps", "0.1", "--out", str(out)]) == 3
-    assert read_json(out / "search.json")["status"] == "search_failure"
-    assert sorted(p.name for p in out.iterdir()) == ["minimize_meta.json", "scheme.json", "search.json"]
 
 def test_config_file_with_flag_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
