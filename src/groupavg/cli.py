@@ -179,7 +179,7 @@ def cmd_group(args, out: Path) -> int:
         "family": group.family,
         "order": group.order,
         "n_classes": len(part),
-        "class_sizes": [int(s) for s in part.sizes],
+        "class_sizes": part.sizes.tolist(),
         "abelian": group.is_abelian,
     }
     write_json(out / "group_info.json", info)

@@ -164,9 +164,7 @@ def plancherel_residual(signal: GroupSignal, table: IrrepTable) -> float:
 
 
 def max_nontrivial_norm(
-    coeffs: FourierCoefficients,
-    table: IrrepTable,
-    restrict_to: Optional[np.ndarray] = None,
+    coeffs: FourierCoefficients, restrict_to: Optional[np.ndarray] = None
 ) -> float:
     """Largest squared spectral norm over nontrivial coefficient blocks.
 
@@ -208,8 +206,8 @@ def max_nontrivial_norm(
     return best
 
 
-def per_irrep_norms(coeffs: FourierCoefficients, table: IrrepTable) -> dict[str, float]:
-    labels = table.labels()
+def per_irrep_norms(coeffs: FourierCoefficients) -> dict[str, float]:
+    labels = coeffs.table.labels()
     return {labels[i]: spectral_norm(m) ** 2 for i, m in enumerate(coeffs.mats)}
 
 

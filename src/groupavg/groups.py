@@ -200,19 +200,19 @@ class Group:
 
 @dataclass(frozen=True)
 class ConjugacyPartition:
-    """Partition of element indices into conjugacy classes.
+    """Partition of element indices into conjugacy classes, as int64 arrays.
 
     Classes are ordered by their minimal element, which is also the
-    stored representative; ``class_of[g]`` maps an element to its class.
+    stored representative: ``representatives`` increases.  ``sizes[c]``
+    counts class c and ``class_of[g]`` maps an element to its class.
     """
 
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    sizes: tuple[int, ...]
+    representatives: np.ndarray
+    sizes: np.ndarray
     class_of: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.representatives)
 
 
 # -- constructors ---------------------------------------------------------
@@ -355,25 +355,25 @@ def build_group(family: str, *params) -> Group:
 
 
 def conjugacy_classes(group: Group) -> ConjugacyPartition:
-    """Conjugacy classes, ordered by minimal element index."""
-    n = group.order
-    s = np.arange(n)
-    seen = np.zeros(n, dtype=bool)
-    classes: list[tuple[int, ...]] = []
-    for g in range(n):
-        if seen[g]:
-            continue
-        orbit = np.unique(group.mult[group.mult[:, g], group.inv[s]])
-        seen[orbit] = True
-        classes.append(tuple(int(x) for x in orbit))
-    class_of = np.empty(n, dtype=np.int64)
-    for c, members in enumerate(classes):
-        for g in members:
-            class_of[g] = c
+    """Conjugacy classes, ordered by minimal element index.
+
+    Walks the smallest unclassed element g: one gather of s g s^-1 over
+    every s, read as ``mult[s, mult[g, inv[s]]]`` from row g and the flat
+    table, marks g's whole class, and g is that class's minimum since
+    every smaller element is classed already.
+    """
+    mult, inv, n = group.mult, group.inv, group.order
+    flat, rows = mult.ravel(), np.arange(0, n * n, n)
+    class_of = np.full(n, -1, dtype=np.int64)
+    reps = []
+    g = 0
+    while g < n:
+        class_of[flat[rows + mult[g, inv]]] = len(reps)
+        reps.append(g)
+        g += int(np.argmax(class_of[g:] < 0)) or n - g  # 0: none left, g is classed
     return ConjugacyPartition(
-        classes=tuple(classes),
-        representatives=tuple(c[0] for c in classes),
-        sizes=tuple(len(c) for c in classes),
+        representatives=np.array(reps, dtype=np.int64),
+        sizes=np.bincount(class_of),
         class_of=class_of,
     )
 

@@ -18,13 +18,6 @@ from pathlib import Path
 
 from .errors import UsageError
 
-FLOAT_FORMAT = ".17g"
-
-
-def fmt_float(x: float) -> str:
-    return format(float(x), FLOAT_FORMAT)
-
-
 def write_text(path: Path, text: str) -> None:
     """The one write path: make the directory at the first write; a path
     that cannot be written is a usage error."""

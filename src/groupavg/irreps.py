@@ -298,7 +298,7 @@ def irreps_of(group: Group) -> IrrepTable:
         )
     raw = builder(group)
     partition = conjugacy_classes(group)
-    reps = list(partition.representatives)
+    reps = partition.representatives
     characters = np.concatenate([np.trace(s[:, reps], axis1=2, axis2=3) for s in raw])
     dims = np.concatenate([np.full(len(s), s.shape[2]) for s in raw])
     # trivial first, then by dimension, then by rounded (re, im) per class in turn
@@ -330,8 +330,7 @@ def irreps_of(group: Group) -> IrrepTable:
 def _class_inner(values: np.ndarray, table: IrrepTable) -> np.ndarray:
     """Inner products ``sum_c |c| * f(c) * conj(chi_i(c)) / |G|`` of the class
     functions f on the last axis of ``values`` with every irrep character."""
-    sizes = np.array(table.partition.sizes, dtype=float)
-    return (values * sizes) @ table.characters.conj().T / table.group.order
+    return (values * table.partition.sizes) @ table.characters.conj().T / table.group.order
 
 
 def _as_character(rho, table: IrrepTable) -> CharacterVector:

@@ -188,18 +188,12 @@ class Representation:
         self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
         all_plus = self._signed is not None and np.all(self._signed[1] == 1)
         self.perms = self._signed[0] if all_plus else None
-        self._partition: Optional[ConjugacyPartition] = None
         if validate:
             self.validate()
 
     @property
     def dim(self) -> int:
         return int(self.mats.shape[1])
-
-    def partition(self) -> ConjugacyPartition:
-        if self._partition is None:
-            self._partition = conjugacy_classes(self.group)
-        return self._partition
 
     # -- validation --------------------------------------------------
 
@@ -240,9 +234,9 @@ class Representation:
     # -- characters ---------------------------------------------------
 
     def character(self, partition: Optional[ConjugacyPartition] = None) -> "CharacterVector":
-        part = partition if partition is not None else self.partition()
+        part = partition if partition is not None else conjugacy_classes(self.group)
         traces = np.einsum("gii->g", self.mats)
-        values = traces[list(part.representatives)]
+        values = traces[part.representatives]
         spread = float(np.abs(traces - values[part.class_of]).max())
         if not spread <= CHARACTER_CLASS_TOL:  # a NaN trace fails too
             raise NumericalConsistencyError(f"character varies on a class by {spread:.3e}")
@@ -456,8 +450,7 @@ def power_class_map(group: Group, partition: ConjugacyPartition, max_power: int)
 
     Well-defined on classes since conjugation commutes with powers.
     """
-    reps = np.array(partition.representatives, dtype=np.int64)
-    return partition.class_of[power_table(group, reps, max_power + 1)].T
+    return partition.class_of[power_table(group, partition.representatives, max_power + 1)].T
 
 
 def sym_power_characters(chi: CharacterVector, max_degree: int) -> Iterator[CharacterVector]:

@@ -225,7 +225,7 @@ def certify(
         )
     if isinstance(target, IrrepTable):
         coeffs = fourier_transform(scheme.to_signal(), target)
-        weak = max_nontrivial_norm(coeffs, target, restrict_to=multiplicities)
+        weak = max_nontrivial_norm(coeffs, restrict_to=multiplicities)
         strong = _fourier_eps_strong(coeffs, target, multiplicities)
         if multiplicities is None:
             degenerate = len(target) == 1
@@ -237,7 +237,7 @@ def certify(
             eps_weak=weak,
             eps_strong=strong,
             method="fourier_path",
-            per_irrep_norms=per_irrep_norms(coeffs, target),
+            per_irrep_norms=per_irrep_norms(coeffs),
             degenerate=degenerate,
         )
     raise UsageError("certification target must be a Representation or IrrepTable")
@@ -253,7 +253,7 @@ def certify_weak_target(
         return certify_weak(scheme, target)
     if isinstance(target, IrrepTable):
         coeffs = fourier_transform(scheme.to_signal(), target)
-        return max_nontrivial_norm(coeffs, target, restrict_to=multiplicities)
+        return max_nontrivial_norm(coeffs, restrict_to=multiplicities)
     raise UsageError("certification target must be a Representation or IrrepTable")
 
 

@@ -126,7 +126,7 @@ def sign_flip_generation_report(
     generated = closure(group, scheme.support.tolist())
     table = irreps_of(group)
     coeffs = fourier_transform(scheme.to_signal(), table)
-    eps = max_nontrivial_norm(coeffs, table)
+    eps = max_nontrivial_norm(coeffs)
     return {
         "d": int(d),
         "generates": len(generated) == group.order,

@@ -371,14 +371,14 @@ def character_layer_reps(group) -> list:
     return base + [sym_power_rep(rep, 2) for rep in base]
 
 
-def character_by_loop(rep, partition, tol: float = 1e-8) -> np.ndarray:
-    """Character oracle: the trace at each class's first element, and the
-    largest deviation of any member's trace, class by class."""
+def character_by_loop(rep, tol: float = 1e-8) -> np.ndarray:
+    """Character oracle over the classes of :func:`brute_force_classes`: the
+    trace at each class's minimal element, and the largest deviation of any
+    member's trace, class by class."""
     traces = np.einsum("gii->g", rep.mats)
-    values = np.array([traces[c[0]] for c in partition.classes])
-    spread = max(
-        float(np.abs(traces[list(c)] - values[i]).max()) for i, c in enumerate(partition.classes)
-    )
+    classes = [sorted(c) for c in brute_force_classes(rep.group)]
+    values = np.array([traces[c[0]] for c in classes])
+    spread = max(float(np.abs(traces[c] - values[i]).max()) for i, c in enumerate(classes))
     assert spread <= tol, spread
     return values
 

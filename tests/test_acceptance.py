@@ -202,7 +202,7 @@ def test_criterion_07_fourier_identities():
                 mults = decompose(rep, table)
                 weak_proj = certify_weak(sch, rep)
                 weak_fourier = max_nontrivial_norm(
-                    fourier_transform(sch.to_signal(), table), table, restrict_to=mults
+                    fourier_transform(sch.to_signal(), table), restrict_to=mults
                 )
                 assert abs(weak_proj - weak_fourier) <= 1e-8, spec
                 pairs += 1

@@ -54,7 +54,7 @@ def test_uniform_signal_transform(tables):
         for i, m in enumerate(coeffs.mats):
             if i != table.trivial_index:
                 assert np.abs(m).max() < 1e-12
-        assert max_nontrivial_norm(coeffs, table) < 1e-20
+        assert max_nontrivial_norm(coeffs) < 1e-20
 
 
 def test_delta_at_identity_transform(tables):
@@ -64,7 +64,7 @@ def test_delta_at_identity_transform(tables):
         for d, m in zip(table.dims, coeffs.mats):
             assert np.abs(m - np.eye(d)).max() < 1e-12
         if len(table) > 1:
-            assert abs(max_nontrivial_norm(coeffs, table) - 1.0) < 1e-12
+            assert abs(max_nontrivial_norm(coeffs) - 1.0) < 1e-12
 
 
 def test_frozen_c2_value():
@@ -72,7 +72,7 @@ def test_frozen_c2_value():
     sig = GroupSignal(group=table.group, weights=np.array([0.75, 0.25]))
     coeffs = fourier_transform(sig, table)
     assert abs(coeffs.mats[1][0, 0] - 0.5) < 1e-15
-    assert abs(max_nontrivial_norm(coeffs, table) - 0.25) < 1e-15
+    assert abs(max_nontrivial_norm(coeffs) - 0.25) < 1e-15
 
 
 @settings(max_examples=30, deadline=None)
@@ -262,7 +262,7 @@ def test_pruned_weak_certificate_has_the_bits_of_the_full_maximum(
     table = weak_tables[spec]
     coeffs = fourier_transform(_weak_scheme(table.group, kind, size, seed).to_signal(), table)
     restrict_to = np.random.default_rng(seed).integers(0, 2, len(table)) if restrict else None
-    got = max_nontrivial_norm(coeffs, table, restrict_to=restrict_to)
+    got = max_nontrivial_norm(coeffs, restrict_to=restrict_to)
     assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table, restrict_to).hex()
 
 
@@ -307,7 +307,7 @@ def test_weak_certificate_visits_blocks_in_the_sorted_order(weak_tables, monkeyp
                 restrict_to = np.random.default_rng(seed).integers(0, 2, len(table))
                 for restrict in (None, restrict_to):
                     seen.clear()
-                    max_nontrivial_norm(coeffs, table, restrict_to=restrict)
+                    max_nontrivial_norm(coeffs, restrict_to=restrict)
                     want = sorted_weak_visits(coeffs.mats, table, restrict)
                     assert len(seen) == len(want), (spec, kind, seed)
                     for got, i in zip(seen, want):
@@ -329,7 +329,7 @@ def test_weak_certificate_skips_blocks_below_the_running_maximum(weak_tables, mo
         return spectral_norm(mat)
 
     monkeypatch.setattr(fourier_module, "spectral_norm", recording)
-    got = max_nontrivial_norm(coeffs, table)
+    got = max_nontrivial_norm(coeffs)
     svds = sum(shape != () for shape in seen)
     assert seen.count(()) == table.dims.count(1) - 1  # every nontrivial 1x1 entry, as a scalar
     assert 1 <= svds < table.dims.count(2)

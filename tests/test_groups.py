@@ -153,12 +153,20 @@ def test_conjugacy_class_counts(small_groups):
     assert len(conjugacy_classes(parse_group_spec("symmetric:4"))) == 5
 
 
-def test_conjugacy_against_brute_force(small_groups):
-    for spec in ("symmetric:3", "dihedral:5", "dihedral:6", "product(cyclic:2,symmetric:3)"):
-        group = small_groups[spec]
+def test_conjugacy_against_brute_force():
+    for spec in TABLE_SPECS + ["symmetric:5", "symmetric:6"]:
+        group = parse_group_spec(spec)
         part = conjugacy_classes(group)
-        oracle = brute_force_classes(group)
-        assert sorted(map(sorted, part.classes)) == sorted(map(sorted, oracle))
+        oracle = brute_force_classes(group)  # in order of class minimum
+        fields = (part.representatives, part.sizes, part.class_of)
+        assert [a.dtype for a in fields] == [np.int64] * 3, spec
+        assert part.representatives.tolist() == [min(c) for c in oracle], spec
+        assert np.all(np.diff(part.representatives) > 0), spec
+        assert part.sizes.tolist() == [len(c) for c in oracle], spec
+        want = np.empty(group.order, dtype=np.int64)
+        for i, c in enumerate(oracle):
+            want[list(c)] = i
+        assert np.array_equal(part.class_of, want), spec
 
 
 def test_conjugacy_sizes_frozen(small_groups):

@@ -1,12 +1,46 @@
+import numpy as np
 import pytest
 
 from groupavg import UsageError
-from groupavg.io import fmt_float, load_schema, validate_schema, write_json
+from groupavg.experiments.regression import RegressionConfig, RegressionResult, regression_csv
+from groupavg.experiments.rotation import grid_csv
+from groupavg.io import load_schema, validate_schema, write_json
+from groupavg.separation import SeparationRow, separation_csv
+
+# values whose shortest round trip needs up to 17 significant digits, a huge one, a subnormal, 0
+HARD_FLOATS = [1 / 3, 0.1, 2.0**-40, 123456.789, 2 / 3 * 1e300, 5e-324, 0.1 + 0.2, 0.0]
 
 
-def test_fmt_float_17_digits_round_trip():
-    for x in (1 / 3, 0.1, 2.0**-40, 123456.789):
-        assert float(fmt_float(x)) == x
+def _columns(csv_text: str, names: list[str]) -> list[list[str]]:
+    lines = csv_text.splitlines()
+    header = lines[0].split(",")
+    return [[line.split(",")[header.index(n)] for n in names] for line in lines[1:]]
+
+
+def _assert_bits(fields: list[str], want: list[float]) -> None:
+    assert [float(f).hex() for f in fields] == [float(x).hex() for x in want]
+
+
+def test_csv_writers_round_trip_floats_bit_for_bit():
+    rows = [SeparationRow("signflip", 4, 2, 4, 3, x, 7, "ok") for x in HARD_FLOATS]
+    _assert_bits([e for (e,) in _columns(separation_csv(rows), ["eps"])], HARD_FLOATS)
+
+    for i, x in enumerate(HARD_FLOATS):
+        y = HARD_FLOATS[-1 - i]
+        result = RegressionResult(
+            config=RegressionConfig(sigma=y, eps=x),
+            m=4, m_triv=1, risks=dict.fromkeys(("erm", "exact", "weak"), x),
+            stderrs=dict.fromkeys(("erm", "exact", "weak"), y), scheme_eps=x, scheme_size=3,
+        )
+        for fields in _columns(regression_csv(result), ["risk", "stderr", "sigma", "eps"]):
+            _assert_bits(fields, [x, y, y, x])
+
+    xs, ys = np.array(HARD_FLOATS[:4]), -np.array(HARD_FLOATS[4:])
+    values = np.outer(ys, xs) / 3
+    cells = _columns(grid_csv(xs, ys, values), ["x", "y", "value"])
+    want = [(x, y, values[iy, ix]) for iy, y in enumerate(ys) for ix, x in enumerate(xs)]
+    for got, (x, y, v) in zip(cells, want, strict=True):
+        _assert_bits(got, [x, y, v])
 
 
 def test_all_shipped_schemas_load():

@@ -284,7 +284,7 @@ def test_fourier_path_respects_multiplicities():
         sch = random_scheme(s3, 4, seed)
         weak_proj = certify_weak(sch, rep)
         coeffs = fourier_transform(sch.to_signal(), table)
-        weak_fourier = max_nontrivial_norm(coeffs, table, restrict_to=mults)
+        weak_fourier = max_nontrivial_norm(coeffs, restrict_to=mults)
         assert abs(weak_proj - weak_fourier) < 1e-8
 
 
@@ -369,7 +369,7 @@ def test_sampler_success_rate_small():
     for t in range(trials):
         sch = random_scheme(group, n, np.random.SeedSequence(entropy=77, spawn_key=(t,)))
         coeffs = fourier_transform(sch.to_signal(), table)
-        if max_nontrivial_norm(coeffs, table) <= eps:
+        if max_nontrivial_norm(coeffs) <= eps:
             wins += 1
     p0 = 1.0 - delta
     slack = 3.0 * np.sqrt(p0 * delta / trials)

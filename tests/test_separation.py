@@ -100,7 +100,7 @@ def test_violation_iff_nontrivial_norms_vanish():
     for seed in range(25):
         sch = random_scheme(group, 6, seed)
         viol = exact_violation(sch, reg)
-        norm = max_nontrivial_norm(fourier_transform(sch.to_signal(), table), table)
+        norm = max_nontrivial_norm(fourier_transform(sch.to_signal(), table))
         assert (viol < 1e-9) == (norm < 1e-9)
     uni = uniform_scheme(group)
     assert exact_violation(uni, reg) < 1e-9
