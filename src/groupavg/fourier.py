@@ -1,9 +1,11 @@
 """Fourier analysis of signals on finite groups.
 
 Transforms are direct summations against an irrep table (no fast
-transform), one summation per irrep dimension over the table's stacked,
-conjugated matrices.  The coefficients keep that layout: one ``(k, d, d)``
-stack per irrep dimension, and the per-irrep blocks are views of it.
+transform): one gather of the support's rows of the table's
+element-major adjoint table and one einsum over them, fed the sparse
+``(support, weights)`` of a scheme or signal as they are.  The
+coefficients are that one vector, viewed as one ``(k, d, d)`` stack per
+irrep dimension, and the per-irrep blocks are views of the stacks.
 Spectral norms are closed form on 1x1 blocks and dense SVD on larger
 ones.  The weak certificate passes the entries of the 1x1 stack to
 :func:`spectral_norm` as numpy scalars through one C-level ``map``, with
@@ -11,13 +13,15 @@ no Python loop and no 1x1 views.  It takes the Frobenius norms of each
 larger stack in one reduction and skips the SVD of every block whose
 Frobenius norm cannot beat the running maximum; it keeps the same bits,
 since sigma_max <= ||.||_F and the maximum does not depend on the order
-the blocks are visited in.  A stacked 1x1 path would have to take
-``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
-:func:`spectral_norm`).  The per-element
-deviation behind the strong certificate takes one SVD per element.  On
-a permutation action it moves rows instead of multiplying and takes its
-SVDs in real arithmetic; otherwise it forms every
-``rho(g) @ block - block`` with one stacked product.
+the blocks are visited in.  A caller that only compares the certificate
+with a threshold may pass it as ``stop_above`` and skip the SVDs left
+once the running maximum exceeds it.  A stacked 1x1 path would have to
+take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
+:func:`spectral_norm`).  The per-element deviation behind the strong
+certificate takes one SVD per element.  On a permutation action it moves
+rows instead of multiplying and takes its SVDs in real arithmetic;
+otherwise it forms every ``rho(g) @ block - block`` with one stacked
+product.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +65,11 @@ class GroupSignal:
     @property
     def support(self) -> np.ndarray:
         return np.flatnonzero(np.abs(self.weights) > SUPPORT_EPS)
+
+    def sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(support, weights on the support)``."""
+        idx = self.support
+        return idx, self.weights[idx]
 
 
 @dataclass
@@ -125,13 +135,26 @@ def max_deviation(rep: Representation, block: np.ndarray) -> float:
     return max(norms)
 
 
-def fourier_transform(signal: GroupSignal, table: IrrepTable) -> FourierCoefficients:
-    """Per-irrep sums of weights against the adjoint irrep matrices."""
+def fourier_transform(signal, table: IrrepTable) -> FourierCoefficients:
+    """Per-irrep sums of weights against the adjoint irrep matrices.
+
+    ``signal`` is a :class:`GroupSignal` or an ``AveragingScheme``:
+    anything with a ``group`` and a ``sparse()`` giving its support and
+    the weights there, so a scheme is never made dense.  One gather of
+    the support's rows of :attr:`IrrepTable.adjoint_rows` and one einsum
+    give every coefficient, summed over the support in increasing order
+    as the per-stack einsum sums them; each stack is a C-contiguous
+    ``(k, d, d)`` view of that one vector.
+    """
     if signal.group != table.group:
         raise GroupMismatchError("signal and table are over different groups")
-    idx = signal.support
-    w = signal.weights[idx]
-    stacks = [np.einsum("g,kgji->kij", w, s[:, idx], order="C") for s in table.conj_stacks]
+    idx, w = signal.sparse()
+    flat = np.einsum("g,gx->x", w, table.adjoint_rows[idx])
+    stacks, first = [], 0
+    for s in table.stacks:
+        k, d = len(s), s.shape[2]
+        stacks.append(flat[first : first + k * d * d].reshape(k, d, d))
+        first += k * d * d
     return FourierCoefficients(table=table, stacks=stacks)
 
 
@@ -164,7 +187,9 @@ def plancherel_residual(signal: GroupSignal, table: IrrepTable) -> float:
 
 
 def max_nontrivial_norm(
-    coeffs: FourierCoefficients, restrict_to: Optional[np.ndarray] = None
+    coeffs: FourierCoefficients,
+    restrict_to: Optional[np.ndarray] = None,
+    stop_above: float = math.inf,
 ) -> float:
     """Largest squared spectral norm over nontrivial coefficient blocks.
 
@@ -179,6 +204,12 @@ def max_nontrivial_norm(
     sigma_max <= ||.||_F, so no skipped block could raise the maximum,
     and ``max`` does not depend on the order of its arguments, so the
     result has the same bits as the maximum over every block.
+
+    ``stop_above`` also ends the SVDs once the running maximum exceeds
+    it (the 1x1 entries are still read in full).  The result is then
+    exact whenever the certificate is at most ``stop_above``, and
+    otherwise a lower bound on it that lies above ``stop_above``: enough
+    for a caller that only compares the certificate with that value.
     """
     best = 0.0
     frob2, parts, starts = [], [], []
@@ -199,7 +230,7 @@ def max_nontrivial_norm(
             frob2 += np.vecdot(flat, flat).real.tolist()  # the bits of np.vdot per block
             parts.append(kept)
     for i in sorted(range(len(frob2)), key=frob2.__getitem__, reverse=True):  # stable
-        if frob2[i] * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
+        if frob2[i] * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best or best > stop_above:
             break
         p = bisect.bisect_right(starts, i) - 1
         best = max(best, spectral_norm(parts[p][i - starts[p]]) ** 2)

@@ -8,9 +8,10 @@ stack per shape from Young's orthogonal form over standard tableaux, and
 products one tensor product per pair of factor stacks.  Everything is
 complex and unitary; real forms are embedded as complex.  Each irrep is
 a validated :class:`Representation` viewing its slice of a stack, so the
-matrices are held once, plus the conjugated copy the Fourier transforms
-read.  The signed-permutation forms of a stack's irreps are read in one
-pass over the stack, and each irrep gets its slice.  A build peaks near
+matrices are held once, plus the element-major adjoint table the Fourier
+transforms gather from (row g holds pi(g)^dagger of every irrep), built
+when first read.  The signed-permutation forms of a stack's irreps are
+read in one pass over the stack, and each irrep gets its slice.  A build peaks near
 ``order**2 * 96`` bytes and is refused above ``GROUP_TABLE_MAX_BYTES``
 before any builder allocates.
 """
@@ -61,10 +62,23 @@ class IrrepTable:
         return len(self.dims)
 
     @functools.cached_property
-    def conj_stacks(self) -> list[np.ndarray]:
-        """:attr:`stacks` with every matrix entry complex-conjugated, the
-        operand every Fourier transform over this table reads."""
-        return [s.conj() for s in self.stacks]
+    def adjoint_rows(self) -> np.ndarray:
+        """``(|G|, sum k*d*d)`` complex array, the operand every Fourier
+        transform over this table reads: row g holds pi(g)^dagger of every
+        irrep, each flattened row-major, in table order.
+
+        Each stack's conjugated ``transpose(1, 0, 3, 2)`` is written
+        straight into its column slice, so the build makes no temporary.
+        """
+        n = self.group.order
+        out = np.empty((n, sum(s[:, 0].size for s in self.stacks)), dtype=np.complex128)
+        first = 0
+        for s in self.stacks:
+            k, d = len(s), s.shape[2]
+            cols = out[:, first : first + k * d * d]
+            np.conjugate(s.transpose(1, 0, 3, 2), out=cols.reshape(n, k, d, d))  # a view
+            first += k * d * d
+        return out
 
     def labels(self) -> list[str]:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]

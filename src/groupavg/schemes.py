@@ -68,6 +68,10 @@ class AveragingScheme:
     def size(self) -> int:
         return int(self.support.size)
 
+    def sparse(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(support, weights)``, the form :func:`fourier_transform` reads."""
+        return self.support, self.weights
+
     def to_signal(self) -> GroupSignal:
         dense = np.zeros(self.group.order)
         dense[self.support] = self.weights
@@ -224,7 +228,7 @@ def certify(
             eps_weak=weak, eps_strong=strong, method="projector_path", degenerate=degenerate
         )
     if isinstance(target, IrrepTable):
-        coeffs = fourier_transform(scheme.to_signal(), target)
+        coeffs = fourier_transform(scheme, target)
         weak = max_nontrivial_norm(coeffs, restrict_to=multiplicities)
         strong = _fourier_eps_strong(coeffs, target, multiplicities)
         if multiplicities is None:
@@ -247,13 +251,20 @@ def certify_weak_target(
     scheme: AveragingScheme,
     target: Union[Representation, IrrepTable],
     multiplicities: Optional[np.ndarray] = None,
+    stop_above: float = math.inf,
 ) -> float:
-    """Weak certificate only (cheaper than the full report)."""
+    """Weak certificate only (cheaper than the full report).
+
+    On an irrep table the certificate may stop once it exceeds
+    ``stop_above``, as :func:`max_nontrivial_norm` documents: the value
+    is exact when the certificate is at most ``stop_above`` and otherwise
+    a lower bound above it.  The projector path is always exact.
+    """
     if isinstance(target, Representation):
         return certify_weak(scheme, target)
     if isinstance(target, IrrepTable):
-        coeffs = fourier_transform(scheme.to_signal(), target)
-        return max_nontrivial_norm(coeffs, restrict_to=multiplicities)
+        coeffs = fourier_transform(scheme, target)
+        return max_nontrivial_norm(coeffs, restrict_to=multiplicities, stop_above=stop_above)
     raise UsageError("certification target must be a Representation or IrrepTable")
 
 
@@ -302,14 +313,23 @@ def minimize_scheme(
 
     Deterministic given ``seed``: ties break toward lower certified eps,
     then lexicographically smaller support.
+
+    Certificates that cannot change the outcome may stop early (the
+    ``stop_above`` of :func:`certify_weak_target`), yet every reported
+    value is exact.  A trial stops above ``max(eps_target, m)``, with m
+    the least certificate of the earlier trials at its draw count, so a
+    stopped trial is infeasible and above m: every feasible trial and
+    each count's ``best_eps`` are exact.  A swap stops above the current
+    ``best_eps``, which it must reach to be accepted, so every accepted
+    swap is exact.
     """
     if not 0.0 < eps_target < 1.0:
         raise UsageError(f"eps_target must lie in (0, 1), got {eps_target}")
     if trial_budget < 0 or swap_budget < 0:
         raise UsageError("budgets must be nonnegative")
 
-    def cert(s: AveragingScheme) -> float:
-        return certify_weak_target(s, target, multiplicities)
+    def cert(s: AveragingScheme, stop_above: float = math.inf) -> float:
+        return certify_weak_target(s, target, multiplicities, stop_above=stop_above)
 
     trace: list[dict] = []
     best_scheme = uniform_scheme(group)
@@ -322,7 +342,12 @@ def minimize_scheme(
     def trials_at(n: int):
         seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(n, t)) for t in range(trial_budget)]
         schemes = [random_scheme(group, n, s) for s in seeds]
-        return [(s, cert(s)) for s in schemes]
+        results, least = [], math.inf
+        for s in schemes:
+            e = cert(s, stop_above=max(eps_target, least))
+            least = min(least, e)
+            results.append((s, e))
+        return results
 
     lo, hi = 1, group.order
     while lo < hi:
@@ -363,7 +388,7 @@ def minimize_scheme(
             candidate = AveragingScheme(group, support, best_scheme.weights.copy())
         except UsageError:
             continue
-        cand_eps = cert(candidate)
+        cand_eps = cert(candidate, stop_above=best_eps)
         if cand_eps <= best_eps and (not best_feasible or cand_eps <= eps_target):
             if _candidate_key(cand_eps, candidate) < _candidate_key(best_eps, best_scheme):
                 best_scheme, best_eps = candidate, cand_eps

@@ -125,7 +125,7 @@ def sign_flip_generation_report(
     scheme = AveragingScheme(group, sup, np.asarray(list(weights), dtype=np.float64))
     generated = closure(group, scheme.support.tolist())
     table = irreps_of(group)
-    coeffs = fourier_transform(scheme.to_signal(), table)
+    coeffs = fourier_transform(scheme, table)
     eps = max_nontrivial_norm(coeffs)
     return {
         "d": int(d),

@@ -254,14 +254,78 @@ def sorted_weak_visits(blocks, table, restrict_to=None) -> list[int]:
 
 def fourier_blocks_by_list(signal, table) -> list[np.ndarray]:
     """Fourier-transform oracle, the list form: one einsum per stack of the
-    table's conjugated matrices, its blocks appended to one list of
+    table's matrices, conjugated here, its blocks appended to one list of
     per-irrep arrays in table order."""
     idx = signal.support
     w = signal.weights[idx]
     blocks = []
-    for conj_stack in table.conj_stacks:
-        blocks.extend(np.einsum("g,kgji->kij", w, conj_stack[:, idx]))
+    for stack in table.stacks:
+        blocks.extend(np.einsum("g,kgji->kij", w, stack.conj()[:, idx]))
     return blocks
+
+
+def minimize_scheme_unstopped(group, target, eps_target, trial_budget=40, seed=0,
+                              swap_budget=200, multiplicities=None):
+    """Scheme-search oracle, the unstopped form: the same binary search and
+    swaps as ``minimize_scheme``, with every certificate computed in full."""
+    from groupavg.errors import UsageError
+    from groupavg.schemes import (AveragingScheme, MinimizeResult, _candidate_key,
+                                  certify_weak_target, random_scheme, uniform_scheme)
+
+    def cert(s):
+        return certify_weak_target(s, target, multiplicities)
+
+    trace = []
+    best_scheme = uniform_scheme(group)
+    best_eps = cert(best_scheme)
+    best_feasible = best_eps <= eps_target
+    trace.append(
+        {"phase": "fallback", "size": best_scheme.size, "eps": best_eps, "feasible": best_feasible}
+    )
+    lo, hi = 1, group.order
+    while lo < hi:
+        mid = (lo + hi) // 2
+        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(mid, t))
+                 for t in range(trial_budget)]
+        results = [(s, cert(s)) for s in (random_scheme(group, mid, q) for q in seeds)]
+        feasible = [(s, e) for s, e in results if e <= eps_target]
+        trace.append({"phase": "search", "draws": mid, "trials": len(results),
+                      "feasible_trials": len(feasible),
+                      "best_eps": min((e for _, e in results), default=None)})
+        if feasible:
+            cand_scheme, cand_eps = min(feasible, key=lambda se: _candidate_key(se[1], se[0]))
+            if not best_feasible or _candidate_key(cand_eps, cand_scheme) < _candidate_key(
+                best_eps, best_scheme
+            ):
+                best_scheme, best_eps, best_feasible = cand_scheme, cand_eps, True
+            hi = mid
+        else:
+            lo = mid + 1
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xABCD,)))
+    accepted = 0
+    for _ in range(swap_budget):
+        if best_scheme.size <= 1:
+            break
+        pos = int(rng.integers(0, best_scheme.size))
+        replacement = int(rng.integers(0, group.order))
+        support = best_scheme.support.copy()
+        if replacement == support[pos]:
+            continue
+        support[pos] = replacement
+        try:
+            candidate = AveragingScheme(group, support, best_scheme.weights.copy())
+        except UsageError:
+            continue
+        cand_eps = cert(candidate)
+        if cand_eps <= best_eps and (not best_feasible or cand_eps <= eps_target):
+            if _candidate_key(cand_eps, candidate) < _candidate_key(best_eps, best_scheme):
+                best_scheme, best_eps = candidate, cand_eps
+                best_feasible = best_feasible or cand_eps <= eps_target
+                accepted += 1
+    trace.append({"phase": "swaps", "accepted": accepted, "size": best_scheme.size, "eps": best_eps})
+    status = "ok" if best_feasible else "search_failure"
+    return MinimizeResult(scheme=best_scheme, eps=best_eps, status=status,
+                          eps_target=eps_target, trace=trace)
 
 
 def unique_merged_support(support, weights, support_eps: float) -> tuple[np.ndarray, np.ndarray]:

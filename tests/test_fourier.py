@@ -37,6 +37,7 @@ from oracles import (
     sorted_weak_visits,
     unpruned_max_nontrivial_norm,
 )
+from test_irreps import TABLE_SPECS
 
 SIGNAL_SPECS = ["cyclic:5", "signflip:2", "dihedral:4", "symmetric:3", "symmetric:4"]
 
@@ -334,6 +335,78 @@ def test_weak_certificate_skips_blocks_below_the_running_maximum(weak_tables, mo
     assert seen.count(()) == table.dims.count(1) - 1  # every nontrivial 1x1 entry, as a scalar
     assert 1 <= svds < table.dims.count(2)
     assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table).hex()
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS + ["symmetric:6"])
+def test_transform_keeps_the_bits_of_the_per_stack_einsum(spec, weak_tables):
+    table = weak_tables.get(spec) or irreps_of(parse_group_spec(spec))
+    group, n = table.group, table.group.order
+    rows = table.adjoint_rows
+    assert rows.shape == (n, sum(len(s) * s.shape[2] ** 2 for s in table.stacks))
+    for g in range(n):  # row g: pi(g)^dagger of every irrep, row-major, in table order
+        want = np.concatenate([s[:, g].conj().transpose(0, 2, 1).ravel() for s in table.stacks])
+        assert np.array_equal(_bits(rows[g]), _bits(want)), g
+    rng = np.random.default_rng(n)
+    inputs = [_weak_scheme(group, kind, 1 + 5 * seed, seed)
+              for kind in ("uniform", "delta", "random", "signed") for seed in range(3)]
+    w = rng.normal(size=n) * (rng.random(n) < 0.5)
+    inputs += [GroupSignal(group, w), GroupSignal(group, w + 1j * rng.normal(size=n))]
+    for x in inputs:
+        signal = x if isinstance(x, GroupSignal) else x.to_signal()
+        coeffs = fourier_transform(x, table)
+        flat = coeffs.stacks[0].base
+        assert flat.ndim == 1 and flat.flags.c_contiguous
+        first = 0
+        for stack, ref in zip(coeffs.stacks, table.stacks):
+            assert stack.base is flat and stack.flags.c_contiguous
+            assert stack.shape == (len(ref), ref.shape[2], ref.shape[2])
+            assert np.shares_memory(stack, flat[first : first + stack.size])
+            first += stack.size
+        assert first == flat.size
+        want = fourier_blocks_by_list(signal, table)
+        for i, (got, block) in enumerate(zip(coeffs.mats, want)):
+            assert np.array_equal(_bits(got), _bits(block)), (spec, type(x).__name__, i)
+
+
+STOP_SPECS = ["dihedral:8", "dihedral:13", "symmetric:4", "symmetric:5",
+              "product(cyclic:3,dihedral:7)", "product(cyclic:2,symmetric:4)"]
+
+
+@pytest.mark.parametrize("spec", STOP_SPECS)
+def test_stopped_certificate_is_exact_at_or_below_its_threshold(spec, weak_tables):
+    table = weak_tables.get(spec) or irreps_of(parse_group_spec(spec))
+    for kind in ("uniform", "delta", "random", "signed"):
+        for seed in range(4):
+            scheme = _weak_scheme(table.group, kind, 2 + 3 * seed, seed)
+            coeffs = fourier_transform(scheme, table)
+            restrict_to = np.random.default_rng(seed).integers(0, 2, len(table))
+            for restrict in (None, restrict_to):
+                e = max_nontrivial_norm(coeffs, restrict_to=restrict)
+                for t in (0.0, e * (1 - 1e-9), e, e * (1 + 1e-9), np.inf):
+                    got = max_nontrivial_norm(coeffs, restrict_to=restrict, stop_above=t)
+                    if e <= t:
+                        assert got.hex() == e.hex(), (spec, kind, seed, t)
+                    else:
+                        assert t < got <= e, (spec, kind, seed, t)
+
+
+def test_stopped_certificate_reads_every_1x1_entry(monkeypatch):
+    table = irreps_of(parse_group_spec("signflip:5"))
+    coeffs = fourier_transform(random_scheme(table.group, 7, 3), table)
+    seen = []
+
+    def recording(mat):
+        seen.append(mat.tobytes())
+        return spectral_norm(mat)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
+    e = max_nontrivial_norm(coeffs)
+    full = list(seen)
+    assert len(full) == table.group.order - 1
+    for t in (0.0, e / 2, e):
+        seen.clear()
+        assert max_nontrivial_norm(coeffs, stop_above=t).hex() == e.hex()
+        assert seen == full
 
 
 def _s3_perm():

@@ -30,7 +30,9 @@ from groupavg import (
     uniform_scheme,
 )
 from groupavg.fourier import SUPPORT_EPS
-from oracles import merged_support, unique_merged_support, unique_random_scheme
+from groupavg import fourier as fourier_module
+from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
+from oracles import unique_random_scheme
 from test_irreps import TABLE_SPECS
 
 def sign_rep_c2():
@@ -347,6 +349,58 @@ def test_minimize_deterministic():
     assert np.array_equal(a.scheme.support, b.scheme.support)
     assert np.array_equal(a.scheme.weights, b.scheme.weights)
     assert a.eps == b.eps
+
+
+def _same_search(got, want) -> None:
+    assert np.array_equal(got.scheme.support, want.scheme.support)
+    assert got.scheme.weights.tobytes() == want.scheme.weights.tobytes()
+    assert got.eps.hex() == want.eps.hex()
+    assert got.status == want.status
+    assert repr(got.trace) == repr(want.trace)
+
+
+SEARCH_SPECS = ["dihedral:10", "dihedral:35", "dihedral:58", "symmetric:4", "symmetric:5",
+                "product(cyclic:2,symmetric:4)", "product(cyclic:3,dihedral:7)",
+                "signflip:3", "signflip:4", "signflip:5", "signflip:6"]
+
+
+@functools.lru_cache(maxsize=None)
+def _search_table(spec):
+    return irreps_of(parse_group_spec(spec))
+
+
+@pytest.mark.parametrize("spec", SEARCH_SPECS)
+def test_stopped_certificates_leave_the_search_unchanged(spec):
+    table = _search_table(spec)
+    for seed in (0, 1):
+        for eps in (0.2, 0.5):
+            got = minimize_scheme(table.group, table, eps, seed=seed)
+            _same_search(got, minimize_scheme_unstopped(table.group, table, eps, seed=seed))
+
+
+def test_stopped_certificates_leave_a_restricted_search_unchanged():
+    table = _search_table("symmetric:4")
+    mults = decompose(permutation_rep(table.group), table)
+    assert 0 < (mults[1:] > 0).sum() < len(table) - 1  # some nontrivial irreps left out
+    for seed in (0, 1):
+        got = minimize_scheme(table.group, table, 0.2, seed=seed, multiplicities=mults)
+        want = minimize_scheme_unstopped(table.group, table, 0.2, seed=seed, multiplicities=mults)
+        _same_search(got, want)
+
+
+def test_stopped_certificates_take_fewer_svds(monkeypatch):
+    table = _search_table("dihedral:58")
+    svds, original = [], fourier_module.spectral_norm
+
+    def counting(mat):
+        svds[-1] += not isinstance(mat, np.generic) and np.size(mat) > 1
+        return original(mat)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", counting)
+    for search in (minimize_scheme, minimize_scheme_unstopped):
+        svds.append(0)
+        search(table.group, table, 0.2, seed=0)
+    assert 0 < svds[0] < svds[1]
 
 
 def test_scheme_json_round_trip():
