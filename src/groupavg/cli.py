@@ -295,20 +295,19 @@ def cmd_separation(args, out: Path) -> int:
 
 
 def cmd_lowerbound(args, out: Path) -> int:
-    reports = []
     group = parse_group_spec(f"signflip:{args.d}")
     if args.support is not None:
         support = [group.index_of_label(tok) for tok in args.support.split(",")]
-        weights = np.full(len(support), 1.0 / len(support))
-        reports.append(sign_flip_generation_report(args.d, support, weights))
+        supports, weights = [support], [np.full(len(support), 1.0 / len(support))]
     else:
         rng = np.random.default_rng(args.seed)
+        supports, weights = [], []
         for _ in range(args.trials):
             size = int(rng.integers(1, max(2, group.order // 2)))
-            support = rng.choice(group.order, size=size, replace=False)
+            supports.append(rng.choice(group.order, size=size, replace=False))
             raw = rng.random(size)
-            weights = raw / raw.sum()
-            reports.append(sign_flip_generation_report(args.d, support, weights))
+            weights.append(raw / raw.sum())
+    reports = sign_flip_generation_report(args.d, supports, weights)
     payload = {"d": args.d, "reports": reports}
     write_json(out / "lowerbound.json", payload)
     for rep in reports:

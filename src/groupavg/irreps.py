@@ -6,14 +6,15 @@ cyclic and sign-flip groups all their characters as one array, dihedral
 groups one 1- and one 2-dimensional stack, symmetric groups (d <= 6) one
 stack per shape from Young's orthogonal form over standard tableaux, and
 products one tensor product per pair of factor stacks.  Everything is
-complex and unitary; real forms are embedded as complex.  Each irrep is
-a validated :class:`Representation` viewing its slice of a stack, so the
-matrices are held once, plus the element-major adjoint table the Fourier
-transforms gather from (row g holds pi(g)^dagger of every irrep), built
-when first read.  The signed-permutation forms of a stack's irreps are
-read in one pass over the stack, and each irrep gets its slice.  A build peaks near
-``order**2 * 96`` bytes and is refused above ``GROUP_TABLE_MAX_BYTES``
-before any builder allocates.
+complex and unitary; real forms are embedded as complex.  One stable sort
+of the characters per dimension puts the stacks in table order, and two
+linear character identities check the table.  Each irrep is a validated
+:class:`Representation` viewing its slice of a stack, so the matrices are
+held once, plus the element-major adjoint table the Fourier transforms
+gather from (row g holds pi(g)^dagger of every irrep), built when first
+read.  The signed-permutation forms of a stack's irreps are read in one
+pass over the stack.  A build peaks near ``order**2 * 96`` bytes and is
+refused above ``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .groups import GROUP_TABLE_MAX_BYTES, Group, ConjugacyPartition, conjugacy_
 from .groups import group_spec_string, symmetric_permutations
 from .reps import INT_ROUND_TOL, CharacterVector, Representation, _signed_permutations
 
+# IrrepTable.validate's bound: a valid table reads at most 6.1e-14 (cyclic:2000),
+# a reducible block at least 1, and a missing or duplicated irrep at least
+# 1/|G|, above 2e-4 at every order the table cap admits.
 ORTHOGONALITY_TOL = 1e-9
 SYMMETRIC_IRREPS_MAX_DIM = 6
 
@@ -84,15 +88,17 @@ class IrrepTable:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
 
     def validate(self) -> None:
-        """The character gram must be the identity: its diagonal certifies
-        each irrep irreducible, its off-diagonal the irreps inequivalent."""
-        group, part = self.group, self.partition
-        if len(self) != len(part):
-            raise NumericalConsistencyError(f"irrep count {len(self)} != class count {len(part)}")
-        if sum(d * d for d in self.dims) != group.order:
-            raise NumericalConsistencyError("sum of squared dims does not equal the group order")
-        gram = _class_inner(self.characters, self)
-        dev = float(np.abs(gram - np.eye(len(self))).max())
+        """Two linear checks on the characters (Serre, *Linear
+        Representations of Finite Groups*, 2.3-2.4), each within
+        ``ORTHOGONALITY_TOL``: every norm <chi_i, chi_i> is 1, so each irrep
+        is irreducible; and sum_i d_i chi_i / |G| is the identity's indicator,
+        the regular character over |G|, so by the linear independence of
+        irreducible characters each irrep appears exactly once."""
+        chars, order = self.characters, self.group.order
+        norms = np.abs(chars) ** 2 @ self.partition.sizes / order - 1.0
+        regular = np.array(self.dims) @ chars / order
+        regular[0] -= 1.0  # class 0 is the identity's
+        dev = float(np.abs(np.concatenate([norms, regular])).max())
         if not dev <= ORTHOGONALITY_TOL:
             raise NumericalConsistencyError(f"character orthogonality deviation {dev:.3e}")
         if self.dims[0] != 1 or np.abs(self.stacks[0][0] - 1.0).max() > 1e-12:
@@ -104,60 +110,31 @@ class IrrepTable:
 
 def partitions_of(d: int) -> list[tuple[int, ...]]:
     """Integer partitions of d in reverse-lexicographic order, (d,) first."""
-    out: list[tuple[int, ...]] = []
 
-    def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
+    def rec(remaining: int, cap: int) -> list[tuple[int, ...]]:
         if remaining == 0:
-            out.append(prefix)
-            return
-        for part in range(min(cap, remaining), 0, -1):
-            rec(remaining - part, part, prefix + (part,))
+            return [()]
+        parts = range(min(cap, remaining), 0, -1)
+        return [(part, *rest) for part in parts for rest in rec(remaining - part, part)]
 
-    rec(d, d, ())
-    return out
+    return rec(d, d)
 
 
-def standard_tableaux(shape: tuple[int, ...]) -> list[tuple[tuple[int, ...], ...]]:
-    """Standard fillings of ``shape`` with 0..d-1, rows and columns increasing.
+def standard_tableaux(shape: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Standard fillings of ``shape`` with 0..d-1, rows and columns
+    increasing, each as its row word: the row of every entry in turn.
 
-    Generated by recursively removing the largest entry from a corner
-    cell; the output order is deterministic.
+    The largest entry sits in a corner; removing it recursively, top
+    corner first, fixes the order.
     """
-    d = sum(shape)
-    if d == 0:
+    if sum(shape) == 0:
         return [()]
-    results = []
-
-    def corners(sh: tuple[int, ...]):
-        for i in range(len(sh)):
-            if sh[i] > 0 and (i == len(sh) - 1 or sh[i + 1] < sh[i]):
-                yield i
-
-    def rec(sh: tuple[int, ...], value: int, cells: dict):
-        if value < 0:
-            rows = []
-            for i in range(len(shape)):
-                rows.append(tuple(cells[(i, j)] for j in range(shape[i])))
-            results.append(tuple(rows))
-            return
-        for i in corners(sh):
-            j = sh[i] - 1
-            cells[(i, j)] = value
-            reduced = list(sh)
-            reduced[i] -= 1
-            rec(tuple(x for x in reduced), value - 1, cells)
-            del cells[(i, j)]
-
-    rec(shape, d - 1, {})
-    return results
-
-
-def _tableau_positions(tab) -> dict[int, tuple[int, int]]:
-    pos = {}
-    for i, row in enumerate(tab):
-        for j, v in enumerate(row):
-            pos[v] = (i, j)
-    return pos
+    out = []
+    for i, length in enumerate(shape):
+        if length and (i + 1 == len(shape) or shape[i + 1] < length):
+            smaller = shape[:i] + (length - 1,) + shape[i + 1 :]
+            out += [rows + (i,) for rows in standard_tableaux(smaller)]
+    return out
 
 
 def _adjacent_transposition_matrices(shape: tuple[int, ...]) -> tuple[list, list[np.ndarray]]:
@@ -166,24 +143,21 @@ def _adjacent_transposition_matrices(shape: tuple[int, ...]) -> tuple[list, list
     Axial-distance construction: with delta the content difference
     between the cells holding i+1 and i, the transposition acts on the
     tableau basis vector with diagonal 1/delta and off-diagonal
-    sqrt(1 - 1/delta^2) toward the swapped tableau when that is standard.
+    sqrt(1 - 1/delta^2) toward the swapped tableau, which is standard
+    exactly when |delta| > 1.  An entry's column is the number of smaller
+    entries in its row.
     """
-    d = sum(shape)
     tabs = standard_tableaux(shape)
     index = {t: i for i, t in enumerate(tabs)}
-    positions = [_tableau_positions(t) for t in tabs]
     mats = []
-    for a in range(max(d - 1, 0)):
+    for a in range(max(sum(shape) - 1, 0)):
         m = np.zeros((len(tabs), len(tabs)))
-        for t_idx, tab in enumerate(tabs):
-            pos = positions[t_idx]
-            (r1, c1), (r2, c2) = pos[a], pos[a + 1]
-            delta = (c2 - r2) - (c1 - r1)
+        for t_idx, rows in enumerate(tabs):
+            r1, r2 = rows[a], rows[a + 1]
+            delta = (rows[: a + 1].count(r2) - r2) - (rows[:a].count(r1) - r1)
             m[t_idx, t_idx] = 1.0 / delta
-            if r1 != r2 and c1 != c2:
-                swapped = tuple(
-                    tuple(a + 1 if v == a else a if v == a + 1 else v for v in row) for row in tab
-                )
+            if abs(delta) > 1:
+                swapped = rows[:a] + (r2, r1) + rows[a + 2 :]
                 m[index[swapped], t_idx] = math.sqrt(1.0 - 1.0 / delta**2)
         mats.append(m)
     return tabs, mats
@@ -310,41 +284,31 @@ def irreps_of(group: Group) -> IrrepTable:
             f"irrep table of order {group.order:,} needs about {need:,} bytes "
             f"(order**2 * {_PEAK_BYTES_PER_ENTRY}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
         )
-    raw = builder(group)
-    partition = conjugacy_classes(group)
-    reps = partition.representatives
-    characters = np.concatenate([np.trace(s[:, reps], axis1=2, axis2=3) for s in raw])
-    dims = np.concatenate([np.full(len(s), s.shape[2]) for s in raw])
-    # trivial first, then by dimension, then by rounded (re, im) per class in turn
-    trivial = (dims == 1) & (np.abs(characters - 1.0).max(axis=1) < 1e-9)
-    values = np.stack([np.round(characters.real, 9), np.round(characters.imag, 9)], axis=2)
-    order = np.lexsort([*values.reshape(len(dims), -1).T[::-1], dims, ~trivial])
-    del values
-    characters = characters[order]
-    # each dimension is a contiguous run of the order: gather its rows from
-    # that dimension's raw stacks, releasing them as it goes
     by_dim: dict[int, list[np.ndarray]] = {}
-    for stack in raw:
+    for stack in builder(group):
         by_dim.setdefault(stack.shape[2], []).append(stack)
-    del raw, stack
-    ranked, stacks = dims[order], []
+    partition = conjugacy_classes(group)
+    # per dimension, ascending: trivial first, then by rounded (re, im) per
+    # class in turn; the stable sort keeps the builder's order on ties
+    stacks, characters = [], []
     for d in sorted(by_dim):
         parts = by_dim.pop(d)
-        rows = np.searchsorted(np.flatnonzero(dims == d), order[ranked == d])
-        stacks.append((parts[0] if len(parts) == 1 else np.concatenate(parts))[rows])
-    del parts
-    table = IrrepTable(group, partition, stacks, characters)
+        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        del parts
+        chars = np.trace(stack[:, partition.representatives], axis1=2, axis2=3)
+        trivial = np.abs(chars - 1.0).max(axis=1) < 1e-9  # chi(e) = d rules out d > 1
+        values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+        order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
+        characters.append(chars[order])
+        del values, chars
+        stacks.append(stack[order])
+        del stack
+    table = IrrepTable(group, partition, stacks, np.concatenate(characters))
     table.validate()
     return table
 
 
 # -- multiplicities ------------------------------------------------------------
-
-
-def _class_inner(values: np.ndarray, table: IrrepTable) -> np.ndarray:
-    """Inner products ``sum_c |c| * f(c) * conj(chi_i(c)) / |G|`` of the class
-    functions f on the last axis of ``values`` with every irrep character."""
-    return (values * table.partition.sizes) @ table.characters.conj().T / table.group.order
 
 
 def _as_character(rho, table: IrrepTable) -> CharacterVector:
@@ -360,11 +324,12 @@ def _as_character(rho, table: IrrepTable) -> CharacterVector:
 
 
 def decompose(rho, table: IrrepTable) -> np.ndarray:
-    """Multiplicity vector of ``rho`` over the table: character inner
-    products rounded to integers, each within ``INT_ROUND_TOL``, checked
-    non-negative and for dim match."""
+    """Multiplicity vector of ``rho`` over the table: the class-weighted
+    inner products ``sum_c |c| * chi(c) * conj(chi_i(c)) / |G|`` rounded
+    to integers, each within ``INT_ROUND_TOL``, checked non-negative and
+    for dim match."""
     chi = _as_character(rho, table)
-    values = _class_inner(chi.values, table)
+    values = (chi.values * table.partition.sizes) @ table.characters.conj().T / table.group.order
     nearest = np.rint(values.real)
     off = np.abs(values - nearest)
     worst = int(off.argmax())

@@ -110,9 +110,10 @@ def exact_feasible_on_support(support: Iterable[int], table: IrrepTable) -> Feas
 
 
 def sign_flip_generation_report(
-    d: int, support: Sequence[int], weights: Sequence[float]
-) -> dict:
-    """Generation status and weak certificate for a sign-flip scheme.
+    d: int, supports: Sequence[Sequence[int]], weights: Sequence[Sequence[float]]
+) -> list[dict]:
+    """Generation status and weak certificate of each sign-flip scheme
+    ``(supports[i], weights[i])``, over one build of the group and its table.
 
     ``generates`` is whether the support's closure is the whole group;
     the certificate is the maximum squared magnitude of the transform
@@ -121,18 +122,17 @@ def sign_flip_generation_report(
     representation.  Non-generating supports always certify >= 1.
     """
     group = build_group("sign_flip", d)
-    sup = np.asarray(list(support), dtype=np.int64)
-    scheme = AveragingScheme(group, sup, np.asarray(list(weights), dtype=np.float64))
-    generated = closure(group, scheme.support.tolist())
+    schemes = [AveragingScheme(group, s, w) for s, w in zip(supports, weights, strict=True)]
     table = irreps_of(group)
-    coeffs = fourier_transform(scheme, table)
-    eps = max_nontrivial_norm(coeffs)
-    return {
-        "d": int(d),
-        "generates": len(generated) == group.order,
-        "eps_weak_on_regular": float(eps),
-        "support_size": scheme.size,
-    }
+    return [
+        {
+            "d": int(d),
+            "generates": len(closure(group, scheme.support.tolist())) == group.order,
+            "eps_weak_on_regular": float(max_nontrivial_norm(fourier_transform(scheme, table))),
+            "support_size": scheme.size,
+        }
+        for scheme in schemes
+    ]
 
 
 def separation_table(

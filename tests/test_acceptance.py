@@ -230,7 +230,7 @@ def test_criterion_08_sign_flip_lower_bound():
                 raw = rng.normal(size=size)
                 if abs(raw.sum()) < 1e-2:
                     raw[0] += 1.0
-            report = sign_flip_generation_report(d, support, raw / raw.sum())
+            [report] = sign_flip_generation_report(d, [support], [raw / raw.sum()])
             assert not report["generates"]
             assert report["eps_weak_on_regular"] >= 1.0 - 1e-9, (d, support)
             cases += 1

@@ -206,7 +206,7 @@ def test_characters_and_multiplicities_match_loop_oracles(small_groups):
 
 def test_validate_rejects_a_reducible_block(tables):
     # trivial + sign has the standard irrep's dimension, so the irrep count
-    # and the squared dimensions still match; the gram's diagonal reads 2
+    # and the squared dimensions still match; its norm <chi, chi> reads 2
     table = tables["symmetric:3"]
     trivial, sign, _ = table.irreps
     block = direct_sum(trivial, sign)
@@ -215,6 +215,17 @@ def test_validate_rejects_a_reducible_block(tables):
     bad = IrrepTable(table.group, table.partition, [table.stacks[0], block.mats[None]], characters)
     with pytest.raises(NumericalConsistencyError, match="orthogonality"):
         bad.validate()
+    # on dihedral:5 (dims 1, 1, 2, 2), one 2-dimensional irrep twice keeps
+    # the count, the squared dimensions and every norm; dropping one breaks
+    # the regular character
+    table = tables["dihedral:5"]
+    ones, twos = table.stacks
+    duplicated = IrrepTable(table.group, table.partition, [ones, twos[[0, 0]]],
+                            table.characters[[0, 1, 2, 2]])
+    missing = IrrepTable(table.group, table.partition, [ones, twos[:1]], table.characters[:3])
+    for bad in (duplicated, missing):
+        with pytest.raises(NumericalConsistencyError):
+            bad.validate()
 
 
 @pytest.mark.parametrize("scale", [0.5, np.nan], ids=["half", "nan"])
@@ -254,6 +265,71 @@ def test_irreps_view_their_stacks(tables):
         for rep, (i, stack) in zip(table.irreps, views):
             assert np.shares_memory(rep.mats, stack), spec
             assert np.array_equal(rep.mats, stack[i]), spec
+
+
+# sha256 of each shape's stacked adjacent-transposition matrices, recorded
+# before the tableaux became row words; a moved bit in any matrix shows here
+YOUNG_SHA256 = {
+    (1,): "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    (2,): "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    (1, 1): "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    (3,): "5f07eef034c5a21fedede8ef2f970fefbcc8ea44c02fd970117dacbee5483005",
+    (2, 1): "c4a4c96ebedd434e34352b4f3d669f092dbf37ed3af6046c1c7bd0bc214efbf7",
+    (1, 1, 1): "e077172409ed971e7cbc8aaf3f5fc99ffd5806da65b60973369d000cf6a32fc6",
+    (4,): "cc143326a2646c605ea66139d7b440df7cbde18c050f1f8cf4dd30f42cfe7123",
+    (3, 1): "cfcff5657a1c9f6f7358ac8b3ee4585228d0feb511f74affdaf73c36eaa4c188",
+    (2, 2): "5a3782fede0903a1f0cb9d381b48777f726ada8fcf704a0ea3e40584ea305a47",
+    (2, 1, 1): "45af14bc7edcc0d3f452ef78fa44410d4c9a4324dfea5e77bd412c061d6a6ef8",
+    (1, 1, 1, 1): "7104782d6bdc0fdba5f94a4023afa0312e8e90258a7090d2dd0743633c47cc38",
+    (5,): "c914e8188e43fff1c96e25283e15b252af0d9f39b469f2d1518915802c756d18",
+    (4, 1): "2fbba865b93bd5ae0c78f3a3bb357b695f181f8581b58fb81e6bfab5235a053f",
+    (3, 2): "340ec9cb0be54376db0eeaec7f4190c5f5728c0f82fc6a5da5c441a6b36fef64",
+    (3, 1, 1): "c0f04ed9733da86cbb13ea283e46071523f12d33f85b14d2ee22867f5685e45a",
+    (2, 2, 1): "3e7a956f82a8ec78f07e2315612cf78e14ebd72cb32513b838dd0ee6529f666d",
+    (2, 1, 1, 1): "22506c7e102d5242c97f7015464e44933fffa3a131e3b688afd84bec4bc6122d",
+    (1, 1, 1, 1, 1): "b9cb9f435b7b679dcbb305667ccf159deeb454bc85831f25cf93ab33cbd36c70",
+    (6,): "6e91e92205f42beb0df4ddf13cf0af352b29ffd2de9465348cdb1447a324e828",
+    (5, 1): "f2567b77f9d49b1293737534f0e2ee22cede0f14ce415e10b711099dceca6c93",
+    (4, 2): "f67240a114c50eda9dda6b6cc9d747351364f123fe80e94970ca8df0b9c02507",
+    (4, 1, 1): "d10df32d1e709d71f710caac37a554c6a1625603016a20b94233faf36cda4ef0",
+    (3, 3): "3e035b3869c0eb684ded9406145ac0c61f7f7700af0dfb142fdea5c9a74274b4",
+    (3, 2, 1): "83c0ba7c18a3a847f2a92ed36a287393136dacfe98de9e2e355b9758af959d4a",
+    (3, 1, 1, 1): "edd911ff5ebed9fd8f383a0589fcd1e826285d0abf0603d2e857faab5fd0720c",
+    (2, 2, 2): "ddc770917b0e8b3c25817856e5aade9f721ca3c2831539a51804181c4eb72e0d",
+    (2, 2, 1, 1): "8f553ae28d26f36753b1296d449e753b2782541cea2254ffe4d111e684515702",
+    (2, 1, 1, 1, 1): "392f080b2c6f5666371ee510968c5139975887f3e825b77a33195205766805bc",
+    (1, 1, 1, 1, 1, 1): "9cb2b0781202d34b99680abef0d0c8797b5ceb0a7a87bcf1c5c7bd0b0d68bbe0",
+    (7,): "961e76f1c44f5ce8d5761ea1aa65e20225642a79548cbe995da4644fae5f8c11",
+    (6, 1): "069fdc2535ef35213387781a2eb47d585cf0a4f2b99f22f434cb0624903fdb27",
+    (5, 2): "fe20acab98a86ad8daef05ddbfa1fc7c622ff84c90317a8360280d3bfc03200d",
+    (5, 1, 1): "f5472785be0a047598807b14d3badd8f80dd309ceb340e380cf79d343c02c0d2",
+    (4, 3): "c093439b5f4fe7fd8e620b248ac668d888445a2e40d9fc60809df241d6341819",
+    (4, 2, 1): "1a1b94373c68d8d38cba3f7135dbcf339dd48c56f8b7768a3a37b295d77026bb",
+    (4, 1, 1, 1): "5a4e77a793308809439f5a4f1731f06108cebc0ba241999be7411bf40d090de4",
+    (3, 3, 1): "ce9375fa504999b16580356c6ad371ffeb4f58716bb93ee7b10fdcba01b1a16a",
+    (3, 2, 2): "ab0a53df9546b3a0e6fcdbae856c2931a0f5325d5b495124273c09d92d086697",
+    (3, 2, 1, 1): "876994d01b6ed528d63f26e4fe68d1a8b3ac02135022335fa6a68d2d31ca7feb",
+    (3, 1, 1, 1, 1): "160d8f0cb0f9da40ae793de2cd895d2382fb3f3ef6865e5c973fb2b042869c31",
+    (2, 2, 2, 1): "4bfa2c685c08a421392ece300070566b2fac48ca5610b65c6acabb3e117ae749",
+    (2, 2, 1, 1, 1): "3659c48544b6e7256abbdc7c13dc05e31eff6c75670c4560ebd768bbd349955a",
+    (2, 1, 1, 1, 1, 1): "2d0e1ecd7bcab2829fa2149d1163d660d20c55a3e51ddfd420e28a5aa3a7532a",
+    (1, 1, 1, 1, 1, 1, 1): "36add7b8674fa00a9c08ee599427b019a59937ed7815d0c5d961c4a5e5895834",
+}
+
+
+def test_young_form_keeps_its_bits():
+    import hashlib
+    import math
+
+    for d in range(1, 8):
+        squares = 0
+        for shape in irreps_module.partitions_of(d):
+            tabs, mats = irreps_module._adjacent_transposition_matrices(shape)
+            digest = hashlib.sha256(np.array(mats, dtype=np.float64).tobytes()).hexdigest()
+            assert digest == YOUNG_SHA256[shape], shape
+            squares += len(tabs) ** 2
+        assert squares == math.factorial(d), d  # sum of (f^lambda)^2 is d!
+    assert len(YOUNG_SHA256) == sum(len(irreps_module.partitions_of(d)) for d in range(1, 8))
 
 
 def _fake(family, order, **attrs):

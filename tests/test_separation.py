@@ -136,7 +136,7 @@ def test_sign_flip_report_non_generating_exact_one():
     rng = np.random.default_rng(0)
     for _ in range(10):
         raw = rng.random(2)
-        report = sign_flip_generation_report(3, sub, raw / raw.sum())
+        [report] = sign_flip_generation_report(3, [sub], [raw / raw.sum()])
         assert not report["generates"]
         assert report["eps_weak_on_regular"] == 1.0  # subgroup-trivial character sums to 1
 
@@ -144,10 +144,9 @@ def test_sign_flip_report_non_generating_exact_one():
 def test_sign_flip_report_generating():
     group = parse_group_spec("signflip:3")
     sup = [group.index_of_label(s) for s in ("100", "010", "001", "000")]
-    report = sign_flip_generation_report(3, sup, [0.25] * 4)
+    report, full = sign_flip_generation_report(3, [sup, list(range(8))], [[0.25] * 4, [0.125] * 8])
     assert report["generates"]
     assert report["eps_weak_on_regular"] < 1.0
-    full = sign_flip_generation_report(3, list(range(8)), [0.125] * 8)
     assert full["generates"]
     assert full["eps_weak_on_regular"] < 1e-20
 
@@ -161,7 +160,7 @@ def test_sign_flip_report_matches_regular_rep_certifier():
         support = rng.choice(group.order, size=size, replace=False)
         raw = rng.random(size)
         weights = raw / raw.sum()
-        report = sign_flip_generation_report(d, support, weights)
+        [report] = sign_flip_generation_report(d, [support], [weights])
         sch = AveragingScheme(group, support, weights)
         assert abs(report["eps_weak_on_regular"] - certify_weak(sch, reg)) < 1e-8
 
@@ -174,7 +173,7 @@ def test_generation_matches_rank_oracle(d, seed):
     size = int(rng.integers(1, group.order))
     support = rng.choice(group.order, size=size, replace=False)
     raw = rng.random(size)
-    report = sign_flip_generation_report(d, support, raw / raw.sum())
+    [report] = sign_flip_generation_report(d, [support], [raw / raw.sum()])
     assert report["generates"] == (gf2_rank([int(x) for x in support], d) == d)
     if not report["generates"]:
         assert report["eps_weak_on_regular"] >= 1.0 - 1e-9
