@@ -1,6 +1,6 @@
 """Unitary matrix representations of finite groups.
 
-Dense complex matrices per element, plus characters, the invariant
+One complex matrix per element, plus characters, the invariant
 projector, symmetric tensor powers, eigenvalue profiles over roots of
 unity, and the polynomial-degree bound derived from them.  A character
 is the traces gathered at the class representatives, checked constant
@@ -10,20 +10,20 @@ Eigenvalue multiplicities come from the character on each element's
 power orbit, so a profile needs no eigensolver and the regular action's
 degree bound needs no matrices.
 
-A representation is its matrices.  When every matrix is a signed
-permutation matrix (entries 0 and +-1 with zero imaginary part, one
-nonzero per row and column) the integer (perm, sign) form is read off
-the stack once, when the representation is built; an irrep table reads
-the forms of all the irreps in one of its stacks in one pass.  This covers
-characters with values +-1, the sign action, and every permutation
-action (the all-plus case), however its matrices were made.  On that
-form validation checks the homomorphism law exactly on the group's
-generators, and a permutation action's products are row moves.  Every
-other representation is checked in floating point: unitarity per
-element, then the homomorphism law on each element against the group's
-word basis, which bounds the deviation of every pair (see
-:meth:`Group.word_basis`).  A residual that is not finite fails either
-check.
+A signed permutation action (entries 0 and +-1 with zero imaginary part,
+one nonzero per row and column) has an integer (perm, sign) form.  The
+regular, permutation, sign and signed symmetric-power actions are held
+by that form, and their stack is built on the first read of ``mats``;
+from any other stack the form is read once, when the representation is
+built, and an irrep table reads it for a whole stack in one pass.  On
+that form validation checks the homomorphism law exactly on the group's
+generators; on a permutation action products are row moves, and traces,
+the projector and an averaging operator are counts and one scatter, with
+the dense bits.  Every other representation is checked in floating
+point: unitarity per element, then the homomorphism law on each element
+against the group's word basis, which bounds the deviation of every pair
+(see :meth:`Group.word_basis`).  A residual that is not finite fails
+either check.
 """
 
 from __future__ import annotations
@@ -162,38 +162,57 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
 
 
 class Representation:
-    """Unitary representation stored as one dense complex matrix per element.
+    """Unitary representation of a group, one complex matrix per element.
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
     exact identity.  ``perms`` is the permutation each matrix realizes
-    (``e_j -> e_{perms[g][j]}``), read off the matrices when all of them
-    are permutation matrices, and None otherwise.  A caller that has read
-    the signed-permutation form of ``mats`` already, as an irrep table
-    does for a whole stack with :func:`_signed_permutations`, passes it
-    as ``signed`` (None for none); otherwise it is read here.
+    (``e_j -> e_{perms[g][j]}``) when all of them are permutation matrices,
+    and None otherwise.  A caller that has read the signed-permutation form
+    of ``mats`` already, as an irrep table does for a whole stack with
+    :func:`_signed_permutations`, passes it as ``signed`` (None for none);
+    otherwise it is read here.  With ``mats`` None, ``signed=(perm, sign)``
+    is the representation, and ``mats`` is built from it on first read.
     """
 
     def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True,
                  signed=_READ_SIGNED):
         self.group = group
-        m = np.ascontiguousarray(mats, dtype=np.complex128)
-        if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2] or not m.shape[1]:
-            raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
-        eye = np.eye(m.shape[1], dtype=np.complex128)
-        if not np.linalg.norm(m[0] - eye) <= IDENTITY_TOL:  # a NaN identity fails too
-            raise NumericalConsistencyError("identity element does not map to the identity matrix")
-        m[0] = eye
-        self.mats = m
         self.name = str(name)
-        self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
-        all_plus = self._signed is not None and np.all(self._signed[1] == 1)
+        if mats is None:
+            perm, sign = (np.asarray(a) for a in signed)
+            n, d = perm.shape if perm.ndim == 2 else (-1, 0)
+            if not (perm.dtype.kind == "i" and sign.shape == perm.shape and n == group.order and d
+                    and perm.min() >= 0 and (np.abs(sign) == 1).all()
+                    and (np.bincount((perm + d * np.arange(n)[:, None]).ravel()) == 1).all()):
+                raise UsageError("a signed form is two (order, dim) arrays of ints, each row "
+                                 "a permutation with signs +-1")
+            if not ((perm[0] == np.arange(d)).all() and (sign[0] == 1).all()):
+                raise NumericalConsistencyError("identity element does not map to the identity matrix")
+            self._mats, self.dim = None, d
+            self._signed = perm.astype(np.intp, copy=False), sign.astype(np.int8)
+        else:
+            m = np.ascontiguousarray(mats, dtype=np.complex128)
+            if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2] or not m.shape[1]:
+                raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
+            eye = np.zeros(m.shape[1:], dtype=np.complex128)
+            eye.ravel()[:: m.shape[1] + 1] = 1  # np.eye and np.linalg.norm cost twice as much
+            diff = m[0] - eye
+            if not math.sqrt(np.vdot(diff, diff).real) <= IDENTITY_TOL:  # Frobenius; a NaN fails too
+                raise NumericalConsistencyError("identity element does not map to the identity matrix")
+            m[0] = eye
+            self._mats, self.dim = m, m.shape[1]
+            self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
+        all_plus = self._signed is not None and self._signed[1].min() == 1  # signs are +-1
         self.perms = self._signed[0] if all_plus else None
         if validate:
             self.validate()
 
     @property
-    def dim(self) -> int:
-        return int(self.mats.shape[1])
+    def mats(self) -> np.ndarray:
+        """The ``(order, dim, dim)`` complex stack, built on first read from a signed form."""
+        if self._mats is None:
+            self._mats = _mats_from_perms(*self._signed)
+        return self._mats
 
     # -- validation --------------------------------------------------
 
@@ -204,8 +223,8 @@ class Representation:
 
     def signed_permutation(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
-        or None when some matrix is not a signed permutation matrix; read
-        off the matrices when the representation was built."""
+        or None when some matrix is not a signed permutation matrix; given,
+        or read off the matrices, when the representation was built."""
         return self._signed
 
     def homomorphism_residual(self) -> float:
@@ -235,7 +254,7 @@ class Representation:
 
     def character(self, partition: Optional[ConjugacyPartition] = None) -> "CharacterVector":
         part = partition if partition is not None else conjugacy_classes(self.group)
-        traces = np.einsum("gii->g", self.mats)
+        traces = _traces(self)
         values = traces[part.representatives]
         spread = float(np.abs(traces - values[part.class_of]).max())
         if not spread <= CHARACTER_CLASS_TOL:  # a NaN trace fails too
@@ -272,11 +291,11 @@ class EigenProfile:
 # -- constructors ----------------------------------------------------------
 
 
-def _mats_from_perms(perms: np.ndarray, signs=1.0) -> np.ndarray:
+def _mats_from_perms(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Stack with ``mats[g] e_j = signs[g, j] e_{perms[g, j]}``."""
     n, d = perms.shape
     mats = np.zeros((n, d, d), dtype=np.complex128)
-    np.put_along_axis(mats, perms[:, None, :], np.broadcast_to(signs, (n, d))[:, None, :], axis=1)
+    np.put_along_axis(mats, perms[:, None, :], signs[:, None, :], axis=1)
     return mats
 
 
@@ -285,7 +304,8 @@ def permutation_rep(group: Group) -> Representation:
     if group.family != "symmetric":
         raise UsageError("permutation representation requires the symmetric family")
     d = group.params[0]
-    return Representation(group, _mats_from_perms(symmetric_permutations(d)), name=f"perm{d}")
+    perm = symmetric_permutations(d)
+    return Representation(group, None, name=f"perm{d}", signed=(perm, np.ones_like(perm)))
 
 
 def sign_action_rep(group: Group) -> Representation:
@@ -296,18 +316,16 @@ def sign_action_rep(group: Group) -> Representation:
     x = np.arange(group.order)
     shifts = dim - 1 - np.arange(dim)
     bits = (x[:, None] >> shifts[None, :]) & 1
-    diag = 1.0 - 2.0 * bits
-    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)
-    mats[:, np.arange(dim), np.arange(dim)] = diag
-    return Representation(group, mats, name=f"sign{dim}")
+    perm = np.broadcast_to(np.arange(dim), bits.shape)
+    return Representation(group, None, name=f"sign{dim}", signed=(perm, 1 - 2 * bits))
 
 
 def regular_rep(group: Group) -> Representation:
-    """Left-translation action on functions over the group itself.
+    """Left-translation action ``e_h -> e_{g h}``, held as the group's table.
 
-    The dense complex stack takes ``order**3 * 16`` bytes; that estimate
-    is checked against ``REGULAR_REP_MAX_BYTES`` (2 GiB, so order at most
-    512) before anything is allocated.
+    The dense stack that the first read of ``.mats`` builds takes
+    ``order**3 * 16`` bytes; that estimate is checked against
+    ``REGULAR_REP_MAX_BYTES`` (2 GiB, so order at most 512) here.
     """
     need = group.order**3 * 16
     if need > REGULAR_REP_MAX_BYTES:
@@ -315,7 +333,7 @@ def regular_rep(group: Group) -> Representation:
             f"regular representation of order {group.order} needs {need:,} bytes "
             f"(order**3 * 16), above the cap of {REGULAR_REP_MAX_BYTES:,}"
         )
-    return Representation(group, _mats_from_perms(group.mult), name="regular")  # e_h -> e_{g h}
+    return Representation(group, None, name="regular", signed=(group.mult, np.ones_like(group.mult)))
 
 
 def trivial_rep(group: Group) -> Representation:
@@ -436,12 +454,11 @@ def sym_power_rep(rep: Representation, k: int) -> Representation:
         return Representation(
             rep.group, np.ones((rep.group.order, 1, 1), dtype=np.complex128), name=name
         )
-    if k == 1:
-        return Representation(rep.group, rep.mats.copy(), name=name)
     signed = rep.signed_permutation()
     if signed is not None:
-        mats = _mats_from_perms(*_sym_power_signed(*signed, k))
-        return Representation(rep.group, mats, name=name)
+        return Representation(rep.group, None, name=name, signed=_sym_power_signed(*signed, k))
+    if k == 1:
+        return Representation(rep.group, rep.mats.copy(), name=name)
     return Representation(rep.group, _sym_power_dense(rep, k), name=name)
 
 
@@ -485,18 +502,31 @@ def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
 # -- invariants and spectra --------------------------------------------------
 
 
+def _traces(rep: Representation) -> np.ndarray:
+    """Complex trace of every element's matrix: a permutation action's are
+    its fixed-point counts, with the bits of the dense traces."""
+    if rep.perms is None:
+        return np.einsum("gii->g", rep.mats)
+    return (rep.perms == np.arange(rep.dim)).sum(axis=1).astype(np.complex128)
+
+
 def invariant_projector(rep: Representation) -> np.ndarray:
     """Group average of the representation matrices.
 
     Orthogonal projector onto the subspace fixed by every element; it
-    commutes with every representation matrix.
+    commutes with every representation matrix.  On a permutation action
+    entry (i, j) counts the elements sending j to i, with the dense bits.
     """
-    return rep.mats.mean(axis=0)
+    if rep.perms is None:
+        return rep.mats.mean(axis=0)
+    d = rep.dim
+    counts = np.bincount((rep.perms * d + np.arange(d)).ravel(), minlength=d * d)
+    return (counts / rep.group.order).astype(np.complex128).reshape(d, d)
 
 
 def invariant_dimension(rep: Representation) -> int:
     """Dimension of the fixed subspace = average trace, rounded."""
-    value = complex(np.einsum("gii->g", rep.mats).mean())
+    value = complex(_traces(rep).mean())
     nearest = round(value.real)
     if abs(value - nearest) > INT_ROUND_TOL:
         raise NumericalConsistencyError(
@@ -542,7 +572,7 @@ def eigen_profile(rep: Representation) -> EigenProfile:
     """Root-of-unity eigenvalues of the element matrices, from the character:
     multiplicities rounded to integers (tolerance ``EIG_SNAP_TOL``), roots
     deduplicated as reduced fractions, the peak multiplicity per root."""
-    return _character_profile(rep.group, np.einsum("gii->g", rep.mats))
+    return _character_profile(rep.group, _traces(rep))
 
 
 def k_bound(rep: Representation) -> int:

@@ -91,6 +91,26 @@ def dense_max_deviation(rep, block: np.ndarray) -> float:
     return max(float(np.linalg.norm(m @ block - block, 2)) for m in rep.mats)
 
 
+def dense_apply_scheme(scheme, rep) -> np.ndarray:
+    """Averaging-operator oracle: the weighted sum of the support's dense
+    matrices, ignoring any permutation arrays."""
+    return np.einsum("s,sij->ij", scheme.weights.astype(np.complex128), rep.mats[scheme.support])
+
+
+def dense_invariant_projector(rep) -> np.ndarray:
+    """Projector oracle: the mean of the dense matrices."""
+    return rep.mats.mean(axis=0)
+
+
+def dense_invariant_dimension(rep) -> int:
+    """Fixed-subspace dimension oracle: the mean of the dense traces, which
+    must lie within 1e-6 of an integer."""
+    value = complex(np.einsum("gii->g", rep.mats).mean())
+    nearest = round(value.real)
+    assert abs(value - nearest) <= 1e-6, value
+    return int(nearest)
+
+
 def signed_permutation_by_masks(mats: np.ndarray):
     """Signed-permutation oracle: ``(perm, sign)`` with ``mats[g] e_j =
     sign[g, j] e_{perm[g, j]}``, or None.  Each condition is its own pass:

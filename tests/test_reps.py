@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from groupavg import (
     Representation,
     SizeLimitError,
     UsageError,
+    certify,
     conjugacy_classes,
     direct_sum,
     eigen_profile,
@@ -19,6 +21,7 @@ from groupavg import (
     k_bound,
     parse_group_spec,
     permutation_rep,
+    random_scheme,
     regular_k_bound,
     regular_rep,
     rep_to_text,
@@ -112,13 +115,65 @@ def test_regular_rep_cap_is_a_byte_estimate(monkeypatch):
     class Allocating(Exception):
         pass
 
-    def stop(perms):
+    def stop(perm, sign):
         raise Allocating
 
-    # order 512 passes the check; stop it where the 2 GiB stack would be built
+    # order 512 passes the check; the 2 GiB stack is built on the first
+    # read of .mats, so stop it there
     monkeypatch.setattr(reps_module, "_mats_from_perms", stop)
+    rep = regular_rep(parse_group_spec("cyclic:512"))
     with pytest.raises(Allocating):
-        regular_rep(parse_group_spec("cyclic:512"))
+        rep.mats
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_regular_rep_holds_its_table_not_its_stack():
+    # the largest order the cap admits: the dense stack would take 2 GiB
+    c512 = parse_group_spec("cyclic:512")
+    assert _traced_peak(lambda: regular_rep(c512)) < 16 * 2**20
+    # the projector path reads the table: the stack alone would take 33.5 MB
+    c128 = parse_group_spec("cyclic:128")
+    assert _traced_peak(lambda: certify(random_scheme(c128, 8, 0), regular_rep(c128))) < 12 * 2**20
+
+
+def test_signed_form_constructor_checks_its_rows():
+    c3 = parse_group_spec("cyclic:3")
+    perm, sign = c3.mult.copy(), np.ones((3, 3), dtype=np.int8)
+    rep = Representation(c3, None, signed=(perm, sign))
+    assert rep.dim == 3 and rep.perms is not None
+    assert np.array_equal(rep.mats, regular_rep(c3).mats)
+    for row, col, value in [(1, 0, 2), (2, 2, 5), (2, 0, -1)]:  # a repeat, out of range, negative
+        bad = perm.copy()
+        bad[row, col] = value
+        with pytest.raises(UsageError, match="permutation"):
+            Representation(c3, None, signed=(bad, sign))
+    halved = sign.copy()
+    halved[1, 1] = 2
+    with pytest.raises(UsageError, match="permutation"):
+        Representation(c3, None, signed=(perm, halved))
+    with pytest.raises(NumericalConsistencyError, match="identity"):
+        Representation(c3, None, signed=(perm[[1, 0, 2]], sign))
+    flipped = sign.copy()
+    flipped[0, 2] = -1
+    with pytest.raises(NumericalConsistencyError, match="identity"):
+        Representation(c3, None, signed=(perm, flipped))
+    unsigned = perm.astype(np.uint64)  # uint64 + int64 offsets would be float
+    for form in [(perm[:2], sign[:2]), (perm, sign[:, :2]), (perm + 0.0, sign), (unsigned, sign),
+                 (perm[0], sign[0])]:
+        with pytest.raises(UsageError):
+            Representation(c3, None, signed=form)
+    negated = sign.copy()
+    negated[1:] = -1
+    with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+        Representation(c3, None, signed=(perm, negated))  # -rho(1) squared is not -rho(2)
 
 
 @pytest.mark.parametrize("corruption", ["swap", "extra-entry"])
@@ -521,6 +576,17 @@ def test_nan_identity_is_rejected():
     mats[0] = np.nan
     with pytest.raises(NumericalConsistencyError, match="identity"):
         Representation(rep.group, mats)
+
+
+def test_identity_check_is_a_frobenius_distance():
+    c3 = parse_group_spec("cyclic:3")
+    mats = regular_rep(c3).mats.copy()
+    mats[0, 0, 1] = 0.9e-9j
+    rep = Representation(c3, mats.copy())  # within IDENTITY_TOL, and pinned to the identity
+    assert np.array_equal(rep.mats[0], np.eye(3)) and rep.perms is not None
+    mats[0, 1, 0] = 0.9e-9  # each entry within the tolerance, the distance 1.27e-9 above it
+    with pytest.raises(NumericalConsistencyError, match="identity"):
+        Representation(c3, mats)
 
 
 def test_nan_trace_fails_the_character_class_check():

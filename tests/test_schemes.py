@@ -31,6 +31,8 @@ from groupavg import (
 )
 from groupavg.fourier import SUPPORT_EPS
 from groupavg import fourier as fourier_module
+from groupavg import schemes as schemes_module
+from oracles import dense_apply_scheme, dense_invariant_dimension, dense_invariant_projector
 from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
 from oracles import unique_random_scheme
 from test_irreps import TABLE_SPECS
@@ -197,6 +199,38 @@ def test_projector_path_frozen_on_permutation_actions(spec, kind, weak, strong, 
     result = minimize_scheme(group, rep, 0.5, seed=3)
     assert (result.status, result.size, result.eps) == ("ok", size, eps)
     assert result.scheme.support.tolist() == support
+
+
+def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monkeypatch):
+    # schemes with negative weights, duplicate support entries and the
+    # uniform scheme; the projector and operator by tobytes, the full
+    # report's certificates by float.hex against the dense oracles
+    reps = [regular_rep(g) for g in [*small_groups.values(), parse_group_spec("cyclic:37")]]
+    reps += [permutation_rep(parse_group_spec(f"symmetric:{d}")) for d in (4, 5)]
+    for rep in reps:
+        group = rep.group
+        case = (rep.name, group.order)
+        assert rep.perms is not None, case
+        rng = np.random.default_rng(group.order)
+        schemes = [uniform_scheme(group)]
+        for size in (1, 3, 2 * group.order + 1):
+            support = rng.integers(0, group.order, size=size)
+            weights = rng.normal(size=size)
+            schemes.append(AveragingScheme(group, support, weights - (weights.sum() - 1.0) / size))
+        projector, dim = invariant_projector(rep), schemes_module.invariant_dimension(rep)
+        routes = [(apply_scheme(s, rep), certify(s, rep)) for s in schemes]
+        assert projector.tobytes() == dense_invariant_projector(rep).tobytes(), case
+        assert dim == dense_invariant_dimension(rep), case
+        with monkeypatch.context() as patch:
+            patch.setattr(schemes_module, "apply_scheme", dense_apply_scheme)
+            patch.setattr(schemes_module, "invariant_projector", dense_invariant_projector)
+            patch.setattr(schemes_module, "invariant_dimension", dense_invariant_dimension)
+            for scheme, (operator, report) in zip(schemes, routes):
+                assert operator.tobytes() == dense_apply_scheme(scheme, rep).tobytes(), case
+                want = certify(scheme, rep)
+                assert report.eps_weak.hex() == want.eps_weak.hex(), case
+                assert report.eps_strong.hex() == want.eps_strong.hex(), case
+                assert report.degenerate == want.degenerate, case
 
 
 def test_strong_certificate_depends_only_on_the_matrices():
