@@ -1,10 +1,13 @@
-"""Finite groups as dense index tables.
+"""Finite groups on dense indices, in closed form or as index tables.
 
 Elements are dense indices ``0..order-1`` with the identity pinned at
-index 0; every higher layer of the toolkit speaks indices only.  Built-in
-families: cyclic, sign_flip (bit vectors under xor), dihedral, symmetric,
-and direct products; arbitrary multiplication tables are accepted as the
-``custom`` family.
+index 0; every higher layer of the toolkit speaks indices only and reads
+products through :meth:`Group.product`.  Built-in families: cyclic,
+sign_flip (bit vectors under xor), dihedral, symmetric, and direct
+products; arbitrary multiplication tables are accepted as the ``custom``
+family.  Cyclic, sign-flip and product groups are closed form: their
+|G| x |G| table is built, and proved, only when something reads
+``Group.mult``.  Dihedral, symmetric and custom groups hold their table.
 """
 
 from __future__ import annotations
@@ -27,13 +30,13 @@ _BLOCK_ENTRIES = 1 << 20  # table or power-orbit entries built per block
 
 
 class Group:
-    """Finite group given by a dense multiplication table on indices.
+    """Finite group on indices, given by a multiplication table or in closed form.
 
     Parameters
     ----------
-    mult : (order, order) integer array
+    mult : (order, order) integer array, or None
         ``mult[a, b]`` is the index of the product ``a * b``.  Row and
-        column 0 must realize the identity.
+        column 0 must realize the identity.  None for a closed form.
     labels : sequence of str
         Human-readable element names, one per index.
     family : str
@@ -43,19 +46,29 @@ class Group:
         empty for custom).
     factors : optional pair of Group
         The two factors when ``family == "product"``.
+    product, inv : optional
+        A closed form: ``product(a, b)`` gives ``a * b`` elementwise over
+        index arrays, broadcast as numpy does, and ``inv`` every element's
+        inverse; the order is then the number of labels.
 
     ``generators`` holds at most ``log2(order)`` elements that generate
     the group, found and checked by :meth:`validate` on construction.
 
-    Memory scales as ``order**2``; the family constructors refuse a
-    table whose build would pass ``GROUP_TABLE_MAX_BYTES``.
+    A table takes ``order**2`` int64 entries.  A closed-form group (the
+    cyclic, sign-flip and product families) holds none until ``mult`` is
+    read: its construction costs O(order * generators) through
+    ``product``, and the first read builds and proves the table.  The
+    family constructors refuse every order whose table build would pass
+    ``GROUP_TABLE_MAX_BYTES``, closed forms included.
     """
 
-    def __init__(self, mult, labels, family, params, factors=None):
-        self.mult = np.ascontiguousarray(mult, dtype=np.int64)
-        if self.mult.ndim != 2 or self.mult.shape[0] != self.mult.shape[1]:
-            raise UsageError("multiplication table must be square")
-        self.order = int(self.mult.shape[0])
+    def __init__(self, mult, labels, family, params, factors=None, product=None, inv=None):
+        self._closed, self._mult = product, None
+        if product is None:
+            self._mult = np.ascontiguousarray(mult, dtype=np.int64)
+            if self._mult.ndim != 2 or self._mult.shape[0] != self._mult.shape[1]:
+                raise UsageError("multiplication table must be square")
+        self.order = len(labels) if product is not None else int(self._mult.shape[0])
         if self.order < 1:
             raise UsageError("group must be nonempty")
         self.labels = [str(x) for x in labels]
@@ -65,7 +78,7 @@ class Group:
         self.params = tuple(int(p) for p in params)
         self.factors = factors
         self.identity = 0
-        self.inv = np.argmax(self.mult == 0, axis=1).astype(np.int64)
+        self.inv = np.argmax(self._mult == 0, axis=1).astype(np.int64) if inv is None else inv
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._orders = None
         self._word_basis = None
@@ -74,24 +87,48 @@ class Group:
 
     # -- basic queries ---------------------------------------------------
 
+    @property
+    def mult(self) -> np.ndarray:
+        """The ``(order, order)`` table; a closed form builds it from
+        :meth:`product` on first read and proves it with :meth:`validate`."""
+        if self._mult is None:
+            idx = np.arange(self.order)
+            self._mult = np.ascontiguousarray(self.product(idx[:, None], idx), dtype=np.int64)
+            try:
+                self.validate()
+            except UsageError:
+                self._mult = None
+                raise
+        return self._mult
+
+    def product(self, a, b):
+        """Index of ``a * b`` elementwise over index arrays or ints, broadcast
+        as numpy does: the closed form, or a gather from the table."""
+        return self._mult[a, b] if self._closed is None else self._closed(a, b)
+
     def __len__(self) -> int:
         return self.order
 
     def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Group)
-            and self.order == other.order
-            and np.array_equal(self.mult, other.mult)
-        )
+        """Same order and table; two built-in groups of one spec are equal
+        without reading a table."""
+        if self is other or not isinstance(other, Group) or self.order != other.order:
+            return self is other
+        spec = group_spec_string(self)
+        if "custom" not in spec and spec == group_spec_string(other):
+            return True
+        return bool(np.array_equal(self.mult, other.mult))
 
     def __hash__(self) -> int:
-        return hash((self.order, self.mult.tobytes()))
+        """From the square of every element, which equal tables share."""
+        idx = np.arange(self.order)
+        return hash((self.order, self.product(idx, idx).tobytes()))
 
     def __repr__(self) -> str:
         return f"Group({group_spec_string(self)}, order={self.order})"
 
     def multiply(self, a: int, b: int) -> int:
-        return int(self.mult[a, b])
+        return int(self.product(a, b))
 
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
@@ -103,8 +140,8 @@ class Group:
         out, base = 0, a
         while k:
             if k & 1:
-                out = int(self.mult[out, base])
-            base = int(self.mult[base, base])
+                out = int(self.product(out, base))
+            base = int(self.product(base, base))
             k >>= 1
         return out
 
@@ -124,7 +161,11 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.mult, self.mult.T))
+        """Whether the generators commute pairwise, as every pair of elements
+        then does: O(generators**2) products, no table."""
+        gens = np.array(self.generators, dtype=np.int64)
+        ab = self.product(gens[:, None], gens)
+        return bool(np.array_equal(ab, ab.T))
 
     def index_of_label(self, label: str) -> int:
         try:
@@ -137,42 +178,46 @@ class Group:
     def validate(self) -> None:
         """Prove the group axioms exactly and set ``generators``.
 
-        Range, two-sided identity at 0 and two-sided inverses, then Light's
-        associativity test on greedy generators (each the smallest element
-        not yet generated): (x*b)*y == x*(b*y) for all x, y and each
-        generator b.  A monoid with two-sided inverses is a group.  The
-        test gathers from a copy of the table in the narrowest unsigned
-        type that holds its entries (uint8 up to order 256), which moves
-        a fraction of the int64 table's bytes and gives the same answer.
+        Range, two-sided identity at 0 and two-sided inverses, each one
+        pass of :meth:`product`, then Light's associativity test on greedy
+        generators (each the smallest element not yet generated):
+        (x*b)*y == x*(b*y) for all x, y and each generator b.  A monoid
+        with two-sided inverses is a group.  The test gathers from a copy
+        of the table in the narrowest unsigned type that holds its entries
+        (uint8 up to order 256), which moves a fraction of the int64
+        table's bytes and gives the same answer.  A closed form without
+        its table skips the range and Light's tests; the first read of
+        ``mult`` runs them all.
         """
-        m, n = self.mult, self.order
-        if m.min() < 0 or m.max() >= n:
+        m, n = self._mult, self.order
+        if m is not None and (m.min() < 0 or m.max() >= n):
             raise UsageError("table entries out of range")
         idx = np.arange(n)
-        if not (np.array_equal(m[0], idx) and np.array_equal(m[:, 0], idx)):
+        if not (np.array_equal(self.product(0, idx), idx) and np.array_equal(self.product(idx, 0), idx)):
             raise UsageError("index 0 is not a two-sided identity")
-        if np.any(m[idx, self.inv]) or np.any(m[self.inv, idx]):
+        if np.any(self.product(idx, self.inv)) or np.any(self.product(self.inv, idx)):
             raise UsageError("inverse table inconsistent")
-        narrow = m.astype(np.min_scalar_type(n - 1))
+        narrow = None if m is None else m.astype(np.min_scalar_type(n - 1))
         generators: list[int] = []
         generated = idx == 0
         while not generated.all():
             b = int(np.argmin(generated))
             # (x*b)*y versus x*(b*y), all x, y at once
-            if not np.array_equal(narrow[m[:, b]], np.take(narrow, m[b], axis=1)):
+            if m is not None and not np.array_equal(narrow[m[:, b]], np.take(narrow, m[b], axis=1)):
                 raise UsageError(f"associativity fails at b={b}")
             generators.append(b)
-            generated, _ = _generated(m, generators)
+            generated, _ = _generated(self, generators)
         self.generators = tuple(generators)
 
     def generator_rows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """``generators`` as an index array, and where row g*s of an
         ``(order, width)`` array lies when it is read flat, for every element
-        g and generator s: ``mult[g, s] * width + j`` at ``[g, s, j]``.
-        Gathered once per group and width."""
+        g and generator s: ``(g*s) * width + j`` at ``[g, s, j]``.  Made once
+        per group and width."""
         if width not in self._generator_rows:
             gens = np.array(self.generators, dtype=np.int64)
-            self._generator_rows[width] = gens, self.mult[:, gens, None] * width + np.arange(width)
+            at = self.product(np.arange(self.order)[:, None, None], gens[:, None])
+            self._generator_rows[width] = gens, at * width + np.arange(width)
         return self._generator_rows[width]
 
     def word_basis(self) -> tuple[tuple[int, ...], int]:
@@ -194,7 +239,7 @@ class Group:
             squares = (self.power(s, 1 << j) for s in self.generators
                        for j in range(int(orders[s] - 1).bit_length()))  # 2**j < order
             basis = tuple(dict.fromkeys(squares))
-            self._word_basis = (basis, _generated(self.mult, list(basis))[1])
+            self._word_basis = (basis, _generated(self, list(basis))[1])
         return self._word_basis
 
 
@@ -232,9 +277,8 @@ def cyclic_group(n: int) -> Group:
     if n < 1:
         raise UsageError(f"cyclic group needs n >= 1, got {n}")
     _check_table_size(n)
-    idx = np.arange(n)
-    mult = (idx[:, None] + idx[None, :]) % n
-    return Group(mult, [str(i) for i in range(n)], "cyclic", (n,))
+    return Group(None, [str(i) for i in range(n)], "cyclic", (n,),
+                 product=lambda a, b: (a + b) % n, inv=-np.arange(n) % n)
 
 
 def sign_flip_group(d: int) -> Group:
@@ -246,11 +290,8 @@ def sign_flip_group(d: int) -> Group:
     if d < 1:
         raise UsageError(f"sign-flip group needs d >= 1, got {d}")
     _check_table_size(1 << d)
-    n = 1 << d
-    idx = np.arange(n)
-    mult = idx[:, None] ^ idx[None, :]
-    labels = [format(x, f"0{d}b") for x in range(n)]
-    return Group(mult, labels, "sign_flip", (d,))
+    labels = [format(x, f"0{d}b") for x in range(1 << d)]
+    return Group(None, labels, "sign_flip", (d,), product=np.bitwise_xor, inv=np.arange(1 << d))
 
 
 def dihedral_group(n: int) -> Group:
@@ -309,15 +350,18 @@ def symmetric_group(d: int) -> Group:
 
 
 def product_group(g1: Group, g2: Group) -> Group:
-    """Direct product with index packing ``(a, b) -> a * |G2| + b``."""
+    """Direct product with index packing ``(a, b) -> a * |G2| + b``, in
+    closed form over its factors' products."""
     o1, o2 = g1.order, g2.order
-    n = o1 * o2
-    _check_table_size(n)
-    idx = np.arange(n)
-    a, b = idx // o2, idx % o2
-    mult = g1.mult[a[:, None], a[None, :]] * o2 + g2.mult[b[:, None], b[None, :]]
+    _check_table_size(o1 * o2)
+    a, b = np.divmod(np.arange(o1 * o2), o2)
     labels = [f"({g1.labels[x]},{g2.labels[y]})" for x, y in zip(a, b)]
-    return Group(mult, labels, "product", (o1, o2), factors=(g1, g2))
+
+    def product(x, y):
+        return g1.product(x // o2, y // o2) * o2 + g2.product(x % o2, y % o2)
+
+    return Group(None, labels, "product", (o1, o2), factors=(g1, g2), product=product,
+                 inv=g1.inv[a] * o2 + g2.inv[b])
 
 
 def custom_group(mult) -> Group:
@@ -357,18 +401,19 @@ def build_group(family: str, *params) -> Group:
 def conjugacy_classes(group: Group) -> ConjugacyPartition:
     """Conjugacy classes, ordered by minimal element index.
 
-    Walks the smallest unclassed element g: one gather of s g s^-1 over
-    every s, read as ``mult[s, mult[g, inv[s]]]`` from row g and the flat
-    table, marks g's whole class, and g is that class's minimum since
-    every smaller element is classed already.
+    An abelian group's classes are its elements.  Otherwise walks the
+    smallest unclassed element g: one pass of s (g s^-1) over every s
+    marks g's whole class, and g is that class's minimum since every
+    smaller element is classed already.
     """
-    mult, inv, n = group.mult, group.inv, group.order
-    flat, rows = mult.ravel(), np.arange(0, n * n, n)
+    inv, n, idx = group.inv, group.order, np.arange(group.order)
+    if group.is_abelian:
+        return ConjugacyPartition(idx, np.ones(n, dtype=np.int64), idx.copy())
     class_of = np.full(n, -1, dtype=np.int64)
     reps = []
     g = 0
     while g < n:
-        class_of[flat[rows + mult[g, inv]]] = len(reps)
+        class_of[group.product(idx, group.product(g, inv))] = len(reps)
         reps.append(g)
         g += int(np.argmax(class_of[g:] < 0)) or n - g  # 0: none left, g is classed
     return ConjugacyPartition(
@@ -383,7 +428,7 @@ def power_walk(group: Group, elements: np.ndarray) -> Iterator[np.ndarray]:
     x = np.zeros(len(elements), dtype=np.int64)
     while True:
         yield x
-        x = group.mult[x, elements]
+        x = group.product(x, elements)
 
 
 def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None) -> np.ndarray:
@@ -395,15 +440,17 @@ def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None)
     return np.array(list(islice(walk, steps)))
 
 
-def _generated(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int]:
+def _generated(mult, generators: list[int]) -> tuple[np.ndarray, int]:
     """Mask of the elements reached from the identity by right
     multiplication with ``generators``, breadth first, and the depth: the
-    number of steps to the last element reached.
+    number of steps to the last element reached.  ``mult`` is a table or
+    a :class:`Group`, read through :meth:`Group.product`.
 
     Each step marks the frontier's products in a fresh mask and clears
     what was reached before, so the next frontier comes out sorted and
     without repeats, with no sort."""
-    n = mult.shape[0]
+    product = mult.product if isinstance(mult, Group) else lambda a, b: mult[a, b]
+    n = len(mult)
     gens = np.asarray(generators, dtype=np.int64)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
@@ -411,7 +458,7 @@ def _generated(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int
     depth = -1
     while frontier.size:
         new = np.zeros(n, dtype=bool)
-        new[mult[frontier[:, None], gens]] = True
+        new[product(frontier[:, None], gens)] = True
         np.greater(new, reached, out=new)  # new and not reached
         frontier = np.flatnonzero(new)
         reached |= new
@@ -430,7 +477,7 @@ def closure(group: Group, generators: Iterable[int]) -> list[int]:
         raise UsageError("closure needs a nonempty generating set")
     if min(gens) < 0 or max(gens) >= group.order:
         raise UsageError("generator index out of range")
-    return np.flatnonzero(_generated(group.mult, gens)[0]).tolist()
+    return np.flatnonzero(_generated(group, gens)[0]).tolist()
 
 
 def sample_uniform(group: Group, n: int, seed) -> np.ndarray:

@@ -17,13 +17,13 @@ by that form, and their stack is built on the first read of ``mats``;
 from any other stack the form is read once, when the representation is
 built, and an irrep table reads it for a whole stack in one pass.  On
 that form validation checks the homomorphism law exactly on the group's
-generators; on a permutation action products are row moves, and traces,
-the projector and an averaging operator are counts and one scatter, with
-the dense bits.  Every other representation is checked in floating
-point: unitarity per element, then the homomorphism law on each element
-against the group's word basis, which bounds the deviation of every pair
-(see :meth:`Group.word_basis`).  A residual that is not finite fails
-either check.
+generators; on a permutation action products are row moves, and on any
+signed one traces, the projector and an averaging operator are signed
+counts and one scatter, with the dense bits.  Every other representation
+is checked in floating point: unitarity per element, then the
+homomorphism law on each element against the group's word basis, which
+bounds the deviation of every pair (see :meth:`Group.word_basis`).  A
+residual that is not finite fails either check.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     worst = 0.0
     for t in basis:
         prods = (rows @ mats[t]).reshape(mats.shape)
-        worst = np.maximum(worst, _max_frobenius(mats[group.mult[:, t]] - prods))
+        worst = np.maximum(worst, _max_frobenius(mats[group.product(np.arange(group.order), t)] - prods))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 
@@ -165,7 +165,9 @@ class Representation:
     """Unitary representation of a group, one complex matrix per element.
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
-    exact identity.  ``perms`` is the permutation each matrix realizes
+    exact identity, in a copy when the given array would change, unless
+    ``signed`` is given: an irrep table pins the stacks it views.
+    ``perms`` is the permutation each matrix realizes
     (``e_j -> e_{perms[g][j]}``) when all of them are permutation matrices,
     and None otherwise.  A caller that has read the signed-permutation form
     of ``mats`` already, as an irrep table does for a whole stack with
@@ -199,6 +201,8 @@ class Representation:
             diff = m[0] - eye
             if not math.sqrt(np.vdot(diff, diff).real) <= IDENTITY_TOL:  # Frobenius; a NaN fails too
                 raise NumericalConsistencyError("identity element does not map to the identity matrix")
+            if m is mats and signed is _READ_SIGNED and m[0].tobytes() != eye.tobytes():
+                m = m.copy()  # the pin leaves a caller's array alone; an irrep table pins its own stack
             m[0] = eye
             self._mats, self.dim = m, m.shape[1]
             self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
@@ -503,25 +507,28 @@ def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
 
 
 def _traces(rep: Representation) -> np.ndarray:
-    """Complex trace of every element's matrix: a permutation action's are
-    its fixed-point counts, with the bits of the dense traces."""
-    if rep.perms is None:
+    """Complex trace of every element's matrix: a signed permutation
+    action's are its signed fixed-point counts, with the dense bits."""
+    if rep.signed_permutation() is None:
         return np.einsum("gii->g", rep.mats)
-    return (rep.perms == np.arange(rep.dim)).sum(axis=1).astype(np.complex128)
+    perm, sign = rep.signed_permutation()
+    return np.where(perm == np.arange(rep.dim), sign, 0).sum(axis=1).astype(np.complex128)
 
 
 def invariant_projector(rep: Representation) -> np.ndarray:
     """Group average of the representation matrices.
 
     Orthogonal projector onto the subspace fixed by every element; it
-    commutes with every representation matrix.  On a permutation action
-    entry (i, j) counts the elements sending j to i, with the dense bits.
+    commutes with every representation matrix.  On a signed permutation
+    action entry (i, j) sums the signs of the elements sending j to i,
+    divided as the dense mean divides, with its bits.
     """
-    if rep.perms is None:
+    if rep.signed_permutation() is None:
         return rep.mats.mean(axis=0)
-    d = rep.dim
-    counts = np.bincount((rep.perms * d + np.arange(d)).ravel(), minlength=d * d)
-    return (counts / rep.group.order).astype(np.complex128).reshape(d, d)
+    (perm, sign), d = rep.signed_permutation(), rep.dim
+    weights = None if rep.perms is not None else sign.ravel()
+    sums = np.bincount((perm * d + np.arange(d)).ravel(), weights, minlength=d * d)
+    return (sums.astype(np.complex128) / rep.group.order).reshape(d, d)
 
 
 def invariant_dimension(rep: Representation) -> int:

@@ -164,16 +164,17 @@ def required_sample_count(order: int, eps: float, delta: float) -> int:
 
 def apply_scheme(scheme: AveragingScheme, rep: Representation) -> np.ndarray:
     """Matrix of the averaging operator on the representation space.  On a
-    permutation action each element g adds its weight at every (perms[g, j], j),
-    scattered in support order: the bits of the dense weighted sum."""
+    signed permutation action each element g adds its weight times
+    sign[g, j] at every (perm[g, j], j), scattered in support order: the
+    bits of the dense weighted sum."""
     if scheme.group != rep.group:
         raise GroupMismatchError("scheme and representation are over different groups")
     weights = scheme.weights.astype(np.complex128)
-    if rep.perms is None:
+    if rep.signed_permutation() is None:
         return np.einsum("s,sij->ij", weights, rep.mats[scheme.support])
-    d = rep.dim
+    (perm, sign), d = rep.signed_permutation(), rep.dim
     out = np.zeros(d * d, dtype=np.complex128)
-    np.add.at(out, rep.perms[scheme.support] * d + np.arange(d), weights[:, None])
+    np.add.at(out, perm[scheme.support] * d + np.arange(d), weights[:, None] * sign[scheme.support])
     return out.reshape(d, d)
 
 

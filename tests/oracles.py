@@ -189,6 +189,24 @@ def generated_by_unique(mult: np.ndarray, generators: list[int]) -> tuple[np.nda
     return reached, depth
 
 
+def dense_family_table(group) -> np.ndarray:
+    """Table oracle: the table a dense constructor builds for a built-in
+    group, as every family did before the closed forms.  Cyclic groups add
+    mod n, sign-flip groups xor, and a product packs ``(a, b) -> a * |G2| + b``
+    over its factors' tables; dihedral and symmetric groups hold theirs."""
+    idx = np.arange(group.order)
+    if group.family == "cyclic":
+        return (idx[:, None] + idx[None, :]) % group.order
+    if group.family == "sign_flip":
+        return idx[:, None] ^ idx[None, :]
+    if group.family == "product":
+        f1, f2 = group.factors
+        a, b = idx // f2.order, idx % f2.order
+        t1, t2 = dense_family_table(f1), dense_family_table(f2)
+        return t1[a[:, None], a[None, :]] * f2.order + t2[b[:, None], b[None, :]]
+    return group.mult
+
+
 def light_test_by_take(mult) -> tuple[tuple[int, ...], int | None]:
     """Light's-test oracle, the ``np.take`` form on the int64 table: the
     greedy generators (each the smallest element not yet generated) and

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from groupavg.groups import custom_group, product_group
 from oracles import (
     brute_force_classes,
     brute_force_is_group,
+    dense_family_table,
     element_order_by_loop,
     generated_by_unique,
     gf2_rank,
@@ -516,3 +517,88 @@ def test_corrupted_tables_fail_where_the_take_oracle_fails():
         for gens in _generator_subsets(mult.shape[0], rng)[-20:]:
             _assert_generated_matches_oracle(mult, gens)
     assert len(failed_at) > 1
+
+
+# -- closed forms ------------------------------------------------------------------
+
+CLOSED_FORM_SPECS = (
+    [f"cyclic:{n}" for n in range(1, 41)]
+    + [f"signflip:{d}" for d in range(1, 9)]
+    + [
+        "product(cyclic:3,signflip:2)",
+        "product(signflip:2,dihedral:4)",
+        "product(symmetric:3,cyclic:4)",
+        "product(symmetric:4,signflip:1)",
+        "product(product(cyclic:2,symmetric:3),dihedral:3)",
+        "product(cyclic:5,product(signflip:1,symmetric:4))",
+        "product(product(cyclic:2,cyclic:2),product(dihedral:5,cyclic:3))",
+        "product(cyclic:1,product(cyclic:1,cyclic:4))",
+    ]
+)
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_SPECS)
+def test_closed_forms_match_the_dense_constructors(spec):
+    group = parse_group_spec(spec)
+    oracle = custom_group(dense_family_table(group))
+    assert np.array_equal(group.inv, oracle.inv) and group.generators == oracle.generators
+    assert np.array_equal(group.element_orders(), oracle.element_orders())
+    assert group.word_basis() == oracle.word_basis()
+    part, want = conjugacy_classes(group), conjugacy_classes(oracle)
+    for field in ("representatives", "sizes", "class_of"):
+        assert np.array_equal(getattr(part, field), getattr(want, field)), field
+    assert group.is_abelian == bool(np.array_equal(oracle.mult, oracle.mult.T))
+    assert group._mult is None  # nothing above read the table
+    assert group.mult.dtype == np.int64 and group.mult.flags.c_contiguous
+    assert np.array_equal(group.mult, oracle.mult)
+    assert group == oracle and hash(group) == hash(oracle)
+
+
+def _closed_form(table, inv=None) -> groups_module.Group:
+    n = len(table)
+    return groups_module.Group(None, [str(i) for i in range(n)], "custom", (),
+                               product=lambda a, b: table[a, b],
+                               inv=np.argmax(table == 0, axis=1) if inv is None else inv)
+
+
+def test_a_closed_form_is_proved_on_the_first_read_of_its_table():
+    # one Latin subsquare swapped in signflip:3 breaks associativity but
+    # keeps the identity and every inverse, which construction checks
+    for bad in islice(_intercalate_swaps("signflip:3"), 6):
+        gens, b = light_test_by_take(bad)
+        group = _closed_form(bad)
+        assert group.generators[: len(gens)] == gens and b is not None
+        for _ in range(2):  # refused at every read, and never kept
+            with pytest.raises(UsageError, match=f"^associativity fails at b={b}$"):
+                group.mult
+            assert group._mult is None
+    c5 = build_group("cyclic", 5).mult
+    with pytest.raises(UsageError, match="two-sided identity"):
+        _closed_form(np.roll(c5, 1, axis=1))
+    with pytest.raises(UsageError, match="inverse table inconsistent"):
+        _closed_form(c5, inv=np.arange(5))
+
+
+def test_equal_specs_are_equal_without_a_table():
+    a, b = parse_group_spec("product(signflip:3,cyclic:5)"), parse_group_spec("product(signflip:3,cyclic:5)")
+    assert a == b and a._mult is None and b._mult is None
+    assert a != parse_group_spec("product(cyclic:5,signflip:3)")
+    assert parse_group_spec("product(cyclic:1,cyclic:4)") == parse_group_spec("cyclic:4")
+
+
+def test_abelian_classes_are_the_loops_partition(small_groups, monkeypatch):
+    abelian = {spec: g for spec, g in small_groups.items() if g.is_abelian}
+    assert len(abelian) >= 8
+    shortcut = {spec: conjugacy_classes(g) for spec, g in abelian.items()}
+    monkeypatch.setattr(groups_module.Group, "is_abelian", property(lambda self: False))
+    for spec, group in abelian.items():
+        loop = conjugacy_classes(group)
+        for field in ("representatives", "sizes", "class_of"):
+            got, want = getattr(shortcut[spec], field), getattr(loop, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (spec, field)
+
+
+def test_is_abelian_agrees_with_the_transposed_table(small_groups):
+    for spec in [*small_groups, "dihedral:12", "symmetric:5", "product(signflip:2,dihedral:3)"]:
+        group = parse_group_spec(spec)
+        assert group.is_abelian == bool(np.array_equal(group.mult, group.mult.T)), spec

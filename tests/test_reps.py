@@ -144,6 +144,22 @@ def test_regular_rep_holds_its_table_not_its_stack():
     assert _traced_peak(lambda: certify(random_scheme(c128, 8, 0), regular_rep(c128))) < 12 * 2**20
 
 
+def test_sign_flip_certificate_reads_neither_table_nor_stack():
+    # the sign action reads only generator rows of a closed-form group; the
+    # signflip:10 table alone would take 8 MiB and the stack 1.6 MiB, and
+    # the whole run peaked at 15.1 MiB when both were built
+    holder = {}
+
+    def run():
+        group = parse_group_spec("signflip:10")
+        rep = sign_action_rep(group)
+        holder.update(group=group, rep=rep, report=certify(random_scheme(group, 8, 7), rep))
+
+    assert _traced_peak(run) < 4 * 2**20
+    assert holder["group"]._mult is None and holder["rep"]._mats is None
+    assert (holder["report"].eps_weak, holder["report"].eps_strong) == (0.5625, 1.125)
+
+
 def test_signed_form_constructor_checks_its_rows():
     c3 = parse_group_spec("cyclic:3")
     perm, sign = c3.mult.copy(), np.ones((3, 3), dtype=np.int8)
@@ -587,6 +603,20 @@ def test_identity_check_is_a_frobenius_distance():
     mats[0, 1, 0] = 0.9e-9  # each entry within the tolerance, the distance 1.27e-9 above it
     with pytest.raises(NumericalConsistencyError, match="identity"):
         Representation(c3, mats)
+
+
+def test_the_identity_pin_leaves_the_given_array_alone():
+    c3 = parse_group_spec("cyclic:3")
+    mats = regular_rep(c3).mats.copy()
+    mats[0, 0, 1] = 0.9e-9j  # within IDENTITY_TOL
+    given = mats.copy()
+    first = Representation(c3, mats)
+    assert np.array_equal(first.mats[0], np.eye(3)) and mats.tobytes() == given.tobytes()
+    mats[0, 1, 0] = 0.9e-9  # the distance 1.27e-9 now lies above the tolerance
+    with pytest.raises(NumericalConsistencyError, match="identity"):
+        Representation(c3, mats)
+    exact = regular_rep(c3).mats.copy()
+    assert Representation(c3, exact).mats is exact  # nothing to pin, nothing copied
 
 
 def test_nan_trace_fails_the_character_class_check():

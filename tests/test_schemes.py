@@ -26,11 +26,14 @@ from groupavg import (
     required_sample_count,
     scheme_from_json,
     scheme_to_json,
+    sign_action_rep,
+    sym_power_rep,
     trivial_rep,
     uniform_scheme,
 )
 from groupavg.fourier import SUPPORT_EPS
 from groupavg import fourier as fourier_module
+from groupavg import reps as reps_module
 from groupavg import schemes as schemes_module
 from oracles import dense_apply_scheme, dense_invariant_dimension, dense_invariant_projector
 from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
@@ -203,14 +206,22 @@ def test_projector_path_frozen_on_permutation_actions(spec, kind, weak, strong, 
 
 def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monkeypatch):
     # schemes with negative weights, duplicate support entries and the
-    # uniform scheme; the projector and operator by tobytes, the full
-    # report's certificates by float.hex against the dense oracles
+    # uniform scheme; the traces, projector and operator by tobytes, the
+    # full report's certificates by float.hex against the dense oracles.
+    # Signed actions (the sign action and its symmetric powers) also keep
+    # the strong certificate's bits: their report is checked against the
+    # same matrices held without a signed form.
     reps = [regular_rep(g) for g in [*small_groups.values(), parse_group_spec("cyclic:37")]]
     reps += [permutation_rep(parse_group_spec(f"symmetric:{d}")) for d in (4, 5)]
+    signs = [sign_action_rep(parse_group_spec(f"signflip:{d}")) for d in (1, 3, 5)]
+    reps += signs + [sym_power_rep(signs[1], k) for k in (2, 3)]
+    reps.append(sym_power_rep(sign_action_rep(parse_group_spec("signflip:6")), 2))
     for rep in reps:
         group = rep.group
         case = (rep.name, group.order)
-        assert rep.perms is not None, case
+        assert rep.signed_permutation() is not None, case
+        assert reps_module._traces(rep).tobytes() == np.einsum("gii->g", rep.mats).tobytes(), case
+        dense = None if rep.perms is not None else Representation(group, rep.mats.copy(), signed=None)
         rng = np.random.default_rng(group.order)
         schemes = [uniform_scheme(group)]
         for size in (1, 3, 2 * group.order + 1):
@@ -231,6 +242,8 @@ def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monke
                 assert report.eps_weak.hex() == want.eps_weak.hex(), case
                 assert report.eps_strong.hex() == want.eps_strong.hex(), case
                 assert report.degenerate == want.degenerate, case
+                if dense is not None:
+                    assert report.to_json() == certify(scheme, dense).to_json(), case
 
 
 def test_strong_certificate_depends_only_on_the_matrices():
