@@ -38,7 +38,7 @@ import numpy as np
 from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
 from .groups import Group
 from .irreps import IrrepTable
-from .reps import Representation, _mats_from_perms
+from .reps import Representation, stack_blocks
 
 SUPPORT_EPS = 1e-15
 # slack on a block's squared Frobenius norm before it may skip its SVD:
@@ -47,7 +47,6 @@ SUPPORT_EPS = 1e-15
 # smallest normal float
 _PRUNE_MARGIN = 1e-12
 _PRUNE_FLOOR = float(np.finfo(np.float64).tiny)
-_SIGNED_BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -121,20 +120,14 @@ def max_deviation(rep: Representation, block: np.ndarray) -> float:
     ``block`` to row ``perms[g, j]``, so each product is a row move with
     the same bits as the 0/1 matmul; ``block`` must then be real (real
     weights, 0/1 matrices, real projector) and the SVDs run in real
-    arithmetic.  On any other signed permutation action the products stay
-    the dense complex ones, made from the signed form a few elements at a
-    time (``_SIGNED_BLOCK_ENTRIES`` matrix entries) without the whole
-    stack: a row move would flip the sign of a zero, which moves a bit of
-    the SVD.
+    arithmetic.  Any other action takes the dense complex products, block
+    by block of :func:`stack_blocks`, so a signed action held by its form
+    never builds its whole stack: a row move would flip the sign of a
+    zero, which moves a bit of the SVD.
     """
-    signed = rep.signed_permutation()
-    if signed is None:
-        return max(spectral_norm(diff) for diff in np.matmul(rep.mats, block) - block)
     if rep.perms is None:
-        rows = max(1, _SIGNED_BLOCK_ENTRIES // rep.dim**2)
-        starts = range(0, rep.group.order, rows)
-        chunks = (_mats_from_perms(*(a[i : i + rows] for a in signed)) for i in starts)
-        return max(spectral_norm(diff) for mats in chunks for diff in np.matmul(mats, block) - block)
+        blocks = stack_blocks(rep)
+        return max(spectral_norm(diff) for mats in blocks for diff in np.matmul(mats, block) - block)
     if np.any(block.imag != 0):
         raise NumericalConsistencyError("operator on a permutation action has an imaginary part")
     real = block.real

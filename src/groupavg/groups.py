@@ -358,7 +358,8 @@ def product_group(g1: Group, g2: Group) -> Group:
     labels = [f"({g1.labels[x]},{g2.labels[y]})" for x, y in zip(a, b)]
 
     def product(x, y):
-        return g1.product(x // o2, y // o2) * o2 + g2.product(x % o2, y % o2)
+        (x1, x2), (y1, y2) = np.divmod(x, o2), np.divmod(y, o2)
+        return g1.product(x1, y1) * o2 + g2.product(x2, y2)
 
     return Group(None, labels, "product", (o1, o2), factors=(g1, g2), product=product,
                  inv=g1.inv[a] * o2 + g2.inv[b])

@@ -52,6 +52,7 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 REGULAR_REP_MAX_BYTES = 2 << 30
+_STACK_BLOCK_ENTRIES = 1 << 14  # complex entries per block of stack_blocks: 256 KiB
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
@@ -153,10 +154,11 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
     rows = mats.reshape(-1, mats.shape[2])
+    at = group.product(np.arange(group.order)[:, None], np.array(basis))  # g*t, one column per t
     worst = 0.0
-    for t in basis:
+    for j, t in enumerate(basis):
         prods = (rows @ mats[t]).reshape(mats.shape)
-        worst = np.maximum(worst, _max_frobenius(mats[group.product(np.arange(group.order), t)] - prods))
+        worst = np.maximum(worst, _max_frobenius(mats[at[:, j]] - prods))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 
@@ -301,6 +303,19 @@ def _mats_from_perms(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     mats = np.zeros((n, d, d), dtype=np.complex128)
     np.put_along_axis(mats, perms[:, None, :], signs[:, None, :], axis=1)
     return mats
+
+
+def stack_blocks(rep: Representation) -> Iterator[np.ndarray]:
+    """``rep.mats`` in consecutive blocks of elements: the stack itself when
+    it is built or there is no signed form, otherwise blocks of about
+    ``_STACK_BLOCK_ENTRIES`` matrix entries made from the form, never the
+    whole stack."""
+    if rep._mats is not None or rep._signed is None:
+        yield rep.mats
+        return
+    rows = max(1, _STACK_BLOCK_ENTRIES // rep.dim**2)
+    for start in range(0, rep.group.order, rows):
+        yield _mats_from_perms(*(a[start : start + rows] for a in rep._signed))
 
 
 def permutation_rep(group: Group) -> Representation:
