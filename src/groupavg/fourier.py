@@ -126,8 +126,7 @@ def max_deviation(rep: Representation, block: np.ndarray) -> float:
     zero, which moves a bit of the SVD.
     """
     if rep.perms is None:
-        blocks = stack_blocks(rep)
-        return max(spectral_norm(diff) for mats in blocks for diff in np.matmul(mats, block) - block)
+        return max(spectral_norm(d) for m in stack_blocks(rep) for d in np.matmul(m, block) - block)
     if np.any(block.imag != 0):
         raise NumericalConsistencyError("operator on a permutation action has an imaginary part")
     real = block.real

@@ -89,16 +89,17 @@ class Group:
 
     @property
     def mult(self) -> np.ndarray:
-        """The ``(order, order)`` table; a closed form builds it from
-        :meth:`product` on first read and proves it with :meth:`validate`."""
+        """The ``(order, order)`` table.  A closed form builds it from
+        :meth:`product` on first read and proves it there with the checks
+        :meth:`validate` makes on a table alone, range and Light's test; a
+        table that fails is refused and not kept."""
         if self._mult is None:
             idx = np.arange(self.order)
-            self._mult = np.ascontiguousarray(self.product(idx[:, None], idx), dtype=np.int64)
-            try:
-                self.validate()
-            except UsageError:
-                self._mult = None
-                raise
+            table = np.ascontiguousarray(self.product(idx[:, None], idx), dtype=np.int64)
+            if table.min() < 0 or table.max() >= self.order:
+                raise UsageError("table entries out of range")
+            _light_test(table, self.generators)
+            self._mult = table
         return self._mult
 
     def product(self, a, b):
@@ -179,15 +180,10 @@ class Group:
         """Prove the group axioms exactly and set ``generators``.
 
         Range, two-sided identity at 0 and two-sided inverses, each one
-        pass of :meth:`product`, then Light's associativity test on greedy
-        generators (each the smallest element not yet generated):
-        (x*b)*y == x*(b*y) for all x, y and each generator b.  A monoid
-        with two-sided inverses is a group.  The test gathers from a copy
-        of the table in the narrowest unsigned type that holds its entries
-        (uint8 up to order 256), which moves a fraction of the int64
-        table's bytes and gives the same answer.  A closed form without
-        its table skips the range and Light's tests; the first read of
-        ``mult`` runs them all.
+        pass of :meth:`product`, then greedy generators (each the smallest
+        element not yet generated) and :func:`_light_test` on them.  A
+        monoid with two-sided inverses is a group.  A closed form has no
+        table to range-check or test yet; the first read of ``mult`` does.
         """
         m, n = self._mult, self.order
         if m is not None and (m.min() < 0 or m.max() >= n):
@@ -197,17 +193,14 @@ class Group:
             raise UsageError("index 0 is not a two-sided identity")
         if np.any(self.product(idx, self.inv)) or np.any(self.product(self.inv, idx)):
             raise UsageError("inverse table inconsistent")
-        narrow = None if m is None else m.astype(np.min_scalar_type(n - 1))
         generators: list[int] = []
         generated = idx == 0
         while not generated.all():
-            b = int(np.argmin(generated))
-            # (x*b)*y versus x*(b*y), all x, y at once
-            if m is not None and not np.array_equal(narrow[m[:, b]], np.take(narrow, m[b], axis=1)):
-                raise UsageError(f"associativity fails at b={b}")
-            generators.append(b)
+            generators.append(int(np.argmin(generated)))
             generated, _ = _generated(self, generators)
         self.generators = tuple(generators)
+        if m is not None:
+            _light_test(m, self.generators)
 
     def generator_rows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """``generators`` as an index array, and where row g*s of an
@@ -439,6 +432,18 @@ def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None)
     if steps is None:
         return np.array([next(walk), *takewhile(np.ndarray.any, walk)])
     return np.array(list(islice(walk, steps)))
+
+
+def _light_test(mult: np.ndarray, generators) -> None:
+    """Light's associativity test: (x*b)*y == x*(b*y) for all x, y at once,
+    for each generator b in turn.  It gathers from a copy of the table in
+    the narrowest unsigned type that holds its entries (uint8 up to order
+    256), which moves a fraction of the int64 table's bytes and gives the
+    same answer."""
+    narrow = mult.astype(np.min_scalar_type(len(mult) - 1))
+    for b in generators:
+        if not np.array_equal(narrow[mult[:, b]], np.take(narrow, mult[b], axis=1)):
+            raise UsageError(f"associativity fails at b={b}")
 
 
 def _generated(mult, generators: list[int]) -> tuple[np.ndarray, int]:

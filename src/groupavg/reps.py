@@ -306,10 +306,9 @@ def _mats_from_perms(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
 
 
 def stack_blocks(rep: Representation) -> Iterator[np.ndarray]:
-    """``rep.mats`` in consecutive blocks of elements: the stack itself when
-    it is built or there is no signed form, otherwise blocks of about
-    ``_STACK_BLOCK_ENTRIES`` matrix entries made from the form, never the
-    whole stack."""
+    """``rep.mats`` in consecutive blocks of elements: the stack when it is
+    built or there is no signed form, else blocks of about
+    ``_STACK_BLOCK_ENTRIES`` entries made from the form, never the whole."""
     if rep._mats is not None or rep._signed is None:
         yield rep.mats
         return
