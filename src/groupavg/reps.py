@@ -168,10 +168,9 @@ class Representation:
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
     exact identity, in a copy when the given array would change, unless
-    ``signed`` is given: an irrep table pins the stacks it views.
-    ``perms`` is the permutation each matrix realizes
-    (``e_j -> e_{perms[g][j]}``) when all of them are permutation matrices,
-    and None otherwise.  A caller that has read the signed-permutation form
+    ``signed`` is given: an irrep table pins the stacks it views.  ``perms``
+    is the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``)
+    when all of them are permutation matrices, and None otherwise.  A caller that has read the signed-permutation form
     of ``mats`` already, as an irrep table does for a whole stack with
     :func:`_signed_permutations`, passes it as ``signed`` (None for none);
     otherwise it is read here.  With ``mats`` None, ``signed=(perm, sign)``
