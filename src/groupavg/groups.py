@@ -5,9 +5,10 @@ index 0; every higher layer of the toolkit speaks indices only and reads
 products through :meth:`Group.product`.  Built-in families: cyclic,
 sign_flip (bit vectors under xor), dihedral, symmetric, and direct
 products; arbitrary multiplication tables are accepted as the ``custom``
-family.  Cyclic, sign-flip and product groups are closed form: their
-|G| x |G| table is built, and proved, only when something reads
-``Group.mult``.  Dihedral, symmetric and custom groups hold their table.
+family.  Cyclic and sign-flip groups are closed form: their |G| x |G|
+table is built, and proved, only when something reads ``Group.mult``.
+Dihedral, symmetric, product and custom groups hold their table; a
+product builds its own from its factors' products.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ class Group:
     the group, found and checked by :meth:`validate` on construction.
 
     A table takes ``order**2`` int64 entries.  A closed-form group (the
-    cyclic, sign-flip and product families) holds none until ``mult`` is
+    cyclic and sign-flip families) holds none until ``mult`` is
     read: its construction costs O(order * generators) through
     ``product``, and the first read builds and proves the table.  The
     family constructors refuse every order whose table build would pass
@@ -111,14 +112,11 @@ class Group:
         return self.order
 
     def __eq__(self, other) -> bool:
-        """Same order and table; two built-in groups of one spec are equal
-        without reading a table."""
-        if self is other or not isinstance(other, Group) or self.order != other.order:
-            return self is other
-        spec = group_spec_string(self)
-        if "custom" not in spec and spec == group_spec_string(other):
-            return True
-        return bool(np.array_equal(self.mult, other.mult))
+        return self is other or (
+            isinstance(other, Group)
+            and self.order == other.order
+            and np.array_equal(self.mult, other.mult)
+        )
 
     def __hash__(self) -> int:
         """From the square of every element, which equal tables share."""
@@ -343,19 +341,17 @@ def symmetric_group(d: int) -> Group:
 
 
 def product_group(g1: Group, g2: Group) -> Group:
-    """Direct product with index packing ``(a, b) -> a * |G2| + b``, in
-    closed form over its factors' products."""
+    """Direct product with index packing ``(a, b) -> a * |G2| + b``.  Its
+    table comes from each factor's products over that factor's indices, so
+    a closed-form factor builds no table."""
     o1, o2 = g1.order, g2.order
-    _check_table_size(o1 * o2)
-    a, b = np.divmod(np.arange(o1 * o2), o2)
-    labels = [f"({g1.labels[x]},{g2.labels[y]})" for x, y in zip(a, b)]
-
-    def product(x, y):
-        (x1, x2), (y1, y2) = np.divmod(x, o2), np.divmod(y, o2)
-        return g1.product(x1, y1) * o2 + g2.product(x2, y2)
-
-    return Group(None, labels, "product", (o1, o2), factors=(g1, g2), product=product,
-                 inv=g1.inv[a] * o2 + g2.inv[b])
+    n = o1 * o2
+    _check_table_size(n)
+    i1, i2 = np.arange(o1), np.arange(o2)
+    t1, t2 = g1.product(i1[:, None], i1), g2.product(i2[:, None], i2)
+    mult = (t1[:, None, :, None] * o2 + t2[None, :, None, :]).reshape(n, n)
+    labels = [f"({g1.labels[x]},{g2.labels[y]})" for x in range(o1) for y in range(o2)]
+    return Group(mult, labels, "product", (o1, o2), factors=(g1, g2))
 
 
 def custom_group(mult) -> Group:
@@ -446,17 +442,15 @@ def _light_test(mult: np.ndarray, generators) -> None:
             raise UsageError(f"associativity fails at b={b}")
 
 
-def _generated(mult, generators: list[int]) -> tuple[np.ndarray, int]:
+def _generated(group: Group, generators: list[int]) -> tuple[np.ndarray, int]:
     """Mask of the elements reached from the identity by right
     multiplication with ``generators``, breadth first, and the depth: the
-    number of steps to the last element reached.  ``mult`` is a table or
-    a :class:`Group`, read through :meth:`Group.product`.
+    number of steps to the last element reached.
 
     Each step marks the frontier's products in a fresh mask and clears
     what was reached before, so the next frontier comes out sorted and
     without repeats, with no sort."""
-    product = mult.product if isinstance(mult, Group) else lambda a, b: mult[a, b]
-    n = len(mult)
+    n = group.order
     gens = np.asarray(generators, dtype=np.int64)
     reached = np.zeros(n, dtype=bool)
     reached[0] = True
@@ -464,7 +458,7 @@ def _generated(mult, generators: list[int]) -> tuple[np.ndarray, int]:
     depth = -1
     while frontier.size:
         new = np.zeros(n, dtype=bool)
-        new[product(frontier[:, None], gens)] = True
+        new[group.product(frontier[:, None], gens)] = True
         np.greater(new, reached, out=new)  # new and not reached
         frontier = np.flatnonzero(new)
         reached |= new

@@ -28,7 +28,7 @@ from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyErr
 from .errors import SizeLimitError, UsageError
 from .groups import GROUP_TABLE_MAX_BYTES, Group, ConjugacyPartition, conjugacy_classes
 from .groups import group_spec_string, symmetric_permutations
-from .reps import INT_ROUND_TOL, CharacterVector, Representation, _signed_permutations
+from .reps import INT_ROUND_TOL, CharacterVector, Representation, _pin_identity, _signed_permutations
 
 # IrrepTable.validate's bound: a valid table reads at most 6.1e-14 (cyclic:2000),
 # a reducible block at least 1, and a missing or duplicated irrep at least
@@ -59,6 +59,8 @@ class IrrepTable:
     def __post_init__(self):
         self.dims = tuple(int(s.shape[2]) for s in self.stacks for _ in range(len(s)))
         labels = iter(self.labels())
+        for s in self.stacks:
+            _pin_identity(s)
         self.irreps = [Representation(self.group, m, next(labels), signed=form)
                        for s in self.stacks for m, form in zip(s, _signed_permutations(s))]
 

@@ -147,6 +147,23 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
     return [(perm[i], signs[i]) if ok[i] else None for i in range(k)]
 
 
+def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
+    """``stack`` with the exact identity at element 0 of each of its
+    ``(order, dim, dim)`` blocks, once each lies within IDENTITY_TOL of it
+    in Frobenius distance (a NaN fails too).  Written in place, or, with
+    ``copy``, in a copy when the pin would change a byte."""
+    eye = np.zeros(stack.shape[-2:], dtype=np.complex128)
+    eye.ravel()[:: stack.shape[-1] + 1] = 1  # np.eye and np.linalg.norm cost twice as much
+    first = stack[..., 0, :, :]
+    diff = first - eye
+    if not (np.sqrt(np.sum((diff * diff.conj()).real, axis=(-2, -1))) <= IDENTITY_TOL).all():
+        raise NumericalConsistencyError("identity element does not map to the identity matrix")
+    if copy and first.tobytes() != np.broadcast_to(eye, first.shape).tobytes():
+        stack = stack.copy()
+    stack[..., 0, :, :] = eye
+    return stack
+
+
 def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     """Bound on the deviation over all pairs from each element against the
     group's word basis, one ``(order * dim, dim) @ (dim, dim)`` product per
@@ -154,7 +171,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
     rows = mats.reshape(-1, mats.shape[2])
-    at = group.product(np.arange(group.order)[:, None], np.array(basis))  # g*t, one column per t
+    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t, one column per t
     worst = 0.0
     for j, t in enumerate(basis):
         prods = (rows @ mats[t]).reshape(mats.shape)
@@ -167,8 +184,8 @@ class Representation:
     """Unitary representation of a group, one complex matrix per element.
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
-    exact identity, in a copy when the given array would change, unless
-    ``signed`` is given: an irrep table pins the stacks it views.  ``perms``
+    exact identity, in a copy when the given array would change (an irrep
+    table pins its stacks first, so its irreps view them).  ``perms``
     is the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``)
     when all of them are permutation matrices, and None otherwise.  A caller that has read the signed-permutation form
     of ``mats`` already, as an irrep table does for a whole stack with
@@ -197,14 +214,7 @@ class Representation:
             m = np.ascontiguousarray(mats, dtype=np.complex128)
             if m.ndim != 3 or m.shape[0] != group.order or m.shape[1] != m.shape[2] or not m.shape[1]:
                 raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
-            eye = np.zeros(m.shape[1:], dtype=np.complex128)
-            eye.ravel()[:: m.shape[1] + 1] = 1  # np.eye and np.linalg.norm cost twice as much
-            diff = m[0] - eye
-            if not math.sqrt(np.vdot(diff, diff).real) <= IDENTITY_TOL:  # Frobenius; a NaN fails too
-                raise NumericalConsistencyError("identity element does not map to the identity matrix")
-            if m is mats and signed is _READ_SIGNED and m[0].tobytes() != eye.tobytes():
-                m = m.copy()  # the pin leaves a caller's array alone; an irrep table pins its own stack
-            m[0] = eye
+            m = _pin_identity(m, copy=m is mats)
             self._mats, self.dim = m, m.shape[1]
             self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
         all_plus = self._signed is not None and self._signed[1].min() == 1  # signs are +-1

@@ -31,6 +31,7 @@ from groupavg import (
     tensor_product,
     trivial_rep,
 )
+from groupavg.groups import custom_group
 from groupavg.reps import power_class_map, sym_power_characters
 from oracles import (
     all_pairs_homomorphism_residual,
@@ -615,8 +616,21 @@ def test_the_identity_pin_leaves_the_given_array_alone():
     mats[0, 1, 0] = 0.9e-9  # the distance 1.27e-9 now lies above the tolerance
     with pytest.raises(NumericalConsistencyError, match="identity"):
         Representation(c3, mats)
+    mats[0, 1, 0] = -0.0  # a signed zero is a changed byte too
+    given = mats.copy()
+    for signed in ({}, {"signed": None}):
+        pinned = Representation(c3, mats, **signed)
+        assert pinned.mats[0].tobytes() == np.eye(3, dtype=complex).tobytes()
+        assert mats.tobytes() == given.tobytes() and pinned.mats is not mats
     exact = regular_rep(c3).mats.copy()
     assert Representation(c3, exact).mats is exact  # nothing to pin, nothing copied
+    assert Representation(c3, exact, signed=None).mats is exact
+
+
+def test_an_order_one_dense_rep_checks_against_an_empty_word_basis():
+    for group in (parse_group_spec("symmetric:1"), custom_group([[0]]), parse_group_spec("cyclic:1")):
+        rep = Representation(group, np.ones((1, 1, 1)), signed=None)
+        assert group.word_basis() == ((), 0) and rep.homomorphism_residual() == 0.0
 
 
 def test_nan_trace_fails_the_character_class_check():
