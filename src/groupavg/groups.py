@@ -7,8 +7,7 @@ sign_flip (bit vectors under xor), dihedral, symmetric, and direct
 products; arbitrary multiplication tables are accepted as the ``custom``
 family.  Cyclic and sign-flip groups are closed form: their |G| x |G|
 table is built, and proved, only when something reads ``Group.mult``.
-Dihedral, symmetric, product and custom groups hold their table; a
-product builds its own from its factors' products.
+Dihedral, symmetric, product and custom groups hold their table.
 """
 
 from __future__ import annotations
@@ -56,10 +55,10 @@ class Group:
     the group, found and checked by :meth:`validate` on construction.
 
     A table takes ``order**2`` int64 entries.  A closed-form group (the
-    cyclic and sign-flip families) holds none until ``mult`` is
-    read: its construction costs O(order * generators) through
-    ``product``, and the first read builds and proves the table.  The
-    family constructors refuse every order whose table build would pass
+    cyclic and sign-flip families) holds none until ``mult`` is read: its
+    construction costs O(order * generators) through ``product``, and the
+    first read builds and proves the table.  The family constructors
+    refuse every order whose table build would pass
     ``GROUP_TABLE_MAX_BYTES``, closed forms included.
     """
 
@@ -341,15 +340,13 @@ def symmetric_group(d: int) -> Group:
 
 
 def product_group(g1: Group, g2: Group) -> Group:
-    """Direct product with index packing ``(a, b) -> a * |G2| + b``.  Its
-    table comes from each factor's products over that factor's indices, so
-    a closed-form factor builds no table."""
+    """Direct product with index packing ``(a, b) -> a * |G2| + b``, its
+    table made from each factor's ``product``: a closed form builds none."""
     o1, o2 = g1.order, g2.order
-    n = o1 * o2
-    _check_table_size(n)
+    _check_table_size(o1 * o2)
     i1, i2 = np.arange(o1), np.arange(o2)
     t1, t2 = g1.product(i1[:, None], i1), g2.product(i2[:, None], i2)
-    mult = (t1[:, None, :, None] * o2 + t2[None, :, None, :]).reshape(n, n)
+    mult = (t1[:, None, :, None] * o2 + t2[None, :, None, :]).reshape(o1 * o2, o1 * o2)
     labels = [f"({g1.labels[x]},{g2.labels[y]})" for x in range(o1) for y in range(o2)]
     return Group(mult, labels, "product", (o1, o2), factors=(g1, g2))
 

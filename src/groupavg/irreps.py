@@ -46,7 +46,7 @@ class IrrepTable:
     trivial irrep, then by dimension, then lexicographically by character
     values over the class list.  ``characters[i, c]`` is the trace of
     irrep i at the representative of class c; ``irreps[i]`` views irrep
-    i's slice of its stack.
+    i's slice of its stack, whose identity matrices the table pins.
     """
 
     group: Group

@@ -148,10 +148,9 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
 
 
 def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
-    """``stack`` with the exact identity at element 0 of each of its
-    ``(order, dim, dim)`` blocks, once each lies within IDENTITY_TOL of it
-    in Frobenius distance (a NaN fails too).  Written in place, or, with
-    ``copy``, in a copy when the pin would change a byte."""
+    """``stack`` with the exact identity at element 0 of each ``(order, dim,
+    dim)`` block, each checked within IDENTITY_TOL of it in Frobenius distance
+    (a NaN fails), in place or, with ``copy``, in a copy if a byte changes."""
     eye = np.zeros(stack.shape[-2:], dtype=np.complex128)
     eye.ravel()[:: stack.shape[-1] + 1] = 1  # np.eye and np.linalg.norm cost twice as much
     first = stack[..., 0, :, :]
@@ -171,7 +170,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
     rows = mats.reshape(-1, mats.shape[2])
-    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t, one column per t
+    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t per column t
     worst = 0.0
     for j, t in enumerate(basis):
         prods = (rows @ mats[t]).reshape(mats.shape)
@@ -184,14 +183,14 @@ class Representation:
     """Unitary representation of a group, one complex matrix per element.
 
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
-    exact identity, in a copy when the given array would change (an irrep
-    table pins its stacks first, so its irreps view them).  ``perms``
-    is the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``)
-    when all of them are permutation matrices, and None otherwise.  A caller that has read the signed-permutation form
-    of ``mats`` already, as an irrep table does for a whole stack with
-    :func:`_signed_permutations`, passes it as ``signed`` (None for none);
-    otherwise it is read here.  With ``mats`` None, ``signed=(perm, sign)``
-    is the representation, and ``mats`` is built from it on first read.
+    exact identity, in a copy if the given array would change.  ``perms`` is
+    the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``) when
+    all of them are permutation matrices, and None otherwise.  A caller
+    that has read the signed-permutation form of ``mats`` already, as an
+    irrep table does for a whole stack with :func:`_signed_permutations`,
+    passes it as ``signed`` (None for none); otherwise it is read here.
+    With ``mats`` None, ``signed=(perm, sign)`` is the representation, and
+    ``mats`` is built from it on first read.
     """
 
     def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True,
