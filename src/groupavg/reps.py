@@ -152,13 +152,13 @@ def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
     dim)`` block, each checked within IDENTITY_TOL of it in Frobenius distance
     (a NaN fails), in place or, with ``copy``, in a copy if a byte changes."""
     eye = np.zeros(stack.shape[-2:], dtype=np.complex128)
-    eye.ravel()[:: stack.shape[-1] + 1] = 1  # np.eye and np.linalg.norm cost twice as much
+    eye.ravel()[:: stack.shape[-1] + 1] = 1  # np.eye costs twice as much
     first = stack[..., 0, :, :]
-    diff = first - eye
-    if not (np.sqrt(np.sum((diff * diff.conj()).real, axis=(-2, -1))) <= IDENTITY_TOL).all():
+    if first.tobytes() == eye.tobytes() * (first.size // eye.size):  # exact already, the common case
+        return stack
+    if not (np.linalg.norm((first - eye).reshape(-1, eye.size), axis=1) <= IDENTITY_TOL).all():
         raise NumericalConsistencyError("identity element does not map to the identity matrix")
-    if copy and first.tobytes() != np.broadcast_to(eye, first.shape).tobytes():
-        stack = stack.copy()
+    stack = stack.copy() if copy else stack
     stack[..., 0, :, :] = eye
     return stack
 
