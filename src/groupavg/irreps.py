@@ -13,7 +13,8 @@ linear character identities check the table.  Each irrep is a validated
 held once, plus the element-major adjoint table the Fourier transforms
 gather from (row g holds pi(g)^dagger of every irrep), built when first
 read.  The signed-permutation forms of a stack's irreps are read in one
-pass over the stack.  A build peaks near ``order**2 * 96`` bytes and is
+pass over the stack; the forms of a 1x1 stack are int8 signs that share
+one read-only zero permutation.  A build peaks near ``order**2 * 96`` bytes and is
 refused above ``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
 """
 
@@ -291,18 +292,24 @@ def irreps_of(group: Group) -> IrrepTable:
         by_dim.setdefault(stack.shape[2], []).append(stack)
     partition = conjugacy_classes(group)
     # per dimension, ascending: trivial first, then by rounded (re, im) per
-    # class in turn; the stable sort keeps the builder's order on ties
+    # class in turn; the stable sort keeps the builder's order on ties.  A
+    # dimension whose imaginary parts are all exactly zero sorts on its real
+    # parts alone, in the same order: an all-zero key orders nothing
     stacks, characters = [], []
     for d in sorted(by_dim):
         parts = by_dim.pop(d)
         stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts
-        chars = np.trace(stack[:, partition.representatives], axis1=2, axis2=3)
+        # an abelian group's representatives are all its elements, in order
+        at_classes = stack if len(partition) == group.order else stack[:, partition.representatives]
+        chars = np.trace(at_classes, axis1=2, axis2=3)
+        del at_classes
         trivial = np.abs(chars - 1.0).max(axis=1) < 1e-9  # chi(e) = d rules out d > 1
-        values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+        parts = (chars.real, chars.imag) if chars.imag.any() else (chars.real,)
+        values = np.stack([np.round(p, 9) for p in parts], axis=2)
         order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
         characters.append(chars[order])
-        del values, chars
+        del values, chars, parts
         stacks.append(stack[order])
         del stack
     table = IrrepTable(group, partition, stacks, np.concatenate(characters))

@@ -15,11 +15,13 @@ one nonzero per row and column) has an integer (perm, sign) form.  The
 regular, permutation, sign and signed symmetric-power actions are held
 by that form, and their stack is built on the first read of ``mats``;
 from any other stack the form is read once, when the representation is
-built, and an irrep table reads it for a whole stack in one pass.  On
-that form validation checks the homomorphism law exactly on the group's
-generators; on a permutation action products are row moves, and on any
-signed one traces, the projector and an averaging operator are signed
-counts and one scatter, with the dense bits.  Every other representation
+built, and an irrep table reads it for a whole stack in one pass (a 1x1
+stack's as int8 signs sharing one read-only zero permutation).  On that
+form validation checks the homomorphism law exactly on the group's
+generators, and a diagonal form, such as the sign action or a +-1
+character, by its signs alone; on a permutation action products are row
+moves, and on any signed one traces, the projector and an averaging
+operator are signed counts and one scatter, with the dense bits.  Every other representation
 is checked in floating point: unitarity per element, then the
 homomorphism law on each element against the group's word basis, which
 bounds the deviation of every pair (see :meth:`Group.word_basis`).  A
@@ -69,11 +71,22 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     ``group.generators`` in one gather; with rho(e) = I it then holds for
     all pairs, by induction on word length.  In (perm, sign) form,
     rho(g) @ rho(s) maps e_j to sign[s, j] * sign[g, perm[s, j]] times
-    e_{perm[g, perm[s, j]]}.  Row g*s of ``perm`` and ``sign`` is read
-    flat through :meth:`Group.generator_rows`, made once per group and
-    row width.
+    e_{perm[g, perm[s, j]]}.
+
+    A diagonal form (every ``perm`` row the identity: a 1x1 form by its
+    shape, a wider one by one compare) composes no permutation, so the law
+    is the sign law sign[g*s] == sign[g] * sign[s] alone, read through the
+    ``(order, generators)`` products of :meth:`Group.generator_rows` at
+    width 1.  Any other form reads row g*s of ``perm`` and ``sign`` flat
+    through :meth:`Group.generator_rows` at its width.  Either is made once
+    per group and width.
     """
-    gens, at_product = group.generator_rows(perm.shape[1])  # (generators,), (order, generators, dim)
+    d = perm.shape[1]
+    if d == 1 or (perm == np.arange(d)).all():
+        gens, at_product = group.generator_rows(1)  # (generators,), (order, generators, 1)
+        after = np.take(sign, at_product[:, :, 0], axis=0)  # sign[g*s]: (order, generators, dim)
+        return bool((after == sign[:, None] * sign[gens]).all())
+    gens, at_product = group.generator_rows(d)  # (generators,), (order, generators, dim)
     after = perm[gens]  # (generators, dim)
     return bool(
         (perm.ravel()[at_product] == perm[:, after]).all()
@@ -113,20 +126,31 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
     an irrep table's forms, without a call per irrep.
 
     Element 0 is read as the exact identity a representation pins it to,
-    so a block gets the form its representation's matrices have.  On the
-    other elements a block needs exactly ``(order - 1) * dim`` nonzero
-    parts, real and imaginary counted apart, as :func:`_signed_permutation_of`
-    does.  One walk over the rows then sums each column's real parts and
-    the row indices of its nonzero real parts.  Every column summing to
-    +-1 leaves one real nonzero per column and no imaginary part, so a
-    column's row is its row-index sum and its sign its sum; the rows
-    must then each hold a nonzero.  NaN and inf count as nonzero but are
-    not +-1.  Every step is elementwise over the stack, so a 1x1 stack
-    costs no per-block work; the walk takes ``dim`` steps, which suits the
-    small blocks of a table, while :func:`_signed_permutation_of` suits one
-    large representation.
+    so a block gets the form its representation's matrices have.  A 1x1
+    block is a form when every other element is +-1 with zero imaginary
+    part; its signs are its real parts as int8, and every such block
+    shares one read-only ``(order, 1)`` zero permutation.  A wider block
+    needs exactly ``(order - 1) * dim`` nonzero parts on the other
+    elements, real and imaginary counted apart, as
+    :func:`_signed_permutation_of` does.  One walk over the rows then sums
+    each column's real parts and the row indices of its nonzero real parts.
+    Every column summing to +-1 leaves one real nonzero per column and no
+    imaginary part, so a column's row is its row-index sum and its sign its
+    sum; the rows must then each hold a nonzero.  NaN and inf count as
+    nonzero but are not +-1.  Every step is elementwise over the stack, so
+    no block costs per-block work; the walk takes ``dim`` steps, which suits
+    the small blocks of a table, while :func:`_signed_permutation_of` suits
+    one large representation.
     """
     k, n, d = stack.shape[:3]
+    if d == 1:
+        values = stack[:, 1:, 0, 0]
+        ok = ((np.abs(values.real) == 1) & (values.imag == 0)).all(axis=1)
+        signs = np.ones((k, n, 1), dtype=np.int8)
+        signs[ok, 1:, 0] = values.real[ok]
+        zero = np.zeros((n, 1), dtype=np.intp)
+        zero.flags.writeable = False
+        return [(zero, signs[i]) if ok[i] else None for i in range(k)]
     flat = stack.reshape(k, n, -1).view(np.float64)
     counted = np.count_nonzero(flat.reshape(k, -1), axis=1) - np.count_nonzero(flat[:, 0], axis=1)
     ok = counted == (n - 1) * d
@@ -170,7 +194,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
     rows = mats.reshape(-1, mats.shape[2])
-    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t per column t
+    at = group.basis_products()  # g*t per column t
     worst = 0.0
     for j, t in enumerate(basis):
         prods = (rows @ mats[t]).reshape(mats.shape)

@@ -172,6 +172,18 @@ def all_pairs_homomorphism_residual(mats: np.ndarray, mult: np.ndarray) -> float
     return float(worst)
 
 
+def signed_homomorphism_by_pairs(group, perm: np.ndarray, sign: np.ndarray) -> bool:
+    """Exact homomorphism oracle for a ``(perm, sign)`` form: every pair g, h
+    at once, the composite of rows g and h (``e_j -> sign[h, j] * sign[g,
+    perm[h, j]] e_{perm[g, perm[h, j]]}``) against row g*h of the table."""
+    perm, sign = np.asarray(perm), np.asarray(sign, dtype=np.int64)
+    mult = group.mult
+    g = np.arange(group.order)[:, None, None]
+    composed = perm[g, perm[None, :, :]]  # [g, h, j]
+    signs = sign[None, :, :] * sign[g, perm[None, :, :]]
+    return bool(np.array_equal(perm[mult], composed) and np.array_equal(sign[mult], signs))
+
+
 def generated_by_unique(mult: np.ndarray, generators: list[int]) -> tuple[np.ndarray, int]:
     """Closure oracle, the ``np.unique`` form: the mask of the elements
     reached from the identity by right multiplication with ``generators``,
@@ -606,3 +618,26 @@ def irrep_mats_by_loop(group) -> tuple[list[np.ndarray], np.ndarray]:
     values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
     order = np.lexsort([*values.reshape(len(raw), -1).T[::-1], dims, ~trivial])
     return [raw[i] for i in order], chars[order]
+
+
+def table_order_by_re_im(group) -> list[np.ndarray]:
+    """Table-order oracle, the (re, im) form: each dimension's builder stack,
+    pinned at the identity and put in order by one stable ``lexsort`` on
+    (trivial, then the rounded real and imaginary part of the character at
+    each class representative in turn), imaginary keys always included."""
+    from groupavg.groups import conjugacy_classes
+    from groupavg.irreps import _BUILDERS
+
+    reps = conjugacy_classes(group).representatives
+    by_dim: dict[int, list[np.ndarray]] = {}
+    for stack in _BUILDERS[group.family](group):
+        by_dim.setdefault(stack.shape[2], []).append(stack)
+    out = []
+    for d in sorted(by_dim):
+        stack = np.concatenate(by_dim[d]).astype(np.complex128)
+        stack[:, 0] = np.eye(d)
+        chars = np.trace(stack[:, reps], axis1=2, axis2=3)
+        trivial = np.abs(chars - 1.0).max(axis=1) < 1e-9
+        values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
+        out.append(stack[np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])])
+    return out

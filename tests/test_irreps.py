@@ -23,6 +23,7 @@ from groupavg import reps as reps_module
 from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.irreps import IrrepTable
 from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
+from oracles import table_order_by_re_im
 
 TABLE_SPECS = [
     "cyclic:1",
@@ -68,6 +69,21 @@ def test_table_signed_forms_match_the_per_irrep_form(tables):
                 mixed.add(spec)
             start += len(stack)
     assert {"cyclic:4", "cyclic:7", "product(cyclic:2,cyclic:3)"} <= mixed, mixed
+
+
+ORDER_SPECS = list(dict.fromkeys(
+    TABLE_SPECS + [f"signflip:{d}" for d in range(1, 9)] + [f"cyclic:{n}" for n in range(1, 13)]
+))
+
+
+@pytest.mark.parametrize("spec", ORDER_SPECS)
+def test_table_order_matches_the_re_im_lexsort(spec):
+    # a real dimension sorts on its real parts alone, in the (re, im) order
+    table = irreps_of(parse_group_spec(spec))
+    want = table_order_by_re_im(table.group)
+    assert len(table.stacks) == len(want)
+    for got, stack in zip(table.stacks, want):
+        assert got.shape == stack.shape and got.tobytes() == stack.tobytes(), spec
 
 
 def test_table_invariants(tables):

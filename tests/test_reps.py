@@ -40,11 +40,13 @@ from oracles import (
     forked_homomorphism_residual,
     power_class_map_by_loop,
     seeded_pairs,
+    signed_homomorphism_by_pairs,
     signed_permutation_by_masks,
     stacked_homomorphism_residual,
     sym_power_character_by_restart,
     sym_power_perms_by_loop,
 )
+from test_irreps import TABLE_SPECS
 
 RESID = 1e-9
 
@@ -858,6 +860,93 @@ def test_sign_flip_irreps_never_enter_the_float_kernel(monkeypatch):
     sign_action_rep(table.group)
     with pytest.raises(FloatKernel):  # the 2-dim irrep is not a signed permutation
         irreps_of(parse_group_spec("dihedral:4"))
+
+
+# -- diagonal signed forms -------------------------------------------------------
+
+
+def _diagonal_forms() -> list[tuple[str, object, tuple[np.ndarray, np.ndarray]]]:
+    """Every +-1 irrep form of the ``TABLE_SPECS`` tables and the sign actions
+    of signflip:1..6, as ``(name, group, (perm, sign))``."""
+    cases = []
+    for spec in TABLE_SPECS:
+        for irrep in irreps_of(parse_group_spec(spec)).irreps:
+            if irrep.dim == 1 and irrep.signed_permutation() is not None:
+                cases.append((f"{spec} {irrep.name}", irrep.group, irrep.signed_permutation()))
+    for d in range(1, 7):
+        rep = sign_action_rep(parse_group_spec(f"signflip:{d}"))
+        cases.append((rep.name, rep.group, rep.signed_permutation()))
+    return cases
+
+
+def test_diagonal_forms_match_the_all_pairs_oracle():
+    cases = _diagonal_forms()
+    assert sum(group.family == "symmetric" for _, group, _ in cases) >= 8
+    refused = 0
+    for name, group, (perm, sign) in cases:
+        assert reps_module._signed_homomorphism_holds(group, perm, sign), name
+        assert signed_homomorphism_by_pairs(group, perm, sign), name
+        for g in range(1, group.order):  # one sign flipped at each non-identity element
+            flipped = sign.copy()
+            flipped[g, g % sign.shape[1]] *= -1
+            got = reps_module._signed_homomorphism_holds(group, perm, flipped)
+            assert got == signed_homomorphism_by_pairs(group, perm, flipped), (name, g)
+            # with an element a outside {e, g}, the pair (a, a^-1 g) sees the flip
+            assert not got or group.order <= 2, (name, g)
+            refused += not got
+    assert refused == sum(group.order - 1 for _, group, _ in cases if group.order > 2) > 800
+
+
+def test_a_form_that_only_its_permutation_breaks_is_refused():
+    # signflip:2 on two coordinates, every sign +1: diagonal except that
+    # element 3 swaps the coordinates, so the sign law holds and the
+    # permutation law fails (rho(1) rho(2) = I, rho(3) a swap)
+    group = parse_group_spec("signflip:2")
+    perm = np.tile(np.arange(2), (4, 1))
+    perm[3] = [1, 0]
+    sign = np.ones((4, 2), dtype=np.int8)
+    assert not signed_homomorphism_by_pairs(group, perm, sign)
+    assert not reps_module._signed_homomorphism_holds(group, perm, sign)
+    with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+        Representation(group, None, signed=(perm, sign))
+    # the regular action of cyclic:5 with two rows of element 2 swapped
+    c5 = parse_group_spec("cyclic:5")
+    perm = c5.mult.copy()
+    perm[2, [0, 1]] = perm[2, [1, 0]]
+    sign = np.ones((5, 5), dtype=np.int8)
+    assert not signed_homomorphism_by_pairs(c5, perm, sign)
+    assert not reps_module._signed_homomorphism_holds(c5, perm, sign)
+
+
+def test_one_by_one_forms_of_a_stack_share_one_read_only_permutation():
+    for spec in ("signflip:3", "dihedral:4", "symmetric:4", "product(signflip:2,cyclic:2)"):
+        table = irreps_of(parse_group_spec(spec))
+        forms = [r.signed_permutation() for r in table.irreps if r.dim == 1]
+        perms = [form[0] for form in forms if form is not None]
+        assert len(perms) >= 2, spec
+        shared = perms[0]
+        assert all(p is shared for p in perms), spec
+        assert shared.shape == (table.group.order, 1) and shared.dtype == np.intp
+        assert not shared.any() and not shared.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shared[0, 0] = 1
+        assert all(form[1].dtype == np.int8 for form in forms if form is not None)
+
+
+def test_sign_action_peaks_under_a_mebibyte():
+    # the diagonal check reads (order, generators) signs; the general one
+    # gathered (order, generators, dim) int64 positions: 2.8 MB at signflip:10
+    group = parse_group_spec("signflip:10")
+    assert _traced_peak(lambda: sign_action_rep(group)) < 2**20
+
+
+def test_basis_products_are_made_once_and_read_only():
+    for spec in ("cyclic:12", "signflip:3", "dihedral:5", "symmetric:4", "product(cyclic:2,cyclic:3)"):
+        group = parse_group_spec(spec)
+        at = group.basis_products()
+        basis, _ = group.word_basis()
+        assert at is group.basis_products() and not at.flags.writeable, spec
+        assert at.dtype == np.int64 and np.array_equal(at, group.mult[:, list(basis)]), spec
 
 
 # -- float check against the word basis -----------------------------------------
