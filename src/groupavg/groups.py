@@ -242,7 +242,7 @@ class Group:
         per group and read-only."""
         if self._basis_products is None:
             basis = np.array(self.word_basis()[0], dtype=np.int64)
-            at = np.asarray(self.product(np.arange(self.order)[:, None], basis), dtype=np.int64)
+            at = self.product(np.arange(self.order)[:, None], basis)
             at.flags.writeable = False
             self._basis_products = at
         return self._basis_products

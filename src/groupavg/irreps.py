@@ -305,11 +305,11 @@ def irreps_of(group: Group) -> IrrepTable:
         chars = np.trace(at_classes, axis1=2, axis2=3)
         del at_classes
         trivial = np.abs(chars - 1.0).max(axis=1) < 1e-9  # chi(e) = d rules out d > 1
-        parts = (chars.real, chars.imag) if chars.imag.any() else (chars.real,)
-        values = np.stack([np.round(p, 9) for p in parts], axis=2)
+        components = (chars.real, chars.imag) if chars.imag.any() else (chars.real,)
+        values = np.stack([np.round(c, 9) for c in components], axis=2)
         order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
         characters.append(chars[order])
-        del values, chars, parts
+        del values, chars, components
         stacks.append(stack[order])
         del stack
     table = IrrepTable(group, partition, stacks, np.concatenate(characters))
