@@ -46,11 +46,10 @@ class Group:
         empty for custom).
     factors : optional pair of Group
         The two factors when ``family == "product"``.
-    product, inv, orders : optional
+    product, inv : optional
         A closed form: ``product(a, b)`` gives ``a * b`` elementwise over
-        index arrays, broadcast as numpy does, ``inv`` every element's
-        inverse and ``orders`` every element's order; the order of the
-        group is then the number of labels.
+        index arrays, broadcast as numpy does, and ``inv`` every element's
+        inverse; the order is then the number of labels.
 
     ``generators`` holds at most ``log2(order)`` elements that generate
     the group, found and checked by :meth:`validate` on construction.
@@ -63,8 +62,7 @@ class Group:
     ``GROUP_TABLE_MAX_BYTES``, closed forms included.
     """
 
-    def __init__(self, mult, labels, family, params, factors=None, product=None, inv=None,
-                 orders=None):
+    def __init__(self, mult, labels, family, params, factors=None, product=None, inv=None):
         self._closed, self._mult = product, None
         if product is None:
             self._mult = np.ascontiguousarray(mult, dtype=np.int64)
@@ -82,9 +80,8 @@ class Group:
         self.identity = 0
         self.inv = np.argmax(self._mult == 0, axis=1).astype(np.int64) if inv is None else inv
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._orders = orders
+        self._orders = None
         self._word_basis = None
-        self._basis_products = None
         self._generator_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.validate()
 
@@ -147,8 +144,7 @@ class Group:
         return out
 
     def element_orders(self) -> np.ndarray:
-        """Order of every element: given by a closed form, else from one
-        power walk over all of them."""
+        """Order of every element, from one power walk over all of them."""
         if self._orders is None:
             orders = np.zeros(self.order, dtype=np.int64)
             for j, x in enumerate(power_walk(self, np.arange(self.order))):
@@ -236,17 +232,6 @@ class Group:
             self._word_basis = (basis, _generated(self, list(basis))[1])
         return self._word_basis
 
-    def basis_products(self) -> np.ndarray:
-        """``g * t`` at ``[g, j]`` for every element g and the j-th element t
-        of :meth:`word_basis`, an ``(order, basis)`` int64 array made once
-        per group and read-only."""
-        if self._basis_products is None:
-            basis = np.array(self.word_basis()[0], dtype=np.int64)
-            at = self.product(np.arange(self.order)[:, None], basis)
-            at.flags.writeable = False
-            self._basis_products = at
-        return self._basis_products
-
 
 @dataclass(frozen=True)
 class ConjugacyPartition:
@@ -282,9 +267,8 @@ def cyclic_group(n: int) -> Group:
     if n < 1:
         raise UsageError(f"cyclic group needs n >= 1, got {n}")
     _check_table_size(n)
-    idx = np.arange(n)
     return Group(None, [str(i) for i in range(n)], "cyclic", (n,),
-                 product=lambda a, b: (a + b) % n, inv=-idx % n, orders=n // np.gcd(idx, n))
+                 product=lambda a, b: (a + b) % n, inv=-np.arange(n) % n)
 
 
 def sign_flip_group(d: int) -> Group:
@@ -297,10 +281,7 @@ def sign_flip_group(d: int) -> Group:
         raise UsageError(f"sign-flip group needs d >= 1, got {d}")
     _check_table_size(1 << d)
     labels = [format(x, f"0{d}b") for x in range(1 << d)]
-    orders = np.full(1 << d, 2, dtype=np.int64)
-    orders[0] = 1
-    return Group(None, labels, "sign_flip", (d,), product=np.bitwise_xor, inv=np.arange(1 << d),
-                 orders=orders)
+    return Group(None, labels, "sign_flip", (d,), product=np.bitwise_xor, inv=np.arange(1 << d))
 
 
 def dihedral_group(n: int) -> Group:

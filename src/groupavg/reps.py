@@ -194,7 +194,7 @@ def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     at :meth:`Group.word_basis`).  A NaN in any product is the result."""
     basis, depth = group.word_basis()
     rows = mats.reshape(-1, mats.shape[2])
-    at = group.basis_products()  # g*t per column t
+    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t per column t
     worst = 0.0
     for j, t in enumerate(basis):
         prods = (rows @ mats[t]).reshape(mats.shape)

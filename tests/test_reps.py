@@ -940,15 +940,6 @@ def test_sign_action_peaks_under_a_mebibyte():
     assert _traced_peak(lambda: sign_action_rep(group)) < 2**20
 
 
-def test_basis_products_are_made_once_and_read_only():
-    for spec in ("cyclic:12", "signflip:3", "dihedral:5", "symmetric:4", "product(cyclic:2,cyclic:3)"):
-        group = parse_group_spec(spec)
-        at = group.basis_products()
-        basis, _ = group.word_basis()
-        assert at is group.basis_products() and not at.flags.writeable, spec
-        assert at.dtype == np.int64 and np.array_equal(at, group.mult[:, list(basis)]), spec
-
-
 # -- float check against the word basis -----------------------------------------
 
 BOUND_SPECS = ["dihedral:60", "symmetric:5", "symmetric:6", "product(cyclic:3,dihedral:12)",
