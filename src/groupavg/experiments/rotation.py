@@ -8,13 +8,20 @@ is queried at rotated points), so no interpolation error enters.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UsageError
+from ..errors import SizeLimitError, UsageError
+from ..groups import GROUP_TABLE_MAX_BYTES
 
 FIELD_DESCRIPTION = "exp(-((x-0.6)^2 + (y-0.1)^2)/0.08) + 0.4*x"
+# A demo peaks near grid**2 * (72 + 8 * subsets) bytes: 72 for the full
+# average and the rotated-field temporaries, 8 for each subset's average.
+# Peak RSS growth over grid**2 read 74.5 with one subset and 122.8 with
+# eight at grid 1600 (tracemalloc: 64.3 and 120.3).
+_WORK_BYTES_PER_CELL = 72
 
 
 def scalar_field(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -38,6 +45,13 @@ class RotationDemoConfig:
             raise UsageError("subset sizes must lie in 1..n_rotations")
         if len(set(self.subset_sizes)) != len(self.subset_sizes):
             raise UsageError(f"subset sizes must be distinct, got {list(self.subset_sizes)}")
+        per_cell = _WORK_BYTES_PER_CELL + 8 * len(self.subset_sizes)
+        need = self.grid**2 * per_cell
+        if need > GROUP_TABLE_MAX_BYTES:
+            raise SizeLimitError(
+                f"grid {self.grid:,} with {len(self.subset_sizes)} subsets needs about {need:,} "
+                f"bytes (grid**2 * {per_cell}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
+            )
 
 
 @dataclass
@@ -100,18 +114,19 @@ def rotation_averaging_demo(cfg: RotationDemoConfig) -> RotationDemoResult:
     )
 
 
-def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> str:
-    """x,y,value rows in row-major grid order (y outer, x inner).
+def grid_csv(xs: np.ndarray, ys: np.ndarray, values: np.ndarray) -> Iterator[str]:
+    """x,y,value rows in row-major grid order (y outer, x inner): the
+    header, then one chunk per grid row.
 
     ``values[iy, ix]`` is the value at ``(xs[ix], ys[iy])``.  Every number
-    is written with ``.17g``; each coordinate is formatted once.
+    is written with ``.17g``; each coordinate is formatted once, and each
+    row is read through its own ``tolist``.
     """
     x_text = [f"{x:.17g}" for x in xs.tolist()]
-    lines = ["x,y,value"]
-    for y, row in zip(ys.tolist(), values.tolist()):
+    yield "x,y,value\n"
+    for y, row in zip(ys.tolist(), values):
         y_text = f"{y:.17g}"
-        lines.extend(f"{x},{y_text},{v:.17g}" for x, v in zip(x_text, row))
-    return "\n".join(lines) + "\n"
+        yield "".join([f"{x},{y_text},{v:.17g}\n" for x, v in zip(x_text, row.tolist())])
 
 
 def summary_json(result: RotationDemoResult) -> dict:

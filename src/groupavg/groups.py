@@ -540,18 +540,18 @@ def parse_group_spec(spec: str) -> Group:
     return build_group(family, value)
 
 
-def group_to_text(group: Group) -> str:
-    """Self-describing text format: header line then the table rows."""
+def group_to_text(group: Group) -> Iterator[str]:
+    """Self-describing text format: the header line, then one chunk per
+    table row, each read through its own ``tolist``."""
     if group.family == "product":
         param = group_spec_string(group)
     elif group.family == "custom":
         param = "-"
     else:
         param = str(group.params[0])
-    lines = [f"group {group.family} {param} {group.order}"]
+    yield f"group {group.family} {param} {group.order}\n"
     for row in group.mult:
-        lines.append(" ".join(str(int(x)) for x in row))
-    return "\n".join(lines) + "\n"
+        yield " ".join(map(str, row.tolist())) + "\n"
 
 
 def _text_int(field: str, what: str) -> int:

@@ -7,23 +7,36 @@ keeps the published contracts checkable without extra dependencies;
 ``write_json`` checks every payload against its schema as it writes.
 Every write goes through ``write_text``, which makes the directory and
 turns a path that cannot be written into a ``UsageError`` (exit codes:
-``errors.py``).
+``errors.py``).  It takes a string or an iterable of string chunks; the
+writers of the quadratic-size artifacts (``group_to_text``,
+``character_table_csv``, ``grid_csv``) are generators of one chunk per
+table or grid row, so an artifact is written as it is formatted and never
+held whole.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from importlib import resources
 from pathlib import Path
 
-from .errors import UsageError
+from .errors import GroupavgError, UsageError
 
-def write_text(path: Path, text: str) -> None:
+def write_text(path: Path, text: str | Iterable[str]) -> None:
     """The one write path: make the directory at the first write; a path
-    that cannot be written is a usage error."""
+    that cannot be written is a usage error.
+
+    ``text`` is a string or an iterable of string chunks, written in turn
+    as they come through one open file (default encoding, newlines as
+    ``Path.write_text`` writes them), so a generator's artifact is never
+    held whole.  An error the chunks raise themselves keeps its own message."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text)
+        with path.open("w") as handle:
+            handle.writelines((text,) if isinstance(text, str) else text)
+    except GroupavgError:
+        raise
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise UsageError(f"cannot write {str(path)!r}: {exc}") from None
 

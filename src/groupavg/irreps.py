@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 import numpy as np
 
@@ -304,15 +305,23 @@ def irreps_of(group: Group) -> IrrepTable:
         at_classes = stack if len(partition) == group.order else stack[:, partition.representatives]
         chars = np.trace(at_classes, axis1=2, axis2=3)
         del at_classes
-        trivial = np.abs(chars - 1.0).max(axis=1) < 1e-9  # chi(e) = d rules out d > 1
-        components = (chars.real, chars.imag) if chars.imag.any() else (chars.real,)
-        values = np.stack([np.round(c, 9) for c in components], axis=2)
+        # chi == 1 within 1e-9 in each part, by reductions over the real and
+        # imaginary views: no |G|**2 temporary.  chi(e) = d rules out d > 1
+        trivial = ((chars.real.min(axis=1) > 1 - 1e-9) & (chars.real.max(axis=1) < 1 + 1e-9)
+                   & (chars.imag.min(axis=1) > -1e-9) & (chars.imag.max(axis=1) < 1e-9))
+        values = np.empty((*chars.shape, 2 if chars.imag.any() else 1))  # rounded in place
+        np.round(chars.real, 9, out=values[:, :, 0])
+        if values.shape[2] == 2:
+            np.round(chars.imag, 9, out=values[:, :, 1])
         order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
+        del values
         characters.append(chars[order])
-        del values, chars, components
+        del chars
         stacks.append(stack[order])
         del stack
-    table = IrrepTable(group, partition, stacks, np.concatenate(characters))
+    # one dimension, as in every abelian table: its characters, not a copy
+    characters = characters[0] if len(characters) == 1 else np.concatenate(characters)
+    table = IrrepTable(group, partition, stacks, characters)
     table.validate()
     return table
 
@@ -370,12 +379,13 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def character_table_csv(table: IrrepTable) -> str:
-    """CSV export: rows = irreps, columns = class representatives, a+bi cells."""
-    fmt = lambda z: f"{z.real:.17g}{z.imag:+.17g}i"
+def character_table_csv(table: IrrepTable) -> Iterator[str]:
+    """CSV export: rows = irreps, columns = class representatives, a+bi
+    cells; the header, then one chunk per irrep, each row read through its
+    own ``tolist``."""
     group = table.group
     header = ["irrep"] + [_csv_field(group.labels[r]) for r in table.partition.representatives]
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for label, row in zip(table.labels(), table.characters):
-        lines.append(",".join([label] + [fmt(z) for z in row]))
-    return "\n".join(lines) + "\n"
+        cells = ",".join([f"{z.real:.17g}{z.imag:+.17g}i" for z in row.tolist()])
+        yield f"{label},{cells}\n"

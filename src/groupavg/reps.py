@@ -74,15 +74,17 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     e_{perm[g, perm[s, j]]}.
 
     A diagonal form (every ``perm`` row the identity: a 1x1 form by its
-    shape, a wider one by one compare) composes no permutation, so the law
-    is the sign law sign[g*s] == sign[g] * sign[s] alone, read through the
-    ``(order, generators)`` products of :meth:`Group.generator_rows` at
-    width 1.  Any other form reads row g*s of ``perm`` and ``sign`` flat
-    through :meth:`Group.generator_rows` at its width.  Either is made once
-    per group and width.
+    shape, a wider one by its first column, then one compare) composes no
+    permutation, so the law is the sign law sign[g*s] == sign[g] * sign[s]
+    alone, read through the ``(order, generators)`` products of
+    :meth:`Group.generator_rows` at width 1.  Any other form reads row g*s
+    of ``perm`` and ``sign`` flat through :meth:`Group.generator_rows` at
+    its width.  Either is made once per group and width.
     """
     d = perm.shape[1]
-    if d == 1 or (perm == np.arange(d)).all():
+    # column 0 first: a permutation action moves 0 on some row, so it leaves
+    # after |G| entries, before the full (order, dim) compare
+    if d == 1 or (not perm[:, 0].any() and (perm == np.arange(d)).all()):
         gens, at_product = group.generator_rows(1)  # (generators,), (order, generators, 1)
         after = np.take(sign, at_product[:, :, 0], axis=0)  # sign[g*s]: (order, generators, dim)
         return bool((after == sign[:, None] * sign[gens]).all())

@@ -641,3 +641,44 @@ def table_order_by_re_im(group) -> list[np.ndarray]:
         values = np.stack([np.round(chars.real, 9), np.round(chars.imag, 9)], axis=2)
         out.append(stack[np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])])
     return out
+
+
+# -- whole-string artifact builders ---------------------------------------------
+# The writers stream one chunk per row; these build the same artifact as one
+# string, over the whole array's ``tolist``, as the writers once did.
+
+
+def grid_csv_as_string(xs, ys, values) -> str:
+    x_text = [f"{x:.17g}" for x in xs.tolist()]
+    lines = ["x,y,value"]
+    for y, row in zip(ys.tolist(), values.tolist()):
+        y_text = f"{y:.17g}"
+        lines.extend(f"{x},{y_text},{v:.17g}" for x, v in zip(x_text, row))
+    return "\n".join(lines) + "\n"
+
+
+def character_table_csv_as_string(table) -> str:
+    def field(text):
+        return '"' + text.replace('"', '""') + '"' if "," in text or '"' in text else text
+
+    fmt = lambda z: f"{z.real:.17g}{z.imag:+.17g}i"
+    header = ["irrep"] + [field(table.group.labels[r]) for r in table.partition.representatives]
+    lines = [",".join(header)]
+    for label, row in zip(table.labels(), table.characters):
+        lines.append(",".join([label] + [fmt(z) for z in row]))
+    return "\n".join(lines) + "\n"
+
+
+def group_to_text_as_string(group) -> str:
+    from groupavg.groups import group_spec_string
+
+    if group.family == "product":
+        param = group_spec_string(group)
+    elif group.family == "custom":
+        param = "-"
+    else:
+        param = str(group.params[0])
+    lines = [f"group {group.family} {param} {group.order}"]
+    for row in group.mult:
+        lines.append(" ".join(str(int(x)) for x in row))
+    return "\n".join(lines) + "\n"

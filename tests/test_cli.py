@@ -348,6 +348,7 @@ _MALFORMED = [
     ["minimize", "--group", "symmetric:7", "--path", "fourier", "--eps", "0.5"],
     ["group", "--group", _DEEP_PRODUCT],
     ["irreps", "--group", _DEEP_PRODUCT],
+    ["figure1", "--grid", "4730"],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -368,7 +369,7 @@ _MALFORMED_IDS = [
     "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
     "flag-prefix", "config-key-help", "out-is-a-file", "out-below-a-file", "config-out-with-nul",
     "certify-permutation-of-cyclic", "minimize-over-the-irrep-cap", "group-nested-2000-deep",
-    "irreps-nested-2000-deep",
+    "irreps-nested-2000-deep", "figure1-grid-over-the-cap",
 ]
 
 

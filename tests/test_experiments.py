@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from groupavg import UsageError
+from groupavg import SizeLimitError, UsageError
 from groupavg.errors import TrainingFailureError
+from groupavg.experiments import rotation as rotation_module
+from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.experiments.mlp import (
     MlpConfig,
     SignAveragedMlp,
@@ -96,7 +98,7 @@ def test_rotation_qualitative_subset_ordering():
 def test_rotation_csv_and_summary():
     cfg = RotationDemoConfig(n_rotations=8, grid=5, subset_sizes=(1, 8), seed=0)
     res = rotation_averaging_demo(cfg)
-    csv = grid_csv(res.xs, res.ys, res.grids[8])
+    csv = "".join(grid_csv(res.xs, res.ys, res.grids[8]))
     lines = csv.strip().splitlines()
     assert lines[0] == "x,y,value" and len(lines) == 1 + 25
     summary = summary_json(res)
@@ -323,9 +325,37 @@ def test_regression_csv_frozen(d, eps, digest):
     assert _sha(regression_csv(regression_risk(cfg))) == digest
 
 
+class _Allocating(Exception):
+    pass
+
+
+class _NumpyStub:
+    """Stands in for numpy inside ``rotation``: any use means the size check passed."""
+
+    def __getattr__(self, name):
+        raise _Allocating(name)
+
+
+def test_figure1_grid_cap_is_a_byte_estimate(monkeypatch):
+    cap = GROUP_TABLE_MAX_BYTES
+    # 72 bytes per cell for the full average and the temporaries, 8 per subset
+    assert 4729**2 * 96 <= cap < 4730**2 * 96  # the default three subsets
+    assert 5181**2 * 80 <= cap < 5182**2 * 80  # one subset
+    with pytest.raises(SizeLimitError, match=f"needs about {4730**2 * 96:,} bytes"):
+        RotationDemoConfig(grid=4730)
+    with pytest.raises(SizeLimitError, match=f"needs about {5182**2 * 80:,} bytes"):
+        RotationDemoConfig(grid=5182, subset_sizes=(1,))
+    RotationDemoConfig(grid=5181, subset_sizes=(1,))
+    # every grid is built with numpy; without it, a size that passes the
+    # check stops at its first allocation
+    monkeypatch.setattr(rotation_module, "np", _NumpyStub())
+    with pytest.raises(_Allocating):
+        rotation_averaging_demo(RotationDemoConfig(grid=4729))
+
+
 def test_grid_csv_frozen():
     res = rotation_averaging_demo(RotationDemoConfig(n_rotations=12, grid=9, subset_sizes=(1, 5, 12), seed=2))
-    digests = {m: _sha(grid_csv(res.xs, res.ys, res.grids[m])) for m in (1, 5, 12)}
+    digests = {m: _sha("".join(grid_csv(res.xs, res.ys, res.grids[m]))) for m in (1, 5, 12)}
     assert digests == {
         1: "b4965e233158b5ef8d0520834391b16c4f316a98012d4184b0a21231d5499f05",
         5: "171884beef6f9c6b568ad02a2bbb851b1d4f80869f7509f282ee83f6e58ac751",

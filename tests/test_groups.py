@@ -26,6 +26,7 @@ from oracles import (
     element_order_by_loop,
     generated_by_unique,
     gf2_rank,
+    group_to_text_as_string,
     lehmer_ranks,
     light_test_by_take,
     reduced_latin_squares,
@@ -282,15 +283,25 @@ def test_element_order_and_power(small_groups):
 def test_group_text_round_trip(small_groups):
     for spec in ("cyclic:6", "signflip:2", "dihedral:4", "symmetric:3", "product(cyclic:2,cyclic:3)"):
         group = small_groups[spec] if spec in small_groups else parse_group_spec(spec)
-        text = group_to_text(group)
+        text = "".join(group_to_text(group))
         back = group_from_text(text)
         assert back == group
-        assert group_to_text(back) == text
+        assert "".join(group_to_text(back)) == text
         assert group_spec_string(back) == group_spec_string(group)
 
 
+def test_group_to_text_streams_the_bytes_of_the_string_oracle(small_groups):
+    # signflip:5 is closed form and fresh: its table is built at the first row
+    groups = [*small_groups.values(), parse_group_spec("signflip:5"),
+              custom_group(small_groups["dihedral:3"].mult)]
+    for group in groups:
+        chunks = list(group_to_text(group))
+        assert len(chunks) == 1 + group.order  # the header, then one chunk per table row
+        assert "".join(chunks) == group_to_text_as_string(group), group_spec_string(group)
+
+
 def test_group_text_rejects_tampered_table(small_groups):
-    text = group_to_text(small_groups["cyclic:3"])
+    text = "".join(group_to_text(small_groups["cyclic:3"]))
     lines = text.strip().splitlines()
     lines[1] = "0 2 1"
     with pytest.raises(UsageError):

@@ -23,7 +23,7 @@ from groupavg import reps as reps_module
 from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.irreps import IrrepTable
 from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
-from oracles import table_order_by_re_im
+from oracles import character_table_csv_as_string, table_order_by_re_im
 
 TABLE_SPECS = [
     "cyclic:1",
@@ -133,7 +133,7 @@ def test_product_labels_quoted_in_csv():
     import io
 
     table = irreps_of(parse_group_spec("product(cyclic:2,cyclic:3)"))
-    rows = list(csv_mod.reader(io.StringIO(character_table_csv(table))))
+    rows = list(csv_mod.reader(io.StringIO("".join(character_table_csv(table)))))
     assert len(rows[0]) == 1 + len(table.partition)
     assert rows[0][1] == "(0,0)"
 
@@ -178,7 +178,7 @@ def test_decompose_reconstructs_character(tables):
 
 def test_character_table_csv(tables):
     table = tables["symmetric:3"]
-    csv = character_table_csv(table)
+    csv = "".join(character_table_csv(table))
     lines = csv.strip().splitlines()
     assert len(lines) == 4  # header + 3 irreps
     assert lines[0].startswith("irrep,")
@@ -206,7 +206,32 @@ def test_character_table_csv_frozen(spec):
     labels, digest = FROZEN_CSV_SHA256[spec]
     table = irreps_of(parse_group_spec(spec))
     assert table.labels() == labels
-    assert hashlib.sha256(character_table_csv(table).encode()).hexdigest() == digest
+    assert hashlib.sha256("".join(character_table_csv(table)).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("spec", TABLE_SPECS)
+def test_character_table_csv_streams_the_bytes_of_the_string_oracle(spec, tables):
+    # product labels such as "(0,0)" need CSV quoting
+    table = tables[spec]
+    chunks = list(character_table_csv(table))
+    assert len(chunks) == 1 + len(table)  # the header, then one chunk per irrep
+    assert "".join(chunks) == character_table_csv_as_string(table)
+
+
+def test_character_table_is_written_row_by_row(tmp_path):
+    import tracemalloc
+
+    from groupavg.io import write_text
+
+    table = irreps_of(parse_group_spec("cyclic:300"))
+    path = tmp_path / "character_table.csv"
+    tracemalloc.start()
+    try:
+        write_text(path, character_table_csv(table))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size / 10, (peak, path.stat().st_size)
 
 
 def test_characters_and_multiplicities_match_loop_oracles(small_groups):
