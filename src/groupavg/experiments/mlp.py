@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TrainingFailureError, UsageError
+from ..errors import SizeLimitError, TrainingFailureError, UsageError
+from ..groups import GROUP_TABLE_MAX_BYTES
 
 INIT_SCALE = 1.0  # weights/biases ~ U(-c/sqrt(fan_in), +c/sqrt(fan_in)) with c = 1
 # Sign patterns per forward call in averaged_predictions.  Per-pattern
@@ -25,6 +26,10 @@ PATTERN_CHUNK = 32
 # each row sits where it would in one call over the whole chunk, and the
 # BLAS kernels (one thread) give it the same bits.
 FORWARD_ROWS = 1024
+# MlpConfig refuses a run whose peak passes the cap.  Peak RSS growth read
+# 16 * dim + 8 bytes per input (328 and 648 at dims 20 and 40), up to 280 more
+# per test input (one chunk's averaged predictions) and 24.4 * dim per sign
+# pattern of one subset, which the smaller subsets raise to 32 * (dim + 1).
 
 
 @dataclass
@@ -62,6 +67,15 @@ class MlpConfig:
             raise UsageError("subset exponents must be >= 0")
         if not 0 <= self.curve_subset_exponent <= self.input_dim:
             raise UsageError("curve subset exponent must lie in 0..input_dim")
+        exponent = max((*self.subset_exponents, self.curve_subset_exponent))
+        # 2**63 patterns pass any cap already; a smaller shift keeps the integer small
+        need = ((self.n_train + self.n_test) * (16 * self.input_dim + 8) + self.n_test * 280
+                + (32 * (self.input_dim + 1) << min(exponent, 63)))
+        if need > GROUP_TABLE_MAX_BYTES:
+            raise SizeLimitError(
+                f"inputs and sign patterns need about {need:,} bytes ((train + test) * (16 * dim "
+                f"+ 8) + test * 280 + 2**max_exponent * 32 * (dim + 1)), above the cap of "
+                f"{GROUP_TABLE_MAX_BYTES:,}")
 
 
 class SignAveragedMlp:

@@ -27,7 +27,6 @@ product.
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -77,16 +76,12 @@ class FourierCoefficients:
     """The transform over an irrep table, as the table lays out its irreps.
 
     ``stacks`` holds one ``(k, d, d)`` complex array per stack of the
-    table, in the same order; ``mats`` lists one ``d_pi x d_pi`` view per
-    irrep, in table order, made when first read.
+    table, in the same order, so iterating the stacks in turn yields one
+    ``d_pi x d_pi`` block per irrep in table order.
     """
 
     table: IrrepTable
     stacks: list[np.ndarray]
-
-    @functools.cached_property
-    def mats(self) -> list[np.ndarray]:
-        return [m for stack in self.stacks for m in stack]
 
 
 def spectral_norm(mat) -> float:
@@ -241,8 +236,8 @@ def max_nontrivial_norm(
 
 
 def per_irrep_norms(coeffs: FourierCoefficients) -> dict[str, float]:
-    labels = coeffs.table.labels()
-    return {labels[i]: spectral_norm(m) ** 2 for i, m in enumerate(coeffs.mats)}
+    blocks = itertools.chain.from_iterable(coeffs.stacks)
+    return {label: spectral_norm(m) ** 2 for label, m in zip(coeffs.table.labels(), blocks)}
 
 
 def convolve(s1: GroupSignal, s2: GroupSignal) -> GroupSignal:
@@ -262,11 +257,3 @@ def convolve(s1: GroupSignal, s2: GroupSignal) -> GroupSignal:
         out += s1.weights[h] * s2.weights[group.product(group.inv[h], idx)]
     return GroupSignal(group=group, weights=out)
 
-
-def coefficients_to_json(coeffs: FourierCoefficients) -> dict:
-    """JSON-ready mapping of irrep label to [[re, im], ...] row-major matrix."""
-    labels = coeffs.table.labels()
-    out = {}
-    for label, mat in zip(labels, coeffs.mats):
-        out[label] = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
-    return out

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, permutations as _iter_permutations, takewhile
+from itertools import accumulate, chain, permutations as _iter_permutations
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -53,6 +53,8 @@ class Group:
 
     ``generators`` holds at most ``log2(order)`` elements that generate
     the group, found and checked by :meth:`validate` on construction.
+    Products are read through :meth:`product` and inverses from ``inv``,
+    both over index arrays; powers come from :func:`power_table`.
 
     A table takes ``order**2`` int64 entries.  A closed-form group (the
     cyclic and sign-flip families) holds none until ``mult`` is read: its
@@ -80,7 +82,6 @@ class Group:
         self.identity = 0
         self.inv = np.argmax(self._mult == 0, axis=1).astype(np.int64) if inv is None else inv
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
-        self._orders = None
         self._word_basis = None
         self._generator_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.validate()
@@ -124,38 +125,6 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({group_spec_string(self)}, order={self.order})"
-
-    def multiply(self, a: int, b: int) -> int:
-        return int(self.product(a, b))
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def power(self, a: int, k: int) -> int:
-        """k-th power of element a (k may be negative)."""
-        if k < 0:
-            return self.power(self.inverse(a), -k)
-        out, base = 0, a
-        while k:
-            if k & 1:
-                out = int(self.product(out, base))
-            base = int(self.product(base, base))
-            k >>= 1
-        return out
-
-    def element_orders(self) -> np.ndarray:
-        """Order of every element, from one power walk over all of them."""
-        if self._orders is None:
-            orders = np.zeros(self.order, dtype=np.int64)
-            for j, x in enumerate(power_walk(self, np.arange(self.order))):
-                orders[(x == 0) & (orders == 0)] = j  # j = 0 marks nothing
-                if orders.all():
-                    break
-            self._orders = orders
-        return self._orders
-
-    def element_order(self, a: int) -> int:
-        return int(self.element_orders()[a])
 
     @property
     def is_abelian(self) -> bool:
@@ -215,6 +184,10 @@ class Group:
         order, and the depth: every element is a product of at most
         ``depth`` basis elements, found breadth first.
 
+        The squares are rows of one period of the generators'
+        :func:`power_table`, whose length is a multiple of each generator's
+        order: that length over the count of the generator's identity rows.
+
         The basis pairs bound every pair of a float homomorphism check.
         With D(g, h) = rho(g h) - rho(g) rho(h) and rho(e) = I exactly,
         D(g, h' t) = D(g h', t) + D(g, h') rho(t) - rho(g) D(h', t).  If
@@ -225,9 +198,10 @@ class Group:
         depth * (1 + sigma) * sigma**(depth - 1) * delta.
         """
         if self._word_basis is None:
-            orders = self.element_orders()
-            squares = (self.power(s, 1 << j) for s in self.generators
-                       for j in range(int(orders[s] - 1).bit_length()))  # 2**j < order
+            powers = power_table(self, np.array(self.generators, dtype=np.int64))
+            orders = len(powers) // np.count_nonzero(powers == 0, axis=0)
+            squares = (int(powers[1 << j, i]) for i, order in enumerate(orders.tolist())
+                       for j in range((order - 1).bit_length()))  # 2**j < order
             basis = tuple(dict.fromkeys(squares))
             self._word_basis = (basis, _generated(self, list(basis))[1])
         return self._word_basis
@@ -410,21 +384,15 @@ def conjugacy_classes(group: Group) -> ConjugacyPartition:
     )
 
 
-def power_walk(group: Group, elements: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield ``elements ** j`` elementwise for j = 0, 1, 2, ..., without end."""
-    x = np.zeros(len(elements), dtype=np.int64)
-    while True:
-        yield x
-        x = group.product(x, elements)
-
-
 def power_table(group: Group, elements: np.ndarray, steps: Optional[int] = None) -> np.ndarray:
     """``out[j, i]`` = ``elements[i] ** j`` for j < steps; without ``steps``, for
     one period: j below the lcm of the orders, the first j > 0 with all identity."""
-    walk = power_walk(group, elements)
-    if steps is None:
-        return np.array([next(walk), *takewhile(np.ndarray.any, walk)])
-    return np.array(list(islice(walk, steps)))
+    rows = [np.zeros(len(elements), dtype=np.int64)]
+    while steps is None or len(rows) < steps:
+        rows.append(group.product(rows[-1], elements))
+        if steps is None and not rows[-1].any():
+            return np.array(rows[:-1])
+    return np.array(rows[:steps])
 
 
 def _light_test(mult: np.ndarray, generators) -> None:

@@ -14,9 +14,9 @@ A signed permutation action (entries 0 and +-1 with zero imaginary part,
 one nonzero per row and column) has an integer (perm, sign) form.  The
 regular, permutation, sign and signed symmetric-power actions are held
 by that form, and their stack is built on the first read of ``mats``;
-from any other stack the form is read once, when the representation is
-built, and an irrep table reads it for a whole stack in one pass (a 1x1
-stack's as int8 signs sharing one read-only zero permutation).  On that
+from any other stack one reader takes the form in one pass: once per
+representation, when it is built, and once per stack of an irrep table
+(a 1x1 stack's as int8 signs sharing one read-only zero permutation).  On that
 form validation checks the homomorphism law exactly on the group's
 generators, and a diagonal form, such as the sign action or a +-1
 character, by its signs alone; on a permutation action products are row
@@ -96,36 +96,11 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     )
 
 
-def _signed_permutation_of(mats: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
-    or None when some matrix is not a signed permutation matrix.
-
-    One ``!= 0`` pass over the float64 view, real and imaginary parts
-    interleaved, gives the count of nonzero parts and each column's row,
-    the argmax of its real part.  Exactly ``order * dim`` nonzero parts and
-    a +-1 in each column's row leave one real nonzero per column and no
-    imaginary part; the rows must then form a permutation.  NaN and inf
-    count as nonzero but are not +-1.
-    """
-    n, d = mats.shape[0], mats.shape[1]
-    parts = mats.view(np.float64)  # (order, dim, 2 * dim)
-    nonzero = parts != 0
-    if np.count_nonzero(nonzero) != n * d:
-        return None
-    perm = nonzero[:, :, ::2].argmax(axis=1)
-    at = np.arange(0, n * d, d)[:, None] + perm  # flat (element, row) of each column's entry
-    sign = parts.reshape(-1)[2 * (at * d + np.arange(d))]
-    hit = np.zeros(n * d, dtype=bool)
-    hit[at] = True
-    if not (np.all(np.abs(sign) == 1) and hit.all()):
-        return None
-    return perm, sign.astype(np.int8)
-
-
 def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
-    """:func:`_signed_permutation_of` for every ``(order, dim, dim)`` block of
-    the ``(k, order, dim, dim)`` stack, in one pass over the whole stack:
-    an irrep table's forms, without a call per irrep.
+    """Integer ``(perm, sign)`` with ``block[g] e_j = sign[g, j] e_{perm[g, j]}``,
+    or None where some matrix is not a signed permutation matrix, for every
+    ``(order, dim, dim)`` block of the ``(k, order, dim, dim)`` stack in one
+    pass: an irrep table's stack, or one representation's matrices as k = 1.
 
     Element 0 is read as the exact identity a representation pins it to,
     so a block gets the form its representation's matrices have.  A 1x1
@@ -133,16 +108,14 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
     part; its signs are its real parts as int8, and every such block
     shares one read-only ``(order, 1)`` zero permutation.  A wider block
     needs exactly ``(order - 1) * dim`` nonzero parts on the other
-    elements, real and imaginary counted apart, as
-    :func:`_signed_permutation_of` does.  One walk over the rows then sums
-    each column's real parts and the row indices of its nonzero real parts.
+    elements, real and imaginary parts counted apart.  One walk over the
+    rows then sums each column's real parts and the row indices of its
+    nonzero real parts.
     Every column summing to +-1 leaves one real nonzero per column and no
     imaginary part, so a column's row is its row-index sum and its sign its
     sum; the rows must then each hold a nonzero.  NaN and inf count as
     nonzero but are not +-1.  Every step is elementwise over the stack, so
-    no block costs per-block work; the walk takes ``dim`` steps, which suits
-    the small blocks of a table, while :func:`_signed_permutation_of` suits
-    one large representation.
+    no block costs per-block work; the walk takes ``dim`` steps.
     """
     k, n, d = stack.shape[:3]
     if d == 1:
@@ -214,7 +187,8 @@ class Representation:
     all of them are permutation matrices, and None otherwise.  A caller
     that has read the signed-permutation form of ``mats`` already, as an
     irrep table does for a whole stack with :func:`_signed_permutations`,
-    passes it as ``signed`` (None for none); otherwise it is read here.
+    passes it as ``signed`` (None for none); otherwise the same reader
+    takes it here, from ``mats`` as a stack of one once element 0 is pinned.
     With ``mats`` None, ``signed=(perm, sign)`` is the representation, and
     ``mats`` is built from it on first read.
     """
@@ -241,7 +215,7 @@ class Representation:
                 raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
             m = _pin_identity(m, copy=m is mats)
             self._mats, self.dim = m, m.shape[1]
-            self._signed = _signed_permutation_of(m) if signed is _READ_SIGNED else signed
+            self._signed = _signed_permutations(m[None])[0] if signed is _READ_SIGNED else signed
         all_plus = self._signed is not None and self._signed[1].min() == 1  # signs are +-1
         self.perms = self._signed[0] if all_plus else None
         if validate:

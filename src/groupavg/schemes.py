@@ -9,6 +9,7 @@ or from Fourier coefficient norms over an irrep table (fourier path).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -19,7 +20,6 @@ from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
 from .fourier import (
     SUPPORT_EPS,
     FourierCoefficients,
-    GroupSignal,
     fourier_transform,
     max_deviation,
     max_nontrivial_norm,
@@ -71,11 +71,6 @@ class AveragingScheme:
     def sparse(self) -> tuple[np.ndarray, np.ndarray]:
         """``(support, weights)``, the form :func:`fourier_transform` reads."""
         return self.support, self.weights
-
-    def to_signal(self) -> GroupSignal:
-        dense = np.zeros(self.group.order)
-        dense[self.support] = self.weights
-        return GroupSignal(group=self.group, weights=dense)
 
 
 @dataclass
@@ -207,7 +202,8 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
 
 def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict_to) -> float:
     worst = 0.0
-    for i, (rep, mat) in enumerate(zip(table.irreps, coeffs.mats)):
+    blocks = itertools.chain.from_iterable(coeffs.stacks)  # one per irrep, in table order
+    for i, (rep, mat) in enumerate(zip(table.irreps, blocks)):
         if i == table.trivial_index:
             continue
         if restrict_to is not None and restrict_to[i] < 1:

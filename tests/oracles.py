@@ -5,7 +5,14 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
-from groupavg import permutation_rep, regular_rep, sign_action_rep, sym_power_rep, trivial_rep
+from groupavg import (
+    GroupSignal,
+    permutation_rep,
+    regular_rep,
+    sign_action_rep,
+    sym_power_rep,
+    trivial_rep,
+)
 
 
 def gf2_rank(vectors: list[int], d: int) -> int:
@@ -263,12 +270,25 @@ def sym_power_perms_by_loop(base_perms: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def scheme_signal(scheme):
+    """A scheme as the dense signal holding its weights on its support."""
+    weights = np.zeros(scheme.group.order)
+    weights[scheme.support] = scheme.weights
+    return GroupSignal(group=scheme.group, weights=weights)
+
+
+def coefficient_blocks(coeffs) -> list[np.ndarray]:
+    """The per-irrep blocks of Fourier coefficients in table order: each
+    stack's ``(d, d)`` views in turn."""
+    return [block for stack in coeffs.stacks for block in stack]
+
+
 def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:
     """Weak-certificate oracle: the squared spectral norm of every
     nontrivial block in table order, ``abs`` on a 1x1 block and
     ``np.linalg.norm(..., 2)`` otherwise, with no block skipped."""
     best = 0.0
-    for i, mat in enumerate(coeffs.mats):
+    for i, mat in enumerate(coefficient_blocks(coeffs)):
         if i == table.trivial_index or (restrict_to is not None and restrict_to[i] < 1):
             continue
         norm = abs(mat[0, 0]) if mat.size == 1 else np.linalg.norm(mat, 2)

@@ -38,6 +38,8 @@ from groupavg.experiments.mlp import MlpConfig, mlp_experiment
 from groupavg.experiments.regression import RegressionConfig, regression_risk
 from groupavg.experiments.rotation import RotationDemoConfig, rotation_averaging_demo
 
+from oracles import scheme_signal
+
 SMALL_CATALOG = (
     ["cyclic:%d" % n for n in range(1, 13)]
     + ["signflip:%d" % d for d in (1, 2, 3)]
@@ -202,7 +204,7 @@ def test_criterion_07_fourier_identities():
                 mults = decompose(rep, table)
                 weak_proj = certify_weak(sch, rep)
                 weak_fourier = max_nontrivial_norm(
-                    fourier_transform(sch.to_signal(), table), restrict_to=mults
+                    fourier_transform(scheme_signal(sch), table), restrict_to=mults
                 )
                 assert abs(weak_proj - weak_fourier) <= 1e-8, spec
                 pairs += 1

@@ -349,6 +349,10 @@ _MALFORMED = [
     ["group", "--group", _DEEP_PRODUCT],
     ["irreps", "--group", _DEEP_PRODUCT],
     ["figure1", "--grid", "4730"],
+    ["regress", "--n", "1000000000000", "--trials", "1"],
+    ["regress", "--trials", "100000000000"],
+    ["mlp", "--train", "1000000000000"],
+    ["mlp", "--dim", "40", "--subset-exponents", "40", "--curve-exponent", "0"],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -369,7 +373,8 @@ _MALFORMED_IDS = [
     "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
     "flag-prefix", "config-key-help", "out-is-a-file", "out-below-a-file", "config-out-with-nul",
     "certify-permutation-of-cyclic", "minimize-over-the-irrep-cap", "group-nested-2000-deep",
-    "irreps-nested-2000-deep", "figure1-grid-over-the-cap",
+    "irreps-nested-2000-deep", "figure1-grid-over-the-cap", "regress-draws-over-the-cap",
+    "regress-trials-over-the-cap", "mlp-inputs-over-the-cap", "mlp-sign-patterns-over-the-cap",
 ]
 
 

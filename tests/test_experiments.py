@@ -6,6 +6,7 @@ import pytest
 
 from groupavg import SizeLimitError, UsageError
 from groupavg.errors import TrainingFailureError
+from groupavg.experiments import regression as regression_module
 from groupavg.experiments import rotation as rotation_module
 from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.experiments.mlp import (
@@ -351,6 +352,33 @@ def test_figure1_grid_cap_is_a_byte_estimate(monkeypatch):
     monkeypatch.setattr(rotation_module, "np", _NumpyStub())
     with pytest.raises(_Allocating):
         rotation_averaging_demo(RotationDemoConfig(grid=4729))
+
+
+def test_regression_and_mlp_caps_are_byte_estimates(monkeypatch):
+    cap = GROUP_TABLE_MAX_BYTES
+    # mlp: (train + test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1),
+    # here at the default dim 20, 50 000 test inputs and exponents up to 10
+    fixed = 50_000 * (328 + 280) + 2**10 * 32 * 21
+    assert 6_452_425 * 328 + fixed <= cap < 6_452_426 * 328 + fixed
+    MlpConfig(n_train=6_452_425)
+    with pytest.raises(SizeLimitError, match=f"need about {6_452_426 * 328 + fixed:,} bytes"):
+        MlpConfig(n_train=6_452_426)
+    patterns = 100_000 * 648 + 50_000 * 280 + 2**40 * 32 * 41
+    with pytest.raises(SizeLimitError, match=f"need about {patterns:,} bytes"):
+        MlpConfig(input_dim=40, subset_exponents=(40,), curve_subset_exponent=0)
+    # regression: trials * order * 41 + draws * 32, here on signflip:2 (order 4) with 400 draws
+    assert 13_094_334 * 164 + 400 * 32 <= cap < 13_094_335 * 164 + 400 * 32
+    fits, over = RegressionConfig(trials=13_094_334), RegressionConfig(trials=13_094_335)
+    many_draws = RegressionConfig(n_samples=10**12, trials=1)
+    # without numpy in `regression`, a study that passes the check stops at its
+    # first allocation, so no large study is ever run
+    monkeypatch.setattr(regression_module, "np", _NumpyStub())
+    with pytest.raises(SizeLimitError, match=f"need about {13_094_335 * 164 + 400 * 32:,} bytes"):
+        regression_risk(over)
+    with pytest.raises(SizeLimitError, match=f"need about {164 + 32 * 10**12:,} bytes"):
+        regression_risk(many_draws)
+    with pytest.raises(_Allocating):
+        regression_risk(fits)
 
 
 def test_grid_csv_frozen():

@@ -29,11 +29,13 @@ from groupavg import (
     uniform_scheme,
 )
 from groupavg import fourier as fourier_module
-from groupavg.fourier import coefficients_to_json, max_deviation, spectral_norm
+from groupavg.fourier import max_deviation, spectral_norm
 
 from oracles import (
+    coefficient_blocks,
     dense_max_deviation,
     fourier_blocks_by_list,
+    scheme_signal,
     sorted_weak_visits,
     unpruned_max_nontrivial_norm,
 )
@@ -49,10 +51,11 @@ def tables():
 
 def test_uniform_signal_transform(tables):
     for table in tables.values():
-        sig = uniform_scheme(table.group).to_signal()
+        sig = scheme_signal(uniform_scheme(table.group))
         coeffs = fourier_transform(sig, table)
-        assert abs(coeffs.mats[table.trivial_index][0, 0] - 1.0) < 1e-12
-        for i, m in enumerate(coeffs.mats):
+        blocks = coefficient_blocks(coeffs)
+        assert abs(blocks[table.trivial_index][0, 0] - 1.0) < 1e-12
+        for i, m in enumerate(blocks):
             if i != table.trivial_index:
                 assert np.abs(m).max() < 1e-12
         assert max_nontrivial_norm(coeffs) < 1e-20
@@ -60,9 +63,9 @@ def test_uniform_signal_transform(tables):
 
 def test_delta_at_identity_transform(tables):
     for table in tables.values():
-        sig = delta_scheme(table.group, 0).to_signal()
+        sig = scheme_signal(delta_scheme(table.group, 0))
         coeffs = fourier_transform(sig, table)
-        for d, m in zip(table.dims, coeffs.mats):
+        for d, m in zip(table.dims, coefficient_blocks(coeffs)):
             assert np.abs(m - np.eye(d)).max() < 1e-12
         if len(table) > 1:
             assert abs(max_nontrivial_norm(coeffs) - 1.0) < 1e-12
@@ -72,7 +75,7 @@ def test_frozen_c2_value():
     table = irreps_of(parse_group_spec("cyclic:2"))
     sig = GroupSignal(group=table.group, weights=np.array([0.75, 0.25]))
     coeffs = fourier_transform(sig, table)
-    assert abs(coeffs.mats[1][0, 0] - 0.5) < 1e-15
+    assert abs(coefficient_blocks(coeffs)[1][0, 0] - 0.5) < 1e-15
     assert abs(max_nontrivial_norm(coeffs) - 0.25) < 1e-15
 
 
@@ -89,7 +92,7 @@ def test_roundtrip_and_plancherel(spec, seed, tables):
 
 def test_inverse_of_uniform_coefficients(tables):
     table = tables["symmetric:3"]
-    sig = uniform_scheme(table.group).to_signal()
+    sig = scheme_signal(uniform_scheme(table.group))
     back = inverse_fourier(fourier_transform(sig, table), table)
     assert np.abs(back.weights - 1.0 / table.group.order).max() < 1e-12
     # all-zero coefficients invert to the zero signal
@@ -115,7 +118,7 @@ def test_convolution_support_and_transform(spec, seed, tables):
     assert set(conv.support.tolist()) <= products
     lhs = fourier_transform(conv, table)
     fa, fb = fourier_transform(a, table), fourier_transform(b, table)
-    for la, ma, mb in zip(lhs.mats, fa.mats, fb.mats):
+    for la, ma, mb in zip(coefficient_blocks(lhs), coefficient_blocks(fa), coefficient_blocks(fb)):
         assert np.abs(la - mb @ ma).max() < 1e-9  # adjoint reverses the order
 
 
@@ -123,16 +126,6 @@ def test_group_mismatch_raises(tables):
     sig = GroupSignal(group=parse_group_spec("cyclic:5"), weights=np.ones(5) / 5)
     with pytest.raises(GroupMismatchError):
         fourier_transform(sig, tables["symmetric:3"])
-
-
-def test_coefficients_json_shape(tables):
-    table = tables["symmetric:3"]
-    sig = delta_scheme(table.group, 0).to_signal()
-    payload = coefficients_to_json(fourier_transform(sig, table))
-    assert set(payload) == set(table.labels())
-    label2 = table.labels()[2]
-    assert len(payload[label2]) == table.dims[2]
-    assert payload[table.labels()[0]][0][0] == [1.0, 0.0]
 
 
 @pytest.mark.parametrize(
@@ -148,7 +141,7 @@ def test_stacked_transform_equals_per_irrep_sums(spec):
         signal = GroupSignal(group=table.group, weights=weights)
         idx = signal.support
         coeffs = fourier_transform(signal, table)
-        for rep, mat in zip(table.irreps, coeffs.mats):
+        for rep, mat in zip(table.irreps, coefficient_blocks(coeffs)):
             expect = np.einsum("g,gji->ij", signal.weights[idx], rep.mats[idx].conj())
             assert np.array_equal(mat, expect)
 
@@ -261,7 +254,7 @@ def test_pruned_weak_certificate_has_the_bits_of_the_full_maximum(
     weak_tables, spec, kind, size, seed, restrict
 ):
     table = weak_tables[spec]
-    coeffs = fourier_transform(_weak_scheme(table.group, kind, size, seed).to_signal(), table)
+    coeffs = fourier_transform(scheme_signal(_weak_scheme(table.group, kind, size, seed)), table)
     restrict_to = np.random.default_rng(seed).integers(0, 2, len(table)) if restrict else None
     got = max_nontrivial_norm(coeffs, restrict_to=restrict_to)
     assert got.hex() == unpruned_max_nontrivial_norm(coeffs, table, restrict_to).hex()
@@ -276,18 +269,18 @@ def test_coefficient_stacks_have_the_bits_of_the_per_irrep_list(spec, weak_table
     table = weak_tables.get(spec) or irreps_of(parse_group_spec(spec))
     n = table.group.order
     rng = np.random.default_rng(n)
-    signals = [random_scheme(table.group, 5, 1).to_signal(), uniform_scheme(table.group).to_signal()]
+    signals = [scheme_signal(s) for s in (random_scheme(table.group, 5, 1), uniform_scheme(table.group))]
     for trial in range(4):
         w = rng.normal(size=n) * (rng.random(n) < 0.5)  # about half the elements in the support
         signals.append(GroupSignal(table.group, w + 1j * rng.normal(size=n) if trial % 2 else w))
     for signal in signals:
         coeffs = fourier_transform(signal, table)
-        assert "mats" not in vars(coeffs)  # the per-irrep views are made when first read
         assert [s.shape for s in coeffs.stacks] == [(len(s), s.shape[2], s.shape[2])
                                                     for s in table.stacks]
         want = fourier_blocks_by_list(signal, table)
-        assert len(coeffs.mats) == len(want) == len(table)
-        for i, (got, block) in enumerate(zip(coeffs.mats, want)):
+        blocks = coefficient_blocks(coeffs)
+        assert len(blocks) == len(want) == len(table)
+        for i, (got, block) in enumerate(zip(blocks, want)):
             assert any(np.shares_memory(got, s) for s in coeffs.stacks), i
             assert np.array_equal(_bits(got), _bits(block)), (spec, i)
 
@@ -304,15 +297,16 @@ def test_weak_certificate_visits_blocks_in_the_sorted_order(weak_tables, monkeyp
         for kind in ("uniform", "delta", "random", "signed"):
             for seed in range(6):
                 scheme = _weak_scheme(table.group, kind, 1 + 3 * seed, seed)
-                coeffs = fourier_transform(scheme.to_signal(), table)
+                coeffs = fourier_transform(scheme_signal(scheme), table)
+                blocks = coefficient_blocks(coeffs)
                 restrict_to = np.random.default_rng(seed).integers(0, 2, len(table))
                 for restrict in (None, restrict_to):
                     seen.clear()
                     max_nontrivial_norm(coeffs, restrict_to=restrict)
-                    want = sorted_weak_visits(coeffs.mats, table, restrict)
+                    want = sorted_weak_visits(blocks, table, restrict)
                     assert len(seen) == len(want), (spec, kind, seed)
                     for got, i in zip(seen, want):
-                        block = coeffs.mats[i]
+                        block = blocks[i]
                         if block.size == 1:  # the entry of a 1x1 block, as a numpy scalar
                             assert isinstance(got, np.generic), (spec, kind, seed, i)
                             assert got.tobytes() == block.tobytes(), (spec, kind, seed, i)
@@ -322,7 +316,7 @@ def test_weak_certificate_visits_blocks_in_the_sorted_order(weak_tables, monkeyp
 
 def test_weak_certificate_skips_blocks_below_the_running_maximum(weak_tables, monkeypatch):
     table = weak_tables["dihedral:13"]
-    coeffs = fourier_transform(random_scheme(table.group, 6, 2).to_signal(), table)
+    coeffs = fourier_transform(scheme_signal(random_scheme(table.group, 6, 2)), table)
     seen = []
 
     def recording(mat):
@@ -352,7 +346,7 @@ def test_transform_keeps_the_bits_of_the_per_stack_einsum(spec, weak_tables):
     w = rng.normal(size=n) * (rng.random(n) < 0.5)
     inputs += [GroupSignal(group, w), GroupSignal(group, w + 1j * rng.normal(size=n))]
     for x in inputs:
-        signal = x if isinstance(x, GroupSignal) else x.to_signal()
+        signal = x if isinstance(x, GroupSignal) else scheme_signal(x)
         coeffs = fourier_transform(x, table)
         flat = coeffs.stacks[0].base
         assert flat.ndim == 1 and flat.flags.c_contiguous
@@ -364,7 +358,7 @@ def test_transform_keeps_the_bits_of_the_per_stack_einsum(spec, weak_tables):
             first += stack.size
         assert first == flat.size
         want = fourier_blocks_by_list(signal, table)
-        for i, (got, block) in enumerate(zip(coeffs.mats, want)):
+        for i, (got, block) in enumerate(zip(coefficient_blocks(coeffs), want)):
             assert np.array_equal(_bits(got), _bits(block)), (spec, type(x).__name__, i)
 
 

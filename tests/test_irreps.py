@@ -19,11 +19,10 @@ from groupavg import (
 )
 from groupavg import SizeLimitError
 from groupavg import irreps as irreps_module
-from groupavg import reps as reps_module
 from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.irreps import IrrepTable
 from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
-from oracles import character_table_csv_as_string, table_order_by_re_im
+from oracles import character_table_csv_as_string, signed_permutation_by_masks, table_order_by_re_im
 
 TABLE_SPECS = [
     "cyclic:1",
@@ -56,7 +55,7 @@ def test_table_signed_forms_match_the_per_irrep_form(tables):
     for spec, table in tables.items():
         for irrep in table.irreps:
             got = irrep.signed_permutation()
-            want = reps_module._signed_permutation_of(irrep.mats)
+            want = signed_permutation_by_masks(irrep.mats)
             assert (got is None) == (want is None), (spec, irrep.name)
             if want is not None:
                 assert np.array_equal(got[0], want[0]) and got[0].dtype == want[0].dtype

@@ -37,7 +37,7 @@ from groupavg import reps as reps_module
 from groupavg import schemes as schemes_module
 from oracles import dense_apply_scheme, dense_invariant_dimension, dense_invariant_projector
 from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
-from oracles import unique_random_scheme
+from oracles import scheme_signal, unique_random_scheme
 from test_irreps import TABLE_SPECS
 
 def sign_rep_c2():
@@ -332,7 +332,7 @@ def test_fourier_path_respects_multiplicities():
     for seed in range(5):
         sch = random_scheme(s3, 4, seed)
         weak_proj = certify_weak(sch, rep)
-        coeffs = fourier_transform(sch.to_signal(), table)
+        coeffs = fourier_transform(scheme_signal(sch), table)
         weak_fourier = max_nontrivial_norm(coeffs, restrict_to=mults)
         assert abs(weak_proj - weak_fourier) < 1e-8
 
@@ -469,7 +469,7 @@ def test_sampler_success_rate_small():
     wins = 0
     for t in range(trials):
         sch = random_scheme(group, n, np.random.SeedSequence(entropy=77, spawn_key=(t,)))
-        coeffs = fourier_transform(sch.to_signal(), table)
+        coeffs = fourier_transform(scheme_signal(sch), table)
         if max_nontrivial_norm(coeffs) <= eps:
             wins += 1
     p0 = 1.0 - delta

@@ -27,7 +27,7 @@ from groupavg import (
     k_bound,
 )
 from groupavg.schemes import AveragingScheme
-from oracles import character_layer_reps, gf2_rank, sym_power_coverage_by_loop
+from oracles import character_layer_reps, gf2_rank, scheme_signal, sym_power_coverage_by_loop
 
 
 def test_coverage_all_true_at_bound():
@@ -100,7 +100,7 @@ def test_violation_iff_nontrivial_norms_vanish():
     for seed in range(25):
         sch = random_scheme(group, 6, seed)
         viol = exact_violation(sch, reg)
-        norm = max_nontrivial_norm(fourier_transform(sch.to_signal(), table))
+        norm = max_nontrivial_norm(fourier_transform(scheme_signal(sch), table))
         assert (viol < 1e-9) == (norm < 1e-9)
     uni = uniform_scheme(group)
     assert exact_violation(uni, reg) < 1e-9
