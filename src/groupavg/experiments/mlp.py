@@ -29,7 +29,10 @@ FORWARD_ROWS = 1024
 # MlpConfig refuses a run whose peak passes the cap.  Peak RSS growth read
 # 16 * dim + 8 bytes per input (328 and 648 at dims 20 and 40), up to 280 more
 # per test input (one chunk's averaged predictions) and 24.4 * dim per sign
-# pattern of one subset, which the smaller subsets raise to 32 * (dim + 1).
+# pattern of one subset, which the smaller subsets raise to 32 * (dim + 1); 24.3
+# per weight (with its gradient and update), 25.1 per batch row and hidden unit
+# in an SGD step, and 8.1 per row and hidden unit in an evaluation forward pass
+# of at most max(min(epoch_eval, test), 2 * FORWARD_ROWS) rows.
 
 
 @dataclass
@@ -68,13 +71,16 @@ class MlpConfig:
         if not 0 <= self.curve_subset_exponent <= self.input_dim:
             raise UsageError("curve subset exponent must lie in 0..input_dim")
         exponent = max((*self.subset_exponents, self.curve_subset_exponent))
+        (w1, w2), rows = self.widths, max(min(self.epoch_eval_size, self.n_test), 2 * FORWARD_ROWS)
         # 2**63 patterns pass any cap already; a smaller shift keeps the integer small
         need = ((self.n_train + self.n_test) * (16 * self.input_dim + 8) + self.n_test * 280
-                + (32 * (self.input_dim + 1) << min(exponent, 63)))
+                + (32 * (self.input_dim + 1) << min(exponent, 63))
+                + 24 * (self.input_dim * w1 + w1 * w2 + w2) + (w1 + w2) * max(25 * self.batch_size, 8 * rows))
         if need > GROUP_TABLE_MAX_BYTES:
             raise SizeLimitError(
-                f"inputs and sign patterns need about {need:,} bytes ((train + test) * (16 * dim "
-                f"+ 8) + test * 280 + 2**max_exponent * 32 * (dim + 1)), above the cap of "
+                f"inputs, sign patterns, weights and activations need about {need:,} bytes ((train + "
+                f"test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1) + 24 * weights "
+                f"+ (width1 + width2) * max(25 * batch, 8 * forward rows)), above the cap of "
                 f"{GROUP_TABLE_MAX_BYTES:,}")
 
 

@@ -18,10 +18,9 @@ with a threshold may pass it as ``stop_above`` and skip the SVDs left
 once the running maximum exceeds it.  A stacked 1x1 path would have to
 take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
 :func:`spectral_norm`).  The per-element deviation behind the strong
-certificate takes one SVD per element.  On a permutation action it moves
-rows instead of multiplying and takes its SVDs in real arithmetic;
-otherwise it forms every ``rho(g) @ block - block`` with one stacked
-product.
+certificate takes one SVD per element: on a signed permutation action
+it moves and signs rows, a block of elements at a time, and takes real
+SVDs; otherwise it forms every ``rho(g) @ block - block`` in one product.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ import numpy as np
 from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
 from .groups import Group
 from .irreps import IrrepTable
-from .reps import Representation, stack_blocks
+from .reps import Representation
 
 SUPPORT_EPS = 1e-15
 # slack on a block's squared Frobenius norm before it may skip its SVD:
@@ -46,6 +45,7 @@ SUPPORT_EPS = 1e-15
 # smallest normal float
 _PRUNE_MARGIN = 1e-12
 _PRUNE_FLOOR = float(np.finfo(np.float64).tiny)
+_ROW_BLOCK_ENTRIES = 1 << 14  # real entries per block of moved rows: 128 KiB
 
 
 @dataclass
@@ -106,30 +106,25 @@ def spectral_norm(mat) -> float:
 
 
 def max_deviation(rep: Representation, block: np.ndarray) -> float:
-    """max over g of the spectral norm of ``rep.mats[g] @ block - block``.
-
-    The per-element worst case behind the strong certificate and the
-    exact-invariance violation, one ``spectral_norm`` call per element.
-    On a permutation action (``rep.perms`` set, as it is whenever every
-    matrix is a permutation matrix) ``rho(g) @ block`` sends row j of
-    ``block`` to row ``perms[g, j]``, so each product is a row move with
-    the same bits as the 0/1 matmul; ``block`` must then be real (real
-    weights, 0/1 matrices, real projector) and the SVDs run in real
-    arithmetic.  Any other action takes the dense complex products, block
-    by block of :func:`stack_blocks`, so a signed action held by its form
-    never builds its whole stack: a row move would flip the sign of a
-    zero, which moves a bit of the SVD.
+    """max over g of the spectral norm of ``rep.mats[g] @ block - block``
+    (one ``spectral_norm`` call per g), behind the strong certificate and
+    the exact-invariance violation.  On a signed permutation action each
+    product moves row j of the real ``block`` to row ``perm[g, j]`` times
+    ``sign[g, j]`` (no multiply if every sign is +1), about
+    ``_ROW_BLOCK_ENTRIES`` entries at a time, and the SVDs are real; any
+    other action takes one stacked complex matmul.
     """
-    if rep.perms is None:
-        return max(spectral_norm(d) for m in stack_blocks(rep) for d in np.matmul(m, block) - block)
+    if rep.signed_permutation() is None:
+        return max(map(spectral_norm, np.matmul(rep.mats, block) - block))
     if np.any(block.imag != 0):
-        raise NumericalConsistencyError("operator on a permutation action has an imaginary part")
-    real = block.real
-    moved = np.empty_like(real)
-    norms = []
-    for perm in rep.perms:
-        moved[perm] = real
-        norms.append(spectral_norm(moved - real))
+        raise NumericalConsistencyError("operator on a signed action has an imaginary part")
+    (perm, sign), real = rep.signed_permutation(), block.real
+    step, norms = max(1, _ROW_BLOCK_ENTRIES // real.size), []
+    for start in range(0, rep.group.order, step):
+        rows, signs = perm[start : start + step], sign[start : start + step, :, None]
+        moved = np.empty((len(rows), *real.shape))
+        moved[np.arange(len(rows))[:, None], rows] = real if rep.perms is not None else real * signs
+        norms += map(spectral_norm, moved - real)
     return max(norms)
 
 

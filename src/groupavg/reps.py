@@ -19,9 +19,9 @@ representation, when it is built, and once per stack of an irrep table
 (a 1x1 stack's as int8 signs sharing one read-only zero permutation).  On that
 form validation checks the homomorphism law exactly on the group's
 generators, and a diagonal form, such as the sign action or a +-1
-character, by its signs alone; on a permutation action products are row
-moves, and on any signed one traces, the projector and an averaging
-operator are signed counts and one scatter, with the dense bits.  Every other representation
+character, by its signs alone; on it products are signed row moves, and
+traces, the projector and an averaging operator are signed counts and one
+scatter, with the dense bits.  Every other representation
 is checked in floating point: unitarity per element, then the
 homomorphism law on each element against the group's word basis, which
 bounds the deviation of every pair (see :meth:`Group.word_basis`).  A
@@ -54,7 +54,6 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 REGULAR_REP_MAX_BYTES = 2 << 30
-_STACK_BLOCK_ENTRIES = 1 << 14  # complex entries per block of stack_blocks: 256 KiB
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
@@ -313,18 +312,6 @@ def _mats_from_perms(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     return mats
 
 
-def stack_blocks(rep: Representation) -> Iterator[np.ndarray]:
-    """``rep.mats`` in consecutive blocks of elements: the stack when it is
-    built or there is no signed form, else blocks of about
-    ``_STACK_BLOCK_ENTRIES`` entries made from the form, never the whole."""
-    if rep._mats is not None or rep._signed is None:
-        yield rep.mats
-        return
-    rows = max(1, _STACK_BLOCK_ENTRIES // rep.dim**2)
-    for start in range(0, rep.group.order, rows):
-        yield _mats_from_perms(*(a[start : start + rows] for a in rep._signed))
-
-
 def permutation_rep(group: Group) -> Representation:
     """Natural coordinate-permuting action of a symmetric-family group."""
     if group.family != "symmetric":
@@ -548,8 +535,7 @@ def invariant_projector(rep: Representation) -> np.ndarray:
     if rep.signed_permutation() is None:
         return rep.mats.mean(axis=0)
     (perm, sign), d = rep.signed_permutation(), rep.dim
-    weights = None if rep.perms is not None else sign.ravel()
-    sums = np.bincount((perm * d + np.arange(d)).ravel(), weights, minlength=d * d)
+    sums = np.bincount((perm * d + np.arange(d)).ravel(), sign.ravel(), minlength=d * d)
     return (sums.astype(np.complex128) / rep.group.order).reshape(d, d)
 
 

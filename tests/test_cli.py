@@ -353,6 +353,12 @@ _MALFORMED = [
     ["regress", "--trials", "100000000000"],
     ["mlp", "--train", "1000000000000"],
     ["mlp", "--dim", "40", "--subset-exponents", "40", "--curve-exponent", "0"],
+    ["mlp", "--width1", "1000000000000"],
+    [*TINY_MLP, "--subset-exponents", "0", "--curve-exponent", "0", "--test", "8", "--epoch-eval", "8",
+     "--width2", "10000000000"],
+    ["mlp", "--train", "1000000", "--batch", "1000000", "--width1", "100000", "--epochs", "1",
+     "--test", "10"],
+    ["mlp", "--train", "1", "--batch", "1", "--width1", "1000000", "--width2", "1"],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -375,6 +381,8 @@ _MALFORMED_IDS = [
     "certify-permutation-of-cyclic", "minimize-over-the-irrep-cap", "group-nested-2000-deep",
     "irreps-nested-2000-deep", "figure1-grid-over-the-cap", "regress-draws-over-the-cap",
     "regress-trials-over-the-cap", "mlp-inputs-over-the-cap", "mlp-sign-patterns-over-the-cap",
+    "mlp-weights-over-the-cap", "mlp-second-width-over-the-cap", "mlp-batch-over-the-cap",
+    "mlp-forward-pass-over-the-cap",
 ]
 
 
@@ -752,6 +760,10 @@ _EVERY_SUBCOMMAND = {
     "selftest": (0, ["selftest", "--seed", "3"]),
     "search-failure": (3, ["minimize", "--group", "dihedral:5", "--eps", "1e-300", "--trials", "1",
                            "--swaps", "1"]),
+    "certify-sign": (0, ["certify", "--group", "signflip:4", "--rep", "sign", "--scheme", "random:6",
+                         "--seed", "3"]),
+    "certify-fourier": (0, ["certify", "--group", "dihedral:6", "--path", "fourier", "--scheme",
+                            "random:5", "--seed", "2"]),
 }
 # sha256 of (stdout, {artifact: file}), recorded before main took over the
 # output directory and the sidecar from the subcommands
@@ -854,6 +866,22 @@ EVERY_SUBCOMMAND_SHA256 = {
             "minimize_meta.json": "9984f08a9769b9a6d9d7b48e883d2658afcda20c10a5380c2f1f95ea9483427e",
             "scheme.json": "e3f7c2822d018058b4dd4cd06647ba31970c9e5231a5ab98ce94975540c83ab9",
             "search.json": "15a89c4904289a03399d27c28e33d0ad4f2143eb7408d18dfd5a3c305c94f677",
+        },
+    ),
+    "certify-sign": (
+        "3819da8e1a192435a3d132d446cf1eaf68bf228d8c025852d0a15a342b2bc6c8",
+        {
+            "certification.json": "8db8c97afe4a67ee59ba0bf17fb847d1d9c5bf657c381312bd5c55022ea82f60",
+            "certify_meta.json": "9391aa2457b9bc23a259a77a2956267eac1b09adaa5e79be1aa75a52c3ddfb77",
+            "scheme.json": "e8d414f10962db88a2bf0a58470f054c9b2ebd9fcb94776fc394544a60718366",
+        },
+    ),
+    "certify-fourier": (
+        "a9e0600849f7a9cc9ccf01876753cd7c6970afa78dfda5075d17f236f76af1b7",
+        {
+            "certification.json": "0c107c699b169ec0105fdafff3d5b5a4b8c2be1ea95f2cd920ee5a8cb005d500",
+            "certify_meta.json": "0cd6a97ab43ab7aa780e0f71dbaeaa7d3d3e0a0db5d6ef103fd799398034f987",
+            "scheme.json": "77c67a4802a3261dadde9b185bc5cc55ed86f6d6411b522a9ee63efca8cdb395",
         },
     ),
 }

@@ -356,16 +356,36 @@ def test_figure1_grid_cap_is_a_byte_estimate(monkeypatch):
 
 def test_regression_and_mlp_caps_are_byte_estimates(monkeypatch):
     cap = GROUP_TABLE_MAX_BYTES
-    # mlp: (train + test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1),
-    # here at the default dim 20, 50 000 test inputs and exponents up to 10
-    fixed = 50_000 * (328 + 280) + 2**10 * 32 * 21
-    assert 6_452_425 * 328 + fixed <= cap < 6_452_426 * 328 + fixed
-    MlpConfig(n_train=6_452_425)
-    with pytest.raises(SizeLimitError, match=f"need about {6_452_426 * 328 + fixed:,} bytes"):
-        MlpConfig(n_train=6_452_426)
-    patterns = 100_000 * 648 + 50_000 * 280 + 2**40 * 32 * 41
+    # mlp: (train + test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1)
+    # + 24 * (dim * w1 + w1 * w2 + w2) + (w1 + w2) * max(25 * batch, 8 * max(min(epoch_eval,
+    # test), 2048)), here at the default dim 20, 50 000 test inputs, exponents up to 10,
+    # widths (128, 64), batch 256 and 2 000 per-epoch inputs
+    net = 24 * (20 * 128 + 128 * 64 + 64) + 192 * 8 * 2048
+    fixed = 50_000 * (328 + 280) + 2**10 * 32 * 21 + net
+    assert 6_442_043 * 328 + fixed <= cap < 6_442_044 * 328 + fixed
+    MlpConfig(n_train=6_442_043)
+    with pytest.raises(SizeLimitError, match=f"need about {6_442_044 * 328 + fixed:,} bytes"):
+        MlpConfig(n_train=6_442_044)
+    patterns = 100_000 * 648 + 50_000 * 280 + 2**40 * 32 * 41 + net + 24 * 20 * 128  # dim 40
     with pytest.raises(SizeLimitError, match=f"need about {patterns:,} bytes"):
         MlpConfig(input_dim=40, subset_exponents=(40,), curve_subset_exponent=0)
+    # the widths, on 64 + 8 inputs of dim 4 with one sign pattern: weights and
+    # the 2048-row forward pass set the first width's boundary
+    tiny = dict(input_dim=4, n_train=64, n_test=8, batch_size=16, epochs=1, subset_exponents=(0,),
+                curve_subset_exponent=0, epoch_eval_size=8)
+    inputs = 72 * 72 + 8 * 280 + 32 * 5
+    assert inputs + 24 + 16_384 + 130_117 * 16_504 <= cap < inputs + 24 + 16_384 + 130_118 * 16_504
+    MlpConfig(**tiny, widths=(130_117, 1))
+    with pytest.raises(SizeLimitError, match=f"need about {inputs + 24 + 16_384 + 130_118 * 16_504:,} bytes"):
+        MlpConfig(**tiny, widths=(130_118, 1))
+    weights = inputs + 24 * (4 * 128 + 129 * 10**10) + (128 + 10**10) * 8 * 2048
+    with pytest.raises(SizeLimitError, match=f"need about {weights:,} bytes"):
+        MlpConfig(**tiny, widths=(128, 10**10))
+    # one batch of a million rows through 100 000 + 64 hidden units
+    batch = (1_000_010 * 328 + 10 * 280 + 2**10 * 32 * 21 + 24 * (84 * 10**5 + 64)
+             + (10**5 + 64) * 25 * 10**6)
+    with pytest.raises(SizeLimitError, match=f"need about {batch:,} bytes"):
+        MlpConfig(n_train=10**6, batch_size=10**6, widths=(10**5, 64), epochs=1, n_test=10)
     # regression: trials * order * 41 + draws * 32, here on signflip:2 (order 4) with 400 draws
     assert 13_094_334 * 164 + 400 * 32 <= cap < 13_094_335 * 164 + 400 * 32
     fits, over = RegressionConfig(trials=13_094_334), RegressionConfig(trials=13_094_335)

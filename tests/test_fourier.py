@@ -411,8 +411,21 @@ def _d5():
     return parse_group_spec("dihedral:5")
 
 
-# every constructor that builds a permutation action, and two stacks of
-# permutation matrices no constructor declares as one
+def _s4_sign_character():
+    table = irreps_of(parse_group_spec("symmetric:4"))
+    return next(r for r in table.irreps if r.dim == 1 and r.perms is None)
+
+
+def _signed_irrep_of_d6():
+    table = irreps_of(parse_group_spec("dihedral:6"))
+    return next(r for r in table.irreps if r.perms is None and r.signed_permutation() is not None)
+
+
+# every constructor that builds a permutation action, two stacks of
+# permutation matrices no constructor declares as one, and signed actions
+# with some sign -1: diagonal, a symmetric power, a non-diagonal tensor
+# product and a +-1 irrep; signflip:9 (dim 9) moves its 512 elements in
+# blocks of 202, 202 and 108, and cyclic:130 (dim 130) one element per block
 PERM_ACTIONS = {
     "regular-cyclic": lambda: regular_rep(parse_group_spec("cyclic:7")),
     "regular-dihedral": lambda: regular_rep(parse_group_spec("dihedral:5")),
@@ -424,13 +437,23 @@ PERM_ACTIONS = {
     "sym-power": lambda: sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 2),
     "direct-sum-trivial": lambda: direct_sum(_s3_perm(), trivial_rep(parse_group_spec("symmetric:3"))),
     "undeclared": lambda: Representation(_d5(), regular_rep(_d5()).mats, name="undeclared"),
+    "sign-signflip3": lambda: sign_action_rep(parse_group_spec("signflip:3")),
+    "sign-signflip9": lambda: sign_action_rep(parse_group_spec("signflip:9")),
+    "sym-power-sign": lambda: sym_power_rep(sign_action_rep(parse_group_spec("signflip:4")), 2),
+    "sign-tensor-permutation": lambda: tensor_product(_s4_sign_character(),
+                                                      permutation_rep(parse_group_spec("symmetric:4"))),
+    "signed-irrep": _signed_irrep_of_d6,
+    "regular-cyclic130": lambda: regular_rep(parse_group_spec("cyclic:130")),
 }
 
 
 @pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
 def test_row_gathers_match_the_dense_products(name, monkeypatch):
     rep = PERM_ACTIONS[name]()
-    assert rep.perms is not None
+    assert rep.signed_permutation() is not None
+    assert (rep.perms is None) == name.startswith(("sign", "sym-power-sign"))
+    step = max(1, fourier_module._ROW_BLOCK_ENTRIES // rep.dim**2)
+    blocks_of = [min(step, rep.group.order - start) for start in range(0, rep.group.order, step)]
     seen = []
 
     def recording(mat):
@@ -448,6 +471,8 @@ def test_row_gathers_match_the_dense_products(name, monkeypatch):
         seen.clear()
         value = max_deviation(rep, block)
         assert len(seen) == rep.group.order  # one norm per element
+        bases = [id(diff.base) for diff in seen]  # the block of elements each view comes from
+        assert [bases.count(b) for b in dict.fromkeys(bases)] == blocks_of
         for g, diff in enumerate(seen):
             assert diff.dtype == np.float64
             assert np.array_equal(diff, (rep.mats[g] @ block - block).real), g
@@ -455,17 +480,17 @@ def test_row_gathers_match_the_dense_products(name, monkeypatch):
 
 
 def test_row_gathers_reject_an_imaginary_part():
-    rep = regular_rep(parse_group_spec("cyclic:4"))
-    block = np.eye(4, dtype=np.complex128)
-    block[1, 2] = 1e-300j
-    with pytest.raises(NumericalConsistencyError, match="imaginary"):
-        max_deviation(rep, block)
+    for rep in (regular_rep(parse_group_spec("cyclic:4")), sign_action_rep(parse_group_spec("signflip:2"))):
+        block = np.eye(rep.dim, dtype=np.complex128)
+        block[1, 0] = 1e-300j
+        with pytest.raises(NumericalConsistencyError, match="imaginary"):
+            max_deviation(rep, block)
 
 
 def test_dense_actions_keep_the_complex_products():
     s3 = irreps_of(parse_group_spec("symmetric:3"))
     rng = np.random.default_rng(23)
-    for rep in (sign_action_rep(parse_group_spec("signflip:3")), s3.irreps[s3.dims.index(2)]):
-        assert rep.perms is None
-        block = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
-        assert max_deviation(rep, block) == dense_max_deviation(rep, block)
+    rep = s3.irreps[s3.dims.index(2)]
+    assert rep.signed_permutation() is None
+    block = rng.normal(size=(rep.dim, rep.dim)) + 1j * rng.normal(size=(rep.dim, rep.dim))
+    assert max_deviation(rep, block) == dense_max_deviation(rep, block)

@@ -163,6 +163,20 @@ def test_sign_flip_certificate_reads_neither_table_nor_stack():
     assert (holder["report"].eps_weak, holder["report"].eps_strong) == (0.5625, 1.125)
 
 
+def test_signed_actions_certify_without_their_stack(monkeypatch):
+    # each step of the projector path reads the signed form: the stack,
+    # which the first read of .mats would build, is never asked for
+    def stop(perm, sign):
+        raise AssertionError("the dense stack was built")
+
+    monkeypatch.setattr(reps_module, "_mats_from_perms", stop)
+    for rep in (sign_action_rep(parse_group_spec("signflip:10")),
+                sym_power_rep(sign_action_rep(parse_group_spec("signflip:6")), 2),
+                regular_rep(parse_group_spec("cyclic:64"))):
+        report = certify(random_scheme(rep.group, 8, 3), rep)
+        assert 0 < report.eps_weak <= report.eps_strong and rep._mats is None
+
+
 def test_signed_form_constructor_checks_its_rows():
     c3 = parse_group_spec("cyclic:3")
     perm, sign = c3.mult.copy(), np.ones((3, 3), dtype=np.int8)
