@@ -142,7 +142,7 @@ def _build_scheme(group: Group, spec: str, seed: int) -> AveragingScheme:
             return scheme_from_json(payload, group)
         except KeyError as exc:
             raise UsageError(f"scheme file {arg!r} lacks the key {exc}") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # Overflow: an int past int64
             raise UsageError(f"scheme file {arg!r} is not a scheme: {exc}") from None
     raise UsageError(f"unknown scheme spec {spec!r} (uniform | delta:g | random:n | file:path)")
 

@@ -17,10 +17,9 @@ the blocks are visited in.  A caller that only compares the certificate
 with a threshold may pass it as ``stop_above`` and skip the SVDs left
 once the running maximum exceeds it.  A stacked 1x1 path would have to
 take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
-:func:`spectral_norm`).  The per-element deviation behind the strong
-certificate takes one SVD per element: on a signed permutation action
-it moves and signs rows, a block of elements at a time, and takes real
-SVDs; otherwise it forms every ``rho(g) @ block - block`` in one product.
+:func:`spectral_norm`).  The strong certificate takes one SVD per
+element, of the differences ``rho(g) @ block - block`` formed in
+:mod:`groupavg.reps`, the one module that reads a signed-permutation form.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
+from .errors import GroupMismatchError, UsageError
 from .groups import Group
 from .irreps import IrrepTable
-from .reps import Representation
+from .reps import Representation, _deviations
 
 SUPPORT_EPS = 1e-15
 # slack on a block's squared Frobenius norm before it may skip its SVD:
@@ -45,7 +44,6 @@ SUPPORT_EPS = 1e-15
 # smallest normal float
 _PRUNE_MARGIN = 1e-12
 _PRUNE_FLOOR = float(np.finfo(np.float64).tiny)
-_ROW_BLOCK_ENTRIES = 1 << 14  # real entries per block of moved rows: 128 KiB
 
 
 @dataclass
@@ -106,26 +104,11 @@ def spectral_norm(mat) -> float:
 
 
 def max_deviation(rep: Representation, block: np.ndarray) -> float:
-    """max over g of the spectral norm of ``rep.mats[g] @ block - block``
-    (one ``spectral_norm`` call per g), behind the strong certificate and
-    the exact-invariance violation.  On a signed permutation action each
-    product moves row j of the real ``block`` to row ``perm[g, j]`` times
-    ``sign[g, j]`` (no multiply if every sign is +1), about
-    ``_ROW_BLOCK_ENTRIES`` entries at a time, and the SVDs are real; any
-    other action takes one stacked complex matmul.
-    """
-    if rep.signed_permutation() is None:
-        return max(map(spectral_norm, np.matmul(rep.mats, block) - block))
-    if np.any(block.imag != 0):
-        raise NumericalConsistencyError("operator on a signed action has an imaginary part")
-    (perm, sign), real = rep.signed_permutation(), block.real
-    step, norms = max(1, _ROW_BLOCK_ENTRIES // real.size), []
-    for start in range(0, rep.group.order, step):
-        rows, signs = perm[start : start + step], sign[start : start + step, :, None]
-        moved = np.empty((len(rows), *real.shape))
-        moved[np.arange(len(rows))[:, None], rows] = real if rep.perms is not None else real * signs
-        norms += map(spectral_norm, moved - real)
-    return max(norms)
+    """max over g of the spectral norm of ``rep.mats[g] @ block - block``, one
+    ``spectral_norm`` call per g over the stacks of ``reps._deviations``
+    (real on a signed action): the strong certificate's and the
+    exact-invariance violation's worst case."""
+    return max(map(spectral_norm, itertools.chain.from_iterable(_deviations(rep, block))))
 
 
 def fourier_transform(signal, table: IrrepTable) -> FourierCoefficients:

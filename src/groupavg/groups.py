@@ -7,11 +7,14 @@ sign_flip (bit vectors under xor), dihedral, symmetric, and direct
 products; arbitrary multiplication tables are accepted as the ``custom``
 family.  Cyclic and sign-flip groups are closed form: their |G| x |G|
 table is built, and proved, only when something reads ``Group.mult``.
-Dihedral, symmetric, product and custom groups hold their table.
+Dihedral, symmetric, product and custom groups hold their table.  A group
+also keeps the ``(order, generators)`` products of every element with each
+generator, the one table an exact signed homomorphism check gathers from.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, permutations as _iter_permutations
@@ -83,7 +86,6 @@ class Group:
         self.inv = np.argmax(self._mult == 0, axis=1).astype(np.int64) if inv is None else inv
         self._label_index = {lab: i for i, lab in enumerate(self.labels)}
         self._word_basis = None
-        self._generator_rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self.validate()
 
     # -- basic queries ---------------------------------------------------
@@ -168,16 +170,11 @@ class Group:
         if m is not None:
             _light_test(m, self.generators)
 
-    def generator_rows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """``generators`` as an index array, and where row g*s of an
-        ``(order, width)`` array lies when it is read flat, for every element
-        g and generator s: ``(g*s) * width + j`` at ``[g, s, j]``.  Made once
-        per group and width."""
-        if width not in self._generator_rows:
-            gens = np.array(self.generators, dtype=np.int64)
-            at = self.product(np.arange(self.order)[:, None, None], gens[:, None])
-            self._generator_rows[width] = gens, at * width + np.arange(width)
-        return self._generator_rows[width]
+    @functools.cached_property
+    def _generator_products(self) -> np.ndarray:
+        """``(order, generators)`` products g*s of every element g and
+        generator s, made on first read."""
+        return self.product(np.arange(self.order)[:, None], np.array(self.generators, dtype=np.int64))
 
     def word_basis(self) -> tuple[tuple[int, ...], int]:
         """Each generator's repeated squares s, s**2, s**4, ... below its
@@ -229,7 +226,11 @@ class ConjugacyPartition:
 
 def _check_table_size(order: int) -> None:
     """Refuse a table over ``GROUP_TABLE_MAX_BYTES`` (2 GiB: order <= 7327).
-    40 bytes per entry is the measured peak RSS of a build over order**2."""
+    40 bytes per entry is the measured peak RSS of a build over order**2.
+    An order past 2**64 is named only as that, so no huge integer is printed."""
+    if order > 1 << 64:
+        raise SizeLimitError(f"group table of order above 2**64 is far above the cap of "
+                             f"{GROUP_TABLE_MAX_BYTES:,} bytes")
     need = order**2 * 40
     if need > GROUP_TABLE_MAX_BYTES:
         raise SizeLimitError(f"group table of order {order:,} needs about {need:,} bytes "
@@ -253,7 +254,7 @@ def sign_flip_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"sign-flip group needs d >= 1, got {d}")
-    _check_table_size(1 << d)
+    _check_table_size(1 << min(d, 65))  # 2**65: past the cap, without a huge shift
     labels = [format(x, f"0{d}b") for x in range(1 << d)]
     return Group(None, labels, "sign_flip", (d,), product=np.bitwise_xor, inv=np.arange(1 << d))
 
@@ -296,7 +297,7 @@ def symmetric_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"symmetric group needs d >= 1, got {d}")
-    _check_table_size(math.factorial(d))
+    _check_table_size(math.factorial(min(d, 21)))  # 21! > 2**64
     perms = symmetric_permutations(d)
     n = perms.shape[0]
     place = d ** np.arange(d - 1, -1, -1, dtype=np.int64)

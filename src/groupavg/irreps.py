@@ -14,8 +14,9 @@ held once, plus the element-major adjoint table the Fourier transforms
 gather from (row g holds pi(g)^dagger of every irrep), built when first
 read.  The signed-permutation forms of a stack's irreps are read in one
 pass over the stack; the forms of a 1x1 stack are int8 signs that share
-one read-only zero permutation.  A build peaks near ``order**2 * 96`` bytes and is
-refused above ``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
+one read-only zero permutation.  A build is refused before any builder
+allocates when ``order**2 * 96`` bytes, above its measured peak, pass
+``GROUP_TABLE_MAX_BYTES``.
 """
 
 from __future__ import annotations
@@ -270,10 +271,9 @@ def irreps_of(group: Group) -> IrrepTable:
 
     Supported: cyclic, sign_flip, dihedral, symmetric (d <= 6), and
     products of supported families.  Custom table groups are out of
-    scope for irrep computation.  The build's peak, about
-    ``order**2 * 96`` bytes (the largest peak RSS over order**2 measured
-    on every family at two sizes), is checked against
-    ``GROUP_TABLE_MAX_BYTES`` before any builder allocates.
+    scope for irrep computation.  ``order**2 * 96`` bytes is checked
+    against ``GROUP_TABLE_MAX_BYTES`` before any builder allocates; the
+    measured peaks lie below it, at most 58 bytes per order**2 entry.
     """
     builder = _BUILDERS.get(group.family)
     too_large = group.family == "symmetric" and group.params[0] > SYMMETRIC_IRREPS_MAX_DIM

@@ -11,21 +11,21 @@ power orbit, so a profile needs no eigensolver and the regular action's
 degree bound needs no matrices.
 
 A signed permutation action (entries 0 and +-1 with zero imaginary part,
-one nonzero per row and column) has an integer (perm, sign) form.  The
-regular, permutation, sign and signed symmetric-power actions are held
-by that form, and their stack is built on the first read of ``mats``;
-from any other stack one reader takes the form in one pass: once per
-representation, when it is built, and once per stack of an irrep table
-(a 1x1 stack's as int8 signs sharing one read-only zero permutation).  On that
-form validation checks the homomorphism law exactly on the group's
-generators, and a diagonal form, such as the sign action or a +-1
-character, by its signs alone; on it products are signed row moves, and
-traces, the projector and an averaging operator are signed counts and one
-scatter, with the dense bits.  Every other representation
-is checked in floating point: unitarity per element, then the
-homomorphism law on each element against the group's word basis, which
-bounds the deviation of every pair (see :meth:`Group.word_basis`).  A
-residual that is not finite fails either check.
+one nonzero per row and column) has an integer (perm, sign) form, and
+this module alone reads it.  The regular, permutation, sign and signed
+symmetric-power actions are held by that form, their stack built on the
+first read of ``mats``; any other stack has its form read once, by one
+reader that also takes an irrep table's stacks whole (a 1x1 stack's forms
+are int8 signs sharing one read-only zero permutation).  On that form the
+homomorphism law is checked exactly on the group's generators (a
+diagonal form by its signs alone); traces are signed counts, the
+projector and an averaging operator one ``bincount``, and the strong
+certificate's differences signed row moves, all with the dense bits.
+Every other representation is checked in floating point: unitarity per
+element, then the homomorphism law on each element against the group's
+word basis, which bounds the deviation of every pair (see
+:meth:`Group.word_basis`).  A residual that is not finite fails either
+check.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 REGULAR_REP_MAX_BYTES = 2 << 30
+_ROW_BLOCK_ENTRIES = 1 << 14  # real entries per stack of moved rows: 128 KiB
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
@@ -64,34 +65,24 @@ def _max_frobenius(diff: np.ndarray) -> float:
 
 
 def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray) -> bool:
-    """Exact homomorphism law for signed permutation matrices.
-
-    Checks rho(g*s) == rho(g) @ rho(s) for every g and every s in
-    ``group.generators`` in one gather; with rho(e) = I it then holds for
-    all pairs, by induction on word length.  In (perm, sign) form,
-    rho(g) @ rho(s) maps e_j to sign[s, j] * sign[g, perm[s, j]] times
-    e_{perm[g, perm[s, j]]}.
-
+    """Exact homomorphism law for signed permutation matrices: rho(g*s) ==
+    rho(g) @ rho(s) for every g and generator s, rows g*s gathered through
+    the group's ``(order, generators)`` products; with rho(e) = I it then
+    holds for all pairs, by induction on word length.  rho(g) @ rho(s) maps
+    e_j to sign[s, j] * sign[g, perm[s, j]] times e_{perm[g, perm[s, j]]}.
     A diagonal form (every ``perm`` row the identity: a 1x1 form by its
     shape, a wider one by its first column, then one compare) composes no
-    permutation, so the law is the sign law sign[g*s] == sign[g] * sign[s]
-    alone, read through the ``(order, generators)`` products of
-    :meth:`Group.generator_rows` at width 1.  Any other form reads row g*s
-    of ``perm`` and ``sign`` flat through :meth:`Group.generator_rows` at
-    its width.  Either is made once per group and width.
-    """
-    d = perm.shape[1]
+    permutation, so the law is the sign law sign[g*s] == sign[g] * sign[s]."""
+    d, products = perm.shape[1], group._generator_products
+    gens = products[0]  # e * s
     # column 0 first: a permutation action moves 0 on some row, so it leaves
     # after |G| entries, before the full (order, dim) compare
     if d == 1 or (not perm[:, 0].any() and (perm == np.arange(d)).all()):
-        gens, at_product = group.generator_rows(1)  # (generators,), (order, generators, 1)
-        after = np.take(sign, at_product[:, :, 0], axis=0)  # sign[g*s]: (order, generators, dim)
-        return bool((after == sign[:, None] * sign[gens]).all())
-    gens, at_product = group.generator_rows(d)  # (generators,), (order, generators, dim)
+        return bool((np.take(sign, products, axis=0) == sign[:, None] * sign[gens]).all())
     after = perm[gens]  # (generators, dim)
     return bool(
-        (perm.ravel()[at_product] == perm[:, after]).all()
-        and (sign.ravel()[at_product] == sign[:, after] * sign[gens]).all()
+        (np.take(perm, products, axis=0) == perm[:, after]).all()
+        and (np.take(sign, products, axis=0) == sign[:, after] * sign[gens]).all()
     )
 
 
@@ -107,14 +98,11 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
     part; its signs are its real parts as int8, and every such block
     shares one read-only ``(order, 1)`` zero permutation.  A wider block
     needs exactly ``(order - 1) * dim`` nonzero parts on the other
-    elements, real and imaginary parts counted apart.  One walk over the
-    rows then sums each column's real parts and the row indices of its
-    nonzero real parts.
-    Every column summing to +-1 leaves one real nonzero per column and no
-    imaginary part, so a column's row is its row-index sum and its sign its
-    sum; the rows must then each hold a nonzero.  NaN and inf count as
-    nonzero but are not +-1.  Every step is elementwise over the stack, so
-    no block costs per-block work; the walk takes ``dim`` steps.
+    elements, real and imaginary parts counted apart.  Each column's row
+    is then the first row of its nonzero real parts (one ``argmax``) and
+    its sign the real part there: every sign being +-1 leaves one real
+    nonzero per column and no imaginary part, and the rows must then each
+    hold a nonzero.  NaN and inf count as nonzero but are not +-1.
     """
     k, n, d = stack.shape[:3]
     if d == 1:
@@ -125,23 +113,19 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
         zero = np.zeros((n, 1), dtype=np.intp)
         zero.flags.writeable = False
         return [(zero, signs[i]) if ok[i] else None for i in range(k)]
-    flat = stack.reshape(k, n, -1).view(np.float64)
-    counted = np.count_nonzero(flat.reshape(k, -1), axis=1) - np.count_nonzero(flat[:, 0], axis=1)
-    ok = counted == (n - 1) * d
+    nonzero = stack[:, 1:].reshape(k, n - 1, d * d).view(np.float64) != 0  # real, imaginary apart
+    ok = np.count_nonzero(nonzero.reshape(k, -1), axis=1) == (n - 1) * d
     if not ok.any():
         return [None] * k
-    real = stack[:, 1:].view(np.float64)[..., ::2]  # (k, order - 1, row, column)
-    nonzero = real != 0
-    perm = np.zeros((k, n, d), dtype=np.intp)
+    nonzero = nonzero[..., ::2].reshape(k, n - 1, d, d)  # real parts: (k, order - 1, row, column)
+    perm = np.empty((k, n, d), dtype=np.intp)
     perm[:, 0] = np.arange(d)
-    sign = np.ones((k, n, d))
-    sign[:, 1:] = real[:, :, 0]
-    for row in range(1, d):
-        sign[:, 1:] += real[:, :, row]
-        perm[:, 1:] += row * nonzero[:, :, row]
+    perm[:, 1:] = nonzero.argmax(axis=2)
+    real = stack[:, 1:].view(np.float64)[..., ::2]
+    sign = np.take_along_axis(real, perm[:, 1:, None], axis=2)[:, :, 0]
     ok &= (np.abs(sign) == 1).all(axis=(1, 2)) & nonzero.any(axis=3).all(axis=(1, 2))
-    signs = np.zeros((k, n, d), dtype=np.int8)
-    signs[ok] = sign[ok]
+    signs = np.ones((k, n, d), dtype=np.int8)
+    signs[ok, 1:] = sign[ok]
     return [(perm[i], signs[i]) if ok[i] else None for i in range(k)]
 
 
@@ -518,25 +502,56 @@ def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
 def _traces(rep: Representation) -> np.ndarray:
     """Complex trace of every element's matrix: a signed permutation
     action's are its signed fixed-point counts, with the dense bits."""
-    if rep.signed_permutation() is None:
+    if rep._signed is None:
         return np.einsum("gii->g", rep.mats)
-    perm, sign = rep.signed_permutation()
+    perm, sign = rep._signed
     return np.where(perm == np.arange(rep.dim), sign, 0).sum(axis=1).astype(np.complex128)
 
 
-def invariant_projector(rep: Representation) -> np.ndarray:
-    """Group average of the representation matrices.
+def _signed_sum(perm: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``(dim, dim)`` complex matrix whose entry (i, j) sums ``weights[g, j]``
+    over the rows g with ``perm[g, j] == i``, in row order: one ``bincount``."""
+    d = perm.shape[1]
+    sums = np.bincount((perm * d + np.arange(d)).ravel(), weights.ravel(), minlength=d * d)
+    return sums.astype(np.complex128).reshape(d, d)
 
-    Orthogonal projector onto the subspace fixed by every element; it
-    commutes with every representation matrix.  On a signed permutation
-    action entry (i, j) sums the signs of the elements sending j to i,
-    divided as the dense mean divides, with its bits.
-    """
-    if rep.signed_permutation() is None:
+
+def _weighted_sum(rep: Representation, support: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_s weights[s] * rep.mats[support[s]] in support order; on a signed
+    permutation action one :func:`_signed_sum`, with the dense sum's bits."""
+    if rep._signed is None:
+        return np.einsum("s,sij->ij", weights.astype(np.complex128), rep.mats[support])
+    perm, sign = rep._signed
+    return _signed_sum(perm[support], weights[:, None] * sign[support])
+
+
+def invariant_projector(rep: Representation) -> np.ndarray:
+    """Group average of the representation matrices: the orthogonal projector
+    onto the subspace fixed by every element, which commutes with every
+    matrix.  On a signed permutation action, the signed counts of
+    :func:`_signed_sum` over the order, with the dense mean's bits."""
+    if rep._signed is None:
         return rep.mats.mean(axis=0)
-    (perm, sign), d = rep.signed_permutation(), rep.dim
-    sums = np.bincount((perm * d + np.arange(d)).ravel(), sign.ravel(), minlength=d * d)
-    return (sums.astype(np.complex128) / rep.group.order).reshape(d, d)
+    return _signed_sum(*rep._signed) / rep.group.order
+
+
+def _deviations(rep: Representation, block: np.ndarray) -> Iterator[np.ndarray]:
+    """Stacks of ``rep.mats[g] @ block - block`` over the elements g in turn:
+    on a signed permutation action, row j of the real ``block`` moved to row
+    ``perm[g, j]`` times ``sign[g, j]`` (no multiply if every sign is +1),
+    about ``_ROW_BLOCK_ENTRIES`` entries per stack; else one complex matmul."""
+    if rep._signed is None:
+        yield np.matmul(rep.mats, block) - block
+        return
+    if np.any(block.imag != 0):
+        raise NumericalConsistencyError("operator on a signed action has an imaginary part")
+    (perm, sign), real = rep._signed, block.real
+    step = max(1, _ROW_BLOCK_ENTRIES // real.size)
+    for start in range(0, rep.group.order, step):
+        rows, signs = perm[start : start + step], sign[start : start + step, :, None]
+        moved = np.empty((len(rows), *real.shape))
+        moved[np.arange(len(rows))[:, None], rows] = real if rep.perms is not None else real * signs
+        yield moved - real
 
 
 def invariant_dimension(rep: Representation) -> int:

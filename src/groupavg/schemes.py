@@ -5,6 +5,8 @@ A scheme is a sparse real weighting on group elements with unit sum
 induced averaging operator shrinks the non-symmetric component of a
 function class, either from a concrete representation (projector path)
 or from Fourier coefficient norms over an irrep table (fourier path).
+The projector path's operator, projector and per-element differences come
+from :mod:`groupavg.reps`, which alone reads a signed-permutation form.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .fourier import (
 )
 from .groups import Group, sample_uniform
 from .irreps import IrrepTable
-from .reps import Representation, invariant_dimension, invariant_projector
+from .reps import Representation, _weighted_sum, invariant_dimension, invariant_projector
 
 WEIGHT_SUM_TOL = 1e-12
 SANDWICH_SLACK = 1e-9
@@ -158,19 +160,11 @@ def required_sample_count(order: int, eps: float, delta: float) -> int:
 
 
 def apply_scheme(scheme: AveragingScheme, rep: Representation) -> np.ndarray:
-    """Matrix of the averaging operator on the representation space.  On a
-    signed permutation action each element g adds its weight times
-    sign[g, j] at every (perm[g, j], j), scattered in support order: the
-    bits of the dense weighted sum."""
+    """Matrix of the averaging operator on the representation space, the
+    weighted sum of the support's matrices (see :func:`reps._weighted_sum`)."""
     if scheme.group != rep.group:
         raise GroupMismatchError("scheme and representation are over different groups")
-    weights = scheme.weights.astype(np.complex128)
-    if rep.signed_permutation() is None:
-        return np.einsum("s,sij->ij", weights, rep.mats[scheme.support])
-    (perm, sign), d = rep.signed_permutation(), rep.dim
-    out = np.zeros(d * d, dtype=np.complex128)
-    np.add.at(out, perm[scheme.support] * d + np.arange(d), weights[:, None] * sign[scheme.support])
-    return out.reshape(d, d)
+    return _weighted_sum(rep, scheme.support, scheme.weights)
 
 
 def certify_weak(scheme: AveragingScheme, rep: Representation) -> float:
@@ -432,6 +426,9 @@ def scheme_from_json(data: dict, group: Optional[Group] = None) -> AveragingSche
         group = parse_group_spec(data["group"]["spec"])
     if group.order != data["group"]["order"]:
         raise UsageError("scheme JSON order does not match the supplied group")
-    return AveragingScheme(
-        group, np.array(data["support"], dtype=np.int64), np.array(data["weights"])
-    )
+    support, weights = data["support"], data["weights"]
+    if not isinstance(support, list) or any(type(g) is not int for g in support):
+        raise UsageError("scheme support must be a list of JSON integers")
+    if not isinstance(weights, list) or any(type(w) not in (int, float) for w in weights):
+        raise UsageError("scheme weights must be a list of JSON numbers")
+    return AveragingScheme(group, np.array(support, dtype=np.int64), np.array(weights, dtype=np.float64))

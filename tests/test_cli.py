@@ -359,6 +359,14 @@ _MALFORMED = [
     ["mlp", "--train", "1000000", "--batch", "1000000", "--width1", "100000", "--epochs", "1",
      "--test", "10"],
     ["mlp", "--train", "1", "--batch", "1", "--width1", "1000000", "--width2", "1"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/fraction.json"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/boolean.json"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/string.json"],
+    ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/huge.json"],
+    ["group", "--group", "signflip:20000"],
+    ["group", "--group", "symmetric:3000"],
+    ["group", "--group", "cyclic:" + "9" * 4000],
+    ["lowerbound", "--d", "20000"],
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -382,7 +390,10 @@ _MALFORMED_IDS = [
     "irreps-nested-2000-deep", "figure1-grid-over-the-cap", "regress-draws-over-the-cap",
     "regress-trials-over-the-cap", "mlp-inputs-over-the-cap", "mlp-sign-patterns-over-the-cap",
     "mlp-weights-over-the-cap", "mlp-second-width-over-the-cap", "mlp-batch-over-the-cap",
-    "mlp-forward-pass-over-the-cap",
+    "mlp-forward-pass-over-the-cap", "scheme-file-fractional-support", "scheme-file-boolean-support",
+    "scheme-file-string-weight", "scheme-file-huge-support", "signflip-order-past-print-limit",
+    "symmetric-order-past-print-limit", "cyclic-order-past-print-limit",
+    "lowerbound-order-past-print-limit",
 ]
 
 
@@ -402,6 +413,12 @@ def _write_malformed_inputs(tmp_path: Path) -> None:
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [NaN, 0.5, 0.5]}')
     (tmp_path / "inf.json").write_text(
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [Infinity, -Infinity, 1.0]}')
+    # numpy would truncate 0.9 to 0, read true as 1 and "1" as 1.0, and
+    # overflow on 1e30
+    for name, support, weights in [("fraction", "[0.9]", "[1.0]"), ("boolean", "[true]", "[1.0]"),
+                                   ("string", "[1]", '["1"]'), ("huge", "[1e30]", "[1.0]")]:
+        (tmp_path / f"{name}.json").write_text(
+            f'{{"group": {{"order": 4}}, "support": {support}, "weights": {weights}}}')
 
 
 @pytest.mark.parametrize("argv", _MALFORMED, ids=_MALFORMED_IDS)
