@@ -85,6 +85,7 @@ TOLERANCES = {
     "sandwich_slack": schemes.SANDWICH_SLACK,
 }
 REP_KINDS = ("regular", "permutation", "sign", "trivial")
+_INT_BOUND = 2**63  # every integer argument lies in [-2**63, 2**63 - 1]
 
 
 def _build_rep(group: Group, kind: str) -> Representation:
@@ -113,11 +114,28 @@ def _certify_target(
     return table, decompose(_build_rep(group, args.rep), table)
 
 
+def _bounded_int(text: str) -> int:
+    """``int(text)`` in the int64 range: ValueError on a non-integer, and
+    OverflowError, whose message holds none of the digits, outside the range."""
+    try:
+        value = int(text)
+    except ValueError:
+        digits = text.strip().removeprefix("-").removeprefix("+").replace("_", "")
+        if len(digits) <= 20 or not digits.isdigit():
+            raise
+        value = _INT_BOUND  # more digits than ``int`` converts: far outside the range
+    if not -_INT_BOUND <= value < _INT_BOUND:
+        raise OverflowError("must lie between -2**63 and 2**63 - 1")
+    return value
+
+
 def _int_arg(text: str, what: str) -> int:
     try:
-        return int(text)
+        return _bounded_int(text)
     except ValueError:
         raise UsageError(f"{what} must be an integer, got {text!r}") from None
+    except OverflowError as exc:
+        raise UsageError(f"{what} {exc}") from None
 
 
 def _int_list(text: str, what: str) -> tuple[int, ...]:
@@ -457,13 +475,18 @@ def _run_selftest(seed: int) -> list[dict]:
 # -- parser ---------------------------------------------------------------------
 
 
-def _int_at_least(minimum: int):
-    """argparse ``type`` for an integer flag bounded below."""
+def _int_flag(minimum: Optional[int] = None):
+    """argparse ``type`` for an integer flag in the int64 range, optionally
+    bounded below."""
 
     def parse(text: str) -> int:
-        if int(text) < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
+        try:
+            value = _bounded_int(text)
+        except OverflowError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
 
     parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
     return parse
@@ -484,10 +507,10 @@ _GROUP = ("--group", dict(required=True))
 _REP = ("--rep", dict(default="regular", choices=REP_KINDS))
 _PATH = ("--path", dict(default="projector", choices=["projector", "fourier"]))
 _EPS = ("--eps", dict(type=float, required=True))
-_TRIALS = ("--trials", dict(type=_int_at_least(1), default=40))
+_TRIALS = ("--trials", dict(type=_int_flag(1), default=40))
 _COMMON = (
     ("--out", dict(default="out", help="output directory")),
-    ("--seed", dict(type=_int_at_least(0), default=0)),
+    ("--seed", dict(type=_int_flag(0), default=0)),
     ("--config", dict(default=None, help="flat key = value config file; flags win")),
 )
 
@@ -515,7 +538,7 @@ _SUBCOMMANDS = {
         _PATH,
         _EPS,
         _TRIALS,
-        ("--swaps", dict(type=int, default=200)),
+        ("--swaps", dict(type=_int_flag(), default=200)),
     ]),
     "kbound": ("polynomial-degree bound of a representation", cmd_kbound, [_GROUP, _REP]),
     "separation": ("exact vs approximate cost table", cmd_separation, [
@@ -525,34 +548,34 @@ _SUBCOMMANDS = {
         _TRIALS,
     ]),
     "lowerbound": ("generating-set check on sign-flip groups", cmd_lowerbound, [
-        ("--d", dict(type=int, required=True)),
+        ("--d", dict(type=_int_flag(), required=True)),
         ("--support", dict(default=None, help="comma-separated bit-string labels")),
-        ("--trials", dict(type=_int_at_least(1), default=20)),
+        ("--trials", dict(type=_int_flag(1), default=20)),
     ]),
     "figure1": ("rotation-averaging demo grids", cmd_figure1, [
-        ("--n", dict(type=int, default=100)),
-        ("--grid", dict(type=int, default=200)),
+        ("--n", dict(type=_int_flag(), default=100)),
+        ("--grid", dict(type=_int_flag(), default=200)),
         ("--subsets", dict(default="1,5,100")),
     ]),
     "regress": ("symmetrized least-squares risk study", cmd_regress, [
         ("--group", dict(default="signflip:2")),
         ("--sigma", dict(type=float, default=1.0)),
-        ("--n", dict(type=int, default=400)),
-        ("--trials", dict(type=int, default=2000)),
+        ("--n", dict(type=_int_flag(), default=400)),
+        ("--trials", dict(type=_int_flag(), default=2000)),
         ("--eps", dict(type=float, default=0.0)),
     ]),
     "mlp": ("evaluation-time averaging for an invariant MLP task", cmd_mlp, [
-        ("--dim", dict(type=int, default=20)),
-        ("--train", dict(type=int, default=50_000)),
-        ("--test", dict(type=int, default=50_000)),
-        ("--width1", dict(type=int, default=128)),
-        ("--width2", dict(type=int, default=64)),
+        ("--dim", dict(type=_int_flag(), default=20)),
+        ("--train", dict(type=_int_flag(), default=50_000)),
+        ("--test", dict(type=_int_flag(), default=50_000)),
+        ("--width1", dict(type=_int_flag(), default=128)),
+        ("--width2", dict(type=_int_flag(), default=64)),
         ("--lr", dict(type=float, default=1e-3)),
-        ("--batch", dict(type=int, default=256)),
-        ("--epochs", dict(type=int, default=500)),
+        ("--batch", dict(type=_int_flag(), default=256)),
+        ("--epochs", dict(type=_int_flag(), default=500)),
         ("--subset-exponents", dict(default="0,1,2,3,4,5,6,7,8,9,10")),
-        ("--curve-exponent", dict(type=int, default=5)),
-        ("--epoch-eval", dict(type=int, default=2000)),
+        ("--curve-exponent", dict(type=_int_flag(), default=5)),
+        ("--epoch-eval", dict(type=_int_flag(), default=2000)),
     ]),
     "selftest": ("run the built-in invariant battery", cmd_selftest, []),
 }

@@ -18,8 +18,15 @@ with a threshold may pass it as ``stop_above`` and skip the SVDs left
 once the running maximum exceeds it.  A stacked 1x1 path would have to
 take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
 :func:`spectral_norm`).  The strong certificate takes one SVD per
-element, of the differences ``rho(g) @ block - block`` formed in
-:mod:`groupavg.reps`, the one module that reads a signed-permutation form.
+element of the differences ``rho(g) @ block - block`` formed in
+:mod:`groupavg.reps`, the one module that reads a signed-permutation form,
+except for an element whose inverse twin came out below the running
+maximum.  On a signed action the difference for g^-1 is an exact signed
+row permutation of the one for g, so both have the same exact singular
+values, and each computed sigma_max lies within p(n)*u*sigma_max of its
+exact value (p(n)*u <= 2.2e-13 at every width the caps admit): with the
+weak prune's margin, a skipped element could not have raised the
+maximum, which keeps the bits of one SVD per element.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 from .errors import GroupMismatchError, UsageError
 from .groups import Group
 from .irreps import IrrepTable
-from .reps import Representation, _deviations
+from .reps import Representation, _deviations, _inverse_twins
 
 SUPPORT_EPS = 1e-15
 # slack on a block's squared Frobenius norm before it may skip its SVD:
@@ -104,11 +111,34 @@ def spectral_norm(mat) -> float:
 
 
 def max_deviation(rep: Representation, block: np.ndarray) -> float:
-    """max over g of the spectral norm of ``rep.mats[g] @ block - block``, one
-    ``spectral_norm`` call per g over the stacks of ``reps._deviations``
-    (real on a signed action): the strong certificate's and the
-    exact-invariance violation's worst case."""
-    return max(map(spectral_norm, itertools.chain.from_iterable(_deviations(rep, block))))
+    """max over g of the spectral norm of ``rep.mats[g] @ block - block``:
+    the strong certificate's and the exact-invariance violation's worst case.
+
+    One pass over the stacks of ``reps._deviations`` (real on a signed
+    action) in element order, with one ``spectral_norm`` call per element,
+    except that g skips its SVD when its inverse twin (``reps._inverse_twins``,
+    signed actions only) came out below the running maximum by the
+    rounding margin of :func:`max_nontrivial_norm`'s prune.  The two
+    differences have the same exact singular values, and LAPACK's computed
+    sigma_max lies within p(n)*u*sigma_max of the exact one, p(n)*u <= 2.2e-13
+    at every width the caps admit, so a skipped value could not have raised
+    the maximum; ``max`` does not depend on the order of its arguments, so
+    the result has the bits of the maximum over every element.  As in
+    ``max``, the first value seeds the maximum, and a NaN never prunes.
+    """
+    twins = _inverse_twins(rep)
+    diffs = itertools.chain.from_iterable(_deviations(rep, block))
+    best = spectral_norm(next(diffs))  # the identity: twin -1
+    norms = [best]
+    for twin, diff in zip(itertools.islice(twins, 1, None), diffs):
+        if twin >= 0 and norms[twin] * (1.0 + _PRUNE_MARGIN) + _PRUNE_FLOOR < best:
+            norms.append(norms[twin])  # never read: an element with a twin is no element's twin
+            continue
+        value = spectral_norm(diff)
+        norms.append(value)
+        if value > best:
+            best = value
+    return best
 
 
 def fourier_transform(signal, table: IrrepTable) -> FourierCoefficients:

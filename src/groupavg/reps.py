@@ -20,7 +20,8 @@ are int8 signs sharing one read-only zero permutation).  On that form the
 homomorphism law is checked exactly on the group's generators (a
 diagonal form by its signs alone); traces are signed counts, the
 projector and an averaging operator one ``bincount``, and the strong
-certificate's differences signed row moves, all with the dense bits.
+certificate's differences signed row moves, all with the dense bits; the
+moves of g and g^-1 are signed row permutations of each other, exactly.
 Every other representation is checked in floating point: unitarity per
 element, then the homomorphism law on each element against the group's
 word basis, which bounds the deviation of every pair (see
@@ -552,6 +553,30 @@ def _deviations(rep: Representation, block: np.ndarray) -> Iterator[np.ndarray]:
         moved = np.empty((len(rows), *real.shape))
         moved[np.arange(len(rows))[:, None], rows] = real if rep.perms is not None else real * signs
         yield moved - real
+
+
+def _inverse_twins(rep: Representation) -> list[int]:
+    """Per element g, the index of g^-1 when it is smaller than g and its
+    signed form is exactly the inverse of g's, else -1.  :func:`_deviations`
+    then forms g's difference as an exact signed row permutation of its
+    twin's: row j of g^-1's is ``-sign[g, j]`` times row ``perm[g, j]`` of
+    g's, since fl(s*x - y) = -s * fl(s*y - x) for s = +-1, so the two have
+    the same singular values.  Every entry is -1 on a dense representation,
+    whose differences agree only up to matmul rounding, and on a 1x1 one,
+    whose differences take no SVD."""
+    n = rep.group.order
+    if rep._signed is None or rep.dim == 1:
+        return [-1] * n
+    (perm, sign), inv = rep._signed, rep.group.inv
+    g = np.flatnonzero(inv < np.arange(n))
+    # rho(g^-1) e_perm[g, j] = sign[g, j] e_j, checked: a representation built
+    # with validate=False need not be a homomorphism
+    back = np.take_along_axis(perm[inv[g]], perm[g], axis=1) == np.arange(rep.dim)
+    same = np.take_along_axis(sign[inv[g]], perm[g], axis=1) == sign[g]
+    g = g[(back & same).all(axis=1)]
+    twins = np.full(n, -1)
+    twins[g] = inv[g]
+    return twins.tolist()
 
 
 def invariant_dimension(rep: Representation) -> int:

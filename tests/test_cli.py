@@ -288,6 +288,20 @@ TINY_MLP = ["mlp", "--dim", "4", "--train", "64", "--test", "16", "--batch", "16
 
 # a product nested 2 000 deep: refused before the parse recurses
 _DEEP_PRODUCT = "product(cyclic:2," * 2000 + "cyclic:2" + ")" * 2000
+_HUGE = "9" * 4299  # one digit below int's conversion limit
+# integers past 2**63 - 1 where they are parsed: _int_arg and argparse flags
+_HUGE_INTS = [
+    ["certify", "--group", "cyclic:4", "--scheme", f"random:{_HUGE}"],
+    ["regress", "--n", _HUGE, "--trials", "1"],
+    ["regress", "--trials", _HUGE],
+    ["mlp", "--train", _HUGE],
+    ["mlp", "--width1", _HUGE],
+    ["figure1", "--grid", _HUGE],
+    ["separation", "--range", f"2:{_HUGE}"],
+]
+_HUGE_INT_IDS = ["random-draws-past-int64", "regress-draws-past-int64", "regress-trials-past-int64",
+                 "mlp-inputs-past-int64", "mlp-width-past-int64", "figure1-grid-past-int64",
+                 "separation-range-past-int64"]
 
 _MALFORMED = [
     ["separation", "--range", "2-5"],
@@ -367,6 +381,7 @@ _MALFORMED = [
     ["group", "--group", "symmetric:3000"],
     ["group", "--group", "cyclic:" + "9" * 4000],
     ["lowerbound", "--d", "20000"],
+    *_HUGE_INTS,
 ]
 _MALFORMED_IDS = [
     "range-without-colon", "random-non-integer", "missing-scheme-file", "unknown-flag",
@@ -393,7 +408,7 @@ _MALFORMED_IDS = [
     "mlp-forward-pass-over-the-cap", "scheme-file-fractional-support", "scheme-file-boolean-support",
     "scheme-file-string-weight", "scheme-file-huge-support", "signflip-order-past-print-limit",
     "symmetric-order-past-print-limit", "cyclic-order-past-print-limit",
-    "lowerbound-order-past-print-limit",
+    "lowerbound-order-past-print-limit", *_HUGE_INT_IDS,
 ]
 
 
@@ -431,6 +446,32 @@ def test_malformed_input_is_one_line_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and err.count("\n") == 1
     assert not (tmp_path / "x").exists()  # a refused run writes nothing
+
+
+@pytest.mark.parametrize("argv", _HUGE_INTS, ids=_HUGE_INT_IDS)
+def test_huge_integers_are_refused_without_their_digits(argv, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.endswith("must lie between -2**63 and 2**63 - 1\n") and "999" not in err
+
+
+# 2**63 - 1 still reaches each size cap's own message
+_LARGEST = str(2**63 - 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["certify", "--group", "cyclic:4", "--scheme", f"random:{_LARGEST}"],
+     "usage error: 9,223,372,036,854,775,807 draws need "),
+    (["regress", "--n", _LARGEST, "--trials", "1"], "usage error: 1 trials of 9,223,372,036,854,775,807 draws "),
+    (["regress", "--trials", _LARGEST], "usage error: 9,223,372,036,854,775,807 trials of 400 draws "),
+    (["mlp", "--train", _LARGEST], "usage error: inputs, sign patterns, weights and activations need "),
+    (["mlp", "--width1", _LARGEST], "usage error: inputs, sign patterns, weights and activations need "),
+    (["figure1", "--grid", _LARGEST], "usage error: grid 9,223,372,036,854,775,807 with 3 subsets needs "),
+])
+def test_largest_integer_reaches_the_size_caps(argv, message, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_diverging_mlp_is_one_line_numerical_error(tmp_path, capsys):

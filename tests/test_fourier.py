@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +11,11 @@ from groupavg import (
     NumericalConsistencyError,
     Representation,
     apply_scheme,
+    certify_strong,
     convolve,
     delta_scheme,
     direct_sum,
+    exact_violation,
     fourier_transform,
     invariant_projector,
     inverse_fourier,
@@ -447,13 +451,13 @@ PERM_ACTIONS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
-def test_row_gathers_match_the_dense_products(name, monkeypatch):
-    rep = PERM_ACTIONS[name]()
-    assert rep.signed_permutation() is not None
-    assert (rep.perms is None) == name.startswith(("sign", "sym-power-sign"))
-    step = max(1, reps_module._ROW_BLOCK_ENTRIES // rep.dim**2)
-    blocks_of = [min(step, rep.group.order - start) for start in range(0, rep.group.order, step)]
+def _unpruned_max_deviation(rep, block) -> float:
+    """The strong certificate's maximum with one ``spectral_norm`` per element."""
+    return max(map(spectral_norm, itertools.chain.from_iterable(reps_module._deviations(rep, block))))
+
+
+def _counting_svds(monkeypatch) -> list:
+    """Patch ``fourier.spectral_norm`` to record its arguments; return the record."""
     seen = []
 
     def recording(mat):
@@ -461,6 +465,16 @@ def test_row_gathers_match_the_dense_products(name, monkeypatch):
         return spectral_norm(mat)
 
     monkeypatch.setattr(fourier_module, "spectral_norm", recording)
+    return seen
+
+
+@pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
+def test_row_gathers_match_the_dense_products(name):
+    rep = PERM_ACTIONS[name]()
+    assert rep.signed_permutation() is not None
+    assert (rep.perms is None) == name.startswith(("sign", "sym-power-sign"))
+    step = max(1, reps_module._ROW_BLOCK_ENTRIES // rep.dim**2)
+    blocks_of = [min(step, rep.group.order - start) for start in range(0, rep.group.order, step)]
     comp = np.eye(rep.dim) - invariant_projector(rep)
     rng = np.random.default_rng(17)
     blocks = [
@@ -468,16 +482,85 @@ def test_row_gathers_match_the_dense_products(name, monkeypatch):
         rng.normal(size=(rep.dim, rep.dim)).astype(np.complex128),
     ]
     for block in blocks:
-        seen.clear()
-        value = max_deviation(rep, block)
-        assert len(seen) == rep.group.order  # one norm per element
-        bases = [id(diff.base) for diff in seen]  # the block of elements each view comes from
-        assert [bases.count(b) for b in dict.fromkeys(bases)] == blocks_of
-        for g, diff in enumerate(seen):
+        stacks = list(reps_module._deviations(rep, block))
+        assert [len(s) for s in stacks] == blocks_of
+        diffs = list(itertools.chain.from_iterable(stacks))
+        for g, diff in enumerate(diffs):
             assert diff.dtype == np.float64
             assert np.array_equal(diff, (rep.mats[g] @ block - block).real), g
+        value = max_deviation(rep, block)
+        assert value.hex() == max(map(spectral_norm, diffs)).hex()
         oracle = dense_max_deviation(rep, block)
         assert abs(value - oracle) <= 1e-14 * max(1.0, oracle)  # relative above 1: a few ulps
+
+
+# tie-rich cases: cyclic:45's random 8-draw scheme repeats 1.151921 over
+# many elements, and on cyclic:32's seed-3 scheme skipping every twin
+# unconditionally moves the maximum by 4 ulps
+_TWIN_CASES = [("cyclic:45", 8, 0), ("cyclic:32", 8, 3), ("cyclic:12", 8, 1), ("dihedral:12", 8, 0),
+               ("dihedral:7", 5, 2), ("symmetric:4", 8, 3)]
+
+
+@pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
+def test_twin_prune_keeps_the_bits_on_every_action(name):
+    rep = PERM_ACTIONS[name]()
+    comp = np.eye(rep.dim) - invariant_projector(rep)
+    for scheme in (uniform_scheme(rep.group), random_scheme(rep.group, 8, 0), random_scheme(rep.group, 8, 3)):
+        averaged = apply_scheme(scheme, rep)
+        for block in (averaged @ comp, averaged):
+            assert max_deviation(rep, block).hex() == _unpruned_max_deviation(rep, block).hex()
+        assert exact_violation(scheme, rep).hex() == _unpruned_max_deviation(rep, averaged).hex()
+
+
+@pytest.mark.parametrize("spec, draws, seed", _TWIN_CASES)
+def test_twin_prune_keeps_the_bits_on_ties(spec, draws, seed):
+    group = parse_group_spec(spec)
+    scheme = random_scheme(group, draws, seed)
+    rep = regular_rep(group)
+    averaged = apply_scheme(scheme, rep)
+    strong_block = averaged @ (np.eye(rep.dim) - invariant_projector(rep))
+    for block in (strong_block, averaged):
+        assert max_deviation(rep, block).hex() == _unpruned_max_deviation(rep, block).hex()
+    assert exact_violation(scheme, rep).hex() == _unpruned_max_deviation(rep, averaged).hex()
+    assert certify_strong(scheme, rep).hex() == (0.5 * _unpruned_max_deviation(rep, strong_block) ** 2).hex()
+
+
+def test_twin_prune_svd_counts(monkeypatch):
+    seen = _counting_svds(monkeypatch)
+
+    def svds(rep, block):
+        seen.clear()
+        max_deviation(rep, block)
+        return len(seen)
+
+    c12 = parse_group_spec("cyclic:12")
+    for rep in (regular_rep(c12), regular_rep(parse_group_spec("dihedral:5")), _s3_perm()):
+        # an exactly zero block keeps the maximum at 0: nothing is skipped
+        assert svds(rep, apply_scheme(uniform_scheme(rep.group), rep)) == rep.group.order
+        assert svds(rep, np.zeros((rep.dim, rep.dim))) == rep.group.order
+    signflip = parse_group_spec("signflip:5")
+    rep = sign_action_rep(signflip)  # every element its own inverse
+    assert svds(rep, apply_scheme(random_scheme(signflip, 8, 0), rep)) == signflip.order
+    d5 = irreps_of(parse_group_spec("dihedral:5"))
+    rng = np.random.default_rng(5)
+    for irrep in d5.irreps:  # dense 2x2 irreps, and 1x1 ones whose differences take no SVD
+        assert svds(irrep, rng.normal(size=(irrep.dim, irrep.dim))) == d5.group.order
+    c128 = parse_group_spec("cyclic:128")
+    rep = regular_rep(c128)
+    block = apply_scheme(random_scheme(c128, 8, 0), rep) @ (np.eye(rep.dim) - invariant_projector(rep))
+    assert svds(rep, block) <= 66  # one per inverse pair, the identity and the involution
+
+
+def test_twins_are_exact_inverses_only():
+    rep = regular_rep(parse_group_spec("cyclic:6"))
+    assert reps_module._inverse_twins(rep) == [-1, -1, -1, -1, 2, 1]
+    perm, sign = rep.signed_permutation()
+    swapped = perm.copy()
+    swapped[[4, 5]] = swapped[[5, 4]]  # rho(4) and rho(5) swapped: not a homomorphism
+    broken = Representation(rep.group, None, signed=(swapped, sign), validate=False)
+    assert reps_module._inverse_twins(broken) == [-1] * 6
+    dense = next(r for r in irreps_of(parse_group_spec("dihedral:5")).irreps if r.dim == 2)
+    assert reps_module._inverse_twins(dense) == [-1] * 10
 
 
 def test_row_gathers_reject_an_imaginary_part():
