@@ -456,18 +456,6 @@ def _unpruned_max_deviation(rep, block) -> float:
     return max(map(spectral_norm, itertools.chain.from_iterable(reps_module._deviations(rep, block))))
 
 
-def _counting_svds(monkeypatch) -> list:
-    """Patch ``fourier.spectral_norm`` to record its arguments; return the record."""
-    seen = []
-
-    def recording(mat):
-        seen.append(mat)
-        return spectral_norm(mat)
-
-    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
-    return seen
-
-
 @pytest.mark.parametrize("name", sorted(PERM_ACTIONS))
 def test_row_gathers_match_the_dense_products(name):
     rep = PERM_ACTIONS[name]()
@@ -526,12 +514,18 @@ def test_twin_prune_keeps_the_bits_on_ties(spec, draws, seed):
 
 
 def test_twin_prune_svd_counts(monkeypatch):
-    seen = _counting_svds(monkeypatch)
+    seen = []
+
+    def recording(mat):
+        seen.append(mat)
+        return spectral_norm(mat)
 
     def svds(rep, block):
         seen.clear()
         max_deviation(rep, block)
         return len(seen)
+
+    monkeypatch.setattr(fourier_module, "spectral_norm", recording)
 
     c12 = parse_group_spec("cyclic:12")
     for rep in (regular_rep(c12), regular_rep(parse_group_spec("dihedral:5")), _s3_perm()):
