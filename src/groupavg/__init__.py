@@ -43,12 +43,12 @@ from .reps import (
     regular_rep,
     rep_to_text,
     sign_action_rep,
-    sym_power_character,
+    sym_power_characters,
     sym_power_rep,
     tensor_product,
     trivial_rep,
 )
-from .irreps import IrrepTable, character_table_csv, decompose, irreps_of, multiplicity
+from .irreps import IrrepTable, character_table_csv, decompose, irreps_of
 from .fourier import (
     FourierCoefficients,
     GroupSignal,

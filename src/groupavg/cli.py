@@ -28,12 +28,13 @@ from .groups import (
     Group,
     closure,
     conjugacy_classes,
+    family_order,
     group_spec_string,
     group_to_text,
     parse_group_spec,
 )
 from .io import write_json, write_text
-from .irreps import IrrepTable, character_table_csv, decompose, irreps_of
+from .irreps import IrrepTable, character_table_csv, check_table_order, decompose, irreps_of
 from .reps import (
     Representation,
     invariant_dimension,
@@ -49,6 +50,7 @@ from .schemes import (
     certify,
     certify_weak,
     certify_strong,
+    check_trial_budget,
     delta_scheme,
     minimize_scheme,
     random_scheme,
@@ -301,8 +303,12 @@ def cmd_separation(args, out: Path) -> int:
     lo, hi = _int_arg(lo, "--range lo"), _int_arg(hi, "--range hi")
     if hi < lo:
         raise UsageError(f"--range {args.range!r} is empty: hi must be at least lo")
-    params = list(range(lo, hi + 1))
-    rows = separation_table(args.family, params, args.eps, trial_budget=args.trials, seed=args.seed)
+    order = family_order(args.family, max(hi, 0))
+    if order is not None:  # the largest member, refused by its order before any row is made
+        check_table_order(order)
+        check_trial_budget(order, args.trials)
+    rows = separation_table(args.family, range(lo, hi + 1), args.eps, trial_budget=args.trials,
+                            seed=args.seed)
     write_text(out / "separation.csv", separation_csv(rows))
     for r in rows:
         print(
@@ -318,6 +324,7 @@ def cmd_lowerbound(args, out: Path) -> int:
         support = [group.index_of_label(tok) for tok in args.support.split(",")]
         supports, weights = [support], [np.full(len(support), 1.0 / len(support))]
     else:
+        check_trial_budget(group.order, args.trials)  # before the draws
         rng = np.random.default_rng(args.seed)
         supports, weights = [], []
         for _ in range(args.trials):

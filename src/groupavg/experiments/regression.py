@@ -58,23 +58,6 @@ class RegressionResult:
     scheme_eps: float
     scheme_size: int
 
-    def rows(self) -> list[dict]:
-        out = []
-        for name in ("erm", "exact", "weak"):
-            out.append(
-                {
-                    "estimator": name,
-                    "risk": self.risks[name],
-                    "stderr": self.stderrs[name],
-                    "m": self.m,
-                    "m_triv": self.m_triv,
-                    "n": self.config.n_samples,
-                    "sigma": self.config.sigma,
-                    "eps": self.config.eps,
-                }
-            )
-        return out
-
 
 def find_certified_scheme(
     group: Group, rep: Representation, eps: float, delta: float, seed
@@ -161,10 +144,9 @@ def regression_risk(cfg: RegressionConfig) -> RegressionResult:
 
 
 def regression_csv(result: RegressionResult) -> str:
+    cfg = result.config
     lines = ["estimator,risk,stderr,m,m_triv,n,sigma,eps"]
-    for row in result.rows():
-        lines.append(
-            f"{row['estimator']},{row['risk']:.17g},{row['stderr']:.17g},{row['m']},"
-            f"{row['m_triv']},{row['n']},{row['sigma']:.17g},{row['eps']:.17g}"
-        )
+    for name in ("erm", "exact", "weak"):
+        lines.append(f"{name},{result.risks[name]:.17g},{result.stderrs[name]:.17g},{result.m},"
+                     f"{result.m_triv},{cfg.n_samples},{cfg.sigma:.17g},{cfg.eps:.17g}")
     return "\n".join(lines) + "\n"

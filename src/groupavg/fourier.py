@@ -164,10 +164,10 @@ def fourier_transform(signal, table: IrrepTable) -> FourierCoefficients:
     return FourierCoefficients(table=table, stacks=stacks)
 
 
-def inverse_fourier(coeffs: FourierCoefficients, table: IrrepTable) -> GroupSignal:
-    """Reconstruct the signal; inverse of :func:`fourier_transform`."""
-    if coeffs.table.group != table.group:
-        raise GroupMismatchError("coefficients and table are over different groups")
+def inverse_fourier(coeffs: FourierCoefficients) -> GroupSignal:
+    """Reconstruct the signal over the table the coefficients carry; inverse
+    of :func:`fourier_transform`."""
+    table = coeffs.table
     n = table.group.order
     shapes = [(len(s), s.shape[2], s.shape[2]) for s in table.stacks]
     if [np.shape(c) for c in coeffs.stacks] != shapes:

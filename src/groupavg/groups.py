@@ -254,7 +254,7 @@ def sign_flip_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"sign-flip group needs d >= 1, got {d}")
-    _check_table_size(1 << min(d, 65))  # 2**65: past the cap, without a huge shift
+    _check_table_size(family_order("sign_flip", d))
     labels = [format(x, f"0{d}b") for x in range(1 << d)]
     return Group(None, labels, "sign_flip", (d,), product=np.bitwise_xor, inv=np.arange(1 << d))
 
@@ -297,7 +297,7 @@ def symmetric_group(d: int) -> Group:
     """
     if d < 1:
         raise UsageError(f"symmetric group needs d >= 1, got {d}")
-    _check_table_size(math.factorial(min(d, 21)))  # 21! > 2**64
+    _check_table_size(family_order("symmetric", d))
     perms = symmetric_permutations(d)
     n = perms.shape[0]
     place = d ** np.arange(d - 1, -1, -1, dtype=np.int64)
@@ -355,6 +355,14 @@ def build_group(family: str, *params) -> Group:
             raise UsageError("product family takes two Group instances")
         return product_group(params[0], params[1])
     raise UsageError(f"unknown group family {family!r}")
+
+
+def family_order(family: str, p: int) -> Optional[int]:
+    """Order of ``family:p`` (p >= 0) without building it, None for another family; sign-flip
+    and symmetric orders stop at 2**65 and 21! (> 2**64), past every cap, with no huge shift."""
+    sign_flip = 1 << min(p, 65)
+    return {"cyclic": p, "sign_flip": sign_flip, "signflip": sign_flip, "dihedral": 2 * p,
+            "symmetric": math.factorial(min(p, 21))}.get(family)
 
 
 # -- operations -----------------------------------------------------------

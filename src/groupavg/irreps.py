@@ -266,6 +266,17 @@ _BUILDERS = {
 _PEAK_BYTES_PER_ENTRY = 96
 
 
+def check_table_order(order: int) -> None:
+    """Refuse an order whose irrep table build, ``order**2 * 96`` bytes, would
+    pass ``GROUP_TABLE_MAX_BYTES``."""
+    need = order**2 * _PEAK_BYTES_PER_ENTRY
+    if need > GROUP_TABLE_MAX_BYTES:
+        raise SizeLimitError(
+            f"irrep table of order {order:,} needs about {need:,} bytes "
+            f"(order**2 * {_PEAK_BYTES_PER_ENTRY}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
+        )
+
+
 def irreps_of(group: Group) -> IrrepTable:
     """Full irrep table for a supported family.
 
@@ -282,12 +293,7 @@ def irreps_of(group: Group) -> IrrepTable:
             f"no irreps for {group_spec_string(group)}: supported are cyclic, signflip, dihedral, "
             f"symmetric up to d = {SYMMETRIC_IRREPS_MAX_DIM} and products of them"
         )
-    need = group.order**2 * _PEAK_BYTES_PER_ENTRY
-    if need > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(
-            f"irrep table of order {group.order:,} needs about {need:,} bytes "
-            f"(order**2 * {_PEAK_BYTES_PER_ENTRY}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
-        )
+    check_table_order(group.order)
     by_dim: dict[int, list[np.ndarray]] = {}
     for stack in builder(group):
         by_dim.setdefault(stack.shape[2], []).append(stack)
@@ -365,12 +371,6 @@ def decompose(rho, table: IrrepTable) -> np.ndarray:
             f"multiplicities reconstruct dim {total}, expected {expected}"
         )
     return mults
-
-
-def multiplicity(rho, irrep_index: int, table: IrrepTable) -> int:
-    """How many copies of the indexed irrep appear in ``rho``: one entry of
-    :func:`decompose`."""
-    return int(decompose(rho, table)[irrep_index])
 
 
 def _csv_field(text: str) -> str:

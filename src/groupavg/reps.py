@@ -361,21 +361,6 @@ def tensor_product(r1: Representation, r2: Representation) -> Representation:
 # -- symmetric powers -------------------------------------------------------
 
 
-def _monomials(dim: int, degree: int) -> list[tuple[int, ...]]:
-    """Degree-``degree`` monomials over ``dim`` variables as count vectors."""
-    out = []
-    for combo in combinations_with_replacement(range(dim), degree):
-        counts = [0] * dim
-        for v in combo:
-            counts[v] += 1
-        out.append(tuple(counts))
-    return out
-
-
-def sym_power_dim(dim: int, k: int) -> int:
-    return math.comb(dim + k - 1, k)
-
-
 def _sym_power_signed(perm: np.ndarray, sign: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """``(perm, sign)`` form of the degree-k symmetric power of a signed
     permutation action: each monomial maps to the sorted images of its
@@ -383,7 +368,7 @@ def _sym_power_signed(perm: np.ndarray, sign: np.ndarray, k: int) -> tuple[np.nd
     list every monomial, so one ``np.unique`` ranks them all."""
     n, d = perm.shape
     monos = np.array(list(combinations_with_replacement(range(d), k)), dtype=np.int64)
-    images = np.sort(perm[:, monos], axis=2).reshape(-1, k)  # (order * monomials, k)
+    images = np.sort(perm[:, monos], axis=2).reshape(n * len(monos), k)  # k = 0: one empty monomial
     _, rank = np.unique(images, axis=0, return_inverse=True)
     return rank.reshape(n, -1), sign[:, monos].prod(axis=2)
 
@@ -394,25 +379,24 @@ def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
     With the multiplicity-normalized monomial basis, each degree-j basis
     vector decomposes over (degree j-1) x (degree 1) with weights
     sqrt(alpha_v / j); the induced matrix is the compression of
-    M_{j-1} (x) U onto that isometric embedding.
+    M_{j-1} (x) U onto that isometric embedding.  Monomials are sorted
+    coordinate tuples in ``combinations_with_replacement`` order, as in
+    :func:`_sym_power_signed`: removing one v from each monomial holding
+    it lists every degree j-1 monomial, so one ``np.unique`` ranks the
+    parents.
     """
     n, d = rep.group.order, rep.dim
     current = np.ones((n, 1, 1), dtype=np.complex128)
-    monos_prev = _monomials(d, 0)
     for j in range(1, k + 1):
-        monos = _monomials(d, j)
-        idx_prev = {m: i for i, m in enumerate(monos_prev)}
-        dim_j = len(monos)
-        parent = np.full((dim_j, d), -1, dtype=np.int64)
-        weight = np.zeros((dim_j, d))
-        for i, counts in enumerate(monos):
-            for v in range(d):
-                if counts[v]:
-                    reduced = list(counts)
-                    reduced[v] -= 1
-                    parent[i, v] = idx_prev[tuple(reduced)]
-                    weight[i, v] = math.sqrt(counts[v] / j)
-        nxt = np.zeros((n, dim_j, dim_j), dtype=np.complex128)
+        monos = np.array(list(combinations_with_replacement(range(d), j)), dtype=np.int64)
+        hits = monos[:, :, None] == np.arange(d)  # (monomials, j, d)
+        weight = np.sqrt(hits.sum(axis=1) / j)  # zero where v is absent
+        mono, var = np.nonzero(weight)
+        keep = np.arange(j) != hits.argmax(axis=1)[mono, var][:, None]  # all but the first var
+        parent = np.full(weight.shape, -1)
+        parent[mono, var] = np.unique(monos[mono][keep].reshape(len(mono), j - 1), axis=0,
+                                      return_inverse=True)[1]
+        nxt = np.zeros((n, len(monos), len(monos)), dtype=np.complex128)
         for v in range(d):
             rows = weight[:, v] > 0
             pv = parent[rows, v]
@@ -427,7 +411,6 @@ def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
                     gathered * scale[None, :, :] * rep.mats[:, v, w][:, None, None]
                 )
         current = nxt
-        monos_prev = monos
     return current
 
 
@@ -441,22 +424,16 @@ def sym_power_rep(rep: Representation, k: int) -> Representation:
     """
     if k < 0:
         raise UsageError("symmetric power degree must be >= 0")
-    target_dim = sym_power_dim(rep.dim, k)
+    target_dim = math.comb(rep.dim + k - 1, k)
     if target_dim > SYM_POWER_DIM_CAP:
         raise SizeLimitError(
             f"sym power dim {target_dim} exceeds cap {SYM_POWER_DIM_CAP}; "
-            "use sym_power_character for character-only computations"
+            "use sym_power_characters for character-only computations"
         )
     name = f"sym{k}({rep.name})"
-    if k == 0:
-        return Representation(
-            rep.group, np.ones((rep.group.order, 1, 1), dtype=np.complex128), name=name
-        )
     signed = rep.signed_permutation()
     if signed is not None:
         return Representation(rep.group, None, name=name, signed=_sym_power_signed(*signed, k))
-    if k == 1:
-        return Representation(rep.group, rep.mats.copy(), name=name)
     return Representation(rep.group, _sym_power_dense(rep, k), name=name)
 
 
@@ -486,15 +463,6 @@ def sym_power_characters(chi: CharacterVector, max_degree: int) -> Iterator[Char
             acc += powers[:, j] * table[k - j]
         table[k] = acc / k
         yield CharacterVector(group=chi.group, partition=part, values=table[k])
-
-
-def sym_power_character(chi: CharacterVector, k: int) -> CharacterVector:
-    """Character of the degree-k symmetric power, the last of
-    :func:`sym_power_characters`; it matches the trace of the explicit
-    symmetric power whenever that is buildable."""
-    for chi_k in sym_power_characters(chi, k):
-        pass
-    return chi_k
 
 
 # -- invariants and spectra --------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import GroupMismatchError, NumericalConsistencyError, UsageError
+from .errors import GroupMismatchError, NumericalConsistencyError, SizeLimitError, UsageError
 from .fourier import (
     SUPPORT_EPS,
     FourierCoefficients,
@@ -28,7 +28,7 @@ from .fourier import (
     per_irrep_norms,
     spectral_norm,
 )
-from .groups import Group, sample_uniform
+from .groups import GROUP_TABLE_MAX_BYTES, Group, sample_uniform
 from .irreps import IrrepTable
 from .reps import Representation, _weighted_sum, invariant_dimension, invariant_projector
 
@@ -194,16 +194,12 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
     return 0.5 * max_deviation(rep, averaged) ** 2
 
 
-def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, restrict_to) -> float:
+def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, present: np.ndarray) -> float:
+    """Strong certificate over the irreps the boolean mask ``present`` keeps."""
     worst = 0.0
     blocks = itertools.chain.from_iterable(coeffs.stacks)  # one per irrep, in table order
-    for i, (rep, mat) in enumerate(zip(table.irreps, blocks)):
-        if i == table.trivial_index:
-            continue
-        if restrict_to is not None and restrict_to[i] < 1:
-            continue
-        block = mat.conj().T  # operator induced on the irrep block
-        worst = max(worst, max_deviation(rep, block))
+    for rep, mat in itertools.compress(zip(table.irreps, blocks), present):
+        worst = max(worst, max_deviation(rep, mat.conj().T))  # the operator on the irrep block
     return 0.5 * worst**2
 
 
@@ -229,19 +225,15 @@ def certify(
     if isinstance(target, IrrepTable):
         coeffs = fourier_transform(scheme, target)
         weak = max_nontrivial_norm(coeffs, restrict_to=multiplicities)
-        strong = _fourier_eps_strong(coeffs, target, multiplicities)
-        if multiplicities is None:
-            degenerate = len(target) == 1
-        else:
-            degenerate = not any(
-                multiplicities[i] >= 1 for i in range(len(target)) if i != target.trivial_index
-            )
+        # the nontrivial irreps the target holds, as max_nontrivial_norm keeps them
+        present = np.ones(len(target), bool) if multiplicities is None else ~(np.asarray(multiplicities) < 1)
+        present[target.trivial_index] = False
         return CertificationReport(
             eps_weak=weak,
-            eps_strong=strong,
+            eps_strong=_fourier_eps_strong(coeffs, target, present),
             method="fourier_path",
             per_irrep_norms=per_irrep_norms(coeffs),
-            degenerate=degenerate,
+            degenerate=not present.any(),
         )
     raise UsageError("certification target must be a Representation or IrrepTable")
 
@@ -293,6 +285,19 @@ def _candidate_key(eps: float, scheme: AveragingScheme):
     return (scheme.size, eps, tuple(scheme.support.tolist()))
 
 
+def check_trial_budget(order: int, trials: int) -> None:
+    """Refuse ``trials`` random schemes held at once, as a search holds one draw
+    count's and ``lowerbound`` its supports, when they could pass
+    ``GROUP_TABLE_MAX_BYTES``.  Tracemalloc read 836 bytes per search trial
+    plus 16 per support element (fewer than ``order``), and 920 per
+    ``lowerbound`` trial plus 32 per element (at most ``order / 2``)."""
+    need = trials * (920 + 16 * order)
+    if need > GROUP_TABLE_MAX_BYTES:
+        raise SizeLimitError(
+            f"{trials:,} trial schemes on order {order:,} need about {need:,} bytes "
+            f"(trials * (920 + 16 * order)), above the cap of {GROUP_TABLE_MAX_BYTES:,}")
+
+
 def minimize_scheme(
     group: Group,
     target: Union[Representation, IrrepTable],
@@ -326,6 +331,7 @@ def minimize_scheme(
         raise UsageError(f"eps_target must lie in (0, 1), got {eps_target}")
     if trial_budget < 0 or swap_budget < 0:
         raise UsageError("budgets must be nonnegative")
+    check_trial_budget(group.order, trial_budget)
 
     def cert(s: AveragingScheme, stop_above: float = math.inf) -> float:
         return certify_weak_target(s, target, multiplicities, stop_above=stop_above)

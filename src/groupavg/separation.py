@@ -58,8 +58,6 @@ def sym_power_coverage(
     faithful base class every entry is True once max_degree reaches the
     degree bound.
     """
-    if max_degree < 0:
-        raise UsageError("max_degree must be >= 0")
     present = np.zeros(len(table), dtype=bool)
     for chi_k in sym_power_characters(_as_character(rho, table), max_degree):
         present |= decompose(chi_k, table) >= 1

@@ -182,7 +182,7 @@ def test_criterion_07_fourier_identities():
         assert sum(d * d for d in table.dims) == group.order, spec
         for _ in range(50):
             sig = GroupSignal(group=group, weights=rng.normal(size=group.order))
-            back = inverse_fourier(fourier_transform(sig, table), table)
+            back = inverse_fourier(fourier_transform(sig, table))
             assert np.abs(back.weights - sig.weights).max() <= 1e-10, spec
             assert plancherel_residual(sig, table) <= 1e-10, spec
     # certifier (projector path) versus fourier-norm path on 50 scheme/rep pairs

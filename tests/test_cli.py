@@ -467,11 +467,32 @@ _LARGEST = str(2**63 - 1)
     (["mlp", "--train", _LARGEST], "usage error: inputs, sign patterns, weights and activations need "),
     (["mlp", "--width1", _LARGEST], "usage error: inputs, sign patterns, weights and activations need "),
     (["figure1", "--grid", _LARGEST], "usage error: grid 9,223,372,036,854,775,807 with 3 subsets needs "),
+    (["separation", "--range", f"2:{_LARGEST}"], "usage error: irrep table of order 36,893,488,147,"),
+    (["separation", "--range", "2:3", "--trials", _LARGEST],
+     "usage error: 9,223,372,036,854,775,807 trial schemes on order 8 need "),
+    (["minimize", "--group", "cyclic:4", "--eps", "0.5", "--trials", _LARGEST],
+     "usage error: 9,223,372,036,854,775,807 trial schemes on order 4 need "),
+    (["lowerbound", "--d", "3", "--trials", _LARGEST],
+     "usage error: 9,223,372,036,854,775,807 trial schemes on order 8 need "),
 ])
 def test_largest_integer_reaches_the_size_caps(argv, message, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--range", "2:13"], "irrep table of order 8,192 needs "),
+    (["--family", "symmetric", "--range", "2:7"], "irrep table of order 5,040 needs "),
+    (["--range", "2:12", "--trials", "100000"], "100,000 trial schemes on order 4,096 need "),
+])
+def test_separation_refuses_its_largest_member_before_any_row(argv, message, tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setattr(cli, "separation_table", lambda *a, **k: pytest.fail("a row was made"))
+    assert run(["separation", *argv, "--out", str(tmp_path / "x")]) == 1
+    assert capsys.readouterr().err.startswith("usage error: " + message)
+    assert not (tmp_path / "x").exists()
 
 
 def test_diverging_mlp_is_one_line_numerical_error(tmp_path, capsys):

@@ -11,7 +11,6 @@ from groupavg import (
     decompose,
     direct_sum,
     irreps_of,
-    multiplicity,
     parse_group_spec,
     permutation_rep,
     regular_rep,
@@ -143,9 +142,9 @@ def test_multiplicity_perm_rep(tables):
     mults = decompose(rep, table)
     # ordering is trivial, sign, standard
     assert list(mults) == [1, 0, 1]
-    assert multiplicity(rep, 0, table) == 1
-    assert multiplicity(rep, 1, table) == 0
-    assert multiplicity(rep, 2, table) == 1
+    assert mults[0] == 1
+    assert mults[1] == 0
+    assert mults[2] == 1
 
 
 def test_multiplicity_regular_rep(tables):
@@ -159,7 +158,7 @@ def test_multiplicity_regular_rep(tables):
 def test_multiplicity_trivial_cases(tables):
     table = tables["symmetric:3"]
     tri = trivial_rep(table.group)
-    assert multiplicity(tri, 0, table) == 1
+    assert decompose(tri, table)[0] == 1
     rep = permutation_rep(table.group)
     doubled = direct_sum(rep, rep)
     assert list(decompose(doubled, table)) == [2, 0, 2]
@@ -241,7 +240,7 @@ def test_characters_and_multiplicities_match_loop_oracles(small_groups):
             assert np.array_equal(chi.values, character_by_loop(rep)), spec
             want = decompose_by_loop(chi.values, table)
             assert np.array_equal(decompose(rep, table), want), (spec, rep.name)
-            assert [multiplicity(chi, i, table) for i in range(len(table))] == want.tolist()
+            assert [decompose(chi, table)[i] for i in range(len(table))] == want.tolist()
 
 
 def test_validate_rejects_a_reducible_block(tables):

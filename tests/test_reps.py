@@ -26,7 +26,6 @@ from groupavg import (
     regular_rep,
     rep_to_text,
     sign_action_rep,
-    sym_power_character,
     sym_power_rep,
     tensor_product,
     trivial_rep,
@@ -268,18 +267,29 @@ def test_sym_power_edges():
     sign = _sign_rep_c2()
     s2 = sym_power_rep(sign, 2)
     assert np.allclose(s2.mats, 1.0)  # (-1)^2
-    with pytest.raises(SizeLimitError):
+    with pytest.raises(SizeLimitError, match="use sym_power_characters"):
         sym_power_rep(permutation_rep(parse_group_spec("symmetric:4")), 40)  # C(43, 40) > cap
+
+
+def test_sym_power_of_degree_one_has_the_bits_of_the_base():
+    # the degree-1 recursion of a dense rep, and the signed form of a signed action
+    s3 = parse_group_spec("symmetric:3")
+    dense = irreps_of(s3).irreps[2]  # the standard irrep
+    signed = sign_action_rep(parse_group_spec("signflip:3"))
+    assert dense.signed_permutation() is None and signed.signed_permutation() is not None
+    for rep in (dense, signed, permutation_rep(s3)):
+        assert sym_power_rep(rep, 1).mats.tobytes() == rep.mats.tobytes(), rep.name
 
 
 def test_sym_power_character_frozen():
     s3 = parse_group_spec("symmetric:3")
     rep = permutation_rep(s3)
     chi = rep.character()
-    assert np.allclose(sym_power_character(chi, 0).values, 1.0)
-    assert np.allclose(sym_power_character(chi, 1).values, chi.values)
+    walk = list(sym_power_characters(chi, 2))
+    assert np.allclose(walk[0].values, 1.0)
+    assert np.allclose(walk[1].values, chi.values)
     # frozen from the explicit degree-2 matrices: traces (6, 2, 0)
-    assert np.allclose(sym_power_character(chi, 2).values, [6.0, 2.0, 0.0])
+    assert np.allclose(walk[2].values, [6.0, 2.0, 0.0])
 
 
 def test_sym_power_dense_matches_perm_path():
@@ -305,7 +315,7 @@ def test_sym_character_matches_explicit_traces(spec, k):
         rep = regular_rep(group)
     explicit = sym_power_rep(rep, k)
     chi_explicit = explicit.character()
-    chi_rec = sym_power_character(rep.character(), k)
+    *_, chi_rec = sym_power_characters(rep.character(), k)
     assert np.abs(chi_explicit.values - chi_rec.values).max() < 1e-8
 
 
@@ -318,7 +328,8 @@ def test_sym_power_walk_matches_restarted_recursion(small_groups):
             for k in range(6):
                 want = sym_power_character_by_restart(chi.values, group, part, k)
                 assert np.array_equal(walk[k], want), (spec, rep.name, k)
-                assert np.array_equal(sym_power_character(chi, k).values, want)
+                *_, last = sym_power_characters(chi, k)  # a walk that ends at degree k
+                assert np.array_equal(last.values, want)
 
 
 def test_sym_power_stays_unitary():

@@ -83,6 +83,12 @@ def test_coverage_rejects_a_rep_over_another_group():
         sym_power_coverage(regular_rep(parse_group_spec("cyclic:3")), 3, table)
 
 
+def test_coverage_rejects_a_negative_degree():
+    table = irreps_of(parse_group_spec("symmetric:3"))
+    with pytest.raises(UsageError, match="degree must be >= 0"):
+        sym_power_coverage(regular_rep(table.group), -1, table)
+
+
 def test_exact_violation_values():
     c2 = parse_group_spec("cyclic:2")
     sign = irreps_of(c2).irreps[1]
