@@ -17,16 +17,22 @@ the blocks are visited in.  A caller that only compares the certificate
 with a threshold may pass it as ``stop_above`` and skip the SVDs left
 once the running maximum exceeds it.  A stacked 1x1 path would have to
 take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
-:func:`spectral_norm`).  The strong certificate takes one SVD per
-element of the differences ``rho(g) @ block - block`` formed in
-:mod:`groupavg.reps`, the one module that reads a signed-permutation form,
-except for an element whose inverse twin came out below the running
-maximum.  On a signed action the difference for g^-1 is an exact signed
-row permutation of the one for g, so both have the same exact singular
-values, and each computed sigma_max lies within p(n)*u*sigma_max of its
-exact value (p(n)*u <= 2.2e-13 at every width the caps admit): with the
-weak prune's margin, a skipped element could not have raised the
-maximum, which keeps the bits of one SVD per element.
+:func:`spectral_norm`).  The projector path's strong certificate,
+:func:`max_deviation`, takes one SVD per element of the differences
+``rho(g) @ block - block`` formed in :mod:`groupavg.reps`, the one module
+that reads a signed-permutation form, except for an element whose inverse
+twin came out below the running maximum.  On a signed action the
+difference for g^-1 is an exact signed row permutation of the one for g,
+so both have the same exact singular values, and each computed sigma_max
+lies within p(n)*u*sigma_max of its exact value (p(n)*u <= 2.2e-13 at
+every width the caps admit): with the weak prune's margin, a skipped
+element could not have raised the maximum, which keeps the bits of one
+SVD per element.  The Fourier path's strong certificate
+(``schemes._fourier_eps_strong``) forms the differences of every irrep of
+a table stack at once from the stack's matrices and prunes them as the
+weak certificate prunes its blocks: one Frobenius reduction, ``np.hypot``
+of the parts on a 1x1 stack, and SVDs in decreasing-bound order only
+while a bound can beat the running maximum.
 """
 
 from __future__ import annotations

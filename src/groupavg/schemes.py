@@ -5,13 +5,15 @@ A scheme is a sparse real weighting on group elements with unit sum
 induced averaging operator shrinks the non-symmetric component of a
 function class, either from a concrete representation (projector path)
 or from Fourier coefficient norms over an irrep table (fourier path).
+The Fourier path's strong certificate takes the differences
+``pi(g) @ B - B`` of a whole table stack at once and runs an SVD only where
+a difference's Frobenius norm can beat the running maximum.
 The projector path's operator, projector and per-element differences come
 from :mod:`groupavg.reps`, which alone reads a signed-permutation form.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -20,6 +22,7 @@ import numpy as np
 
 from .errors import GroupMismatchError, NumericalConsistencyError, SizeLimitError, UsageError
 from .fourier import (
+    _PRUNE_MARGIN,
     SUPPORT_EPS,
     FourierCoefficients,
     fourier_transform,
@@ -34,6 +37,11 @@ from .reps import Representation, _weighted_sum, invariant_dimension, invariant_
 
 WEIGHT_SUM_TOL = 1e-12
 SANDWICH_SLACK = 1e-9
+# bound on a scheme's l1 norm: below it every certificate (at most 2 * norm**2)
+# and every squared Frobenius bound the certificates read stays finite
+WEIGHT_L1_MAX = 2.0**500
+# entries of pi(g) @ B - B the Fourier strong certificate holds at once: 1 MiB
+_DEVIATION_CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -42,7 +50,8 @@ class AveragingScheme:
 
     ``support`` holds sorted distinct element indices and ``weights`` the
     matching values; entries below the support threshold are dropped.
-    Every weight must be finite and the weight sum 1 within 1e-12.
+    The weights' l1 norm must be finite and at most ``WEIGHT_L1_MAX``, and
+    the weight sum 1 within 1e-12.
     """
 
     group: Group
@@ -54,8 +63,12 @@ class AveragingScheme:
         weights = np.asarray(self.weights, dtype=np.float64)
         if support.shape != weights.shape or support.ndim != 1:
             raise UsageError("support and weights must be matching 1-d arrays")
-        if not np.isfinite(weights).all():
-            raise UsageError("weights must be finite")
+        # the l1 norm in units of WEIGHT_L1_MAX: one reduction, which cannot
+        # overflow; a NaN or inf weight fails the test too
+        norm = float(np.abs(weights / WEIGHT_L1_MAX).sum())
+        if not norm <= 1.0:
+            raise UsageError(f"weights must be finite with l1 norm at most 2**500, "
+                             f"got {norm * WEIGHT_L1_MAX!r}")
         if support.size and (support.min() < 0 or support.max() >= self.group.order):
             raise UsageError("support index out of range")
         # merge duplicates in input order from 0.0, sort, drop numerically-zero weights
@@ -194,12 +207,54 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
     return 0.5 * max_deviation(rep, averaged) ** 2
 
 
-def _fourier_eps_strong(coeffs: FourierCoefficients, table: IrrepTable, present: np.ndarray) -> float:
-    """Strong certificate over the irreps the boolean mask ``present`` keeps."""
-    worst = 0.0
-    blocks = itertools.chain.from_iterable(coeffs.stacks)  # one per irrep, in table order
-    for rep, mat in itertools.compress(zip(table.irreps, blocks), present):
-        worst = max(worst, max_deviation(rep, mat.conj().T))  # the operator on the irrep block
+def _fourier_eps_strong(
+    coeffs: FourierCoefficients, table: IrrepTable, present: np.ndarray, weight_norm: float
+) -> float:
+    """Strong certificate over the irreps the boolean mask ``present`` keeps:
+    half the squared maximum over g and pi of ||pi(g) @ B - B||, B = what(pi)^dagger.
+
+    One pass per table stack, ``_DEVIATION_CHUNK_ENTRIES`` entries of
+    differences at a time, formed by the complex matmul that
+    :func:`reps._deviations` runs on a dense representation, so each has its
+    bits; on a +-1 irrep, which the built-in tables hold only at dimension 1,
+    its signed row moves give the same real parts.  Each difference's
+    Frobenius norm comes from one reduction (``np.hypot`` of the parts on a
+    1x1 stack, the bits of :func:`spectral_norm`), and ``spectral_norm``
+    runs in decreasing-bound order with the running maximum carried across
+    irreps and stacks.  Once that maximum is above the rounding floor
+    ``weight_norm * _PRUNE_MARGIN`` (``weight_norm`` is the scheme's l1
+    norm), an element whose bound, widened by ``_PRUNE_MARGIN`` on larger
+    stacks as in :func:`max_nontrivial_norm`, is at most the maximum is
+    skipped: sigma_max <= ||.||_F, so it could not raise the maximum, and
+    the result has the bits of one ``spectral_norm`` per element and irrep.
+    A scheme whose differences are all rounding noise, such as the uniform
+    one, stays below the floor and takes every call.
+    """
+    worst, floor, first = 0.0, weight_norm * _PRUNE_MARGIN, 0
+    for stack, blocks in zip(table.stacks, coeffs.stacks):
+        d = stack.shape[2]
+        kept = np.flatnonzero(present[first : first + len(stack)])
+        first += len(stack)
+        widen = 1.0 if d == 1 else 1.0 + _PRUNE_MARGIN  # a 1x1 bound is exact
+        step = max(1, _DEVIATION_CHUNK_ENTRIES // stack[0].size)
+        for start in range(0, len(kept), step):
+            pick = kept[start : start + step]
+            adjoint = blocks[pick].conj().transpose(0, 2, 1)[:, None]  # the operator per irrep
+            diffs = np.matmul(stack[pick], adjoint)
+            diffs -= adjoint
+            if d == 1:
+                bounds = np.hypot(diffs.real, diffs.imag).ravel()
+                items = diffs.ravel()  # each entry goes as a numpy scalar
+            else:
+                flat = diffs.reshape(-1, d * d)
+                bounds = np.sqrt(np.vecdot(flat, flat).real)
+                items = diffs.reshape(-1, d, d)
+            live = np.flatnonzero(bounds * widen > worst) if worst > floor else np.arange(len(bounds))
+            order = live[np.argsort(bounds[live])[::-1]]
+            for i, bound in zip(order.tolist(), bounds[order].tolist()):
+                if worst > floor and bound * widen <= worst:
+                    break
+                worst = max(worst, spectral_norm(items[i]))
     return 0.5 * worst**2
 
 
@@ -230,7 +285,9 @@ def certify(
         present[target.trivial_index] = False
         return CertificationReport(
             eps_weak=weak,
-            eps_strong=_fourier_eps_strong(coeffs, target, present),
+            eps_strong=_fourier_eps_strong(
+                coeffs, target, present, float(np.abs(scheme.weights).sum())
+            ),
             method="fourier_path",
             per_irrep_norms=per_irrep_norms(coeffs),
             degenerate=not present.any(),

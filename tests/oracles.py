@@ -296,6 +296,23 @@ def unpruned_max_nontrivial_norm(coeffs, table, restrict_to=None) -> float:
     return best
 
 
+def unpruned_fourier_eps_strong(scheme, table, multiplicities=None) -> float:
+    """Fourier strong-certificate oracle: half the squared maximum of one
+    ``spectral_norm`` per element over the differences ``reps._deviations``
+    forms for each nontrivial irrep the multiplicities keep, with B the
+    adjoint of its coefficient block; nothing skipped."""
+    from groupavg.fourier import fourier_transform, spectral_norm
+    from groupavg.reps import _deviations
+
+    worst = 0.0
+    for i, (rep, mat) in enumerate(zip(table.irreps, coefficient_blocks(fourier_transform(scheme, table)))):
+        if i == table.trivial_index or (multiplicities is not None and multiplicities[i] < 1):
+            continue
+        for stack in _deviations(rep, mat.conj().T):
+            worst = max(worst, *map(spectral_norm, stack))
+    return 0.5 * worst**2
+
+
 def sorted_weak_visits(blocks, table, restrict_to=None) -> list[int]:
     """Weak-certificate visiting oracle, the ``sorted`` form: the indices of
     the blocks whose spectral norm the pruned certificate takes, in order.

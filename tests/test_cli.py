@@ -344,6 +344,9 @@ _MALFORMED = [
     ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/nan.json"],
     ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json"],
     ["certify", "--group", "cyclic:4", "--scheme", "file:{tmp}/inf.json", "--path", "fourier"],
+    ["certify", "--group", "dihedral:3", "--scheme", "file:{tmp}/overflow.json", "--path", "fourier"],
+    ["certify", "--group", "dihedral:3", "--scheme", "file:{tmp}/overflow.json",
+     "--path", "projector"],
     ["lowerbound", "--d", "3", "--support", ""],
     [*TINY_MLP, "--epochs", "0"],
     [*TINY_MLP, "--epochs", "-1"],
@@ -397,6 +400,7 @@ _MALFORMED_IDS = [
     "config-not-utf8", "config-equals-form-not-utf8", "minimize-zero-trials",
     "separation-zero-trials", "regress-negative-eps", "scheme-file-nan-weight",
     "scheme-file-infinite-weights", "scheme-file-infinite-weights-fourier",
+    "scheme-file-overflowing-weights-fourier", "scheme-file-overflowing-weights-projector",
     "lowerbound-empty-support", "mlp-zero-epochs", "mlp-negative-epochs",
     "random-draws-over-cap", "sample-draws-over-cap", "sample-draw-count-overflows",
     "config-scheme-path-with-nul", "config-key-prefix-of-help", "config-key-prefix-of-group",
@@ -428,6 +432,10 @@ def _write_malformed_inputs(tmp_path: Path) -> None:
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [NaN, 0.5, 0.5]}')
     (tmp_path / "inf.json").write_text(
         '{"group": {"order": 4}, "support": [0, 1, 2], "weights": [Infinity, -Infinity, 1.0]}')
+    # finite weights with a unit sum whose coefficients overflow: the
+    # certificates would read inf
+    (tmp_path / "overflow.json").write_text(
+        '{"group": {"order": 6}, "support": [0, 3, 5], "weights": [1e308, -1e308, 1.0]}')
     # numpy would truncate 0.9 to 0, read true as 1 and "1" as 1.0, and
     # overflow on 1e30
     for name, support, weights in [("fraction", "[0.9]", "[1.0]"), ("boolean", "[true]", "[1.0]"),

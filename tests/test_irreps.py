@@ -207,13 +207,29 @@ def test_character_table_csv_frozen(spec):
     assert hashlib.sha256("".join(character_table_csv(table)).encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("spec", TABLE_SPECS)
+# several blocks of cells: values kept across blocks (signflip), and cells
+# formatted directly once most values are new (cyclic)
+@pytest.mark.parametrize("spec", TABLE_SPECS + ["signflip:6", "cyclic:40", "dihedral:60"])
 def test_character_table_csv_streams_the_bytes_of_the_string_oracle(spec, tables):
     # product labels such as "(0,0)" need CSV quoting
-    table = tables[spec]
+    table = tables[spec] if spec in tables else irreps_of(parse_group_spec(spec))
     chunks = list(character_table_csv(table))
     assert len(chunks) == 1 + len(table)  # the header, then one chunk per irrep
     assert "".join(chunks) == character_table_csv_as_string(table)
+
+
+def test_character_table_csv_keeps_the_sign_of_zero():
+    # a value is formatted once per table, keyed on its bits, not its value
+    table = irreps_of(parse_group_spec("signflip:2"))
+    chars = table.characters.copy()
+    chars[1, :2] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+    chars[2, :2] = [complex(0.0, 0.0), complex(-0.0, -0.0)]
+    chars[3, 0] = complex(1.0, -0.0)
+    table.characters = chars
+    csv = "".join(character_table_csv(table))
+    assert csv == character_table_csv_as_string(table)
+    assert [line.split(",")[1:3] for line in csv.splitlines()[2:4]] == [["-0+0i", "0-0i"],
+                                                                       ["0+0i", "-0-0i"]]
 
 
 def test_character_table_is_written_row_by_row(tmp_path):
