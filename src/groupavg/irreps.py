@@ -38,7 +38,7 @@ from .reps import INT_ROUND_TOL, CharacterVector, Representation, _pin_identity,
 # 1/|G|, above 2e-4 at every order the table cap admits.
 ORTHOGONALITY_TOL = 1e-9
 SYMMETRIC_IRREPS_MAX_DIM = 6
-_CSV_BLOCK_CELLS = 1024  # character table cells formatted per block
+_CSV_BLOCK_CELLS = 256  # character table cells formatted per block
 
 
 @dataclass

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import groupavg.cli
-from groupavg import irreps_of, parse_group_spec
+from groupavg import fourier, irreps_of, parse_group_spec
 from groupavg import schemes as schemes_module
 from groupavg.schemes import (
     AveragingScheme,
@@ -54,18 +54,17 @@ def _schemes(group):
     return out
 
 
-class _Calls:
-    """Counts the ``spectral_norm`` calls the strong certificate makes."""
+def _count_calls(monkeypatch, *modules) -> list:
+    """A list that grows by one per ``spectral_norm`` call made through ``modules``."""
+    calls, original = [], fourier.spectral_norm
 
-    def __init__(self, monkeypatch):
-        self.count = 0
-        original = schemes_module.spectral_norm
+    def counted(mat):
+        calls.append(1)
+        return original(mat)
 
-        def counted(mat):
-            self.count += 1
-            return original(mat)
-
-        monkeypatch.setattr(schemes_module, "spectral_norm", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "spectral_norm", counted)
+    return calls
 
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
@@ -89,39 +88,20 @@ def test_pruned_strong_certificate_keeps_its_bits_under_multiplicities(tables):
 def test_uniform_scheme_keeps_one_call_per_element_and_irrep(spec, tables, monkeypatch):
     # its differences are rounding noise, below the floor that allows a skip
     table = tables[spec]
-    calls = _Calls(monkeypatch)
+    calls = _count_calls(monkeypatch, schemes_module)  # the strong certificate's calls
     certify(uniform_scheme(table.group), table)
-    assert calls.count == table.group.order * (len(table) - 1)
-
-
-def test_random_scheme_skips_most_calls(monkeypatch):
-    # cyclic:1000 took one call per element and irrep, 999 000, before the prune
-    table = irreps_of(parse_group_spec("cyclic:1000"))
-    calls = _Calls(monkeypatch)
-    for seed in range(3):
-        certify(random_scheme(table.group, 20, seed), table)
-    assert calls.count <= 3 * 10
+    assert len(calls) == table.group.order * (len(table) - 1)
 
 
 def test_fourier_certify_on_cyclic_1000_makes_about_order_calls(tmp_path, monkeypatch):
     # the weak certificate's 999 and the per-irrep norms' 1000, and a few
     # strong ones; 1 000 999 before the prune
-    from groupavg import fourier
-
-    count = []
-    original = fourier.spectral_norm
-
-    def counted(mat):
-        count.append(1)
-        return original(mat)
-
-    for module in (fourier, schemes_module):
-        monkeypatch.setattr(module, "spectral_norm", counted)
+    calls = _count_calls(monkeypatch, fourier, schemes_module)
     argv = ["certify", "--group", "cyclic:1000", "--path", "fourier", "--scheme", "random:20",
             "--out", str(tmp_path)]
     with redirect_stdout(io.StringIO()):
         assert groupavg.cli.main(argv) == 0
-    assert len(count) <= 2 * 1000 + 10
+    assert len(calls) <= 2 * 1000 + 10
 
 
 def _catalogue_certify_jobs(workdir: str) -> list:
