@@ -40,8 +40,9 @@ SANDWICH_SLACK = 1e-9
 # bound on a scheme's l1 norm: below it every certificate (at most 2 * norm**2)
 # and every squared Frobenius bound the certificates read stays finite
 WEIGHT_L1_MAX = 2.0**500
-# entries of pi(g) @ B - B the Fourier strong certificate holds at once: 256 KiB
-_DEVIATION_CHUNK_ENTRIES = 1 << 14
+# entries of pi(g) @ B - B the Fourier strong certificate holds at once: 64 KiB of
+# complex, small beside the irrep table it reads
+_DEVIATION_CHUNK_ENTRIES = 1 << 12
 
 
 @dataclass
