@@ -384,36 +384,18 @@ def character_table_csv(table: IrrepTable) -> Iterator[str]:
     """CSV export: rows = irreps, columns = class representatives, a+bi
     cells; the header, then one chunk per irrep.
 
-    Rows go in blocks of about ``_CSV_BLOCK_CELLS`` cells.  A block formats
-    each of its distinct values once, keyed on its bits, so -0.0 and 0.0
-    keep their own text, and keeps the first values it meets, up to a
-    block's worth, for the blocks after it: a table of few distinct values,
-    such as a sign-flip group's +-1, formats each once, and the writer holds
-    about one block.  Once more than half the cells so far needed their own
-    text, as on a cyclic table, each cell is formatted directly."""
+    Rows go in blocks of about ``_CSV_BLOCK_CELLS`` cells, so the writer
+    holds about one block.  A block formats each of its distinct values
+    once, keyed on its bits, so -0.0 and 0.0 keep their own text."""
     group = table.group
     header = ["irrep"] + [_csv_field(group.labels[r]) for r in table.partition.representatives]
     yield ",".join(header) + "\n"
     chars, labels = np.ascontiguousarray(table.characters), table.labels()
     step = max(1, _CSV_BLOCK_CELLS // chars.shape[1])
-    kept: dict[bytes, str] = {}
-    formatted = 0
     for start in range(0, len(chars), step):
         block = chars[start : start + step]
-        if 2 * formatted > start * chars.shape[1]:
-            rows = [[f"{z.real:.17g}{z.imag:+.17g}i" for z in row] for row in block.tolist()]
-            formatted += block.size
-        else:
-            values, where = np.unique(block.view("V16"), return_inverse=True)
-            texts = []
-            for key, z in zip(values.tolist(), values.view(np.complex128).tolist()):
-                text = kept.get(key)
-                if text is None:
-                    text = f"{z.real:.17g}{z.imag:+.17g}i"
-                    formatted += 1
-                    if len(kept) < _CSV_BLOCK_CELLS:
-                        kept[key] = text
-                texts.append(text)
-            rows = np.array(texts, dtype=object)[where.reshape(block.shape)].tolist()
+        values, where = np.unique(block.view("V16"), return_inverse=True)
+        texts = [f"{z.real:.17g}{z.imag:+.17g}i" for z in values.view(np.complex128).tolist()]
+        rows = np.array(texts, dtype=object)[where.reshape(block.shape)].tolist()
         for label, row in zip(labels[start : start + step], rows):
             yield f"{label},{','.join(row)}\n"

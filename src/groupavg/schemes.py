@@ -250,8 +250,7 @@ def _fourier_eps_strong(
                 flat = diffs.reshape(-1, d * d)
                 bounds = np.sqrt(np.vecdot(flat, flat).real)
                 items = diffs.reshape(-1, d, d)
-            live = np.flatnonzero(bounds * widen > worst) if worst > floor else np.arange(len(bounds))
-            order = live[np.argsort(bounds[live])[::-1]]
+            order = np.argsort(bounds)[::-1]
             for i, bound in zip(order.tolist(), bounds[order].tolist()):
                 if worst > floor and bound * widen <= worst:
                     break

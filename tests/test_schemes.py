@@ -37,7 +37,7 @@ from groupavg import reps as reps_module
 from groupavg import schemes as schemes_module
 from oracles import dense_apply_scheme, dense_invariant_dimension, dense_invariant_projector
 from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
-from oracles import scheme_signal, unique_random_scheme
+from oracles import scheme_signal, unique_random_scheme, unpruned_fourier_eps_strong
 from test_irreps import TABLE_SPECS
 
 def sign_rep_c2():
@@ -67,6 +67,27 @@ def test_weight_sum_validation():
     # negative weights allowed when the sum is one
     sch = AveragingScheme(c3, np.array([0, 1, 2]), np.array([1.5, -1.0, 0.5]))
     assert sch.size == 3
+
+
+def test_l1_norm_bound_keeps_certificates_finite():
+    """A scheme whose l1 norm rounds to WEIGHT_L1_MAX = 2**500 is accepted and
+    both paths certify it finitely, at the largest certificate the bound
+    allows, 2 * norm**2 = 2**1001; one ulp of weight above the bound is refused."""
+    assert schemes_module.WEIGHT_L1_MAX == 2.0**500
+    d3 = parse_group_spec("dihedral:3")
+    half = 2.0**499
+    # element 3 is a reflection: w(e) - w(s) with |w| = 2**499 on each
+    sch = AveragingScheme(d3, np.array([0, 3, 5]), np.array([half, -half, 1.0]))
+    assert float(np.abs(sch.weights).sum()) == 2.0**500
+    table = irreps_of(d3)
+    for target in (regular_rep(d3), table):
+        report = certify(sch, target)
+        assert np.isfinite(report.eps_weak) and np.isfinite(report.eps_strong)
+        assert report.eps_weak == 2.0**1000 and report.eps_strong == 2.0**1001
+    assert certify(sch, table).eps_strong.hex() == unpruned_fourier_eps_strong(sch, table).hex()
+    above = half * (1 + 2.0**-52)
+    with pytest.raises(UsageError, match="at most 2\\*\\*500"):
+        AveragingScheme(d3, np.array([0, 3, 5]), np.array([above, -above, 1.0]))
 
 
 def test_collisions_merge():
