@@ -253,7 +253,7 @@ def _fourier_eps_strong(
             if worst > floor:
                 # sort only what can still beat the maximum: on an abelian
                 # table that is almost nothing, and sorting every bound
-                # triples the time of a certify on cyclic:1000
+                # would be most of the certificate's time
                 keep = np.flatnonzero(bounds * widen > worst)
                 bounds, items = bounds[keep], items[keep]
             order = np.argsort(bounds)[::-1]
