@@ -2,8 +2,11 @@
 
 Each error class carries the CLI's exit code and the label of its one
 stderr line: usage errors -> 1, numerical-consistency errors -> 2,
-search failures -> 3.
+search failures -> 3.  Every byte cap compares its estimate with the one
+memory budget, ``MEMORY_CAP_BYTES``, through :func:`check_bytes`.
 """
+
+MEMORY_CAP_BYTES = 2 << 30
 
 
 class GroupavgError(Exception):
@@ -19,6 +22,14 @@ class UsageError(GroupavgError, ValueError):
 
 class SizeLimitError(UsageError):
     """A construction exceeds its documented cap."""
+
+
+def check_bytes(need: int, what: str, formula: str) -> None:
+    """Refuse a run whose estimate ``need`` passes ``MEMORY_CAP_BYTES``.
+    ``what`` names the holder and its verb, ``formula`` the estimate."""
+    if need > MEMORY_CAP_BYTES:
+        raise SizeLimitError(
+            f"{what} about {need:,} bytes ({formula}), above the cap of {MEMORY_CAP_BYTES:,}")
 
 
 class CapabilityError(UsageError):

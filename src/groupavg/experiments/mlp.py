@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SizeLimitError, TrainingFailureError, UsageError
-from ..groups import GROUP_TABLE_MAX_BYTES
+from ..errors import TrainingFailureError, UsageError, check_bytes
 
 INIT_SCALE = 1.0  # weights/biases ~ U(-c/sqrt(fan_in), +c/sqrt(fan_in)) with c = 1
 # Sign patterns per forward call in averaged_predictions.  Per-pattern
@@ -76,12 +75,9 @@ class MlpConfig:
         need = ((self.n_train + self.n_test) * (16 * self.input_dim + 8) + self.n_test * 280
                 + (32 * (self.input_dim + 1) << min(exponent, 63))
                 + 24 * (self.input_dim * w1 + w1 * w2 + w2) + (w1 + w2) * max(25 * self.batch_size, 8 * rows))
-        if need > GROUP_TABLE_MAX_BYTES:
-            raise SizeLimitError(
-                f"inputs, sign patterns, weights and activations need about {need:,} bytes ((train + "
-                f"test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1) + 24 * weights "
-                f"+ (width1 + width2) * max(25 * batch, 8 * forward rows)), above the cap of "
-                f"{GROUP_TABLE_MAX_BYTES:,}")
+        check_bytes(need, "inputs, sign patterns, weights and activations need",
+                    "(train + test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1) "
+                    "+ 24 * weights + (width1 + width2) * max(25 * batch, 8 * forward rows)")
 
 
 class SignAveragedMlp:

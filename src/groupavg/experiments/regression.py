@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import SearchFailureError, SizeLimitError, UsageError
-from ..groups import GROUP_TABLE_MAX_BYTES, Group, parse_group_spec
+from ..errors import SearchFailureError, UsageError, check_bytes
+from ..groups import Group, parse_group_spec
 from ..reps import Representation, regular_rep, invariant_dimension
 from ..schemes import (
     AveragingScheme,
@@ -82,12 +82,9 @@ def regression_risk(cfg: RegressionConfig) -> RegressionResult:
     group = parse_group_spec(cfg.group_spec)
     # refused before any array is made: peak RSS growth read 40.3 bytes per trial and
     # element (counts, X^T y, coefficients, errors) and 32.0 per draw of one trial
-    need = cfg.trials * group.order * 41 + cfg.n_samples * 32
-    if need > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(
-            f"{cfg.trials:,} trials of {cfg.n_samples:,} draws on order {group.order:,} need about "
-            f"{need:,} bytes (trials * order * 41 + draws * 32), above the cap of "
-            f"{GROUP_TABLE_MAX_BYTES:,}")
+    check_bytes(cfg.trials * group.order * 41 + cfg.n_samples * 32,
+                f"{cfg.trials:,} trials of {cfg.n_samples:,} draws on order {group.order:,} need",
+                "trials * order * 41 + draws * 32")
     rep = regular_rep(group)
     m = rep.dim
     if cfg.n_samples < m:

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import SizeLimitError, UsageError
-from ..groups import GROUP_TABLE_MAX_BYTES
+from ..errors import UsageError, check_bytes
 
 FIELD_DESCRIPTION = "exp(-((x-0.6)^2 + (y-0.1)^2)/0.08) + 0.4*x"
 # A demo peaks near grid**2 * (72 + 8 * subsets) bytes: 72 for the full
@@ -46,12 +45,8 @@ class RotationDemoConfig:
         if len(set(self.subset_sizes)) != len(self.subset_sizes):
             raise UsageError(f"subset sizes must be distinct, got {list(self.subset_sizes)}")
         per_cell = _WORK_BYTES_PER_CELL + 8 * len(self.subset_sizes)
-        need = self.grid**2 * per_cell
-        if need > GROUP_TABLE_MAX_BYTES:
-            raise SizeLimitError(
-                f"grid {self.grid:,} with {len(self.subset_sizes)} subsets needs about {need:,} "
-                f"bytes (grid**2 * {per_cell}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
-            )
+        check_bytes(self.grid**2 * per_cell,
+                    f"grid {self.grid:,} with {len(self.subset_sizes)} subsets needs", f"grid**2 * {per_cell}")
 
 
 @dataclass

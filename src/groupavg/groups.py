@@ -22,9 +22,8 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import SizeLimitError, UsageError
+from .errors import MEMORY_CAP_BYTES, SizeLimitError, UsageError, check_bytes
 
-GROUP_TABLE_MAX_BYTES = 2 << 30
 # a product nested d deep has at least d + 1 factors, so without order-1
 # factors its order is at least 2**(d + 1): the table cap (order <= 7327)
 # has room for d <= 11
@@ -64,7 +63,7 @@ class Group:
     construction costs O(order * generators) through ``product``, and the
     first read builds and proves the table.  The family constructors
     refuse every order whose table build would pass
-    ``GROUP_TABLE_MAX_BYTES``, closed forms included.
+    ``MEMORY_CAP_BYTES``, closed forms included.
     """
 
     def __init__(self, mult, labels, family, params, factors=None, product=None, inv=None):
@@ -225,16 +224,13 @@ class ConjugacyPartition:
 
 
 def _check_table_size(order: int) -> None:
-    """Refuse a table over ``GROUP_TABLE_MAX_BYTES`` (2 GiB: order <= 7327).
+    """Refuse a table over ``MEMORY_CAP_BYTES`` (2 GiB: order <= 7327).
     40 bytes per entry is the measured peak RSS of a build over order**2.
     An order past 2**64 is named only as that, so no huge integer is printed."""
     if order > 1 << 64:
         raise SizeLimitError(f"group table of order above 2**64 is far above the cap of "
-                             f"{GROUP_TABLE_MAX_BYTES:,} bytes")
-    need = order**2 * 40
-    if need > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(f"group table of order {order:,} needs about {need:,} bytes "
-                             f"(order**2 * 40), above the cap of {GROUP_TABLE_MAX_BYTES:,}")
+                             f"{MEMORY_CAP_BYTES:,} bytes")
+    check_bytes(order**2 * 40, f"group table of order {order:,} needs", "order**2 * 40")
 
 
 def cyclic_group(n: int) -> Group:
@@ -459,8 +455,7 @@ def sample_uniform(group: Group, n: int, seed) -> np.ndarray:
     the draws and their sort (19 bytes each measured) could pass the cap."""
     if n < 1:
         raise UsageError(f"sample count must be >= 1, got {n}")
-    if n * 24 > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(f"{n:,} draws need {n * 24:,} bytes, above {GROUP_TABLE_MAX_BYTES:,}")
+    check_bytes(n * 24, f"{n:,} draws need", "draws * 24")
     rng = np.random.default_rng(seed)
     return rng.integers(0, group.order, size=int(n))
 

@@ -16,7 +16,7 @@ read.  The signed-permutation forms of a stack's irreps are read in one
 pass over the stack; the forms of a 1x1 stack are int8 signs that share
 one read-only zero permutation.  A build is refused before any builder
 allocates when ``order**2 * 96`` bytes, above its measured peak, pass
-``GROUP_TABLE_MAX_BYTES``.
+``MEMORY_CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyError
-from .errors import SizeLimitError, UsageError
-from .groups import GROUP_TABLE_MAX_BYTES, Group, ConjugacyPartition, conjugacy_classes
+from .errors import UsageError, check_bytes
+from .groups import Group, ConjugacyPartition, conjugacy_classes
 from .groups import group_spec_string, symmetric_permutations
 from .reps import INT_ROUND_TOL, CharacterVector, Representation, _pin_identity, _signed_permutations
 
@@ -269,13 +269,9 @@ _PEAK_BYTES_PER_ENTRY = 96
 
 def check_table_order(order: int) -> None:
     """Refuse an order whose irrep table build, ``order**2 * 96`` bytes, would
-    pass ``GROUP_TABLE_MAX_BYTES``."""
-    need = order**2 * _PEAK_BYTES_PER_ENTRY
-    if need > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(
-            f"irrep table of order {order:,} needs about {need:,} bytes "
-            f"(order**2 * {_PEAK_BYTES_PER_ENTRY}), above the cap of {GROUP_TABLE_MAX_BYTES:,}"
-        )
+    pass ``MEMORY_CAP_BYTES``."""
+    check_bytes(order**2 * _PEAK_BYTES_PER_ENTRY, f"irrep table of order {order:,} needs",
+                f"order**2 * {_PEAK_BYTES_PER_ENTRY}")
 
 
 def irreps_of(group: Group) -> IrrepTable:
@@ -284,8 +280,9 @@ def irreps_of(group: Group) -> IrrepTable:
     Supported: cyclic, sign_flip, dihedral, symmetric (d <= 6), and
     products of supported families.  Custom table groups are out of
     scope for irrep computation.  ``order**2 * 96`` bytes is checked
-    against ``GROUP_TABLE_MAX_BYTES`` before any builder allocates; the
-    measured peaks lie below it, at most 58 bytes per order**2 entry.
+    against ``MEMORY_CAP_BYTES`` before any builder allocates; tracemalloc
+    peaks lie below it, at most 54 bytes per order**2 entry at orders 1000
+    to 2048 (more below, where fixed costs weigh: 59 at cyclic:500).
     """
     builder = _BUILDERS.get(group.family)
     too_large = group.family == "symmetric" and group.params[0] > SYMMETRIC_IRREPS_MAX_DIM
@@ -303,13 +300,14 @@ def irreps_of(group: Group) -> IrrepTable:
     # class in turn; the stable sort keeps the builder's order on ties.  A
     # dimension whose imaginary parts are all exactly zero sorts on its real
     # parts alone, in the same order: an all-zero key orders nothing
+    abelian = len(partition) == group.order
     stacks, characters = [], []
     for d in sorted(by_dim):
         parts = by_dim.pop(d)
         stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
         del parts
         # an abelian group's representatives are all its elements, in order
-        at_classes = stack if len(partition) == group.order else stack[:, partition.representatives]
+        at_classes = stack if abelian else stack[:, partition.representatives]
         chars = np.trace(at_classes, axis1=2, axis2=3)
         del at_classes
         # chi == 1 within 1e-9 in each part, by reductions over the real and
@@ -322,12 +320,13 @@ def irreps_of(group: Group) -> IrrepTable:
             np.round(chars.imag, 9, out=values[:, :, 1])
         order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
         del values
-        characters.append(chars[order])
+        if not abelian:
+            characters.append(chars[order])
         del chars
         stacks.append(stack[order])
         del stack
-    # one dimension, as in every abelian table: its characters, not a copy
-    characters = characters[0] if len(characters) == 1 else np.concatenate(characters)
+    # an abelian table is one 1x1 stack over its elements: its characters are a view of it
+    characters = stacks[0].reshape(group.order, group.order) if abelian else np.concatenate(characters)
     table = IrrepTable(group, partition, stacks, characters)
     table.validate()
     return table

@@ -43,6 +43,7 @@ from .errors import (
     NumericalConsistencyError,
     SizeLimitError,
     UsageError,
+    check_bytes,
 )
 from .groups import Group, ConjugacyPartition, conjugacy_classes, symmetric_permutations
 from .groups import _BLOCK_ENTRIES, power_table
@@ -54,7 +55,6 @@ EIG_SNAP_TOL = 1e-6  # multiplicity snap
 INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
-REGULAR_REP_MAX_BYTES = 2 << 30
 _ROW_BLOCK_ENTRIES = 1 << 14  # real entries per stack of moved rows: 128 KiB
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
@@ -323,14 +323,10 @@ def regular_rep(group: Group) -> Representation:
 
     The dense stack that the first read of ``.mats`` builds takes
     ``order**3 * 16`` bytes; that estimate is checked against
-    ``REGULAR_REP_MAX_BYTES`` (2 GiB, so order at most 512) here.
+    ``MEMORY_CAP_BYTES`` (2 GiB, so order at most 512) here.
     """
-    need = group.order**3 * 16
-    if need > REGULAR_REP_MAX_BYTES:
-        raise SizeLimitError(
-            f"regular representation of order {group.order} needs {need:,} bytes "
-            f"(order**3 * 16), above the cap of {REGULAR_REP_MAX_BYTES:,}"
-        )
+    check_bytes(group.order**3 * 16, f"regular representation of order {group.order} needs",
+                "order**3 * 16")
     return Representation(group, None, name="regular", signed=(group.mult, np.ones_like(group.mult)))
 
 

@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import GroupMismatchError, NumericalConsistencyError, SizeLimitError, UsageError
+from .errors import GroupMismatchError, NumericalConsistencyError, UsageError, check_bytes
 from .fourier import (
     _PRUNE_MARGIN,
     SUPPORT_EPS,
@@ -31,7 +31,7 @@ from .fourier import (
     per_irrep_norms,
     spectral_norm,
 )
-from .groups import GROUP_TABLE_MAX_BYTES, Group, sample_uniform
+from .groups import Group, sample_uniform
 from .irreps import IrrepTable
 from .reps import Representation, _weighted_sum, invariant_dimension, invariant_projector
 
@@ -351,14 +351,11 @@ def _candidate_key(eps: float, scheme: AveragingScheme):
 def check_trial_budget(order: int, trials: int) -> None:
     """Refuse ``trials`` random schemes held at once, as a search holds one draw
     count's and ``lowerbound`` its supports, when they could pass
-    ``GROUP_TABLE_MAX_BYTES``.  Tracemalloc read 836 bytes per search trial
+    ``MEMORY_CAP_BYTES``.  Tracemalloc read 836 bytes per search trial
     plus 16 per support element (fewer than ``order``), and 920 per
     ``lowerbound`` trial plus 32 per element (at most ``order / 2``)."""
-    need = trials * (920 + 16 * order)
-    if need > GROUP_TABLE_MAX_BYTES:
-        raise SizeLimitError(
-            f"{trials:,} trial schemes on order {order:,} need about {need:,} bytes "
-            f"(trials * (920 + 16 * order)), above the cap of {GROUP_TABLE_MAX_BYTES:,}")
+    check_bytes(trials * (920 + 16 * order), f"{trials:,} trial schemes on order {order:,} need",
+                "trials * (920 + 16 * order)")
 
 
 def minimize_scheme(

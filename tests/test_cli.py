@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -463,8 +464,11 @@ def test_huge_integers_are_refused_without_their_digits(argv, tmp_path, capsys):
     assert err.endswith("must lie between -2**63 and 2**63 - 1\n") and "999" not in err
 
 
-# 2**63 - 1 still reaches each size cap's own message
+# 2**63 - 1 still reaches each size cap's own message, and every byte cap's
+# message (the draw and regular-rep caps also at ordinary sizes) has one form
 _LARGEST = str(2**63 - 1)
+_BYTE_CAP_MESSAGE = re.compile(
+    r"^usage error: .+ needs? about [0-9,]+ bytes \(.+\), above the cap of 2,147,483,648\n$")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -482,11 +486,15 @@ _LARGEST = str(2**63 - 1)
      "usage error: 9,223,372,036,854,775,807 trial schemes on order 4 need "),
     (["lowerbound", "--d", "3", "--trials", _LARGEST],
      "usage error: 9,223,372,036,854,775,807 trial schemes on order 8 need "),
+    (["sample", "--group", "cyclic:4", "--eps", "1e-7"], "usage error: 117,183,082 draws need "),
+    (["certify", "--group", "cyclic:513", "--rep", "regular"],
+     "usage error: regular representation of order 513 needs "),
 ])
 def test_largest_integer_reaches_the_size_caps(argv, message, tmp_path, capsys):
     assert run([*argv, "--out", str(tmp_path / "x")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(message) and err.count("\n") == 1
+    assert _BYTE_CAP_MESSAGE.match(err), err
     assert not (tmp_path / "x").exists()
 
 

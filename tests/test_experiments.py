@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from groupavg import SizeLimitError, UsageError
-from groupavg.errors import TrainingFailureError
+from groupavg.errors import MEMORY_CAP_BYTES, TrainingFailureError
 from groupavg.experiments import regression as regression_module
 from groupavg.experiments import rotation as rotation_module
-from groupavg.groups import GROUP_TABLE_MAX_BYTES
 from groupavg.experiments.mlp import (
     MlpConfig,
     SignAveragedMlp,
@@ -338,7 +337,7 @@ class _NumpyStub:
 
 
 def test_figure1_grid_cap_is_a_byte_estimate(monkeypatch):
-    cap = GROUP_TABLE_MAX_BYTES
+    cap = MEMORY_CAP_BYTES
     # 72 bytes per cell for the full average and the temporaries, 8 per subset
     assert 4729**2 * 96 <= cap < 4730**2 * 96  # the default three subsets
     assert 5181**2 * 80 <= cap < 5182**2 * 80  # one subset
@@ -355,7 +354,7 @@ def test_figure1_grid_cap_is_a_byte_estimate(monkeypatch):
 
 
 def test_regression_and_mlp_caps_are_byte_estimates(monkeypatch):
-    cap = GROUP_TABLE_MAX_BYTES
+    cap = MEMORY_CAP_BYTES
     # mlp: (train + test) * (16 * dim + 8) + test * 280 + 2**max_exponent * 32 * (dim + 1)
     # + 24 * (dim * w1 + w1 * w2 + w2) + (w1 + w2) * max(25 * batch, 8 * max(min(epoch_eval,
     # test), 2048)), here at the default dim 20, 50 000 test inputs, exponents up to 10,

@@ -18,6 +18,7 @@ from groupavg import (
     sample_uniform,
 )
 from groupavg import groups as groups_module
+from groupavg.errors import MEMORY_CAP_BYTES
 from groupavg.groups import custom_group, product_group
 from oracles import (
     brute_force_classes,
@@ -114,7 +115,7 @@ def _product_with_c17(n):
     ids=["cyclic", "dihedral", "signflip", "symmetric", "product"],
 )
 def test_group_table_cap_is_a_byte_estimate(monkeypatch, prepare, fits, over, order):
-    cap = groups_module.GROUP_TABLE_MAX_BYTES
+    cap = MEMORY_CAP_BYTES
     assert cap == 2 << 30 and 7327**2 * 40 <= cap < 7328**2 * 40
     assert order(fits) ** 2 * 40 <= cap < order(over) ** 2 * 40
     build_fits, build_over = prepare(fits), prepare(over)
@@ -131,7 +132,7 @@ def test_group_table_cap_is_a_byte_estimate(monkeypatch, prepare, fits, over, or
 
 def test_custom_group_cap_is_a_byte_estimate(monkeypatch):
     fits, over = 7327, 7328
-    assert fits**2 * 40 <= groups_module.GROUP_TABLE_MAX_BYTES < over**2 * 40
+    assert fits**2 * 40 <= MEMORY_CAP_BYTES < over**2 * 40
 
     def stop(*args, **kwargs):
         raise _Allocating

@@ -18,7 +18,7 @@ from groupavg import (
 )
 from groupavg import SizeLimitError
 from groupavg import irreps as irreps_module
-from groupavg.groups import GROUP_TABLE_MAX_BYTES
+from groupavg.errors import MEMORY_CAP_BYTES
 from groupavg.irreps import IrrepTable
 from oracles import character_by_loop, character_layer_reps, decompose_by_loop, irrep_mats_by_loop
 from oracles import character_table_csv_as_string, signed_permutation_by_masks, table_order_by_re_im
@@ -105,6 +105,11 @@ def test_abelian_all_one_dimensional(tables):
     assert tables["cyclic:4"].dims == (1, 1, 1, 1)
     assert set(tables["signflip:3"].dims) == {1}
     assert len(tables["signflip:3"]) == 8
+    # the classes are the elements, so the one 1x1 stack is the character table
+    for spec in ["cyclic:1", "cyclic:7", "signflip:4", "product(signflip:2,cyclic:2)"]:
+        table = tables[spec]
+        assert np.shares_memory(table.characters, table.stacks[0]), spec
+        assert table.characters.shape == (table.group.order,) * 2, spec
 
 
 def test_frozen_dimension_patterns(tables):
@@ -414,9 +419,9 @@ class _NumpyStub:
     ids=["cyclic", "dihedral", "signflip", "product"],
 )
 def test_irrep_table_cap_is_a_byte_estimate(monkeypatch, fits, over):
-    assert irreps_module._PEAK_BYTES_PER_ENTRY == 96 and GROUP_TABLE_MAX_BYTES == 2 << 30
-    assert 4729**2 * 96 <= GROUP_TABLE_MAX_BYTES < 4730**2 * 96
-    assert fits.order**2 * 96 <= GROUP_TABLE_MAX_BYTES < over.order**2 * 96
+    assert irreps_module._PEAK_BYTES_PER_ENTRY == 96 and MEMORY_CAP_BYTES == 2 << 30
+    assert 4729**2 * 96 <= MEMORY_CAP_BYTES < 4730**2 * 96
+    assert fits.order**2 * 96 <= MEMORY_CAP_BYTES < over.order**2 * 96
     # every builder allocates with numpy; without it, a size that passes the
     # check stops at its first allocation and one that fails never gets there
     monkeypatch.setattr(irreps_module, "np", _NumpyStub())

@@ -30,6 +30,7 @@ from groupavg import (
     tensor_product,
     trivial_rep,
 )
+from groupavg.errors import MEMORY_CAP_BYTES
 from groupavg.groups import custom_group
 from groupavg.reps import power_class_map, sym_power_characters
 from oracles import (
@@ -110,7 +111,7 @@ def test_regular_rep_cap():
 
 
 def test_regular_rep_cap_is_a_byte_estimate(monkeypatch):
-    assert 512**3 * 16 == reps_module.REGULAR_REP_MAX_BYTES < 513**3 * 16
+    assert 512**3 * 16 == MEMORY_CAP_BYTES < 513**3 * 16
     with pytest.raises(SizeLimitError, match="2,160,091,152 bytes"):
         regular_rep(parse_group_spec("cyclic:513"))
 
