@@ -20,7 +20,6 @@ from .errors import (
 from .groups import (
     ConjugacyPartition,
     Group,
-    build_group,
     closure,
     conjugacy_classes,
     group_from_text,

@@ -103,27 +103,22 @@ class SignAveragedMlp:
         return h.ravel()
 
     def sgd_step(self, x: np.ndarray, y: np.ndarray, lr: float) -> float:
-        h1_pre = x @ self.weights[0] + self.biases[0]
-        h1 = np.maximum(h1_pre, 0.0)
-        h2_pre = h1 @ self.weights[1] + self.biases[1]
-        h2 = np.maximum(h2_pre, 0.0)
-        pred = (h2 @ self.weights[2] + self.biases[2]).ravel()
-        err = pred - y
+        """One SGD step on the squared error; every gradient precedes every update."""
+        acts, pres = [x], []
+        for w, b in zip(self.weights[:-1], self.biases[:-1]):
+            pres.append(acts[-1] @ w + b)
+            acts.append(np.maximum(pres[-1], 0.0))
+        err = (acts[-1] @ self.weights[-1] + self.biases[-1]).ravel() - y
         loss = float((err**2).mean())
-        batch = x.shape[0]
-        grad_out = (2.0 / batch) * err[:, None]
-        gw2 = h2.T @ grad_out
-        gb2 = grad_out.sum(axis=0)
-        gh2 = (grad_out @ self.weights[2].T) * (h2_pre > 0.0)
-        gw1 = h1.T @ gh2
-        gb1 = gh2.sum(axis=0)
-        gh1 = (gh2 @ self.weights[1].T) * (h1_pre > 0.0)
-        gw0 = x.T @ gh1
-        gb0 = gh1.sum(axis=0)
-        for w, g in zip(self.weights, (gw0, gw1, gw2)):
-            w -= lr * g
-        for b, g in zip(self.biases, (gb0, gb1, gb2)):
-            b -= lr * g
+        grad = (2.0 / x.shape[0]) * err[:, None]
+        grads = []
+        for i in reversed(range(len(self.weights))):
+            grads.append((acts[i].T @ grad, grad.sum(axis=0)))
+            if i:
+                grad = (grad @ self.weights[i].T) * (pres[i - 1] > 0.0)
+        for w, b, (gw, gb) in zip(self.weights, self.biases, reversed(grads)):
+            w -= lr * gw
+            b -= lr * gb
         return loss
 
 

@@ -336,29 +336,28 @@ def custom_group(mult) -> Group:
     return Group(mult, [str(i) for i in range(mult.shape[0])], "custom", ())
 
 
-def build_group(family: str, *params) -> Group:
-    """Construct a built-in group; see the per-family constructors."""
-    if family == "cyclic":
-        return cyclic_group(int(params[0]))
-    if family in ("sign_flip", "signflip"):
-        return sign_flip_group(int(params[0]))
-    if family == "dihedral":
-        return dihedral_group(int(params[0]))
-    if family == "symmetric":
-        return symmetric_group(int(params[0]))
-    if family == "product":
-        if len(params) != 2 or not all(isinstance(p, Group) for p in params):
-            raise UsageError("product family takes two Group instances")
-        return product_group(params[0], params[1])
-    raise UsageError(f"unknown group family {family!r}")
+# family -> (its spelling in a spec string, the order of family:p for p >= 0 without
+# building it); sign-flip and symmetric orders stop at 2**65 and 21! (> 2**64), past every
+# cap, with no huge shift.  No constructor: the tracer wraps module-level names alone
+FAMILIES = {
+    "cyclic": ("cyclic", lambda p: p),
+    "sign_flip": ("signflip", lambda p: 1 << min(p, 65)),
+    "dihedral": ("dihedral", lambda p: 2 * p),
+    "symmetric": ("symmetric", lambda p: math.factorial(min(p, 21))),
+}
+_SPELLINGS = {name: family for family, (spec, _) in FAMILIES.items() for name in (family, spec)}
+
+
+def _family(spelling: str) -> str:
+    """The family a spec spells, blanks and case ignored; else the spelling lowercased."""
+    name = spelling.strip().lower()
+    return _SPELLINGS.get(name, name)
 
 
 def family_order(family: str, p: int) -> Optional[int]:
-    """Order of ``family:p`` (p >= 0) without building it, None for another family; sign-flip
-    and symmetric orders stop at 2**65 and 21! (> 2**64), past every cap, with no huge shift."""
-    sign_flip = 1 << min(p, 65)
-    return {"cyclic": p, "sign_flip": sign_flip, "signflip": sign_flip, "dihedral": 2 * p,
-            "symmetric": math.factorial(min(p, 21))}.get(family)
+    """Order of ``family:p`` (p >= 0), in any spelling a spec accepts, unbuilt; else None."""
+    entry = FAMILIES.get(_family(family))
+    return None if entry is None else entry[1](p)
 
 
 # -- operations -----------------------------------------------------------
@@ -465,14 +464,8 @@ def sample_uniform(group: Group, n: int, seed) -> np.ndarray:
 
 def group_spec_string(group: Group) -> str:
     """Canonical spec string, parsable by :func:`parse_group_spec`."""
-    if group.family == "cyclic":
-        return f"cyclic:{group.params[0]}"
-    if group.family == "sign_flip":
-        return f"signflip:{group.params[0]}"
-    if group.family == "dihedral":
-        return f"dihedral:{group.params[0]}"
-    if group.family == "symmetric":
-        return f"symmetric:{group.params[0]}"
+    if group.family in FAMILIES:
+        return f"{FAMILIES[group.family][0]}:{group.params[0]}"
     if group.family == "product":
         f1, f2 = group.factors
         return f"product({group_spec_string(f1)},{group_spec_string(f2)})"
@@ -504,12 +497,20 @@ def parse_group_spec(spec: str) -> Group:
     if ":" not in spec:
         raise UsageError(f"malformed group spec {spec!r}")
     family, _, param = spec.partition(":")
-    family = family.strip().lower()
+    family = _family(family)
     try:
         value = int(param)
     except ValueError:
         raise UsageError(f"non-integer parameter in group spec {spec!r}") from None
-    return build_group(family, value)
+    if family == "cyclic":
+        return cyclic_group(value)
+    if family == "sign_flip":
+        return sign_flip_group(value)
+    if family == "dihedral":
+        return dihedral_group(value)
+    if family == "symmetric":
+        return symmetric_group(value)
+    raise UsageError(f"unknown group family {family!r}")
 
 
 def group_to_text(group: Group) -> Iterator[str]:
@@ -549,10 +550,9 @@ def group_from_text(text: str) -> Group:
                     dtype=np.int64)
     if family == "custom":
         return custom_group(mult)
-    if family == "product":
-        rebuilt = parse_group_spec(param)
-    else:
-        rebuilt = build_group(family, _text_int(param, "group parameter"))
+    if family != "product":
+        param = f"{family}:{_text_int(param, 'group parameter')}"
+    rebuilt = parse_group_spec(param)
     if not np.array_equal(rebuilt.mult, mult):
         raise UsageError("serialized table disagrees with the named family")
     return rebuilt

@@ -169,31 +169,25 @@ def _adjacent_transposition_matrices(shape: tuple[int, ...]) -> tuple[list, list
     return tabs, mats
 
 
-def _adjacent_decomposition(one_line: list[int]) -> list[int]:
-    """Swap positions s.t. sigma = s[last] ... s[first] as composition."""
-    work = list(one_line)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work) - 1):
-            if work[i] > work[i + 1]:
-                work[i], work[i + 1] = work[i + 1], work[i]
-                swaps.append(i)
-                changed = True
-    return swaps[::-1]
-
-
 def _symmetric_stacks(group: Group) -> list[np.ndarray]:
     """Each element's matrix is the product of its word's generators, left
     to right from the identity: step j multiplies, in one batched matmul,
-    every element whose word is longer than j by its j-th generator."""
+    every element whose word is longer than j by its j-th generator.
+
+    The words come from one bubble sort over all one-line forms, d - 1
+    passes: the swaps s_1 .. s_m that sort sigma give sigma = s_m ... s_1,
+    so a word is its row's swaps reversed."""
     d = group.params[0]
-    words = [_adjacent_decomposition(perm) for perm in symmetric_permutations(d).tolist()]
-    lengths = np.array([len(word) for word in words])
-    letters = np.zeros((group.order, lengths.max()), dtype=np.intp)
-    for g, word in enumerate(words):
-        letters[g, : len(word)] = word
+    work, steps = symmetric_permutations(d), []  # steps: (position, rows swapped there)
+    for i in [*range(d - 1)] * (d - 1):  # d - 1 passes
+        rows = np.flatnonzero(work[:, i] > work[:, i + 1])
+        work[rows, i], work[rows, i + 1] = work[rows, i + 1], work[rows, i]
+        steps.append((i, rows))
+    letters = np.zeros((group.order, d * (d - 1) // 2), dtype=np.intp)
+    lengths = np.zeros(group.order, dtype=np.intp)
+    for i, rows in reversed(steps):
+        letters[rows, lengths[rows]] = i
+        lengths[rows] += 1
     out = []
     for shape in partitions_of(d):
         tabs, gens = _adjacent_transposition_matrices(shape)

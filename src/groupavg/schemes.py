@@ -165,8 +165,8 @@ def required_sample_count(order: int, eps: float, delta: float) -> int:
     if order < 1:
         raise UsageError("order must be positive")
     count = SAMPLE_LAW_SCALE * (math.log(order) + math.log(1.0 / delta) + SAMPLE_LAW_OFFSET) / eps
-    if math.isinf(count):
-        raise UsageError(f"eps {eps} is so small that the draw count overflows")
+    if not count < 2**63:  # inf included
+        raise UsageError(f"eps {eps} is so small that the draw count passes 2**63")
     return int(math.ceil(count))
 
 

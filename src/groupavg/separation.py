@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 from .fourier import fourier_transform, max_deviation, max_nontrivial_norm
-from .groups import build_group, closure, group_spec_string
+from .groups import closure, group_spec_string, parse_group_spec, sign_flip_group
 from .irreps import IrrepTable, _as_character, decompose, irreps_of
 from .reps import (
     CharacterVector,
@@ -86,14 +86,10 @@ def exact_feasible_on_support(support: Iterable[int], table: IrrepTable) -> Feas
     sup = sorted(set(int(g) for g in support))
     if not sup:
         raise UsageError("support must be nonempty")
-    # rows: the unit sum, then the real and the imaginary parts of each
-    # nontrivial block pi(g)^dagger, row-major; one column per support element
-    rows = [np.ones((1, len(sup)))]
-    for stack in [table.stacks[0][1:], *table.stacks[1:]]:  # the trivial irrep is first
-        k, d = len(stack), stack.shape[2]
-        adjoint = stack[:, sup].conj().transpose(0, 3, 2, 1).reshape(k, d * d, len(sup))
-        rows.append(np.concatenate([adjoint.real, adjoint.imag], axis=1).reshape(-1, len(sup)))
-    mat = np.concatenate(rows)
+    # rows: the real, then the imaginary parts of every pi(g)^dagger, a column per support
+    # element; the trivial irrep gives the unit sum (all ones) and a zero row
+    adjoint = table.adjoint_rows[sup].T
+    mat = np.concatenate([adjoint.real, adjoint.imag])
     rhs = np.zeros(mat.shape[0])
     rhs[0] = 1.0
     sv = np.linalg.svd(mat, compute_uv=False)
@@ -119,7 +115,7 @@ def sign_flip_generation_report(
     the translation action) equals the weak certificate on the regular
     representation.  Non-generating supports always certify >= 1.
     """
-    group = build_group("sign_flip", d)
+    group = sign_flip_group(d)
     schemes = [AveragingScheme(group, s, w) for s, w in zip(supports, weights, strict=True)]
     table = irreps_of(group)
     return [
@@ -149,7 +145,7 @@ def separation_table(
     """
     rows = []
     for idx, p in enumerate(params):
-        group = build_group(family, int(p))
+        group = parse_group_spec(f"{family}:{p}")
         table = irreps_of(group)
         row_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0])
         result = minimize_scheme(group, table, eps, trial_budget=trial_budget, seed=row_seed)

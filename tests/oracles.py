@@ -590,17 +590,29 @@ def _pinned(mats: np.ndarray) -> np.ndarray:
     return mats
 
 
+def adjacent_word_by_bubble_sort(one_line: list[int]) -> list[int]:
+    """Swap positions s such that sigma = s[last] ... s[first] as
+    composition: one permutation's bubble sort, passes until none swaps."""
+    work = list(one_line)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(work) - 1):
+            if work[i] > work[i + 1]:
+                work[i], work[i + 1] = work[i + 1], work[i]
+                swaps.append(i)
+                changed = True
+    return swaps[::-1]
+
+
 def irrep_mats_by_loop(group) -> tuple[list[np.ndarray], np.ndarray]:
     """Irrep-table oracle: one ``(order, d, d)`` array per irrep, built one
     irrep at a time as the per-irrep builders did, pinned at the identity
     and put in table order by the same key, with the characters in that
     order.  Returns ``(mats, characters)``."""
     from groupavg.groups import conjugacy_classes, symmetric_permutations
-    from groupavg.irreps import (
-        _adjacent_decomposition,
-        _adjacent_transposition_matrices,
-        partitions_of,
-    )
+    from groupavg.irreps import _adjacent_transposition_matrices, partitions_of
 
     n = group.order
     raw = []
@@ -627,7 +639,7 @@ def irrep_mats_by_loop(group) -> tuple[list[np.ndarray], np.ndarray]:
             mats[b == 1] = mats[b == 1] @ np.array([[1.0, 0.0], [0.0, -1.0]])
             raw.append(mats)
     elif group.family == "symmetric":
-        words = [_adjacent_decomposition(p) for p in symmetric_permutations(group.params[0]).tolist()]
+        words = [adjacent_word_by_bubble_sort(p) for p in symmetric_permutations(group.params[0]).tolist()]
         for shape in partitions_of(group.params[0]):
             tabs, gens = _adjacent_transposition_matrices(shape)
             mats = np.empty((n, len(tabs), len(tabs)), dtype=np.complex128)
@@ -719,3 +731,52 @@ def group_to_text_as_string(group) -> str:
     for row in group.mult:
         lines.append(" ".join(str(int(x)) for x in row))
     return "\n".join(lines) + "\n"
+
+
+# -- unrolled forms of code that now walks a layout or a layer list --------------
+
+
+def feasibility_by_stacks(support, table) -> tuple[bool, np.ndarray | None]:
+    """Exact-feasibility oracle: the linear system built per stack, the unit
+    sum first, then the real and the imaginary parts of each nontrivial
+    block pi(g)^dagger, row-major.  Returns ``(feasible, witness)``."""
+    sup = sorted(set(int(g) for g in support))
+    rows = [np.ones((1, len(sup)))]
+    for stack in [table.stacks[0][1:], *table.stacks[1:]]:  # the trivial irrep is first
+        k, d = len(stack), stack.shape[2]
+        adjoint = stack[:, sup].conj().transpose(0, 3, 2, 1).reshape(k, d * d, len(sup))
+        rows.append(np.concatenate([adjoint.real, adjoint.imag], axis=1).reshape(-1, len(sup)))
+    mat = np.concatenate(rows)
+    rhs = np.zeros(mat.shape[0])
+    rhs[0] = 1.0
+    sv = np.linalg.svd(mat, compute_uv=False)
+    sv_aug = np.linalg.svd(np.column_stack([mat, rhs]), compute_uv=False)
+    cutoff = 1e-9 * (sv_aug[0] if sv_aug.size else 1.0)
+    if (sv_aug > cutoff).sum() > (sv > cutoff).sum():
+        return False, None
+    return True, np.linalg.lstsq(mat, rhs, rcond=None)[0]
+
+
+def sgd_step_unrolled(model, x, y, lr: float) -> float:
+    """SGD-step oracle for the d -> h1 -> h2 -> 1 network, its three layers
+    spelled out: every gradient, then every weight update, then every bias
+    update."""
+    w0, w1, w2 = model.weights
+    b0, b1, b2 = model.biases
+    h1_pre = x @ w0 + b0
+    h1 = np.maximum(h1_pre, 0.0)
+    h2_pre = h1 @ w1 + b1
+    h2 = np.maximum(h2_pre, 0.0)
+    err = (h2 @ w2 + b2).ravel() - y
+    loss = float((err**2).mean())
+    grad_out = (2.0 / x.shape[0]) * err[:, None]
+    gw2, gb2 = h2.T @ grad_out, grad_out.sum(axis=0)
+    gh2 = (grad_out @ w2.T) * (h2_pre > 0.0)
+    gw1, gb1 = h1.T @ gh2, gh2.sum(axis=0)
+    gh1 = (gh2 @ w1.T) * (h1_pre > 0.0)
+    gw0, gb0 = x.T @ gh1, gh1.sum(axis=0)
+    for w, g in zip(model.weights, (gw0, gw1, gw2)):
+        w -= lr * g
+    for b, g in zip(model.biases, (gb0, gb1, gb2)):
+        b -= lr * g
+    return loss

@@ -38,7 +38,7 @@ from groupavg.experiments.mlp import MlpConfig, mlp_experiment
 from groupavg.experiments.regression import RegressionConfig, regression_risk
 from groupavg.experiments.rotation import RotationDemoConfig, rotation_averaging_demo
 
-from oracles import scheme_signal
+from oracles import feasibility_by_stacks, scheme_signal
 
 SMALL_CATALOG = (
     ["cyclic:%d" % n for n in range(1, 13)]
@@ -54,27 +54,38 @@ def _report(n: int, text: str) -> None:
 
 
 def test_criterion_01_exactness_requires_whole_group():
+    """Every support checked gets the verdict, and a feasible one the witness
+    within 1e-12, of the linear system built per stack (``feasibility_by_stacks``)."""
     rng = np.random.default_rng(101)
     checked = 0
+
+    def solve(support, table):
+        res = exact_feasible_on_support(support, table)
+        feasible, witness = feasibility_by_stacks(support, table)
+        assert res.feasible == feasible, support
+        if feasible:
+            assert np.abs(res.witness - witness).max() <= 1e-12, support
+        return res
+
     for spec in SMALL_CATALOG:
         group = parse_group_spec(spec)
         if group.order > 12:
             continue
         table = irreps_of(group)
         full = list(range(group.order))
-        res = exact_feasible_on_support(full, table)
+        res = solve(full, table)
         assert res.feasible, spec
         assert np.abs(res.witness - 1.0 / group.order).max() <= 1e-9, spec
         if group.order <= 8:
             for size in range(1, group.order):
                 for support in combinations(full, size):
-                    assert not exact_feasible_on_support(support, table).feasible, (spec, support)
+                    assert not solve(support, table).feasible, (spec, support)
                     checked += 1
         else:
             for _ in range(500):
                 size = int(rng.integers(1, group.order))
                 support = rng.choice(group.order, size=size, replace=False)
-                assert not exact_feasible_on_support(support, table).feasible, (spec, support)
+                assert not solve(support, table).feasible, (spec, support)
                 checked += 1
     _report(1, f"{checked} proper supports infeasible; full supports give the uniform witness")
 

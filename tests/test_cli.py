@@ -464,6 +464,15 @@ def test_huge_integers_are_refused_without_their_digits(argv, tmp_path, capsys):
     assert err.endswith("must lie between -2**63 and 2**63 - 1\n") and "999" not in err
 
 
+@pytest.mark.parametrize("argv", [["sample", "--group", "cyclic:4", "--eps", "1e-300"],
+                                  ["regress", "--eps", "1e-300"]], ids=["sample", "regress"])
+def test_tiny_eps_is_refused_without_a_huge_draw_count(argv, tmp_path, capsys):
+    assert run([*argv, "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err == "usage error: eps 1e-300 is so small that the draw count passes 2**63\n"
+    assert not re.search(r"\d(,?\d){20}", err)  # no run of more than 20 digits
+
+
 # 2**63 - 1 still reaches each size cap's own message, and every byte cap's
 # message (the draw and regular-rep caps also at ordinary sizes) has one form
 _LARGEST = str(2**63 - 1)
@@ -502,6 +511,8 @@ def test_largest_integer_reaches_the_size_caps(argv, message, tmp_path, capsys):
     (["--range", "2:13"], "irrep table of order 8,192 needs "),
     (["--family", "symmetric", "--range", "2:7"], "irrep table of order 5,040 needs "),
     (["--range", "2:12", "--trials", "100000"], "100,000 trial schemes on order 4,096 need "),
+    (["--family", "CYCLIC", "--range", "2:9223372036854775807"],
+     "irrep table of order 9,223,372,036,854,775,807 needs "),
 ])
 def test_separation_refuses_its_largest_member_before_any_row(argv, message, tmp_path, capsys,
                                                               monkeypatch):

@@ -30,6 +30,7 @@ from groupavg.experiments.rotation import (
     scalar_field,
     summary_json,
 )
+from oracles import sgd_step_unrolled
 
 
 # -- rotation demo ---------------------------------------------------------
@@ -216,6 +217,17 @@ def test_mlp_training_reduces_loss_and_is_deterministic():
     assert res1.loss_by_subset == res2.loss_by_subset
     assert res1.epoch_losses_plain == res2.epoch_losses_plain
     assert res1.epoch_losses_plain[-1] < res1.epoch_losses_plain[0]
+
+
+@pytest.mark.parametrize("widths", [(8, 4), (32, 16)])
+def test_sgd_step_matches_the_unrolled_step_bit_for_bit(widths):
+    models = [SignAveragedMlp(6, widths, np.random.default_rng(3)) for _ in range(2)]
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        x, y = rng.normal(size=(16, 6)), rng.normal(size=16)
+        assert models[0].sgd_step(x, y, 0.05) == sgd_step_unrolled(models[1], x, y, 0.05)
+    for got, want in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_mlp_divergence_raises():

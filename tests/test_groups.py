@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from groupavg import (
     SizeLimitError,
     UsageError,
-    build_group,
     closure,
     conjugacy_classes,
     group_from_text,
@@ -19,7 +18,7 @@ from groupavg import (
 )
 from groupavg import groups as groups_module
 from groupavg.errors import MEMORY_CAP_BYTES
-from groupavg.groups import custom_group, product_group
+from groupavg.groups import custom_group, cyclic_group, family_order, product_group
 from oracles import (
     brute_force_classes,
     brute_force_is_group,
@@ -54,16 +53,26 @@ def test_identity_is_index_zero(small_groups):
 
 def test_parameter_caps_and_usage_errors():
     with pytest.raises(UsageError):
-        build_group("cyclic", 0)
+        parse_group_spec("cyclic:0")
     with pytest.raises(UsageError):
-        build_group("dihedral", 2)
+        parse_group_spec("dihedral:2")
     with pytest.raises(SizeLimitError):
-        build_group("sign_flip", 17)
+        parse_group_spec("sign_flip:17")
     with pytest.raises(SizeLimitError):
-        build_group("symmetric", 9)
+        parse_group_spec("symmetric:9")
     with pytest.raises(UsageError):
-        build_group("nonsense", 3)
+        parse_group_spec("nonsense:3")
 
+
+def test_family_order_reads_every_spelling_the_parser_accepts():
+    for spec in ("cyclic:5", "CYCLIC:5", " SignFlip :3", "sign_flip:3", "dihedral:4", "Symmetric:4"):
+        family, _, p = spec.partition(":")
+        assert family_order(family, int(p)) == parse_group_spec(spec).order, spec
+    assert family_order("product", 3) is None and family_order("custom", 3) is None
+    assert family_order("signflip", 10**6) == 2**65
+    assert family_order("symmetric", 10**6) == math.factorial(21)
+    with pytest.raises(UsageError, match="^unknown group family 'product'$"):
+        parse_group_spec("product:3")
 
 
 def _nested_product(depth: int, leaf: str) -> str:
@@ -95,11 +104,11 @@ class _NumpyStub:
 
 
 def _family(name):
-    return lambda n: (lambda: build_group(name, n))
+    return lambda n: (lambda: parse_group_spec(f"{name}:{n}"))
 
 
 def _product_with_c17(n):
-    factors = build_group("cyclic", 17), build_group("cyclic", n)
+    factors = cyclic_group(17), cyclic_group(n)
     return lambda: product_group(*factors)
 
 
@@ -206,7 +215,7 @@ def test_closure_idempotent_and_lagrange(small_groups):
 @settings(max_examples=40, deadline=None)
 @given(d=st.integers(2, 6), data=st.data())
 def test_signflip_closure_matches_gf2_rank(d, data):
-    group = build_group("sign_flip", d)
+    group = parse_group_spec(f"sign_flip:{d}")
     gens = data.draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=5))
     size = len(closure(group, gens))
     assert size == 1 << gf2_rank(gens, d)
@@ -255,7 +264,7 @@ def test_symmetric_composition_convention():
 def test_symmetric_table_matches_lehmer_rank_oracle():
     # column j of the table holds the lexicographic ranks of sigma o tau_j
     for d in range(1, 7):
-        group = build_group("symmetric", d)
+        group = parse_group_spec(f"symmetric:{d}")
         perms = np.array([[int(c) for c in label] for label in group.labels])
         assert np.array_equal(lehmer_ranks(perms), np.arange(group.order))
         for j in range(group.order):
@@ -398,7 +407,7 @@ def _swapped_intercalate(n: int, a: int, b: int) -> np.ndarray:
     """cyclic:n with the 2x2 Latin subsquare at rows a, a + n/2 and
     columns b, b + n/2 swapped: still a Latin square with identity and
     two-sided inverses, but not associative."""
-    mult = build_group("cyclic", n).mult.copy()
+    mult = cyclic_group(n).mult.copy()
     rows, h = [a, a + n // 2], n // 2
     mult[rows, b], mult[rows, b + h] = mult[rows, b + h].copy(), mult[rows, b].copy()
     return mult
@@ -574,7 +583,7 @@ def test_a_closed_form_is_proved_on_the_first_read_of_its_table():
             with pytest.raises(UsageError, match=f"^associativity fails at b={b}$"):
                 group.mult
             assert group._mult is None
-    c5 = build_group("cyclic", 5).mult
+    c5 = parse_group_spec("cyclic:5").mult
     with pytest.raises(UsageError, match="two-sided identity"):
         _closed_form(np.roll(c5, 1, axis=1))
     with pytest.raises(UsageError, match="inverse table inconsistent"):
