@@ -156,17 +156,14 @@ def fourier_transform(signal, table: IrrepTable) -> FourierCoefficients:
     the support's rows of :attr:`IrrepTable.adjoint_rows` and one einsum
     give every coefficient, summed over the support in increasing order
     as the per-stack einsum sums them; each stack is a C-contiguous
-    ``(k, d, d)`` view of that one vector.
+    ``(k, d, d)`` view of that one vector, sliced by the table's
+    :attr:`IrrepTable.layout`, which the table computes once.
     """
     if signal.group != table.group:
         raise GroupMismatchError("signal and table are over different groups")
     idx, w = signal.sparse()
     flat = np.einsum("g,gx->x", w, table.adjoint_rows[idx])
-    stacks, first = [], 0
-    for s in table.stacks:
-        k, d = len(s), s.shape[2]
-        stacks.append(flat[first : first + k * d * d].reshape(k, d, d))
-        first += k * d * d
+    stacks = [flat[start:end].reshape(shape) for start, end, shape in table.layout]
     return FourierCoefficients(table=table, stacks=stacks)
 
 
@@ -175,7 +172,7 @@ def inverse_fourier(coeffs: FourierCoefficients) -> GroupSignal:
     of :func:`fourier_transform`."""
     table = coeffs.table
     n = table.group.order
-    shapes = [(len(s), s.shape[2], s.shape[2]) for s in table.stacks]
+    shapes = [shape for _, _, shape in table.layout]
     if [np.shape(c) for c in coeffs.stacks] != shapes:
         raise UsageError(f"coefficient stacks have shapes "
                          f"{[np.shape(c) for c in coeffs.stacks]}, expected {shapes}")

@@ -9,7 +9,9 @@ family.  Cyclic and sign-flip groups are closed form: their |G| x |G|
 table is built, and proved, only when something reads ``Group.mult``.
 Dihedral, symmetric, product and custom groups hold their table.  A group
 also keeps the ``(order, generators)`` products of every element with each
-generator, the one table an exact signed homomorphism check gathers from.
+generator, the one table an exact signed homomorphism check gathers from,
+and the ``(order, basis)`` products with its word basis, which every float
+check of a representation over the group shares.
 """
 
 from __future__ import annotations
@@ -201,6 +203,14 @@ class Group:
             basis = tuple(dict.fromkeys(squares))
             self._word_basis = (basis, _generated(self, list(basis))[1])
         return self._word_basis
+
+    @functools.cached_property
+    def _word_products(self) -> np.ndarray:
+        """``(order, len(basis))`` products g*t of every element g and
+        :meth:`word_basis` element t, made on first read: every float
+        homomorphism check over this group gathers from it."""
+        basis = np.array(self.word_basis()[0], dtype=np.int64)
+        return self.product(np.arange(self.order)[:, None], basis)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ linear character identities check the table.  Each irrep is a validated
 :class:`Representation` viewing its slice of a stack, so the matrices are
 held once, plus the element-major adjoint table the Fourier transforms
 gather from (row g holds pi(g)^dagger of every irrep), built when first
-read.  The signed-permutation forms of a stack's irreps are read in one
+read, and the layout of its stacks in that table's columns, computed
+once.  The signed-permutation forms of a stack's irreps are read in one
 pass over the stack; the forms of a 1x1 stack are int8 signs that share
 one read-only zero permutation.  A build is refused before any builder
 allocates when ``order**2 * 96`` bytes, above its measured peak, pass
@@ -81,12 +82,21 @@ class IrrepTable:
         straight into its column slice, so the build makes no temporary.
         """
         n = self.group.order
-        out = np.empty((n, sum(s[:, 0].size for s in self.stacks)), dtype=np.complex128)
-        first = 0
+        out = np.empty((n, self.layout[-1][1]), dtype=np.complex128)
+        for s, (start, end, shape) in zip(self.stacks, self.layout):
+            cols = out[:, start:end]
+            np.conjugate(s.transpose(1, 0, 3, 2), out=cols.reshape(n, *shape))  # a view
+        return out
+
+    @functools.cached_property
+    def layout(self) -> list[tuple[int, int, tuple[int, int, int]]]:
+        """``(start, end, (k, d, d))`` per stack: its columns of
+        :attr:`adjoint_rows`, and so its entries of a transform's one vector,
+        and the shape of its coefficient stack."""
+        out, first = [], 0
         for s in self.stacks:
             k, d = len(s), s.shape[2]
-            cols = out[:, first : first + k * d * d]
-            np.conjugate(s.transpose(1, 0, 3, 2), out=cols.reshape(n, k, d, d))  # a view
+            out.append((first, first + k * d * d, (k, d, d)))
             first += k * d * d
         return out
 

@@ -25,8 +25,11 @@ moves of g and g^-1 are signed row permutations of each other, exactly.
 Every other representation is checked in floating point: unitarity per
 element, then the homomorphism law on each element against the group's
 word basis, which bounds the deviation of every pair (see
-:meth:`Group.word_basis`).  A residual that is not finite fails either
-check.
+:meth:`Group.word_basis`), in a fixed number of array steps per
+representation over products g*t the group caches for all of them.  A
+residual that is not finite fails either check.  A dense symmetric power
+takes one gather per pair of coordinate slots, with the bits of one per
+pair of coordinates.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ INT_ROUND_TOL = 1e-6
 CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 _ROW_BLOCK_ENTRIES = 1 << 14  # real entries per stack of moved rows: 128 KiB
+_DENSE_BLOCK_ENTRIES = 1 << 16  # complex entries per block of dense products: 1 MiB
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
@@ -148,16 +152,32 @@ def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
 
 def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
     """Bound on the deviation over all pairs from each element against the
-    group's word basis, one ``(order * dim, dim) @ (dim, dim)`` product per
-    basis element: the rows of every rho(g) side by side times rho(t) (proof
-    at :meth:`Group.word_basis`).  A NaN in any product is the result."""
+    group's word basis (proof at :meth:`Group.word_basis`).
+
+    Each basis element t takes one ``(order * dim, dim) @ (dim, dim)``
+    product, the rows of every rho(g) side by side times rho(t), all of
+    them from one stacked ``np.matmul`` into one basis-major array (the
+    same gemm per basis element, so the same bits); then one gather of
+    rho(g*t) from the group's shared ``(order, basis)`` products, one
+    subtraction and one Frobenius reduction serve every basis element.
+    The products are taken in blocks of at most ``_DENSE_BLOCK_ENTRIES``
+    entries (at least one basis element each): one block on every table
+    the benchmark builds, a few on a large irrep.  A NaN in any product is
+    the result.
+    """
     basis, depth = group.word_basis()
-    rows = mats.reshape(-1, mats.shape[2])
-    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))  # g*t per column t
+    at = group._word_products
+    n, d = mats.shape[:2]
+    rows = mats.reshape(-1, d)
+    step = max(1, _DENSE_BLOCK_ENTRIES // mats.size)
     worst = 0.0
-    for j, t in enumerate(basis):
-        prods = (rows @ mats[t]).reshape(mats.shape)
-        worst = np.maximum(worst, _max_frobenius(mats[at[:, j]] - prods))
+    for start in range(0, len(basis), step):
+        block = list(basis[start : start + step])
+        prods = np.matmul(rows, mats[block])  # one gemm per basis element, stacked
+        diff = mats[at[:, start : start + step].T]  # (basis, order, dim, dim): rho(g*t)
+        diff -= prods.reshape(diff.shape)
+        flat = diff.reshape(-1, d * d)
+        worst = np.maximum(worst, np.sqrt(np.vecdot(flat, flat).real.max()))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 
@@ -380,6 +400,14 @@ def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
     :func:`_sym_power_signed`: removing one v from each monomial holding
     it lists every degree j-1 monomial, so one ``np.unique`` ranks the
     parents.
+
+    Entry (a, b) sums one term per pair of a coordinate v of monomial a
+    and w of monomial b, in increasing (v, w), from 0.0.  A monomial's
+    s-th smallest distinct coordinate is its slot s, so the slot pairs
+    (s, t) in increasing order add each entry's terms in that order: one
+    gather and one scatter-add per slot pair, at most j**2 per degree, over
+    blocks of rows of about ``_DENSE_BLOCK_ENTRIES`` entries each, with the
+    bits of one gather per coordinate pair.
     """
     n, d = rep.group.order, rep.dim
     current = np.ones((n, 1, 1), dtype=np.complex128)
@@ -387,25 +415,23 @@ def _sym_power_dense(rep: Representation, k: int) -> np.ndarray:
         monos = np.array(list(combinations_with_replacement(range(d), j)), dtype=np.int64)
         hits = monos[:, :, None] == np.arange(d)  # (monomials, j, d)
         weight = np.sqrt(hits.sum(axis=1) / j)  # zero where v is absent
-        mono, var = np.nonzero(weight)
+        mono, var = np.nonzero(weight)  # per monomial, its coordinates in increasing order
         keep = np.arange(j) != hits.argmax(axis=1)[mono, var][:, None]  # all but the first var
-        parent = np.full(weight.shape, -1)
-        parent[mono, var] = np.unique(monos[mono][keep].reshape(len(mono), j - 1), axis=0,
-                                      return_inverse=True)[1]
+        parent = np.unique(monos[mono][keep].reshape(len(mono), j - 1), axis=0,
+                           return_inverse=True)[1].reshape(-1)  # per (monomial, var) pair
+        slot = np.arange(len(mono)) - np.searchsorted(mono, mono)
+        slots = [np.flatnonzero(slot == s) for s in range(slot.max() + 1)]
         nxt = np.zeros((n, len(monos), len(monos)), dtype=np.complex128)
-        for v in range(d):
-            rows = weight[:, v] > 0
-            pv = parent[rows, v]
-            wv = weight[rows, v]
-            for w in range(d):
-                cols = weight[:, w] > 0
-                pw = parent[cols, w]
-                ww = weight[cols, w]
-                gathered = current[:, pv[:, None], pw[None, :]]
-                scale = wv[:, None] * ww[None, :]
-                nxt[:, np.ix_(rows, cols)[0], np.ix_(rows, cols)[1]] += (
-                    gathered * scale[None, :, :] * rep.mats[:, v, w][:, None, None]
-                )
+        step = max(1, _DENSE_BLOCK_ENTRIES // nxt[:, 0].size)
+        for pairs in slots:
+            for start in range(0, len(pairs), step):
+                rows = pairs[start : start + step]
+                a, v = mono[rows][:, None], var[rows][:, None]
+                for cols in slots:
+                    b, w = mono[cols][None, :], var[cols][None, :]
+                    gathered = current[:, parent[rows][:, None], parent[cols][None, :]]
+                    scale = weight[a, v] * weight[b, w]
+                    nxt[:, a, b] += gathered * scale[None, :, :] * rep.mats[:, v, w]
         current = nxt
     return current
 

@@ -10,6 +10,9 @@ The Fourier path's strong certificate takes the differences
 a difference's Frobenius norm can beat the running maximum.
 The projector path's operator, projector and per-element differences come
 from :mod:`groupavg.reps`, which alone reads a signed-permutation form.
+Every scheme goes through the checking constructor except a random one:
+its draws' counts are canonical by construction, so :func:`random_scheme`
+sets them directly, the one caller of the trusted classmethod.
 """
 
 from __future__ import annotations
@@ -80,6 +83,19 @@ class AveragingScheme:
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise UsageError(f"weights sum to {total!r}, expected 1")
 
+    @classmethod
+    def _from_canonical(cls, group: Group, support: np.ndarray,
+                        weights: np.ndarray) -> "AveragingScheme":
+        """A scheme whose fields are canonical already, set without the merge
+        and checks of ``__post_init__``: ``support`` sorted, distinct and in
+        range as int64, ``weights`` float64 above ``SUPPORT_EPS`` with sum 1.
+        Then the merge would hand back the same bytes.  Only
+        :func:`random_scheme` builds its schemes so (an ``ast`` test keeps it
+        so); every other caller goes through the checking constructor."""
+        scheme = cls.__new__(cls)
+        scheme.group, scheme.support, scheme.weights = group, support, weights
+        return scheme
+
     @property
     def size(self) -> int:
         return int(self.support.size)
@@ -141,10 +157,15 @@ def delta_scheme(group: Group, g: int) -> AveragingScheme:
 
 
 def random_scheme(group: Group, n: int, seed) -> AveragingScheme:
-    """Empirical measure of n i.i.d. uniform draws; collisions merge."""
+    """Empirical measure of n i.i.d. uniform draws; collisions merge.
+
+    The draws' counts give a canonical scheme by construction (support
+    sorted and distinct from ``flatnonzero``, weights count/n at least 1/n,
+    summing to 1 up to a few ulps), so it skips the checking constructor's
+    merge and gets the bytes that merge would give."""
     counts = np.bincount(sample_uniform(group, n, seed), minlength=group.order)
     support = np.flatnonzero(counts)
-    return AveragingScheme(group, support, counts[support] / float(n))
+    return AveragingScheme._from_canonical(group, support, counts[support] / float(n))
 
 
 SAMPLE_LAW_SCALE = 2.67

@@ -270,6 +270,37 @@ def sym_power_perms_by_loop(base_perms: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def sym_power_dense_by_pairs(rep, k: int) -> np.ndarray:
+    """Dense symmetric-power oracle, the coordinate-pair loop: per degree j
+    and pair of coordinates (v, w) in increasing order, one gather of the
+    parents of the monomials holding v and w, scaled and added from 0.0."""
+    n, d = rep.group.order, rep.dim
+    current = np.ones((n, 1, 1), dtype=np.complex128)
+    for j in range(1, k + 1):
+        monos = np.array(list(combinations_with_replacement(range(d), j)), dtype=np.int64)
+        hits = monos[:, :, None] == np.arange(d)
+        weight = np.sqrt(hits.sum(axis=1) / j)
+        mono, var = np.nonzero(weight)
+        keep = np.arange(j) != hits.argmax(axis=1)[mono, var][:, None]
+        parent = np.full(weight.shape, -1)
+        parent[mono, var] = np.unique(monos[mono][keep].reshape(len(mono), j - 1), axis=0,
+                                      return_inverse=True)[1].reshape(-1)
+        nxt = np.zeros((n, len(monos), len(monos)), dtype=np.complex128)
+        for v in range(d):
+            rows = weight[:, v] > 0
+            pv, wv = parent[rows, v], weight[rows, v]
+            for w in range(d):
+                cols = weight[:, w] > 0
+                pw, ww = parent[cols, w], weight[cols, w]
+                gathered = current[:, pv[:, None], pw[None, :]]
+                scale = wv[:, None] * ww[None, :]
+                nxt[:, np.ix_(rows, cols)[0], np.ix_(rows, cols)[1]] += (
+                    gathered * scale[None, :, :] * rep.mats[:, v, w][:, None, None]
+                )
+        current = nxt
+    return current
+
+
 def scheme_signal(scheme):
     """A scheme as the dense signal holding its weights on its support."""
     weights = np.zeros(scheme.group.order)
@@ -447,6 +478,26 @@ def stacked_homomorphism_residual(mats: np.ndarray, group) -> float:
     for t in basis:
         diff = mats[group.mult[:, t]] - mats @ mats[t]
         worst = np.maximum(worst, np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
+    sigma = math.sqrt(1.0 + UNITARITY_TOL)
+    return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
+
+
+def per_basis_homomorphism_residual(mats: np.ndarray, group) -> float:
+    """Word-basis homomorphism oracle, the per-basis loop: for each basis
+    element t its own g*t column of products, one ``(order * dim, dim) @
+    (dim, dim)`` product, one gather, one subtraction and one Frobenius
+    reduction, the running maximum through ``np.maximum``, scaled by the
+    word-basis factor."""
+    from groupavg.reps import UNITARITY_TOL
+
+    basis, depth = group.word_basis()
+    rows = mats.reshape(-1, mats.shape[2])
+    at = group.product(np.arange(group.order)[:, None], np.array(basis, dtype=np.int64))
+    worst = 0.0
+    for j, t in enumerate(basis):
+        diff = mats[at[:, j]] - (rows @ mats[t]).reshape(mats.shape)
+        flat = diff.reshape(len(diff), -1)
+        worst = np.maximum(worst, np.sqrt(np.vecdot(flat, flat).real.max()))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
 

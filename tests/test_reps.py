@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from groupavg import groups as groups_module
 from groupavg import reps as reps_module
 from groupavg import (
     NumericalConsistencyError,
@@ -38,12 +39,14 @@ from oracles import (
     character_layer_reps,
     eigvals_profile,
     forked_homomorphism_residual,
+    per_basis_homomorphism_residual,
     power_class_map_by_loop,
     seeded_pairs,
     signed_homomorphism_by_pairs,
     signed_permutation_by_masks,
     stacked_homomorphism_residual,
     sym_power_character_by_restart,
+    sym_power_dense_by_pairs,
     sym_power_perms_by_loop,
 )
 from test_irreps import TABLE_SPECS
@@ -302,6 +305,35 @@ def test_sym_power_dense_matches_perm_path():
         assert np.allclose(
             via_perms.character().values, via_dense.character().values, atol=1e-10
         )
+
+
+def _dense_power_cases() -> list[Representation]:
+    """Dense bases of dimension 2 to 27: irreps of dihedral:7 and symmetric:5,
+    the triple tensor power of symmetric:4's 3-dimensional irrep, and a
+    dense copy of symmetric:4's regular action."""
+    s4 = parse_group_spec("symmetric:4")
+    three = next(r for r in irreps_of(s4).irreps if r.dim == 3)
+    cases = [next(r for r in irreps_of(parse_group_spec("dihedral:7")).irreps if r.dim == 2),
+             three, max(irreps_of(parse_group_spec("symmetric:5")).irreps, key=lambda r: r.dim),
+             tensor_product(tensor_product(three, three), three),
+             Representation(s4, regular_rep(s4).mats, signed=None)]
+    assert all(r.signed_permutation() is None for r in cases)
+    return cases
+
+
+@pytest.mark.parametrize("block_entries", [None, 1], ids=["blocks-of-1MiB", "row-per-block"])
+def test_dense_sym_power_has_the_bits_of_the_pair_loop(block_entries, monkeypatch):
+    """Each degree up to 3 within the dimension cap has the bytes of one
+    gather per coordinate pair, pinned to the identity as the representation
+    pins it, whatever the blocks of rows."""
+    if block_entries is not None:
+        monkeypatch.setattr(reps_module, "_DENSE_BLOCK_ENTRIES", block_entries)
+    for rep in _dense_power_cases():
+        for k in range(4):
+            if math.comb(rep.dim + k - 1, k) > reps_module.SYM_POWER_DIM_CAP:
+                continue
+            want = Representation(rep.group, sym_power_dense_by_pairs(rep, k), validate=False)
+            assert sym_power_rep(rep, k).mats.tobytes() == want.mats.tobytes(), (rep.name, k)
 
 
 @settings(max_examples=12, deadline=None)
@@ -1017,6 +1049,55 @@ def test_row_gemm_residual_matches_the_stacked_products():
         got = reps_module._dense_homomorphism_residual(rep.mats, rep.group)
         want = stacked_homomorphism_residual(rep.mats, rep.group)
         assert abs(got - want) <= 1e-12 * want, (rep.group, rep.name, got, want)
+
+
+@pytest.mark.parametrize("block_entries", [None, 1], ids=["one-block", "block-per-basis-element"])
+def test_one_pass_residual_has_the_bits_of_the_per_basis_loop(block_entries, monkeypatch):
+    """Every dense irrep of every ``TABLE_SPECS`` table, and the larger tables
+    the certify-fourier workload builds, read the residual of the per-basis
+    loop bit for bit, in one block or split as a large irrep splits it;
+    corrupted copies and a NaN do too, and still fail."""
+    if block_entries is not None:
+        monkeypatch.setattr(reps_module, "_DENSE_BLOCK_ENTRIES", block_entries)
+    specs = TABLE_SPECS + ["dihedral:57", "product(cyclic:3,dihedral:12)",
+                           "product(cyclic:2,symmetric:4)", "cyclic:300"]
+    dense = [r for spec in specs for r in irreps_of(parse_group_spec(spec)).irreps
+             if r.signed_permutation() is None]
+    assert {r.dim for r in dense} == {1, 2, 3, 4, 5, 6}
+    for rep in dense:
+        got = reps_module._dense_homomorphism_residual(rep.mats, rep.group)
+        want = per_basis_homomorphism_residual(rep.mats, rep.group)
+        assert got.hex() == want.hex(), (rep.group, rep.name, got, want)
+    for rep in (r for r in dense if r.group.order > 2 and r.dim > 1):
+        bad = _corrupted(rep, rep.group.order - 1, np.pi / 3)
+        got = reps_module._dense_homomorphism_residual(bad.mats, bad.group)
+        assert got.hex() == per_basis_homomorphism_residual(bad.mats, bad.group).hex()
+        with pytest.raises(NumericalConsistencyError, match="homomorphism"):
+            bad.validate()
+        mats = rep.mats.copy()
+        mats[1, 0, -1] = np.nan
+        assert math.isnan(reps_module._dense_homomorphism_residual(mats, rep.group))
+        with pytest.raises(NumericalConsistencyError):
+            Representation(rep.group, mats)
+
+
+def test_one_table_build_makes_the_word_basis_products_once(monkeypatch):
+    """All dense irreps of a table gather from one ``(order, basis)`` table
+    of products g*t, cached on the group: a product table's build makes it
+    once for the product and once for each factor's own table."""
+    made = []
+    cached = groups_module.Group.__dict__["_word_products"]
+    original = cached.func
+    monkeypatch.setattr(cached, "func", lambda group: made.append(group) or original(group))
+    for spec in ("dihedral:57", "symmetric:5", "product(cyclic:3,dihedral:12)"):
+        group = parse_group_spec(spec)
+        table = irreps_of(group)
+        assert sum(r.signed_permutation() is None for r in table.irreps) > 1
+        assert [id(g) for g in made].count(id(group)) == 1
+        assert len({id(g) for g in made}) == len(made) == (3 if group.factors else 1)
+        basis = np.array(group.word_basis()[0])
+        assert np.array_equal(group._word_products, group.mult[:, basis])
+        made.clear()
 
 
 def test_every_corrupted_element_of_a_two_dim_irrep_is_rejected():

@@ -32,6 +32,7 @@ from groupavg import (
     uniform_scheme,
 )
 from groupavg.fourier import SUPPORT_EPS
+from groupavg.groups import sample_uniform
 from groupavg import fourier as fourier_module
 from groupavg import reps as reps_module
 from groupavg import schemes as schemes_module
@@ -135,14 +136,22 @@ def test_scheme_merge_matches_dict_oracle_random(draws):
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_random_scheme_has_the_bits_of_np_unique(spec):
+    """A random scheme, set without the checking constructor's merge, has the
+    bytes of the ``np.unique`` oracle and of ``AveragingScheme`` over the
+    same counts: one draw, few, and more draws than elements, which collide."""
     group = parse_group_spec(spec)
     for n in (1, 2, 5, group.order, 3 * group.order + 1):
         for seed in range(4):
-            got = random_scheme(group, n, np.random.SeedSequence(entropy=seed, spawn_key=(n, 0)))
-            support, weights = unique_random_scheme(
-                group, n, np.random.SeedSequence(entropy=seed, spawn_key=(n, 0)), SUPPORT_EPS)
+            key = functools.partial(np.random.SeedSequence, entropy=seed, spawn_key=(n, 0))
+            got = random_scheme(group, n, key())
+            support, weights = unique_random_scheme(group, n, key(), SUPPORT_EPS)
             assert np.array_equal(got.support, support) and got.support.dtype == np.int64
             assert np.array_equal(got.weights.view(np.uint64), weights.view(np.uint64))
+            counts = np.bincount(sample_uniform(group, n, key()), minlength=group.order)
+            checked = AveragingScheme(group, np.flatnonzero(counts), counts[counts > 0] / float(n))
+            assert got.support.tobytes() == checked.support.tobytes()
+            assert got.weights.tobytes() == checked.weights.tobytes()
+            assert type(got) is AveragingScheme and got.group is group
 
 
 def test_random_scheme_contract():
