@@ -6,14 +6,15 @@ element-major adjoint table and one einsum over them, fed the sparse
 ``(support, weights)`` of a scheme or signal as they are.  The
 coefficients are that one vector, viewed as one ``(k, d, d)`` stack per
 irrep dimension, and the per-irrep blocks are views of the stacks.
-Spectral norms are closed form on 1x1 blocks and dense SVD on larger
-ones.  The weak certificate passes the entries of the 1x1 stack to
-:func:`spectral_norm` as numpy scalars through one C-level ``map``, with
-no Python loop and no 1x1 views.  It takes the Frobenius norms of each
-larger stack in one reduction and skips the SVD of every block whose
-Frobenius norm cannot beat the running maximum; it keeps the same bits,
-since sigma_max <= ||.||_F and the maximum does not depend on the order
-the blocks are visited in.  A caller that only compares the certificate
+Spectral norms are closed form on 1x1 blocks and LAPACK's SVD gufunc,
+with no ``np.linalg.svd`` wrapper, on larger ones.  The weak certificate
+passes the entries of the 1x1 stack to :func:`spectral_norm` as numpy
+scalars through one C-level ``map``, with no Python loop and no 1x1
+views.  It takes the Frobenius norms of each larger stack in one
+reduction and skips the SVD of every block whose Frobenius norm cannot
+beat the running maximum; it keeps the same bits, since sigma_max <=
+||.||_F and the maximum does not depend on the order the blocks are
+visited in.  A caller that only compares the certificate
 with a threshold may pass it as ``stop_above`` and skip the SVDs left
 once the running maximum exceeds it.  A stacked 1x1 path would have to
 take ``np.hypot`` of the parts, not ``np.abs``, to keep those bits (see
@@ -57,6 +58,17 @@ SUPPORT_EPS = 1e-15
 # smallest normal float
 _PRUNE_MARGIN = 1e-12
 _PRUNE_FLOOR = float(np.finfo(np.float64).tiny)
+# the LAPACK gufunc np.linalg.svd wraps: private numpy API, so None where it is missing
+_svd_gufunc = getattr(getattr(np.linalg, "_umath_linalg", None), "svd", None)
+
+
+def _svd_nonconvergence(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@np.errstate(all="ignore", invalid="call", call=_svd_nonconvergence)  # np.linalg.svd's
+def _largest_singular_value(mat: np.ndarray) -> float:
+    return float(_svd_gufunc(mat, signature=mat.dtype.char + "->d")[0])
 
 
 @dataclass
@@ -103,9 +115,10 @@ def spectral_norm(mat) -> float:
     block's entry gets, so both give the same bits.  Scalar ``abs`` has
     the bits of ``np.hypot(z.real, z.imag)``, but not always those of
     ``np.abs`` over a complex array, whose vectorized loop rounds
-    differently.  The SVD is the one ``np.linalg.norm(mat, 2)`` runs,
-    without its axis handling and reduction: singular values come
-    sorted, largest first.
+    differently.  A 2-d float64 or complex128 block calls the gufunc that
+    ``np.linalg.svd`` wraps under its error state: the same bits, the same
+    ``LinAlgError``.  Other input, or a numpy without the gufunc, goes
+    through ``np.linalg.svd``.  Singular values come sorted, largest first.
     """
     if isinstance(mat, np.generic):
         return float(abs(mat))
@@ -113,6 +126,8 @@ def spectral_norm(mat) -> float:
     if mat.size == 1:
         # numpy's abs: Python's complex abs raises OverflowError where it gives inf
         return float(abs(mat.flat[0]))
+    if mat.ndim == 2 and mat.dtype.char in "dD" and _svd_gufunc is not None:  # float64, complex128
+        return _largest_singular_value(mat)
     return float(np.linalg.svd(np.atleast_2d(mat), compute_uv=False)[0])
 
 

@@ -100,6 +100,13 @@ class IrrepTable:
             first += k * d * d
         return out
 
+    @functools.cached_property
+    def columns(self) -> np.ndarray:
+        """Each transform entry's block column: (i, j) of irrep p lies in sum(dims[:p]) + j."""
+        dims, sizes = np.array(self.dims), np.square(self.dims)
+        d, first = np.repeat(dims, sizes), np.repeat(np.cumsum(sizes) - sizes, sizes)
+        return np.repeat(np.cumsum(dims) - dims, sizes) + (np.arange(d.size) - first) % d
+
     def labels(self) -> list[str]:
         return [f"pi{i}_d{d}" for i, d in enumerate(self.dims)]
 

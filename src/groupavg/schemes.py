@@ -12,7 +12,8 @@ The projector path's operator, projector and per-element differences come
 from :mod:`groupavg.reps`, which alone reads a signed-permutation form.
 Every scheme goes through the checking constructor except a random one:
 its draws' counts are canonical by construction, so :func:`random_scheme`
-sets them directly, the one caller of the trusted classmethod.
+sets them directly, the one caller of the trusted classmethod.  A search
+refuses uncertified a swap whose coefficients' column norms beat its best.
 """
 
 from __future__ import annotations
@@ -285,6 +286,13 @@ def _fourier_eps_strong(
     return 0.5 * worst**2
 
 
+def _present_irreps(table: IrrepTable, multiplicities: Optional[np.ndarray]) -> np.ndarray:
+    """Mask of the nontrivial irreps the target holds, as max_nontrivial_norm keeps them."""
+    present = np.ones(len(table), bool) if multiplicities is None else ~(np.asarray(multiplicities) < 1)
+    present[table.trivial_index] = False
+    return present
+
+
 def certify(
     scheme: AveragingScheme,
     target: Union[Representation, IrrepTable],
@@ -307,9 +315,7 @@ def certify(
     if isinstance(target, IrrepTable):
         coeffs = fourier_transform(scheme, target)
         weak = max_nontrivial_norm(coeffs, restrict_to=multiplicities)
-        # the nontrivial irreps the target holds, as max_nontrivial_norm keeps them
-        present = np.ones(len(target), bool) if multiplicities is None else ~(np.asarray(multiplicities) < 1)
-        present[target.trivial_index] = False
+        present = _present_irreps(target, multiplicities)
         return CertificationReport(
             eps_weak=weak,
             eps_strong=_fourier_eps_strong(
@@ -369,6 +375,44 @@ def _candidate_key(eps: float, scheme: AveragingScheme):
     return (scheme.size, eps, tuple(scheme.support.tolist()))
 
 
+class _SwapScreen:
+    """Refuses, uncertified, a swap whose weak certificate must exceed ``best_eps``.
+
+    Its coefficients are the best scheme's (one einsum over its rows of
+    :attr:`IrrepTable.adjoint_rows`, redone when that changes) plus
+    ``w[pos] * (row[new] - row[old])``; sigma_max is at least a column norm,
+    so their largest squared column norm in a kept irrep (one bincount over
+    :attr:`IrrepTable.columns`) bounds the certificate.  Each part of a sum
+    of n terms w_i * a_i, |a_i| <= 1, computes within 0.51 * n * eps * ||w||_1,
+    so a column of d entries within 0.72 * sqrt(d) * n * eps * ||w||_1: the
+    transform certified (n = |S|) and this vector (n <= |S| + 8) lie so near
+    the exact coefficients, and 4 * d_max * (|S| + 8) * eps * ||w||_1 covers
+    both twice, underflow too; ``_PRUNE_MARGIN`` covers the norm's and the
+    SVD's relative rounding.  A NaN bound never refuses, nor does a
+    replacement already in the support.
+    """
+
+    def __init__(self, table: IrrepTable, multiplicities: Optional[np.ndarray]):
+        keep = np.repeat(_present_irreps(table, multiplicities), table.dims)  # per column
+        bins = np.where(keep[table.columns], table.columns, keep.size)
+        self.bins = np.repeat(bins, 2)  # real, imaginary parts; the trivial irrep is dumped
+        self.rows, self.scheme = table.adjoint_rows, None
+        self.unit = 4.0 * max(table.dims) * np.finfo(np.float64).eps  # c = 4 in the slack
+
+    def rejects(self, scheme: AveragingScheme, best_eps: float, pos: int, replacement: int) -> bool:
+        if scheme is not self.scheme:
+            self.scheme, self.members, w = scheme, set(scheme.support.tolist()), scheme.weights
+            self.base = np.einsum("g,gx->x", w, self.rows[scheme.support])
+            self.slack = self.unit * (w.size + 8) * float(np.abs(w).sum())
+        if replacement in self.members:  # the checking constructor merges it
+            return False
+        old, new = self.rows[scheme.support[pos]], self.rows[replacement]
+        coeffs = self.base + scheme.weights[pos] * (new - old)
+        squares = np.bincount(self.bins, np.square(coeffs.view(np.float64)))[:-1]  # less the dump
+        bound = math.sqrt(squares.max()) * (1.0 - _PRUNE_MARGIN) - self.slack
+        return bound > math.sqrt(best_eps) * (1.0 + _PRUNE_MARGIN)
+
+
 def check_trial_budget(order: int, trials: int) -> None:
     """Refuse ``trials`` random schemes held at once, as a search holds one draw
     count's and ``lowerbound`` its supports, when they could pass
@@ -406,7 +450,8 @@ def minimize_scheme(
     stopped trial is infeasible and above m: every feasible trial and
     each count's ``best_eps`` are exact.  A swap stops above the current
     ``best_eps``, which it must reach to be accepted, so every accepted
-    swap is exact.
+    swap is exact.  On an irrep table a swap that a column norm of its
+    coefficients puts above ``best_eps`` is refused unbuilt (:class:`_SwapScreen`).
     """
     if not 0.0 < eps_target < 1.0:
         raise UsageError(f"eps_target must lie in (0, 1), got {eps_target}")
@@ -460,6 +505,7 @@ def minimize_scheme(
             lo = mid + 1
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0xABCD,)))
+    screen = _SwapScreen(target, multiplicities) if isinstance(target, IrrepTable) else None
     accepted = 0
     for _ in range(swap_budget):
         if best_scheme.size <= 1:
@@ -468,6 +514,8 @@ def minimize_scheme(
         replacement = int(rng.integers(0, group.order))
         support = best_scheme.support.copy()
         if replacement == support[pos]:
+            continue
+        if screen is not None and screen.rejects(best_scheme, best_eps, pos, replacement):
             continue
         support[pos] = replacement
         try:

@@ -221,6 +221,41 @@ def test_spectral_norm_has_the_bits_of_numpy_2_norm(d, complex_):
         assert got.hex() == float(want).hex(), name
 
 
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+def test_dense_spectral_norm_has_the_bits_of_numpy_svd(complex_, monkeypatch):
+    rng = np.random.default_rng(36 + complex_)
+    blocks = []
+    for d in (2, 3, 5, 8, 16, 31, 64, 128):
+        block = rng.normal(size=(d, d)) + (1j * rng.normal(size=(d, d)) if complex_ else 0)
+        blocks += [block, block.T, block[: d // 2], block[:, : d // 2]]  # strided and wide
+    want = [float(np.linalg.svd(block, compute_uv=False)[0]).hex() for block in blocks]
+    calls, gufunc = [], fourier_module._svd_gufunc
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["signature"])
+        return gufunc(*args, **kwargs)
+
+    monkeypatch.setattr(fourier_module, "_svd_gufunc", counting)
+    assert [spectral_norm(block).hex() for block in blocks] == want
+    assert calls == ["D->d" if complex_ else "d->d"] * len(blocks)  # the fast path ran
+    single = np.complex64 if complex_ else np.float32
+    assert all(spectral_norm(block.astype(single)) > 0 for block in blocks[:4])
+    assert len(calls) == len(blocks)  # single precision went through np.linalg.svd
+    monkeypatch.setattr(fourier_module, "_svd_gufunc", None)  # a numpy without the gufunc
+    assert [spectral_norm(block).hex() for block in blocks] == want
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128, np.float32])
+@pytest.mark.parametrize("gufunc", [True, False], ids=["gufunc", "numpy"])
+def test_dense_spectral_norm_of_nan_raises_linalg_error(dtype, gufunc, monkeypatch):
+    if not gufunc:
+        monkeypatch.setattr(fourier_module, "_svd_gufunc", None)
+    block = np.ones((3, 3), dtype=dtype)
+    block[1, 2] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+        spectral_norm(block)
+
+
 # dihedral and product(cyclic:3, dihedral) tables mix 1x1 and 2x2 blocks;
 # symmetric:5 has blocks up to 6x6
 WEAK_SPECS = ["dihedral:3", "dihedral:8", "dihedral:13", "symmetric:4", "symmetric:5",

@@ -49,6 +49,15 @@ def tables():
     return {spec: irreps_of(parse_group_spec(spec)) for spec in TABLE_SPECS}
 
 
+def test_table_columns_number_each_block_column_once(tables):
+    for spec, table in tables.items():
+        want, first = [], 0
+        for d in table.dims:  # each irrep's d x d block, row-major
+            want += [first + j for _ in range(d) for j in range(d)]
+            first += d
+        assert table.columns.tolist() == want, spec
+
+
 def test_table_signed_forms_match_the_per_irrep_form(tables):
     mixed = set()
     for spec, table in tables.items():

@@ -438,7 +438,8 @@ def _same_search(got, want) -> None:
 
 SEARCH_SPECS = ["dihedral:10", "dihedral:35", "dihedral:58", "symmetric:4", "symmetric:5",
                 "product(cyclic:2,symmetric:4)", "product(cyclic:3,dihedral:7)",
-                "signflip:3", "signflip:4", "signflip:5", "signflip:6"]
+                "product(cyclic:3,dihedral:12)",
+                "signflip:3", "signflip:4", "signflip:5", "signflip:6", "signflip:8"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -478,6 +479,101 @@ def test_stopped_certificates_take_fewer_svds(monkeypatch):
         svds.append(0)
         search(table.group, table, 0.2, seed=0)
     assert 0 < svds[0] < svds[1]
+
+
+def _screened_swaps(monkeypatch) -> list:
+    """Every swap the screen rejects from now on, as (best scheme, best_eps,
+    position, replacement)."""
+    screened, rejects = [], schemes_module._SwapScreen.rejects
+
+    def recording(self, scheme, best_eps, pos, replacement):
+        verdict = rejects(self, scheme, best_eps, pos, replacement)
+        if verdict:
+            screened.append((scheme, best_eps, pos, replacement))
+        return verdict
+
+    monkeypatch.setattr(schemes_module._SwapScreen, "rejects", recording)
+    return screened
+
+
+def _assert_screened_swaps_certify_above_the_best(screened, table, mults=None) -> None:
+    assert screened
+    for scheme, best_eps, pos, replacement in screened:
+        support = scheme.support.copy()
+        support[pos] = replacement
+        candidate = AveragingScheme(scheme.group, support, scheme.weights.copy())
+        assert schemes_module.certify_weak_target(candidate, table, mults) > best_eps
+
+
+@pytest.mark.parametrize("spec", SEARCH_SPECS)
+def test_swap_screen_rejects_only_candidates_above_the_best(spec, monkeypatch):
+    table = _search_table(spec)
+    screened = _screened_swaps(monkeypatch)
+    for seed in (0, 1):
+        for eps in (0.2, 0.5):
+            minimize_scheme(table.group, table, eps, seed=seed)
+    _assert_screened_swaps_certify_above_the_best(screened, table)
+
+
+def test_swap_screen_rejects_only_candidates_above_the_best_on_a_restricted_search(monkeypatch):
+    table = _search_table("symmetric:4")
+    mults = decompose(permutation_rep(table.group), table)
+    screened = _screened_swaps(monkeypatch)
+    for seed in (0, 1):
+        for eps in (0.2, 0.5):
+            minimize_scheme(table.group, table, eps, seed=seed, multiplicities=mults)
+    _assert_screened_swaps_certify_above_the_best(screened, table, mults)
+
+
+@pytest.mark.parametrize("d", [3, 4, 6])
+def test_swap_screen_keeps_a_coordinate_permutation_of_the_best(d):
+    """Transposing coordinates i and j of signflip:d permutes its characters,
+    so it keeps every exact certificate.  A support whose elements all have
+    bits i and j equal, but for one element x, is one swap (x to its image)
+    from its image; the screen must never reject that swap, however the two
+    computed certificates round."""
+    table = _search_table(f"signflip:{d}")
+    screen = schemes_module._SwapScreen(table, None)
+
+    def rejects(support, weights, x, image):
+        best = AveragingScheme(table.group, support, weights)
+        swapped = AveragingScheme(table.group, np.where(support == x, image, support), weights)
+        best_eps = schemes_module.certify_weak_target(best, table)
+        assert abs(schemes_module.certify_weak_target(swapped, table) - best_eps) < 1e-14
+        return screen.rejects(best, best_eps, int(np.flatnonzero(best.support == x)[0]), image)
+
+    assert not rejects(np.array([0, 1]), np.array([0.5, 0.5]), 1, 2)  # {0, e1} -> {0, e2}
+    rng = np.random.default_rng(d)
+    elements = np.arange(1 << d)
+    for _ in range(60):
+        i, j = rng.choice(d, 2, replace=False)
+        equal = ((elements >> i) & 1) == ((elements >> j) & 1)
+        x = int(rng.choice(elements[~equal]))
+        size = int(rng.integers(1, min(12, equal.sum()) + 1))
+        support = np.append(rng.choice(elements[equal], size, replace=False), x)
+        weights = rng.uniform(0.1, 1.0, support.size)
+        assert not rejects(support, weights / weights.sum(), x, x ^ (1 << i) ^ (1 << j))
+
+
+@pytest.mark.parametrize("spec", ["dihedral:58", "signflip:6"])
+def test_swap_screen_certifies_fewer_swaps_than_it_draws(spec, monkeypatch):
+    table = _search_table(spec)
+    certs, original = [], schemes_module.certify_weak_target
+
+    def counting(*args, **kwargs):
+        certs[-1] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(schemes_module, "certify_weak_target", counting)
+    for search in (minimize_scheme, minimize_scheme_unstopped):
+        certs.append(0)
+        result = search(table.group, table, 0.5, seed=0)
+    # the fallback and every trial of the draw phase, then one per swap certified;
+    # the oracle certifies every drawn swap that moves the support
+    draw_phase = 1 + sum(step["trials"] for step in result.trace if step["phase"] == "search")
+    screened, drawn = certs[0] - draw_phase, certs[1] - draw_phase
+    assert drawn > 150
+    assert screened < drawn / 2
 
 
 def test_scheme_json_round_trip():
