@@ -7,9 +7,11 @@ sign_flip (bit vectors under xor), dihedral, symmetric, and direct
 products; arbitrary multiplication tables are accepted as the ``custom``
 family.  Cyclic and sign-flip groups are closed form: their |G| x |G|
 table is built, and proved, only when something reads ``Group.mult``.
-Dihedral, symmetric, product and custom groups hold their table.  A group
-also keeps the ``(order, generators)`` products of every element with each
-generator, the one table an exact signed homomorphism check gathers from,
+Dihedral, symmetric, product and custom groups hold their table.  A group's
+greedy generators are found by extending each subgroup with repeated
+squares, in logarithmic breadth-first depth.  A group also keeps the
+``(order, generators)`` products of every element with each generator,
+the one table an exact signed homomorphism check gathers from,
 and the ``(order, basis)`` products with its word basis, which every float
 check of a representation over the group shares.
 """
@@ -153,6 +155,13 @@ class Group:
         element not yet generated) and :func:`_light_test` on them.  A
         monoid with two-sided inverses is a group.  A closed form has no
         table to range-check or test yet; the first read of ``mult`` does.
+
+        Each generator s extends the subgroup generated so far, H, to
+        <H, s>: breadth first from every element of H, by right
+        multiplication with the repeated squares of every generator so far
+        (:func:`_squares`), so the search takes about log2 |s| steps, not
+        |s| - 1.  The subgroup, and so the next generator, is the one a
+        search from the identity by the generators alone reaches.
         """
         m, n = self._mult, self.order
         if m is not None and (m.min() < 0 or m.max() >= n):
@@ -162,11 +171,12 @@ class Group:
             raise UsageError("index 0 is not a two-sided identity")
         if np.any(self.product(idx, self.inv)) or np.any(self.product(self.inv, idx)):
             raise UsageError("inverse table inconsistent")
-        generators: list[int] = []
+        generators, steps = [], []
         generated = idx == 0
         while not generated.all():
             generators.append(int(np.argmin(generated)))
-            generated, _ = _generated(self, generators)
+            steps += _squares(self, generators[-1])
+            generated, _ = _generated(self, steps, generated)
         self.generators = tuple(generators)
         if m is not None:
             _light_test(m, self.generators)
@@ -421,19 +431,33 @@ def _light_test(mult: np.ndarray, generators) -> None:
             raise UsageError(f"associativity fails at b={b}")
 
 
-def _generated(group: Group, generators: list[int]) -> tuple[np.ndarray, int]:
-    """Mask of the elements reached from the identity by right
-    multiplication with ``generators``, breadth first, and the depth: the
-    number of steps to the last element reached.
+def _squares(group: Group, s: int) -> list[int]:
+    """s, s**2, s**4, ... for each power of two below the order, stopping at
+    the identity: every power of s below its order is a product of
+    distinct ones."""
+    out = []
+    for _ in range((group.order - 1).bit_length()):
+        if s == 0:
+            break
+        out.append(s)
+        s = int(group.product(s, s))
+    return out
+
+
+def _generated(group: Group, generators: list[int],
+               start: Optional[np.ndarray] = None) -> tuple[np.ndarray, int]:
+    """Mask of the elements reached from the identity, or from every element
+    of the mask ``start``, by right multiplication with ``generators``,
+    breadth first, and the depth: the number of steps to the last element
+    reached.
 
     Each step marks the frontier's products in a fresh mask and clears
     what was reached before, so the next frontier comes out sorted and
     without repeats, with no sort."""
     n = group.order
     gens = np.asarray(generators, dtype=np.int64)
-    reached = np.zeros(n, dtype=bool)
-    reached[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
+    reached = np.arange(n) == 0 if start is None else start.copy()
+    frontier = np.flatnonzero(reached)
     depth = -1
     while frontier.size:
         new = np.zeros(n, dtype=bool)

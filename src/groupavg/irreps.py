@@ -8,16 +8,18 @@ stack per shape from Young's orthogonal form over standard tableaux, and
 products one tensor product per pair of factor stacks.  Everything is
 complex and unitary; real forms are embedded as complex.  One stable sort
 of the characters per dimension puts the stacks in table order, and two
-linear character identities check the table.  Each irrep is a validated
+linear character identities check the table.  Each irrep is a
 :class:`Representation` viewing its slice of a stack, so the matrices are
 held once, plus the element-major adjoint table the Fourier transforms
 gather from (row g holds pi(g)^dagger of every irrep), built when first
 read, and the layout of its stacks in that table's columns, computed
-once.  The signed-permutation forms of a stack's irreps are read in one
-pass over the stack; the forms of a 1x1 stack are int8 signs that share
-one read-only zero permutation.  A build is refused before any builder
-allocates when ``order**2 * 96`` bytes, above its measured peak, pass
-``MEMORY_CAP_BYTES``.
+once.  Each stack is validated once, by ``reps._stack_views``: its
+signed-permutation forms read in one pass (a 1x1 stack's are int8 signs
+that share one read-only zero permutation), its +-1 irreps checked by one
+packed sign law and the others by stacked unitarity and homomorphism
+residuals; each view's one ``validate()`` reads its irrep's verdict.  A
+build is refused before any builder allocates when ``order**2 * 96``
+bytes, above its measured peak, pass ``MEMORY_CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyErr
 from .errors import UsageError, check_bytes
 from .groups import Group, ConjugacyPartition, conjugacy_classes
 from .groups import group_spec_string, symmetric_permutations
-from .reps import INT_ROUND_TOL, CharacterVector, Representation, _pin_identity, _signed_permutations
+from .reps import INT_ROUND_TOL, CharacterVector, Representation, _stack_views
 
 # IrrepTable.validate's bound: a valid table reads at most 6.1e-14 (cyclic:2000),
 # a reducible block at least 1, and a missing or duplicated irrep at least
@@ -51,7 +53,8 @@ class IrrepTable:
     trivial irrep, then by dimension, then lexicographically by character
     values over the class list.  ``characters[i, c]`` is the trace of
     irrep i at the representative of class c; ``irreps[i]`` views irrep
-    i's slice of its stack, whose identity matrices the table pins.
+    i's slice of its stack, whose identity matrices the table pins, checked
+    with its whole stack at construction.
     """
 
     group: Group
@@ -63,11 +66,7 @@ class IrrepTable:
 
     def __post_init__(self):
         self.dims = tuple(int(s.shape[2]) for s in self.stacks for _ in range(len(s)))
-        labels = iter(self.labels())
-        for s in self.stacks:
-            _pin_identity(s)
-        self.irreps = [Representation(self.group, m, next(labels), signed=form)
-                       for s in self.stacks for m, form in zip(s, _signed_permutations(s))]
+        self.irreps = _stack_views(self.group, self.stacks, self.labels())
 
     def __len__(self) -> int:
         return len(self.dims)

@@ -18,22 +18,28 @@ first read of ``mats``; any other stack has its form read once, by one
 reader that also takes an irrep table's stacks whole (a 1x1 stack's forms
 are int8 signs sharing one read-only zero permutation).  On that form the
 homomorphism law is checked exactly on the group's generators (a
-diagonal form by its signs alone); traces are signed counts, the
-projector and an averaging operator one ``bincount``, and the strong
-certificate's differences signed row moves, all with the dense bits; the
-moves of g and g^-1 are signed row permutations of each other, exactly.
+diagonal form by its signs alone, packed eight rows to a byte); traces
+are signed counts, the projector and an averaging operator one
+``bincount``, and the strong certificate's differences signed row moves,
+all with the dense bits; the moves of g and g^-1 are signed row
+permutations of each other, exactly.
 Every other representation is checked in floating point: unitarity per
 element, then the homomorphism law on each element against the group's
 word basis, which bounds the deviation of every pair (see
 :meth:`Group.word_basis`), in a fixed number of array steps per
 representation over products g*t the group caches for all of them.  A
-residual that is not finite fails either check.  A dense symmetric power
-takes one gather per pair of coordinate slots, with the bits of one per
-pair of coordinates.
+residual that is not finite fails either check.  An irrep table is
+checked a stack at a time (:func:`_stack_views`): one sign law over its
++-1 irreps, and the float checks over groups of its other irreps in
+stacked products, each irrep's residuals with the bits of its own check;
+each irrep's view then reads its verdict in its one ``validate()``.  A
+dense symmetric power takes one gather per pair of coordinate slots, with
+the bits of one per pair of coordinates.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
@@ -63,10 +69,27 @@ _DENSE_BLOCK_ENTRIES = 1 << 16  # complex entries per block of dense products: 1
 _READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
-def _max_frobenius(diff: np.ndarray) -> float:
-    """Largest Frobenius norm over the matrices of the ``(k, d, d)`` stack ``diff``."""
-    flat = diff.reshape(len(diff), -1)
-    return float(np.sqrt(np.vecdot(flat, flat).real.max()))
+def _sign_laws_hold(group: Group, signs: np.ndarray) -> np.ndarray:
+    """Per row of the ``(k, order)`` array of signs +-1, whether the sign law
+    sign[g*s] == sign[g] * sign[s] holds for every g and generator s: the
+    exact homomorphism law of a +-1 character, by induction on word length
+    once sign[e] = 1.
+
+    The rows are packed eight to a byte, a sign -1 as a set bit, one
+    ``(order, ceil(k / 8))`` array, so the law is bits[g*s] == bits[g] ^
+    bits[s], a whole byte row at once: rows g*s are gathered through the
+    group's ``(order, generators)`` products, elements in blocks of about
+    ``_DENSE_BLOCK_ENTRIES`` compared bytes, and the bits that ever differ
+    are or-ed into one byte row."""
+    products = group._generator_products
+    gens = products[0]  # e * s
+    bits = np.ascontiguousarray(np.packbits(signs < 0, axis=0).T)  # (order, bytes)
+    step = max(1, _DENSE_BLOCK_ENTRIES // max(len(gens) * bits.shape[1], 1))
+    differ = np.zeros(bits.shape[1], dtype=np.uint8)
+    for start in range(0, len(bits), step):
+        law = bits[products[start : start + step]] ^ bits[start : start + step, None] ^ bits[gens]
+        differ |= np.bitwise_or.reduce(law.reshape(-1, bits.shape[1]), axis=0)
+    return np.unpackbits(differ, count=len(signs)) == 0
 
 
 def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray) -> bool:
@@ -77,13 +100,14 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     e_j to sign[s, j] * sign[g, perm[s, j]] times e_{perm[g, perm[s, j]]}.
     A diagonal form (every ``perm`` row the identity: a 1x1 form by its
     shape, a wider one by its first column, then one compare) composes no
-    permutation, so the law is the sign law sign[g*s] == sign[g] * sign[s]."""
+    permutation, so the law is the sign law of each coordinate, one
+    :func:`_sign_laws_hold` row per column."""
     d, products = perm.shape[1], group._generator_products
-    gens = products[0]  # e * s
     # column 0 first: a permutation action moves 0 on some row, so it leaves
     # after |G| entries, before the full (order, dim) compare
     if d == 1 or (not perm[:, 0].any() and (perm == np.arange(d)).all()):
-        return bool((np.take(sign, products, axis=0) == sign[:, None] * sign[gens]).all())
+        return bool(_sign_laws_hold(group, sign.T).all())
+    gens = products[0]
     after = perm[gens]  # (generators, dim)
     return bool(
         (np.take(perm, products, axis=0) == perm[:, after]).all()
@@ -91,23 +115,25 @@ def _signed_homomorphism_holds(group: Group, perm: np.ndarray, sign: np.ndarray)
     )
 
 
-def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
-    """Integer ``(perm, sign)`` with ``block[g] e_j = sign[g, j] e_{perm[g, j]}``,
-    or None where some matrix is not a signed permutation matrix, for every
-    ``(order, dim, dim)`` block of the ``(k, order, dim, dim)`` stack in one
-    pass: an irrep table's stack, or one representation's matrices as k = 1.
+def _stack_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Integer ``(perm, sign, ok)`` of the ``(k, order, dim, dim)`` stack in
+    one pass: ``block[g] e_j = sign[i, g, j] e_{perm[i, g, j]}`` for every
+    block i with ``ok[i]``, where ``ok[i]`` is False when some matrix of
+    block i is not a signed permutation matrix (its rows are then
+    placeholders, and both arrays None when no block is one).  A 1x1
+    stack's ``perm`` is one read-only ``(order, 1)`` zero permutation that
+    every block shares.
 
     Element 0 is read as the exact identity a representation pins it to,
     so a block gets the form its representation's matrices have.  A 1x1
     block is a form when every other element is +-1 with zero imaginary
-    part; its signs are its real parts as int8, and every such block
-    shares one read-only ``(order, 1)`` zero permutation.  A wider block
-    needs exactly ``(order - 1) * dim`` nonzero parts on the other
-    elements, real and imaginary parts counted apart.  Each column's row
-    is then the first row of its nonzero real parts (one ``argmax``) and
-    its sign the real part there: every sign being +-1 leaves one real
-    nonzero per column and no imaginary part, and the rows must then each
-    hold a nonzero.  NaN and inf count as nonzero but are not +-1.
+    part; its signs are its real parts as int8.  A wider block needs
+    exactly ``(order - 1) * dim`` nonzero parts on the other elements, real
+    and imaginary parts counted apart.  Each column's row is then the first
+    row of its nonzero real parts (one ``argmax``) and its sign the real
+    part there: every sign being +-1 leaves one real nonzero per column and
+    no imaginary part, and the rows must then each hold a nonzero.  NaN and
+    inf count as nonzero but are not +-1.
     """
     k, n, d = stack.shape[:3]
     if d == 1:
@@ -117,11 +143,11 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
         signs[ok, 1:, 0] = values.real[ok]
         zero = np.zeros((n, 1), dtype=np.intp)
         zero.flags.writeable = False
-        return [(zero, signs[i]) if ok[i] else None for i in range(k)]
+        return zero, signs, ok
     nonzero = stack[:, 1:].reshape(k, n - 1, d * d).view(np.float64) != 0  # real, imaginary apart
     ok = np.count_nonzero(nonzero.reshape(k, -1), axis=1) == (n - 1) * d
     if not ok.any():
-        return [None] * k
+        return None, None, ok
     nonzero = nonzero[..., ::2].reshape(k, n - 1, d, d)  # real parts: (k, order - 1, row, column)
     perm = np.empty((k, n, d), dtype=np.intp)
     perm[:, 0] = np.arange(d)
@@ -131,7 +157,16 @@ def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, n
     ok &= (np.abs(sign) == 1).all(axis=(1, 2)) & nonzero.any(axis=3).all(axis=(1, 2))
     signs = np.ones((k, n, d), dtype=np.int8)
     signs[ok, 1:] = sign[ok]
-    return [(perm[i], signs[i]) if ok[i] else None for i in range(k)]
+    return perm, signs, ok
+
+
+def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
+    """Per block of the ``(k, order, dim, dim)`` stack, its ``(perm, sign)``
+    form from :func:`_stack_forms`, or None where it has none."""
+    perm, sign, ok = _stack_forms(stack)
+    wide = stack.shape[2] > 1
+    return [((perm[i] if wide else perm), sign[i]) if good else None
+            for i, good in enumerate(ok.tolist())]
 
 
 def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
@@ -150,36 +185,126 @@ def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
     return stack
 
 
-def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
-    """Bound on the deviation over all pairs from each element against the
-    group's word basis (proof at :meth:`Group.word_basis`).
+def _row_max(values: np.ndarray) -> np.ndarray:
+    """Per row of the 2-d ``values``, its maximum (NaN if any entry is NaN),
+    reduced from a contiguous copy: numpy reduces the rows of a strided
+    real-part view about five times slower."""
+    return np.ascontiguousarray(values).max(axis=1)
+
+
+def _unitarity_residuals(blocks: np.ndarray) -> np.ndarray:
+    """Per block of the ``(k, order, dim, dim)`` array, the largest Frobenius
+    norm of rho(g)^dagger rho(g) - I over its elements: one stacked
+    ``np.matmul``, the same product per element as for one block, so each
+    block's residual has the bits it has alone.  A NaN or inf entry gives a
+    NaN or inf residual, with no floating-point warning."""
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite blocks fail the check
+        gram = np.matmul(blocks.conj().swapaxes(-1, -2), blocks)
+        gram -= np.eye(blocks.shape[-1])
+        flat = gram.reshape(len(blocks), -1, blocks.shape[-1] ** 2)
+        return np.sqrt(_row_max(np.vecdot(flat, flat).real))
+
+
+def _basis_step(entries: int) -> int:
+    """Word-basis elements per pass of :func:`_homomorphism_residuals` over
+    blocks of ``entries`` entries each: at most ``_DENSE_BLOCK_ENTRIES``
+    product entries per block, at least one basis element."""
+    return max(1, _DENSE_BLOCK_ENTRIES // entries)
+
+
+def _homomorphism_residuals(blocks: np.ndarray, group: Group) -> np.ndarray:
+    """Per block of the ``(k, order, dim, dim)`` array, the bound on the
+    deviation over all pairs from each element against the group's word
+    basis (proof at :meth:`Group.word_basis`).
 
     Each basis element t takes one ``(order * dim, dim) @ (dim, dim)``
-    product, the rows of every rho(g) side by side times rho(t), all of
-    them from one stacked ``np.matmul`` into one basis-major array (the
-    same gemm per basis element, so the same bits); then one gather of
-    rho(g*t) from the group's shared ``(order, basis)`` products, one
-    subtraction and one Frobenius reduction serve every basis element.
-    The products are taken in blocks of at most ``_DENSE_BLOCK_ENTRIES``
-    entries (at least one basis element each): one block on every table
-    the benchmark builds, a few on a large irrep.  A NaN in any product is
-    the result.
+    product per block, the rows of every rho(g) side by side times rho(t),
+    all of them from one stacked ``np.matmul`` into one basis-major array
+    (the same gemm per block and basis element, so the same bits as for one
+    block alone); then one gather of rho(g*t) from the group's shared
+    ``(order, basis)`` products, one subtraction and one Frobenius reduction
+    per block serve every basis element.  The basis is taken
+    :func:`_basis_step` elements at a time, so a pass holds ``k`` times
+    ``_DENSE_BLOCK_ENTRIES`` product entries or fewer: one pass on every
+    table the benchmark builds, a few on a large irrep.  A NaN in any
+    product is the result, with no floating-point warning.
     """
     basis, depth = group.word_basis()
     at = group._word_products
-    n, d = mats.shape[:2]
-    rows = mats.reshape(-1, d)
-    step = max(1, _DENSE_BLOCK_ENTRIES // mats.size)
-    worst = 0.0
+    k, n, d = blocks.shape[:3]
+    rows = blocks.reshape(k, 1, n * d, d)
+    step = _basis_step(n * d * d)
+    worst = np.zeros(k)
     for start in range(0, len(basis), step):
         block = list(basis[start : start + step])
-        prods = np.matmul(rows, mats[block])  # one gemm per basis element, stacked
-        diff = mats[at[:, start : start + step].T]  # (basis, order, dim, dim): rho(g*t)
-        diff -= prods.reshape(diff.shape)
-        flat = diff.reshape(-1, d * d)
-        worst = np.maximum(worst, np.sqrt(np.vecdot(flat, flat).real.max()))
+        with np.errstate(invalid="ignore", over="ignore"):  # non-finite blocks fail the check
+            prods = np.matmul(rows, blocks[:, block])  # one gemm per block and basis element
+            diff = np.take(blocks, at[:, start : start + step].T, axis=1)  # (k, basis, order, dim, dim)
+            diff -= prods.reshape(diff.shape)
+            flat = diff.reshape(k, -1, d * d)
+            worst = np.maximum(worst, np.sqrt(_row_max(np.vecdot(flat, flat).real)))
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
-    return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
+    return depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst
+
+
+def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
+    """:func:`_homomorphism_residuals` of the ``(order, dim, dim)`` stack ``mats`` alone."""
+    return float(_homomorphism_residuals(mats[None], group)[0])
+
+
+def _stack_views(group: Group, stacks: list[np.ndarray], names) -> list["Representation"]:
+    """The irreps of an irrep table's ``(k, order, dim, dim)`` stacks, each a
+    :class:`Representation` viewing its slice, named in turn from ``names``.
+
+    Every stack's identities are pinned first, in place.  Then each stack's
+    forms are read in one pass (:func:`_stack_forms`) and its blocks
+    checked together: the +-1 blocks of a 1x1 stack by one sign law
+    (:func:`_sign_laws_hold`), any wider signed form by
+    :func:`_signed_homomorphism_holds`, and every other block by its
+    unitarity residual and, once unitary, its word-basis homomorphism
+    residual, over groups of blocks of about an eighth of
+    ``_DENSE_BLOCK_ENTRIES`` product entries per pass.  Each view is built
+    around its form and residuals by :meth:`Representation._from_stack` and
+    validated once, in table order, so the first bad irrep raises the error
+    its own check would, before the next stack is read.
+    """
+    for stack in stacks:
+        _pin_identity(stack)
+    names, views = iter(names), []
+    for stack in stacks:
+        perm, sign, ok = _stack_forms(stack)
+        k, n, d = stack.shape[:3]
+        # a signed form is orthogonal exactly; a non-unitary block's
+        # homomorphism residual is never read, validate stops before it
+        unitarity, homomorphism = np.zeros(k), np.full(k, np.nan)
+        signed, dense = np.flatnonzero(ok), np.flatnonzero(~ok)
+        if d == 1 and signed.size:
+            rows = sign[:, :, 0] if signed.size == k else sign[signed, :, 0]
+            homomorphism[signed] = np.where(_sign_laws_hold(group, rows), 0.0, np.inf)
+        elif d > 1:
+            for i in signed.tolist():
+                homomorphism[i] = 0.0 if _signed_homomorphism_holds(group, perm[i], sign[i]) else np.inf
+        # blocks checked together: an eighth of _DENSE_BLOCK_ENTRIES product
+        # entries per pass (128 KiB).  Larger groups saved no time on the
+        # benchmark's tables and raised a build's peak by up to 0.7 MB
+        entries = n * d * d  # per block and basis element of a pass
+        per_block = entries * max(min(_basis_step(entries), len(group.word_basis()[0])), 1)
+        step = max(1, _DENSE_BLOCK_ENTRIES // (8 * per_block))
+        for start in range(0, len(dense), step):
+            which = dense[start : start + step]
+            run = which[-1] - which[0] == len(which) - 1  # a run of the stack: a view, no copy
+            blocks = stack[which[0] : which[-1] + 1] if run else stack[which]
+            unitarity[which] = _unitarity_residuals(blocks)
+            unitary = unitarity[which] <= UNITARITY_TOL  # a NaN fails
+            if unitary.any():  # validate stops at a unitarity error, so only these are read
+                kept = blocks if unitary.all() else blocks[unitary]
+                homomorphism[which[unitary]] = _homomorphism_residuals(kept, group)
+        for i, (u, h, good) in enumerate(zip(unitarity.tolist(), homomorphism.tolist(), ok.tolist())):
+            form = ((perm if d == 1 else perm[i]), sign[i]) if good else None
+            view = Representation._from_stack(group, stack[i], next(names), form, (u, h))
+            view.validate()
+            views.append(view)
+    return views
 
 
 class Representation:
@@ -188,13 +313,13 @@ class Representation:
     ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
     exact identity, in a copy if the given array would change.  ``perms`` is
     the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``) when
-    all of them are permutation matrices, and None otherwise.  A caller
-    that has read the signed-permutation form of ``mats`` already, as an
-    irrep table does for a whole stack with :func:`_signed_permutations`,
-    passes it as ``signed`` (None for none); otherwise the same reader
-    takes it here, from ``mats`` as a stack of one once element 0 is pinned.
+    all of them are permutation matrices, and None otherwise.  The
+    signed-permutation form of ``mats`` is read here by
+    :func:`_stack_forms`, from ``mats`` as a stack of one once element 0 is
+    pinned; ``signed=None`` holds ``mats`` as dense without reading one.
     With ``mats`` None, ``signed=(perm, sign)`` is the representation, and
-    ``mats`` is built from it on first read.
+    ``mats`` is built from it on first read.  An irrep table's views are
+    built by :func:`_stack_views` through :meth:`_from_stack` instead.
     """
 
     def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True,
@@ -220,10 +345,31 @@ class Representation:
             m = _pin_identity(m, copy=m is mats)
             self._mats, self.dim = m, m.shape[1]
             self._signed = _signed_permutations(m[None])[0] if signed is _READ_SIGNED else signed
-        all_plus = self._signed is not None and self._signed[1].min() == 1  # signs are +-1
-        self.perms = self._signed[0] if all_plus else None
+        self._recorded = None
         if validate:
             self.validate()
+
+    @classmethod
+    def _from_stack(cls, group: Group, mats: np.ndarray, name: str, signed,
+                    residuals: tuple[float, float]) -> "Representation":
+        """A view of one irrep's slice ``mats`` of a stack that
+        :func:`_stack_views` has pinned, read and checked, set without
+        ``__init__``'s identity pin, dtype copy and form read: ``signed`` is
+        its form or None, and ``residuals`` its unitarity and homomorphism
+        residuals, which the first :meth:`validate` reads and drops.  Only
+        :func:`_stack_views` builds representations so (an ``ast`` test
+        keeps it so); every other caller goes through ``__init__``."""
+        rep = cls.__new__(cls)
+        rep.group, rep.name, rep._mats, rep.dim = group, name, mats, mats.shape[1]
+        rep._signed, rep._recorded = signed, residuals
+        return rep
+
+    @functools.cached_property
+    def perms(self) -> Optional[np.ndarray]:
+        """The signed form's permutation when every sign is +1, else None."""
+        if self._signed is None or self._signed[1].min() != 1:
+            return None
+        return self._signed[0]
 
     @property
     def mats(self) -> np.ndarray:
@@ -235,9 +381,8 @@ class Representation:
     # -- validation --------------------------------------------------
 
     def unitarity_residual(self) -> float:
-        gram = np.matmul(self.mats.conj().transpose(0, 2, 1), self.mats)
-        gram -= np.eye(self.dim)
-        return _max_frobenius(gram)
+        """Largest Frobenius norm of mats[g]^dagger mats[g] - I; see :func:`_unitarity_residuals`."""
+        return float(_unitarity_residuals(self.mats[None])[0])
 
     def signed_permutation(self) -> Optional[tuple[np.ndarray, np.ndarray]]:
         """Integer ``(perm, sign)`` with ``mats[g] e_j = sign[g, j] e_{perm[g, j]}``,
@@ -260,11 +405,16 @@ class Representation:
         return 0.0 if _signed_homomorphism_holds(self.group, *self._signed) else float("inf")
 
     def validate(self) -> None:
+        """Unitarity, then the homomorphism law, each within its tolerance.
+        A view of an irrep table reads the residuals its stack check
+        recorded, once; every later call computes them from the matrices
+        (and a signed form's from its form)."""
+        recorded, self._recorded = self._recorded, None
         if self._signed is None:  # signed permutation matrices are orthogonal
-            resid = self.unitarity_residual()
+            resid = self.unitarity_residual() if recorded is None else recorded[0]
             if not resid <= UNITARITY_TOL:  # a NaN residual fails too
                 raise NumericalConsistencyError(f"unitarity residual {resid:.3e} exceeds tolerance")
-        resid = self.homomorphism_residual()
+        resid = self.homomorphism_residual() if recorded is None else recorded[1]
         if not resid <= HOMOMORPHISM_TOL:
             raise NumericalConsistencyError(f"homomorphism residual {resid:.3e} exceeds tolerance")
 

@@ -208,6 +208,21 @@ def generated_by_unique(mult: np.ndarray, generators: list[int]) -> tuple[np.nda
     return reached, depth
 
 
+def greedy_generators_by_restart(mult) -> tuple[int, ...]:
+    """Generator oracle, the loop ``Group.validate`` ran before it extended
+    each subgroup by repeated squares: each generator the smallest element
+    not yet generated, and after each one the closure of all of them
+    searched anew from the identity by the generators alone
+    (:func:`generated_by_unique`), |s| - 1 steps for a cyclic s."""
+    m = np.asarray(mult, dtype=np.int64)
+    generators: list[int] = []
+    generated = np.arange(m.shape[0]) == 0
+    while not generated.all():
+        generators.append(int(np.argmin(generated)))
+        generated, _ = generated_by_unique(m, generators)
+    return tuple(generators)
+
+
 def dense_family_table(group) -> np.ndarray:
     """Table oracle: the table a dense constructor builds for a built-in
     group, as every family did before the closed forms.  Cyclic groups add
@@ -480,6 +495,51 @@ def stacked_homomorphism_residual(mats: np.ndarray, group) -> float:
         worst = np.maximum(worst, np.sqrt((np.abs(diff) ** 2).sum(axis=(-2, -1))).max())
     sigma = math.sqrt(1.0 + UNITARITY_TOL)
     return float(depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst)
+
+
+def unitarity_by_gram(mats: np.ndarray) -> float:
+    """Unitarity oracle, one representation's gram as it was computed before
+    the stacked check: ``mats^dagger @ mats`` minus the identity, the
+    largest Frobenius norm over the elements through ``np.vecdot``."""
+    gram = np.matmul(mats.conj().transpose(0, 2, 1), mats)
+    gram -= np.eye(mats.shape[1])
+    flat = gram.reshape(len(gram), -1)
+    return float(np.sqrt(np.vecdot(flat, flat).real.max()))
+
+
+def sign_law_by_take(group, sign: np.ndarray) -> bool:
+    """Sign-law oracle for one diagonal form, as it was checked before the
+    packed rows: ``sign[g*s] == sign[g] * sign[s]`` for every element g and
+    generator s, one ``np.take`` of the ``(order, dim)`` signs."""
+    products = group.product(np.arange(group.order)[:, None], np.array(group.generators, dtype=np.int64))
+    sign = np.asarray(sign).reshape(group.order, -1)
+    gens = products[0]
+    return bool((np.take(sign, products, axis=0) == sign[:, None] * sign[gens]).all())
+
+
+def first_irrep_error(group, stacks) -> str | None:
+    """Table-check oracle, one irrep at a time in table order as the table
+    checked them before the stacked check: the message of the first error,
+    or None.  A signed form (:func:`signed_permutation_by_masks`) is checked
+    on every pair (:func:`signed_homomorphism_by_pairs`); any other block
+    by :func:`unitarity_by_gram`, then, once unitary,
+    :func:`per_basis_homomorphism_residual`, each with floating-point
+    warnings off.  Element 0 must hold the exact identity."""
+    from groupavg.reps import HOMOMORPHISM_TOL, UNITARITY_TOL
+
+    for mats in (m for stack in stacks for m in stack):
+        form = signed_permutation_by_masks(mats)
+        with np.errstate(all="ignore"):
+            if form is None:
+                resid = unitarity_by_gram(mats)
+                if not resid <= UNITARITY_TOL:
+                    return f"unitarity residual {resid:.3e} exceeds tolerance"
+                resid = per_basis_homomorphism_residual(mats, group)
+            else:
+                resid = 0.0 if signed_homomorphism_by_pairs(group, *form) else float("inf")
+        if not resid <= HOMOMORPHISM_TOL:
+            return f"homomorphism residual {resid:.3e} exceeds tolerance"
+    return None
 
 
 def per_basis_homomorphism_residual(mats: np.ndarray, group) -> float:

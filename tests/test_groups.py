@@ -26,6 +26,7 @@ from oracles import (
     element_order_by_loop,
     generated_by_unique,
     gf2_rank,
+    greedy_generators_by_restart,
     group_to_text_as_string,
     lehmer_ranks,
     light_test_by_take,
@@ -485,6 +486,35 @@ def test_generators_depth_and_closure_match_the_unique_oracle(spec):
     for gens in _generator_subsets(group.order, np.random.default_rng(group.order)):
         _assert_generated_matches_oracle(group, group.mult, gens)
         assert closure(group, gens) == np.flatnonzero(generated_by_unique(group.mult, gens)[0]).tolist()
+
+
+# TABLE_SPECS, the groups the benchmark workloads build (sweep, projector,
+# sample, kbound, Fourier and regression jobs, their ranges sampled), and nested products
+GENERATOR_SPECS = list(dict.fromkeys(
+    TABLE_SPECS
+    + [f"signflip:{d}" for d in range(1, 11)]
+    + [f"cyclic:{n}" for n in (8, 19, 31, 32, 55, 64, 81, 97, 104, 128)]
+    + [f"dihedral:{n}" for n in (3, 5, 7, 8, 12, 21, 22, 35, 36, 48, 10, 14, 33, 37, 56, 60)]
+    + ["symmetric:4", "symmetric:5", "product(cyclic:2,symmetric:4)"]
+    + [f"product(cyclic:3,dihedral:{n})" for n in range(3, 13)]
+    + ["product(product(cyclic:2,cyclic:2),dihedral:5)", "product(signflip:3,product(cyclic:4,cyclic:6))"]
+))
+
+
+@pytest.mark.parametrize("spec", GENERATOR_SPECS)
+def test_generators_match_the_restarting_greedy_loop(spec):
+    """The subgroup extended by repeated squares picks the generators the
+    search from the identity picks, on each group and on a copy with its
+    non-identity elements relabelled at random as a custom table."""
+    group = parse_group_spec(spec)
+    assert group.generators == greedy_generators_by_restart(group.mult)
+    rng = np.random.default_rng(group.order)
+    label = np.concatenate([[0], 1 + rng.permutation(group.order - 1)])  # old index -> new
+    relabelled = np.empty_like(group.mult)
+    relabelled[label[:, None], label[None, :]] = label[group.mult]
+    custom = custom_group(relabelled)
+    assert custom.generators == greedy_generators_by_restart(relabelled)
+    assert len(custom.generators) <= math.log2(group.order)
 
 
 def _intercalate_swaps(spec: str):

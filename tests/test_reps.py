@@ -910,8 +910,9 @@ def test_sign_flip_irreps_never_enter_the_float_kernel(monkeypatch):
     def refuse(*args):
         raise FloatKernel
 
-    monkeypatch.setattr(reps_module, "_dense_homomorphism_residual", refuse)
-    monkeypatch.setattr(Representation, "unitarity_residual", refuse)
+    # the stacked kernels, which the per-irrep residuals call as their one-block case
+    monkeypatch.setattr(reps_module, "_homomorphism_residuals", refuse)
+    monkeypatch.setattr(reps_module, "_unitarity_residuals", refuse)
     table = irreps_of(parse_group_spec("signflip:6"))
     assert len(table) == 64
     sign_action_rep(table.group)
