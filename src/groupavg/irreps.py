@@ -5,21 +5,22 @@ per irrep dimension d, in ascending d.  The builders return stacks:
 cyclic and sign-flip groups all their characters as one array, dihedral
 groups one 1- and one 2-dimensional stack, symmetric groups (d <= 6) one
 stack per shape from Young's orthogonal form over standard tableaux, and
-products one tensor product per pair of factor stacks.  Everything is
-complex and unitary; real forms are embedded as complex.  One stable sort
-of the characters per dimension puts the stacks in table order, and two
-linear character identities check the table.  Each irrep is a
-:class:`Representation` viewing its slice of a stack, so the matrices are
-held once, plus the element-major adjoint table the Fourier transforms
-gather from (row g holds pi(g)^dagger of every irrep), built when first
-read, and the layout of its stacks in that table's columns, computed
-once.  Each stack is validated once, by ``reps._stack_views``: its
-signed-permutation forms read in one pass (a 1x1 stack's are int8 signs
-that share one read-only zero permutation), its +-1 irreps checked by one
-packed sign law and the others by stacked unitarity and homomorphism
-residuals; each view's one ``validate()`` reads its irrep's verdict.  A
-build is refused before any builder allocates when ``order**2 * 96``
-bytes, above its measured peak, pass ``MEMORY_CAP_BYTES``.
+products one tensor product per pair of their factors' builder stacks,
+with no factor table.  Everything is complex and unitary; real forms are
+embedded as complex.  One stable sort of the characters per dimension
+puts the stacks in table order, and two linear character identities
+check the table.  Each irrep is a :class:`Representation` viewing its
+slice of a stack, so the matrices are held once, plus the element-major
+adjoint table the Fourier transforms gather from (row g holds
+pi(g)^dagger of every irrep), built when first read, and the layout of
+its stacks in that table's columns, computed once.  Each stack is
+validated once, by ``reps._stack_views``: a 1x1 stack's signed forms read
+in one pass (int8 signs sharing one read-only zero permutation) and its
++-1 irreps checked by one packed sign law, every other irrep by stacked
+unitarity and homomorphism residuals; each view's one ``validate()``
+reads its irrep's verdict.  A build is refused before any builder
+allocates when ``order**2 * 96`` bytes, above its measured peak, pass
+``MEMORY_CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -229,8 +230,8 @@ def _cyclic_stacks(group: Group) -> list[np.ndarray]:
 def _sign_flip_stacks(group: Group) -> list[np.ndarray]:
     n = group.order
     x = np.arange(n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(x[:, None] & x) % 2)  # (mask, element)
-    return [signs.astype(np.complex128).reshape(n, n, 1, 1)]
+    signs = np.where(np.bitwise_count(x[:, None] & x) & 1, -1 + 0j, 1 + 0j)  # (mask, element)
+    return [signs.reshape(n, n, 1, 1)]
 
 
 def _dihedral_stacks(group: Group) -> list[np.ndarray]:
@@ -254,16 +255,15 @@ def _dihedral_stacks(group: Group) -> list[np.ndarray]:
 
 
 def _product_stacks(group: Group) -> list[np.ndarray]:
-    g1, g2 = group.factors
-    o2 = g2.order
-    idx = np.arange(group.order)
-    a, b = idx // o2, idx % o2
+    """One tensor product per pair of the factors' builder stacks: the
+    product's own sort and check cover every product irrep."""
+    a, b = np.divmod(np.arange(group.order), group.factors[1].order)
+    first, second = (_builder(g)(g) for g in group.factors)
     return [
         np.einsum("pgij,qgkl->pqgikjl", s1[:, a], s2[:, b]).reshape(
             len(s1) * len(s2), group.order, s1.shape[2] * s2.shape[2], s1.shape[2] * s2.shape[2]
         )
-        for s1 in irreps_of(g1).stacks
-        for s2 in irreps_of(g2).stacks
+        for s1 in first for s2 in second
     ]
 
 
@@ -275,6 +275,19 @@ _BUILDERS = {
     "product": _product_stacks,
 }
 _PEAK_BYTES_PER_ENTRY = 96
+
+
+def _builder(group: Group):
+    """The stack builder of ``group``'s family, or :class:`CapabilityError`
+    naming ``group`` (symmetric groups up to ``SYMMETRIC_IRREPS_MAX_DIM``)."""
+    builder = _BUILDERS.get(group.family)
+    too_large = group.family == "symmetric" and group.params[0] > SYMMETRIC_IRREPS_MAX_DIM
+    if builder is None or too_large:
+        raise CapabilityError(
+            f"no irreps for {group_spec_string(group)}: supported are cyclic, signflip, dihedral, "
+            f"symmetric up to d = {SYMMETRIC_IRREPS_MAX_DIM} and products of them"
+        )
+    return builder
 
 
 def check_table_order(order: int) -> None:
@@ -294,13 +307,7 @@ def irreps_of(group: Group) -> IrrepTable:
     peaks lie below it, at most 54 bytes per order**2 entry at orders 1000
     to 2048 (more below, where fixed costs weigh: 59 at cyclic:500).
     """
-    builder = _BUILDERS.get(group.family)
-    too_large = group.family == "symmetric" and group.params[0] > SYMMETRIC_IRREPS_MAX_DIM
-    if builder is None or too_large:
-        raise CapabilityError(
-            f"no irreps for {group_spec_string(group)}: supported are cyclic, signflip, dihedral, "
-            f"symmetric up to d = {SYMMETRIC_IRREPS_MAX_DIM} and products of them"
-        )
+    builder = _builder(group)
     check_table_order(group.order)
     by_dim: dict[int, list[np.ndarray]] = {}
     for stack in builder(group):

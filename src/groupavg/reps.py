@@ -15,8 +15,8 @@ one nonzero per row and column) has an integer (perm, sign) form, and
 this module alone reads it.  The regular, permutation, sign and signed
 symmetric-power actions are held by that form, their stack built on the
 first read of ``mats``; any other stack has its form read once, by one
-reader that also takes an irrep table's stacks whole (a 1x1 stack's forms
-are int8 signs sharing one read-only zero permutation).  On that form the
+reader that also takes an irrep table's 1x1 stacks whole (their forms are
+int8 signs sharing one read-only zero permutation).  On that form the
 homomorphism law is checked exactly on the group's generators (a
 diagonal form by its signs alone, packed eight rows to a byte); traces
 are signed counts, the projector and an averaging operator one
@@ -29,9 +29,10 @@ word basis, which bounds the deviation of every pair (see
 :meth:`Group.word_basis`), in a fixed number of array steps per
 representation over products g*t the group caches for all of them.  A
 residual that is not finite fails either check.  An irrep table is
-checked a stack at a time (:func:`_stack_views`): one sign law over its
-+-1 irreps, and the float checks over groups of its other irreps in
-stacked products, each irrep's residuals with the bits of its own check;
+checked a stack at a time (:func:`_stack_views`): one sign law over the
++-1 irreps of its 1x1 stacks, the only stacks whose forms are read, and
+the float checks over groups of its other irreps in stacked products,
+each irrep's residuals with the bits of its own check;
 each irrep's view then reads its verdict in its one ``validate()``.  A
 dense symmetric power takes one gather per pair of coordinate slots, with
 the bits of one per pair of coordinates.
@@ -160,15 +161,6 @@ def _stack_forms(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return perm, signs, ok
 
 
-def _signed_permutations(stack: np.ndarray) -> list[Optional[tuple[np.ndarray, np.ndarray]]]:
-    """Per block of the ``(k, order, dim, dim)`` stack, its ``(perm, sign)``
-    form from :func:`_stack_forms`, or None where it has none."""
-    perm, sign, ok = _stack_forms(stack)
-    wide = stack.shape[2] > 1
-    return [((perm[i] if wide else perm), sign[i]) if good else None
-            for i, good in enumerate(ok.tolist())]
-
-
 def _pin_identity(stack: np.ndarray, copy: bool = False) -> np.ndarray:
     """``stack`` with the exact identity at element 0 of each ``(order, dim,
     dim)`` block, each checked within IDENTITY_TOL of it in Frobenius distance
@@ -247,20 +239,15 @@ def _homomorphism_residuals(blocks: np.ndarray, group: Group) -> np.ndarray:
     return depth * (1.0 + sigma) * sigma ** max(depth - 1, 0) * worst
 
 
-def _dense_homomorphism_residual(mats: np.ndarray, group: Group) -> float:
-    """:func:`_homomorphism_residuals` of the ``(order, dim, dim)`` stack ``mats`` alone."""
-    return float(_homomorphism_residuals(mats[None], group)[0])
-
-
 def _stack_views(group: Group, stacks: list[np.ndarray], names) -> list["Representation"]:
     """The irreps of an irrep table's ``(k, order, dim, dim)`` stacks, each a
     :class:`Representation` viewing its slice, named in turn from ``names``.
 
     Every stack's identities are pinned first, in place.  Then each stack's
-    forms are read in one pass (:func:`_stack_forms`) and its blocks
-    checked together: the +-1 blocks of a 1x1 stack by one sign law
-    (:func:`_sign_laws_hold`), any wider signed form by
-    :func:`_signed_homomorphism_holds`, and every other block by its
+    blocks are checked together.  A 1x1 stack's forms are read in one pass
+    (:func:`_stack_forms`) and its +-1 blocks checked by one sign law
+    (:func:`_sign_laws_hold`); a wider stack has no form read, since no
+    builder makes a wider signed irrep.  Every other block is checked by its
     unitarity residual and, once unitary, its word-basis homomorphism
     residual, over groups of blocks of about an eighth of
     ``_DENSE_BLOCK_ENTRIES`` product entries per pass.  Each view is built
@@ -272,18 +259,19 @@ def _stack_views(group: Group, stacks: list[np.ndarray], names) -> list["Represe
         _pin_identity(stack)
     names, views = iter(names), []
     for stack in stacks:
-        perm, sign, ok = _stack_forms(stack)
         k, n, d = stack.shape[:3]
         # a signed form is orthogonal exactly; a non-unitary block's
         # homomorphism residual is never read, validate stops before it
         unitarity, homomorphism = np.zeros(k), np.full(k, np.nan)
-        signed, dense = np.flatnonzero(ok), np.flatnonzero(~ok)
-        if d == 1 and signed.size:
-            rows = sign[:, :, 0] if signed.size == k else sign[signed, :, 0]
-            homomorphism[signed] = np.where(_sign_laws_hold(group, rows), 0.0, np.inf)
-        elif d > 1:
-            for i in signed.tolist():
-                homomorphism[i] = 0.0 if _signed_homomorphism_holds(group, perm[i], sign[i]) else np.inf
+        if d == 1:  # where the +-1 characters live
+            perm, sign, ok = _stack_forms(stack)
+            signed = np.flatnonzero(ok)
+            if signed.size:
+                rows = sign[:, :, 0] if signed.size == k else sign[signed, :, 0]
+                homomorphism[signed] = np.where(_sign_laws_hold(group, rows), 0.0, np.inf)
+        else:
+            ok = np.zeros(k, dtype=bool)
+        dense = np.flatnonzero(~ok)
         # blocks checked together: an eighth of _DENSE_BLOCK_ENTRIES product
         # entries per pass (128 KiB).  Larger groups saved no time on the
         # benchmark's tables and raised a build's peak by up to 0.7 MB
@@ -300,7 +288,7 @@ def _stack_views(group: Group, stacks: list[np.ndarray], names) -> list["Represe
                 kept = blocks if unitary.all() else blocks[unitary]
                 homomorphism[which[unitary]] = _homomorphism_residuals(kept, group)
         for i, (u, h, good) in enumerate(zip(unitarity.tolist(), homomorphism.tolist(), ok.tolist())):
-            form = ((perm if d == 1 else perm[i]), sign[i]) if good else None
+            form = (perm, sign[i]) if good else None
             view = Representation._from_stack(group, stack[i], next(names), form, (u, h))
             view.validate()
             views.append(view)
@@ -344,7 +332,10 @@ class Representation:
                 raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
             m = _pin_identity(m, copy=m is mats)
             self._mats, self.dim = m, m.shape[1]
-            self._signed = _signed_permutations(m[None])[0] if signed is _READ_SIGNED else signed
+            if signed is _READ_SIGNED:
+                perm, sign, ok = _stack_forms(m[None])
+                signed = ((perm if self.dim == 1 else perm[0]), sign[0]) if ok[0] else None
+            self._signed = signed
         self._recorded = None
         if validate:
             self.validate()
@@ -398,10 +389,10 @@ class Representation:
         pairs, inf otherwise (two distinct signed permutation matrices lie
         at least sqrt(2) apart).  Otherwise a float bound, valid once the
         unitarity check of :meth:`validate` passes; see
-        :func:`_dense_homomorphism_residual`.
+        :func:`_homomorphism_residuals`.
         """
         if self._signed is None:
-            return _dense_homomorphism_residual(self.mats, self.group)
+            return float(_homomorphism_residuals(self.mats[None], self.group)[0])
         return 0.0 if _signed_homomorphism_holds(self.group, *self._signed) else float("inf")
 
     def validate(self) -> None:

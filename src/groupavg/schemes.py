@@ -518,10 +518,7 @@ def minimize_scheme(
         if screen is not None and screen.rejects(best_scheme, best_eps, pos, replacement):
             continue
         support[pos] = replacement
-        try:
-            candidate = AveragingScheme(group, support, best_scheme.weights.copy())
-        except UsageError:
-            continue
+        candidate = AveragingScheme(group, support, best_scheme.weights.copy())
         cand_eps = cert(candidate, stop_above=best_eps)
         if cand_eps <= best_eps and (not best_feasible or cand_eps <= eps_target):
             if _candidate_key(cand_eps, candidate) < _candidate_key(best_eps, best_scheme):

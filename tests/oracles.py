@@ -780,6 +780,23 @@ def irrep_mats_by_loop(group) -> tuple[list[np.ndarray], np.ndarray]:
     return [raw[i] for i in order], chars[order]
 
 
+def product_stacks_by_factor_tables(group) -> list[np.ndarray]:
+    """Product-stack oracle: one tensor product per pair of stacks of the
+    factors' whole irrep tables, each built, sorted and checked by
+    ``irreps_of``, in the factor tables' order."""
+    from groupavg import irreps_of
+
+    g1, g2 = group.factors
+    a, b = np.divmod(np.arange(group.order), g2.order)
+    out = []
+    for s1 in irreps_of(g1).stacks:
+        for s2 in irreps_of(g2).stacks:
+            d = s1.shape[2] * s2.shape[2]
+            mats = np.einsum("pgij,qgkl->pqgikjl", s1[:, a], s2[:, b])
+            out.append(mats.reshape(len(s1) * len(s2), group.order, d, d))
+    return out
+
+
 def table_order_by_re_im(group) -> list[np.ndarray]:
     """Table-order oracle, the (re, im) form: each dimension's builder stack,
     pinned at the identity and put in order by one stable ``lexsort`` on

@@ -104,22 +104,21 @@ def test_fourier_certify_on_cyclic_1000_makes_about_order_calls(tmp_path, monkey
     assert len(calls) <= 2 * 1000 + 10
 
 
-def _catalogue_certify_jobs(workdir: str) -> list:
-    """The certify jobs of the certify-fourier catalogue, read from the
-    benchmark's job lists as they are."""
+def catalogue_jobs(workload: str, workdir: str) -> list:
+    """The jobs of ``workload``'s catalogue, read from the benchmark's job
+    lists as they are."""
     spec = importlib.util.spec_from_file_location("_benchmark_workloads", WORKLOADS_PATH)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # its dataclasses resolve their module
     try:
         spec.loader.exec_module(workloads)
-        jobs = workloads.catalogue("certify-fourier", workdir)
+        return workloads.catalogue(workload, workdir)
     finally:
         del sys.modules[spec.name]
-    return [job for job in jobs if job.kind == "certify"]
 
 
 def test_catalogue_certificates_have_the_bits_of_the_unpruned_maximum(tmp_path):
-    jobs = _catalogue_certify_jobs(str(tmp_path))
+    jobs = [job for job in catalogue_jobs("certify-fourier", str(tmp_path)) if job.kind == "certify"]
     assert len(jobs) == 56
     tables = {}
     for job in jobs:

@@ -851,6 +851,14 @@ def _same_signed_form(got, want) -> bool:
             and np.array_equal(got[1], want[1]) and got[1].dtype == want[1].dtype)
 
 
+def _stack_forms_per_block(stack: np.ndarray) -> list:
+    """Per block of ``stack``, its ``(perm, sign)`` form from ``_stack_forms``, or None."""
+    perm, sign, ok = reps_module._stack_forms(stack)
+    wide = stack.shape[2] > 1
+    return [((perm[i] if wide else perm), sign[i]) if good else None
+            for i, good in enumerate(ok.tolist())]
+
+
 def test_stacked_signed_forms_match_the_per_matrix_form(small_groups):
     rng = np.random.default_rng(37)
     found = {True: 0, False: 0}
@@ -868,7 +876,7 @@ def test_stacked_signed_forms_match_the_per_matrix_form(small_groups):
                 blocks.append(shared)
             # signed and unsigned blocks interleaved
             stack = np.stack(blocks)[rng.permutation(len(blocks))]
-            forms = reps_module._signed_permutations(stack)
+            forms = _stack_forms_per_block(stack)
             assert len(forms) == len(blocks)
             for block, form in zip(stack, forms):
                 want = signed_permutation_by_masks(block)
@@ -881,7 +889,7 @@ def test_stacked_signed_forms_match_the_per_matrix_form(small_groups):
                 unpinned[:, 0] = rng.normal(size=unpinned[:, 0].shape)
                 unpinned[:, 0, 0, 0] = np.nan
                 assert all(_same_signed_form(a, b) for a, b in
-                           zip(reps_module._signed_permutations(unpinned), forms)), (spec, dim)
+                           zip(_stack_forms_per_block(unpinned), forms)), (spec, dim)
     assert min(found.values()) > 100 and mixed >= 10, (found, mixed)
 
 
@@ -1038,6 +1046,11 @@ def test_homomorphism_residual_bounds_every_pair():
         assert oracle <= resid <= _word_factor(rep.group) * oracle, (rep.group, rep.name)
 
 
+def _dense_residual(mats: np.ndarray, group) -> float:
+    """The stacked word-basis residual of ``mats`` alone."""
+    return float(reps_module._homomorphism_residuals(mats[None], group)[0])
+
+
 def test_row_gemm_residual_matches_the_stacked_products():
     """One ``(order * dim, dim)`` product per basis element gives the residual
     of the per-element stacked products, up to the rounding of the norms."""
@@ -1047,7 +1060,7 @@ def test_row_gemm_residual_matches_the_stacked_products():
         cases += irreps + [_corrupted(r, g, phase) for r in irreps[:2] for g in (1, r.group.order - 1)
                            for phase in (1e-6, np.pi)]
     for rep in cases:
-        got = reps_module._dense_homomorphism_residual(rep.mats, rep.group)
+        got = _dense_residual(rep.mats, rep.group)
         want = stacked_homomorphism_residual(rep.mats, rep.group)
         assert abs(got - want) <= 1e-12 * want, (rep.group, rep.name, got, want)
 
@@ -1066,18 +1079,18 @@ def test_one_pass_residual_has_the_bits_of_the_per_basis_loop(block_entries, mon
              if r.signed_permutation() is None]
     assert {r.dim for r in dense} == {1, 2, 3, 4, 5, 6}
     for rep in dense:
-        got = reps_module._dense_homomorphism_residual(rep.mats, rep.group)
+        got = _dense_residual(rep.mats, rep.group)
         want = per_basis_homomorphism_residual(rep.mats, rep.group)
         assert got.hex() == want.hex(), (rep.group, rep.name, got, want)
     for rep in (r for r in dense if r.group.order > 2 and r.dim > 1):
         bad = _corrupted(rep, rep.group.order - 1, np.pi / 3)
-        got = reps_module._dense_homomorphism_residual(bad.mats, bad.group)
+        got = _dense_residual(bad.mats, bad.group)
         assert got.hex() == per_basis_homomorphism_residual(bad.mats, bad.group).hex()
         with pytest.raises(NumericalConsistencyError, match="homomorphism"):
             bad.validate()
         mats = rep.mats.copy()
         mats[1, 0, -1] = np.nan
-        assert math.isnan(reps_module._dense_homomorphism_residual(mats, rep.group))
+        assert math.isnan(_dense_residual(mats, rep.group))
         with pytest.raises(NumericalConsistencyError):
             Representation(rep.group, mats)
 
@@ -1085,7 +1098,7 @@ def test_one_pass_residual_has_the_bits_of_the_per_basis_loop(block_entries, mon
 def test_one_table_build_makes_the_word_basis_products_once(monkeypatch):
     """All dense irreps of a table gather from one ``(order, basis)`` table
     of products g*t, cached on the group: a product table's build makes it
-    once for the product and once for each factor's own table."""
+    for the product alone, since its factors get no table of their own."""
     made = []
     cached = groups_module.Group.__dict__["_word_products"]
     original = cached.func
@@ -1094,8 +1107,7 @@ def test_one_table_build_makes_the_word_basis_products_once(monkeypatch):
         group = parse_group_spec(spec)
         table = irreps_of(group)
         assert sum(r.signed_permutation() is None for r in table.irreps) > 1
-        assert [id(g) for g in made].count(id(group)) == 1
-        assert len({id(g) for g in made}) == len(made) == (3 if group.factors else 1)
+        assert [id(g) for g in made] == [id(group)]
         basis = np.array(group.word_basis()[0])
         assert np.array_equal(group._word_products, group.mult[:, basis])
         made.clear()

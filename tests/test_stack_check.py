@@ -69,7 +69,7 @@ def test_recorded_residuals_have_the_bits_of_the_per_irrep_checks(block_entries,
                 dense += 1
                 assert unitarity.hex() == irrep.unitarity_residual().hex(), (spec, irrep.name)
                 assert unitarity.hex() == unitarity_by_gram(irrep.mats).hex(), (spec, irrep.name)
-                want = reps_module._dense_homomorphism_residual(irrep.mats, group)
+                want = float(reps_module._homomorphism_residuals(irrep.mats[None], group)[0])
                 assert homomorphism.hex() == want.hex(), (spec, irrep.name)
                 assert homomorphism.hex() == per_basis_homomorphism_residual(irrep.mats, group).hex()
             else:
@@ -219,9 +219,7 @@ def _dense_per_stack(table) -> list[int]:
 
 @pytest.mark.parametrize("spec", TABLE_SPECS)
 def test_a_table_validates_each_irrep_once_and_computes_no_residual_per_irrep(spec, monkeypatch):
-    group = parse_group_spec(spec)
-    tables = [irreps_of(f) for f in group.factors or ()] + [irreps_of(group)]
-    dense = [count for t in tables for count in _dense_per_stack(t)]
+    dense = _dense_per_stack(irreps_of(parse_group_spec(spec)))
     validated, per_irrep, stacked = [], Counter(), {}  # validated views kept alive: ids stay
     validate = Representation.validate
 
@@ -244,18 +242,17 @@ def test_a_table_validates_each_irrep_once_and_computes_no_residual_per_irrep(sp
     monkeypatch.setattr(Representation, "validate", counted)
     monkeypatch.setattr(Representation, "unitarity_residual", refused("unitarity_residual"))
     monkeypatch.setattr(Representation, "homomorphism_residual", refused("homomorphism_residual"))
-    for name in ("_dense_homomorphism_residual", "_signed_homomorphism_holds"):
-        monkeypatch.setattr(reps_module, name, refused(name))
+    monkeypatch.setattr(reps_module, "_signed_homomorphism_holds", refused("_signed_homomorphism_holds"))
     for name in ("_unitarity_residuals", "_homomorphism_residuals"):
         monkeypatch.setattr(reps_module, name, spied(name, getattr(reps_module, name)))
     table = irreps_of(parse_group_spec(spec))
     calls = Counter(id(view) for view in validated)
     assert all(calls[id(r)] == 1 for r in table.irreps) and max(calls.values()) == 1
-    assert len(validated) == sum(len(t) for t in tables)
+    assert len(validated) == len(table)
     assert not per_irrep
     # each dense irrep goes through each stacked kernel once, in groups of
     # irreps: a stack of small irreps (all but symmetric:5's here) in one call
-    small = all(t.group.order * d * d <= 1024 for t in tables for d in t.dims)
+    small = all(table.group.order * d * d <= 1024 for d in table.dims)
     for name in ("_unitarity_residuals", "_homomorphism_residuals"):
         calls = stacked.get(name, [])
         assert sum(calls) == sum(dense), name
