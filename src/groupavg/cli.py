@@ -259,7 +259,6 @@ def cmd_minimize(args, out: Path) -> int:
     group = parse_group_spec(args.group)
     target, mults = _certify_target(group, args)
     result = minimize_scheme(
-        group,
         target,
         args.eps,
         trial_budget=args.trials,

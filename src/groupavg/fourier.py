@@ -218,7 +218,8 @@ def max_nontrivial_norm(
     """Largest squared spectral norm over nontrivial coefficient blocks.
 
     ``restrict_to`` optionally limits the maximum to irreps with nonzero
-    multiplicity in a supplied decomposition vector.
+    multiplicity in a supplied decomposition vector, one entry per irrep
+    of the table.
 
     Pruned but exact: 1x1 blocks go first, each entry as a numpy scalar,
     then larger blocks in decreasing squared Frobenius norm (one
@@ -235,6 +236,9 @@ def max_nontrivial_norm(
     otherwise a lower bound on it that lies above ``stop_above``: enough
     for a caller that only compares the certificate with that value.
     """
+    if restrict_to is not None and np.shape(restrict_to) != (len(coeffs.table),):
+        raise UsageError(f"multiplicities have shape {np.shape(restrict_to)}; the table has "
+                         f"{len(coeffs.table)} irreps")
     best = 0.0
     frob2, parts, starts = [], [], []
     first = 0

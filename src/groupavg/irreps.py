@@ -1,20 +1,22 @@
 """Irreducible representation tables for the built-in group families.
 
-A table is its per-dimension stacks: one ``(k, |G|, d, d)`` complex array
-per irrep dimension d, in ascending d.  The builders return stacks:
-cyclic and sign-flip groups all their characters as one array, dihedral
-groups one 1- and one 2-dimensional stack, symmetric groups (d <= 6) one
-stack per shape from Young's orthogonal form over standard tableaux, and
-products one tensor product per pair of their factors' builder stacks,
-with no factor table.  Everything is complex and unitary; real forms are
-embedded as complex.  One stable sort of the characters per dimension
-puts the stacks in table order, and two linear character identities
-check the table.  Each irrep is a :class:`Representation` viewing its
-slice of a stack, so the matrices are held once, plus the element-major
-adjoint table the Fourier transforms gather from (row g holds
-pi(g)^dagger of every irrep), built when first read, and the layout of
-its stacks in that table's columns, computed once.  Each stack is
-validated once, by ``reps._stack_views``: a 1x1 stack's signed forms read
+A table is its group and its per-dimension stacks: one ``(k, |G|, d, d)``
+complex array per irrep dimension d, in ascending d.  The builders return
+stacks: cyclic and sign-flip groups all their characters as one array,
+dihedral groups one 1- and one 2-dimensional stack, symmetric groups
+(d <= 6) one stack per shape from Young's orthogonal form over standard
+tableaux, and products one tensor product per pair of their factors'
+builder stacks, with no factor table.  Everything is complex and unitary;
+real forms are embedded as complex.  :class:`IrrepTable` derives the rest
+from the stacks it is given, in any order: one stable sort of the
+characters per dimension puts copies of them in table order, and the
+table computes its classes and characters, checks each stack once, then
+checks two linear character identities.  Each irrep is a
+:class:`Representation` viewing its slice of a stack, so the matrices are
+held once, plus the element-major adjoint table the Fourier transforms
+gather from (row g holds pi(g)^dagger of every irrep), built when first
+read, and the layout of its stacks in that table's columns, computed once.
+The stack check is ``reps._stack_views``: a 1x1 stack's signed forms read
 in one pass (int8 signs sharing one read-only zero permutation) and its
 +-1 irreps checked by one packed sign law, every other irrep by stacked
 unitarity and homomorphism residuals; each view's one ``validate()``
@@ -33,7 +35,7 @@ import numpy as np
 
 from .errors import CapabilityError, GroupMismatchError, NumericalConsistencyError
 from .errors import UsageError, check_bytes
-from .groups import Group, ConjugacyPartition, conjugacy_classes
+from .groups import Group, conjugacy_classes
 from .groups import group_spec_string, symmetric_permutations
 from .reps import INT_ROUND_TOL, CharacterVector, Representation, _stack_views
 
@@ -47,27 +49,59 @@ _CSV_BLOCK_CELLS = 256  # character table cells formatted per block
 
 @dataclass
 class IrrepTable:
-    """All irreducible representations of a group, trivial first.
+    """All irreducible representations of a group, from its stacks alone.
 
-    ``stacks`` holds one ``(k, |G|, d, d)`` array per irrep dimension d, in
-    ascending d, and the irreps are numbered through them in turn: the
-    trivial irrep, then by dimension, then lexicographically by character
-    values over the class list.  ``characters[i, c]`` is the trace of
-    irrep i at the representative of class c; ``irreps[i]`` views irrep
-    i's slice of its stack, whose identity matrices the table pins, checked
-    with its whole stack at construction.
+    ``stacks`` are ``(k, |G|, d, d)`` complex arrays in any order.  The
+    table keeps a sorted copy per irrep dimension d, in ascending d, and
+    numbers the irreps through them in turn: trivial first, then by the
+    rounded character values over the class list (the real parts alone
+    where a dimension's imaginary parts are all zero), ties in the given
+    order.  ``partition`` is the group's conjugacy classes,
+    ``characters[i, c]`` the trace of irrep i at class c's representative
+    (on an abelian group a view of its 1x1 stack), and ``irreps[i]`` a view
+    of irrep i's slice, its identity pinned.  Construction checks every
+    stack (:func:`reps._stack_views`), then the characters (:meth:`validate`).
     """
 
     group: Group
-    partition: ConjugacyPartition
     stacks: list[np.ndarray]
-    characters: np.ndarray
 
     trivial_index = 0  # the sort puts the trivial irrep first
 
     def __post_init__(self):
+        by_dim: dict[int, list[np.ndarray]] = {}
+        for stack in self.stacks:
+            by_dim.setdefault(stack.shape[2], []).append(stack)
+        n, self.partition = self.group.order, conjugacy_classes(self.group)
+        abelian = len(self.partition) == n  # its representatives are all its elements, in order
+        self.stacks, characters = [], []
+        for d in sorted(by_dim):
+            parts = by_dim.pop(d)
+            stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            del parts
+            at_classes = stack if abelian else stack[:, self.partition.representatives]
+            chars = np.trace(at_classes, axis1=2, axis2=3)
+            del at_classes
+            # chi == 1 within 1e-9 in each part, by reductions over the real and
+            # imaginary views: no |G|**2 temporary.  chi(e) = d rules out d > 1
+            trivial = ((chars.real.min(axis=1) > 1 - 1e-9) & (chars.real.max(axis=1) < 1 + 1e-9)
+                       & (chars.imag.min(axis=1) > -1e-9) & (chars.imag.max(axis=1) < 1e-9))
+            values = np.empty((*chars.shape, 2 if chars.imag.any() else 1))  # rounded in place
+            np.round(chars.real, 9, out=values[:, :, 0])
+            if values.shape[2] == 2:
+                np.round(chars.imag, 9, out=values[:, :, 1])
+            order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
+            del values
+            view = abelian and d == 1  # characters over all elements: the stack itself
+            sorted_chars = None if view else chars[order]
+            del chars
+            self.stacks.append(stack[order])  # a copy: the given arrays are never pinned
+            del stack
+            characters.append(self.stacks[-1].reshape(-1, n) if view else sorted_chars)
+        self.characters = characters[0] if len(characters) == 1 else np.concatenate(characters)
         self.dims = tuple(int(s.shape[2]) for s in self.stacks for _ in range(len(s)))
         self.irreps = _stack_views(self.group, self.stacks, self.labels())
+        self.validate()
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -124,8 +158,6 @@ class IrrepTable:
         dev = float(np.abs(np.concatenate([norms, regular])).max())
         if not dev <= ORTHOGONALITY_TOL:
             raise NumericalConsistencyError(f"character orthogonality deviation {dev:.3e}")
-        if self.dims[0] != 1 or np.abs(self.stacks[0][0] - 1.0).max() > 1e-12:
-            raise NumericalConsistencyError("trivial irrep is not first")
 
 
 # -- Young's orthogonal form -------------------------------------------------
@@ -298,7 +330,8 @@ def check_table_order(order: int) -> None:
 
 
 def irreps_of(group: Group) -> IrrepTable:
-    """Full irrep table for a supported family.
+    """Full irrep table for a supported family: :class:`IrrepTable` on the
+    family builder's stacks, which sorts and checks them.
 
     Supported: cyclic, sign_flip, dihedral, symmetric (d <= 6), and
     products of supported families.  Custom table groups are out of
@@ -309,44 +342,7 @@ def irreps_of(group: Group) -> IrrepTable:
     """
     builder = _builder(group)
     check_table_order(group.order)
-    by_dim: dict[int, list[np.ndarray]] = {}
-    for stack in builder(group):
-        by_dim.setdefault(stack.shape[2], []).append(stack)
-    partition = conjugacy_classes(group)
-    # per dimension, ascending: trivial first, then by rounded (re, im) per
-    # class in turn; the stable sort keeps the builder's order on ties.  A
-    # dimension whose imaginary parts are all exactly zero sorts on its real
-    # parts alone, in the same order: an all-zero key orders nothing
-    abelian = len(partition) == group.order
-    stacks, characters = [], []
-    for d in sorted(by_dim):
-        parts = by_dim.pop(d)
-        stack = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        del parts
-        # an abelian group's representatives are all its elements, in order
-        at_classes = stack if abelian else stack[:, partition.representatives]
-        chars = np.trace(at_classes, axis1=2, axis2=3)
-        del at_classes
-        # chi == 1 within 1e-9 in each part, by reductions over the real and
-        # imaginary views: no |G|**2 temporary.  chi(e) = d rules out d > 1
-        trivial = ((chars.real.min(axis=1) > 1 - 1e-9) & (chars.real.max(axis=1) < 1 + 1e-9)
-                   & (chars.imag.min(axis=1) > -1e-9) & (chars.imag.max(axis=1) < 1e-9))
-        values = np.empty((*chars.shape, 2 if chars.imag.any() else 1))  # rounded in place
-        np.round(chars.real, 9, out=values[:, :, 0])
-        if values.shape[2] == 2:
-            np.round(chars.imag, 9, out=values[:, :, 1])
-        order = np.lexsort([*values.reshape(len(chars), -1).T[::-1], ~trivial])
-        del values
-        if not abelian:
-            characters.append(chars[order])
-        del chars
-        stacks.append(stack[order])
-        del stack
-    # an abelian table is one 1x1 stack over its elements: its characters are a view of it
-    characters = stacks[0].reshape(group.order, group.order) if abelian else np.concatenate(characters)
-    table = IrrepTable(group, partition, stacks, characters)
-    table.validate()
-    return table
+    return IrrepTable(group, builder(group))
 
 
 # -- multiplicities ------------------------------------------------------------

@@ -12,9 +12,10 @@ degree bound needs no matrices.
 
 A signed permutation action (entries 0 and +-1 with zero imaginary part,
 one nonzero per row and column) has an integer (perm, sign) form, and
-this module alone reads it.  The regular, permutation, sign and signed
-symmetric-power actions are held by that form, their stack built on the
-first read of ``mats``; any other stack has its form read once, by one
+this module alone reads it.  A representation has one source, its
+matrices or that form.  The regular, permutation, sign and signed
+symmetric-power actions are given by their form, their stack built on the
+first read of ``mats``; given matrices have their form read once, by one
 reader that also takes an irrep table's 1x1 stacks whole (their forms are
 int8 signs sharing one read-only zero permutation).  On that form the
 homomorphism law is checked exactly on the group's generators (a
@@ -67,7 +68,6 @@ CHARACTER_CLASS_TOL = 1e-8
 SYM_POWER_DIM_CAP = 2000
 _ROW_BLOCK_ENTRIES = 1 << 14  # real entries per stack of moved rows: 128 KiB
 _DENSE_BLOCK_ENTRIES = 1 << 16  # complex entries per block of dense products: 1 MiB
-_READ_SIGNED = object()  # Representation reads the signed form off its matrices
 
 
 def _sign_laws_hold(group: Group, signs: np.ndarray) -> np.ndarray:
@@ -298,20 +298,20 @@ def _stack_views(group: Group, stacks: list[np.ndarray], names) -> list["Represe
 class Representation:
     """Unitary representation of a group, one complex matrix per element.
 
-    ``mats`` has shape ``(order, dim, dim)``; ``mats[0]`` is pinned to the
-    exact identity, in a copy if the given array would change.  ``perms`` is
-    the permutation each matrix realizes (``e_j -> e_{perms[g][j]}``) when
-    all of them are permutation matrices, and None otherwise.  The
-    signed-permutation form of ``mats`` is read here by
-    :func:`_stack_forms`, from ``mats`` as a stack of one once element 0 is
-    pinned; ``signed=None`` holds ``mats`` as dense without reading one.
-    With ``mats`` None, ``signed=(perm, sign)`` is the representation, and
-    ``mats`` is built from it on first read.  An irrep table's views are
-    built by :func:`_stack_views` through :meth:`_from_stack` instead.
+    Built from exactly one source.  ``mats`` of shape ``(order, dim, dim)``
+    has ``mats[0]`` pinned to the exact identity, in a copy if the given
+    array would change, and its signed-permutation form read by
+    :func:`_stack_forms`, from ``mats`` as a stack of one.  With ``mats``
+    None, ``signed=(perm, sign)`` is the representation, and ``mats`` is
+    built from it on first read.  ``perms`` is the permutation each matrix
+    realizes (``e_j -> e_{perms[g][j]}``) when all of them are permutation
+    matrices, and None otherwise.  An irrep table's views are built by
+    :func:`_stack_views` through :meth:`_from_stack` instead.
     """
 
-    def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True,
-                 signed=_READ_SIGNED):
+    def __init__(self, group: Group, mats, name: str = "rep", validate: bool = True, signed=None):
+        if (mats is None) == (signed is None):
+            raise UsageError("a representation takes its mats or signed=(perm, sign), exactly one")
         self.group = group
         self.name = str(name)
         if mats is None:
@@ -332,10 +332,8 @@ class Representation:
                 raise UsageError("mats must have shape (order, dim, dim) with dim >= 1")
             m = _pin_identity(m, copy=m is mats)
             self._mats, self.dim = m, m.shape[1]
-            if signed is _READ_SIGNED:
-                perm, sign, ok = _stack_forms(m[None])
-                signed = ((perm if self.dim == 1 else perm[0]), sign[0]) if ok[0] else None
-            self._signed = signed
+            perm, sign, ok = _stack_forms(m[None])
+            self._signed = ((perm if self.dim == 1 else perm[0]), sign[0]) if ok[0] else None
         self._recorded = None
         if validate:
             self.validate()

@@ -230,11 +230,10 @@ def certify_strong(scheme: AveragingScheme, rep: Representation) -> float:
     return 0.5 * max_deviation(rep, averaged) ** 2
 
 
-def _fourier_eps_strong(
-    coeffs: FourierCoefficients, table: IrrepTable, present: np.ndarray, weight_norm: float
-) -> float:
-    """Strong certificate over the irreps the boolean mask ``present`` keeps:
-    half the squared maximum over g and pi of ||pi(g) @ B - B||, B = what(pi)^dagger.
+def _fourier_eps_strong(coeffs: FourierCoefficients, present: np.ndarray, weight_norm: float) -> float:
+    """Strong certificate over the irreps of ``coeffs.table`` the boolean mask
+    ``present`` keeps: half the squared maximum over g and pi of
+    ||pi(g) @ B - B||, B = what(pi)^dagger.
 
     One pass per table stack, ``_DEVIATION_CHUNK_ENTRIES`` entries of
     differences at a time, formed by the complex matmul that
@@ -254,7 +253,7 @@ def _fourier_eps_strong(
     one, stays below the floor and takes every call.
     """
     worst, floor, first = 0.0, weight_norm * _PRUNE_MARGIN, 0
-    for stack, blocks in zip(table.stacks, coeffs.stacks):
+    for stack, blocks in zip(coeffs.table.stacks, coeffs.stacks):
         d = stack.shape[2]
         kept = np.flatnonzero(present[first : first + len(stack)])
         first += len(stack)
@@ -318,9 +317,7 @@ def certify(
         present = _present_irreps(target, multiplicities)
         return CertificationReport(
             eps_weak=weak,
-            eps_strong=_fourier_eps_strong(
-                coeffs, target, present, float(np.abs(scheme.weights).sum())
-            ),
+            eps_strong=_fourier_eps_strong(coeffs, present, float(np.abs(scheme.weights).sum())),
             method="fourier_path",
             per_irrep_norms=per_irrep_norms(coeffs),
             degenerate=not present.any(),
@@ -424,7 +421,6 @@ def check_trial_budget(order: int, trials: int) -> None:
 
 
 def minimize_scheme(
-    group: Group,
     target: Union[Representation, IrrepTable],
     eps_target: float,
     trial_budget: int = 40,
@@ -432,7 +428,8 @@ def minimize_scheme(
     swap_budget: int = 200,
     multiplicities: Optional[np.ndarray] = None,
 ) -> MinimizeResult:
-    """Heuristic search for a small scheme certifying at most ``eps_target``.
+    """Heuristic search for a small scheme over ``target.group`` certifying
+    at most ``eps_target`` on ``target``.
 
     Binary search over the draw count with ``trial_budget`` random
     schemes per count, followed by local support swaps that keep the
@@ -457,6 +454,7 @@ def minimize_scheme(
         raise UsageError(f"eps_target must lie in (0, 1), got {eps_target}")
     if trial_budget < 0 or swap_budget < 0:
         raise UsageError("budgets must be nonnegative")
+    group = target.group
     check_trial_budget(group.order, trial_budget)
 
     def cert(s: AveragingScheme, stop_above: float = math.inf) -> float:

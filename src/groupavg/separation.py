@@ -148,7 +148,7 @@ def separation_table(
         group = parse_group_spec(f"{family}:{p}")
         table = irreps_of(group)
         row_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(idx,)).generate_state(1)[0])
-        result = minimize_scheme(group, table, eps, trial_budget=trial_budget, seed=row_seed)
+        result = minimize_scheme(table, eps, trial_budget=trial_budget, seed=row_seed)
         rows.append(
             SeparationRow(
                 family=group_spec_string(group),

@@ -397,8 +397,8 @@ def fourier_blocks_by_list(signal, table) -> list[np.ndarray]:
     return blocks
 
 
-def minimize_scheme_unstopped(group, target, eps_target, trial_budget=40, seed=0,
-                              swap_budget=200, multiplicities=None):
+def minimize_scheme_unstopped(target, eps_target, trial_budget=40, seed=0, swap_budget=200,
+                              multiplicities=None):
     """Scheme-search oracle, the unstopped form: the same binary search and
     swaps as ``minimize_scheme``, with every certificate computed in full."""
     from groupavg.errors import UsageError
@@ -408,6 +408,7 @@ def minimize_scheme_unstopped(group, target, eps_target, trial_budget=40, seed=0
     def cert(s):
         return certify_weak_target(s, target, multiplicities)
 
+    group = target.group
     trace = []
     best_scheme = uniform_scheme(group)
     best_eps = cert(best_scheme)
@@ -797,17 +798,18 @@ def product_stacks_by_factor_tables(group) -> list[np.ndarray]:
     return out
 
 
-def table_order_by_re_im(group) -> list[np.ndarray]:
-    """Table-order oracle, the (re, im) form: each dimension's builder stack,
-    pinned at the identity and put in order by one stable ``lexsort`` on
-    (trivial, then the rounded real and imaginary part of the character at
-    each class representative in turn), imaginary keys always included."""
+def table_order_by_re_im(group, stacks=None) -> list[np.ndarray]:
+    """Table-order oracle, the (re, im) form: each dimension's stack of
+    ``stacks`` (the builder's by default), pinned at the identity and put in
+    order by one stable ``lexsort`` on (trivial, then the rounded real and
+    imaginary part of the character at each class representative in turn),
+    imaginary keys always included."""
     from groupavg.groups import conjugacy_classes
     from groupavg.irreps import _BUILDERS
 
     reps = conjugacy_classes(group).representatives
     by_dim: dict[int, list[np.ndarray]] = {}
-    for stack in _BUILDERS[group.family](group):
+    for stack in _BUILDERS[group.family](group) if stacks is None else stacks:
         by_dim.setdefault(stack.shape[2], []).append(stack)
     out = []
     for d in sorted(by_dim):

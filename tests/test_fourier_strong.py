@@ -7,12 +7,9 @@ by ``float.hex`` against the oracle that takes one ``spectral_norm`` per
 element and irrep over the differences of ``reps._deviations``.
 """
 
-import importlib.util
 import io
 import json
-import sys
 from contextlib import redirect_stdout
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +25,9 @@ from groupavg.schemes import (
     scheme_from_json,
     uniform_scheme,
 )
+from catalogue import catalogue_jobs
 from oracles import unpruned_fourier_eps_strong
 from test_irreps import TABLE_SPECS
-
-WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py"
-
 
 @pytest.fixture(scope="module")
 def tables():
@@ -102,19 +97,6 @@ def test_fourier_certify_on_cyclic_1000_makes_about_order_calls(tmp_path, monkey
     with redirect_stdout(io.StringIO()):
         assert groupavg.cli.main(argv) == 0
     assert len(calls) <= 2 * 1000 + 10
-
-
-def catalogue_jobs(workload: str, workdir: str) -> list:
-    """The jobs of ``workload``'s catalogue, read from the benchmark's job
-    lists as they are."""
-    spec = importlib.util.spec_from_file_location("_benchmark_workloads", WORKLOADS_PATH)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses resolve their module
-    try:
-        spec.loader.exec_module(workloads)
-        return workloads.catalogue(workload, workdir)
-    finally:
-        del sys.modules[spec.name]
 
 
 def test_catalogue_certificates_have_the_bits_of_the_unpruned_maximum(tmp_path):

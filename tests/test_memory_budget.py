@@ -39,7 +39,7 @@ def test_group_build_peak_is_within_its_estimate(spec):
     assert peak <= group.order**2 * 40, (spec, peak / group.order**2)
 
 
-# measured 53.6, 42.8, 33.9 and 53.6 bytes per order**2 entry
+# measured 53.6, 42.8, 35.7 and 53.6 bytes per order**2 entry
 @pytest.mark.parametrize("spec", ["cyclic:1000", "signflip:10", "dihedral:500",
                                   "product(cyclic:10,cyclic:100)"])
 def test_irrep_table_peak_is_within_its_estimate(spec):

@@ -16,8 +16,8 @@ from groupavg import irreps as irreps_module
 from groupavg import reps as reps_module
 from groupavg.groups import custom_group, cyclic_group, product_group
 from groupavg.irreps import IrrepTable
+from catalogue import WORKLOADS, catalogue_jobs
 from oracles import product_stacks_by_factor_tables, signed_permutation_by_masks
-from test_fourier_strong import catalogue_jobs
 from test_irreps import TABLE_SPECS
 
 NESTED = [
@@ -25,7 +25,6 @@ NESTED = [
     "product(dihedral:3,product(cyclic:2,signflip:2))",
     "product(product(dihedral:4,cyclic:2),product(symmetric:3,cyclic:2))",
 ]
-WORKLOADS = ("sweep-signflip", "certify-projector", "certify-fourier", "experiments")
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +74,27 @@ def test_a_table_is_built_and_checked_once(spec, monkeypatch):
     assert tables == [group] and built == [group]
     assert sorted(map(id, validated)) == sorted(map(id, table.irreps))
     assert read and set(read) == {1}
+
+
+def test_a_table_sorts_derives_and_checks_its_stacks(catalogue_specs):
+    """``IrrepTable(group, stacks)`` on the builder's stacks, in reverse order
+    and each with its irreps permuted, is the table ``irreps_of`` builds,
+    byte for byte, and leaves the given arrays as they were."""
+    rng = np.random.default_rng(40)
+    specs = list(dict.fromkeys(TABLE_SPECS + catalogue_specs + NESTED))
+    assert len(specs) >= 90
+    for spec in specs:
+        group = parse_group_spec(spec)
+        stacks = [s[rng.permutation(len(s))] for s in irreps_module._builder(group)(group)[::-1]]
+        given = [s.tobytes() for s in stacks]
+        got, want = IrrepTable(group, stacks), irreps_module.irreps_of(group)
+        assert [s.tobytes() for s in stacks] == given, spec
+        assert [s.shape for s in got.stacks] == [s.shape for s in want.stacks], spec
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.stacks, want.stacks)), spec
+        assert np.ascontiguousarray(got.characters).tobytes() == \
+            np.ascontiguousarray(want.characters).tobytes(), spec
+        assert got.labels() == want.labels(), spec
+        assert got.adjoint_rows.tobytes() == want.adjoint_rows.tobytes(), spec
 
 
 def test_no_table_has_a_signed_irrep_of_dimension_two_or_more(catalogue_specs):

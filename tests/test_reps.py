@@ -212,6 +212,21 @@ def test_signed_form_constructor_checks_its_rows():
         Representation(c3, None, signed=(perm, negated))  # -rho(1) squared is not -rho(2)
 
 
+def test_a_representation_refuses_a_signed_form_beside_its_matrices():
+    # beside the matrices, a form would be trusted: the identity form on the
+    # regular matrices of cyclic:5 read 5 invariant dimensions, not 1
+    c5 = parse_group_spec("cyclic:5")
+    mats, identity = regular_rep(c5).mats, np.tile(np.arange(5), (5, 1))
+    with pytest.raises(UsageError, match="exactly one"):
+        Representation(c5, mats, signed=(identity, np.ones_like(identity)))
+    assert reps_module.invariant_dimension(Representation(c5, mats)) == 1
+
+
+def test_a_representation_needs_its_matrices_or_its_signed_form():
+    with pytest.raises(UsageError, match="exactly one"):
+        Representation(parse_group_spec("cyclic:5"), None)
+
+
 @pytest.mark.parametrize("corruption", ["swap", "extra-entry"])
 def test_perm_rep_reads_its_perms_off_the_matrices(corruption):
     c5 = parse_group_spec("cyclic:5")
@@ -309,16 +324,15 @@ def test_sym_power_dense_matches_perm_path():
 
 def _dense_power_cases() -> list[Representation]:
     """Dense bases of dimension 2 to 27: irreps of dihedral:7 and symmetric:5,
-    the triple tensor power of symmetric:4's 3-dimensional irrep, and a
-    dense copy of symmetric:4's regular action."""
+    the triple tensor power of symmetric:4's 3-dimensional irrep, and
+    the regular action of symmetric:4, whose powers the test takes from its dense stack."""
     s4 = parse_group_spec("symmetric:4")
     three = next(r for r in irreps_of(s4).irreps if r.dim == 3)
     cases = [next(r for r in irreps_of(parse_group_spec("dihedral:7")).irreps if r.dim == 2),
              three, max(irreps_of(parse_group_spec("symmetric:5")).irreps, key=lambda r: r.dim),
-             tensor_product(tensor_product(three, three), three),
-             Representation(s4, regular_rep(s4).mats, signed=None)]
+             tensor_product(tensor_product(three, three), three)]
     assert all(r.signed_permutation() is None for r in cases)
-    return cases
+    return cases + [regular_rep(s4)]
 
 
 @pytest.mark.parametrize("block_entries", [None, 1], ids=["blocks-of-1MiB", "row-per-block"])
@@ -333,7 +347,11 @@ def test_dense_sym_power_has_the_bits_of_the_pair_loop(block_entries, monkeypatc
             if math.comb(rep.dim + k - 1, k) > reps_module.SYM_POWER_DIM_CAP:
                 continue
             want = Representation(rep.group, sym_power_dense_by_pairs(rep, k), validate=False)
-            assert sym_power_rep(rep, k).mats.tobytes() == want.mats.tobytes(), (rep.name, k)
+            if rep.signed_permutation() is None:
+                got = sym_power_rep(rep, k)
+            else:
+                got = Representation(rep.group, reps_module._sym_power_dense(rep, k), validate=False)
+            assert got.mats.tobytes() == want.mats.tobytes(), (rep.name, k)
 
 
 @settings(max_examples=12, deadline=None)
@@ -678,19 +696,17 @@ def test_the_identity_pin_leaves_the_given_array_alone():
         Representation(c3, mats)
     mats[0, 1, 0] = -0.0  # a signed zero is a changed byte too
     given = mats.copy()
-    for signed in ({}, {"signed": None}):
-        pinned = Representation(c3, mats, **signed)
-        assert pinned.mats[0].tobytes() == np.eye(3, dtype=complex).tobytes()
-        assert mats.tobytes() == given.tobytes() and pinned.mats is not mats
+    pinned = Representation(c3, mats)
+    assert pinned.mats[0].tobytes() == np.eye(3, dtype=complex).tobytes()
+    assert mats.tobytes() == given.tobytes() and pinned.mats is not mats
     exact = regular_rep(c3).mats.copy()
     assert Representation(c3, exact).mats is exact  # nothing to pin, nothing copied
-    assert Representation(c3, exact, signed=None).mats is exact
 
 
 def test_an_order_one_dense_rep_checks_against_an_empty_word_basis():
     for group in (parse_group_spec("symmetric:1"), custom_group([[0]]), parse_group_spec("cyclic:1")):
-        rep = Representation(group, np.ones((1, 1, 1)), signed=None)
-        assert group.word_basis() == ((), 0) and rep.homomorphism_residual() == 0.0
+        residuals = reps_module._homomorphism_residuals(np.ones((1, 1, 1, 1), dtype=complex), group)
+        assert group.word_basis() == ((), 0) and residuals.tolist() == [0.0]
 
 
 def test_nan_trace_fails_the_character_class_check():

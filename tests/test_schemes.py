@@ -37,6 +37,7 @@ from groupavg import fourier as fourier_module
 from groupavg import reps as reps_module
 from groupavg import schemes as schemes_module
 from oracles import dense_apply_scheme, dense_invariant_dimension, dense_invariant_projector
+from oracles import dense_max_deviation
 from oracles import merged_support, minimize_scheme_unstopped, unique_merged_support
 from oracles import scheme_signal, unique_random_scheme, unpruned_fourier_eps_strong
 from test_irreps import TABLE_SPECS
@@ -229,7 +230,7 @@ def test_projector_path_frozen_on_permutation_actions(spec, kind, weak, strong, 
     report = certify(random_scheme(group, 6, 3), rep)
     assert report.eps_weak == weak
     assert abs(report.eps_strong - strong) <= 1e-14
-    result = minimize_scheme(group, rep, 0.5, seed=3)
+    result = minimize_scheme(rep, 0.5, seed=3)
     assert (result.status, result.size, result.eps) == ("ok", size, eps)
     assert result.scheme.support.tolist() == support
 
@@ -239,8 +240,7 @@ def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monke
     # uniform scheme; the traces, projector and operator by tobytes, the
     # full report's certificates by float.hex against the dense oracles.
     # Signed actions (the sign action and its symmetric powers) also keep
-    # the strong certificate's bits: their report is checked against the
-    # same matrices held without a signed form.
+    # the strong certificate's bits of one dense matmul and SVD per element.
     reps = [regular_rep(g) for g in [*small_groups.values(), parse_group_spec("cyclic:37")]]
     reps += [permutation_rep(parse_group_spec(f"symmetric:{d}")) for d in (4, 5)]
     signs = [sign_action_rep(parse_group_spec(f"signflip:{d}")) for d in (1, 3, 5)]
@@ -251,7 +251,6 @@ def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monke
         case = (rep.name, group.order)
         assert rep.signed_permutation() is not None, case
         assert reps_module._traces(rep).tobytes() == np.einsum("gii->g", rep.mats).tobytes(), case
-        dense = None if rep.perms is not None else Representation(group, rep.mats.copy(), signed=None)
         rng = np.random.default_rng(group.order)
         schemes = [uniform_scheme(group)]
         for size in (1, 3, 2 * group.order + 1):
@@ -266,14 +265,14 @@ def test_permutation_routes_have_the_bits_of_the_dense_stack(small_groups, monke
             patch.setattr(schemes_module, "apply_scheme", dense_apply_scheme)
             patch.setattr(schemes_module, "invariant_projector", dense_invariant_projector)
             patch.setattr(schemes_module, "invariant_dimension", dense_invariant_dimension)
+            if rep.perms is None:
+                patch.setattr(schemes_module, "max_deviation", dense_max_deviation)
             for scheme, (operator, report) in zip(schemes, routes):
                 assert operator.tobytes() == dense_apply_scheme(scheme, rep).tobytes(), case
                 want = certify(scheme, rep)
                 assert report.eps_weak.hex() == want.eps_weak.hex(), case
                 assert report.eps_strong.hex() == want.eps_strong.hex(), case
                 assert report.degenerate == want.degenerate, case
-                if dense is not None:
-                    assert report.to_json() == certify(scheme, dense).to_json(), case
 
 
 def test_strong_certificate_depends_only_on_the_matrices():
@@ -392,7 +391,7 @@ def test_monotone_feasibility_statement():
 def test_minimize_uniform_needed():
     c3 = parse_group_spec("cyclic:3")
     table = irreps_of(c3)
-    result = minimize_scheme(c3, table, 1e-12, trial_budget=10, seed=0)
+    result = minimize_scheme(table, 1e-12, trial_budget=10, seed=0)
     assert result.feasible
     assert result.size == 3  # only the uniform scheme certifies this tight
     assert np.allclose(result.scheme.weights, 1 / 3)
@@ -404,14 +403,14 @@ def test_minimize_c2_needs_both_elements():
     # oracle: every size-1 scheme has certificate 1
     for g in range(group.order):
         assert certify_weak(delta_scheme(group, g), rep) >= 1.0 - 1e-12
-    result = minimize_scheme(group, rep, 0.3, trial_budget=16, seed=2)
+    result = minimize_scheme(rep, 0.3, trial_budget=16, seed=2)
     assert result.feasible and result.size == 2
 
 
 def test_minimize_beats_whole_group():
     z4 = parse_group_spec("signflip:4")
     table = irreps_of(z4)
-    result = minimize_scheme(z4, table, 0.5, trial_budget=30, seed=3)
+    result = minimize_scheme(table, 0.5, trial_budget=30, seed=3)
     assert result.feasible
     assert result.size < 16
     assert result.eps <= 0.5
@@ -421,8 +420,8 @@ def test_minimize_beats_whole_group():
 def test_minimize_deterministic():
     z3 = parse_group_spec("signflip:3")
     table = irreps_of(z3)
-    a = minimize_scheme(z3, table, 0.4, trial_budget=12, seed=9)
-    b = minimize_scheme(z3, table, 0.4, trial_budget=12, seed=9)
+    a = minimize_scheme(table, 0.4, trial_budget=12, seed=9)
+    b = minimize_scheme(table, 0.4, trial_budget=12, seed=9)
     assert np.array_equal(a.scheme.support, b.scheme.support)
     assert np.array_equal(a.scheme.weights, b.scheme.weights)
     assert a.eps == b.eps
@@ -452,8 +451,8 @@ def test_stopped_certificates_leave_the_search_unchanged(spec):
     table = _search_table(spec)
     for seed in (0, 1):
         for eps in (0.2, 0.5):
-            got = minimize_scheme(table.group, table, eps, seed=seed)
-            _same_search(got, minimize_scheme_unstopped(table.group, table, eps, seed=seed))
+            got = minimize_scheme(table, eps, seed=seed)
+            _same_search(got, minimize_scheme_unstopped(table, eps, seed=seed))
 
 
 def test_stopped_certificates_leave_a_restricted_search_unchanged():
@@ -461,8 +460,8 @@ def test_stopped_certificates_leave_a_restricted_search_unchanged():
     mults = decompose(permutation_rep(table.group), table)
     assert 0 < (mults[1:] > 0).sum() < len(table) - 1  # some nontrivial irreps left out
     for seed in (0, 1):
-        got = minimize_scheme(table.group, table, 0.2, seed=seed, multiplicities=mults)
-        want = minimize_scheme_unstopped(table.group, table, 0.2, seed=seed, multiplicities=mults)
+        got = minimize_scheme(table, 0.2, seed=seed, multiplicities=mults)
+        want = minimize_scheme_unstopped(table, 0.2, seed=seed, multiplicities=mults)
         _same_search(got, want)
 
 
@@ -477,7 +476,7 @@ def test_stopped_certificates_take_fewer_svds(monkeypatch):
     monkeypatch.setattr(fourier_module, "spectral_norm", counting)
     for search in (minimize_scheme, minimize_scheme_unstopped):
         svds.append(0)
-        search(table.group, table, 0.2, seed=0)
+        search(table, 0.2, seed=0)
     assert 0 < svds[0] < svds[1]
 
 
@@ -511,7 +510,7 @@ def test_swap_screen_rejects_only_candidates_above_the_best(spec, monkeypatch):
     screened = _screened_swaps(monkeypatch)
     for seed in (0, 1):
         for eps in (0.2, 0.5):
-            minimize_scheme(table.group, table, eps, seed=seed)
+            minimize_scheme(table, eps, seed=seed)
     _assert_screened_swaps_certify_above_the_best(screened, table)
 
 
@@ -521,7 +520,7 @@ def test_swap_screen_rejects_only_candidates_above_the_best_on_a_restricted_sear
     screened = _screened_swaps(monkeypatch)
     for seed in (0, 1):
         for eps in (0.2, 0.5):
-            minimize_scheme(table.group, table, eps, seed=seed, multiplicities=mults)
+            minimize_scheme(table, eps, seed=seed, multiplicities=mults)
     _assert_screened_swaps_certify_above_the_best(screened, table, mults)
 
 
@@ -567,13 +566,27 @@ def test_swap_screen_certifies_fewer_swaps_than_it_draws(spec, monkeypatch):
     monkeypatch.setattr(schemes_module, "certify_weak_target", counting)
     for search in (minimize_scheme, minimize_scheme_unstopped):
         certs.append(0)
-        result = search(table.group, table, 0.5, seed=0)
+        result = search(table, 0.5, seed=0)
     # the fallback and every trial of the draw phase, then one per swap certified;
     # the oracle certifies every drawn swap that moves the support
     draw_phase = 1 + sum(step["trials"] for step in result.trace if step["phase"] == "search")
     screened, drawn = certs[0] - draw_phase, certs[1] - draw_phase
     assert drawn > 150
     assert screened < drawn / 2
+
+
+def test_a_multiplicity_vector_has_one_entry_per_irrep():
+    # dihedral:5 has 4 irreps: a 3-entry vector ended in an IndexError, and a
+    # 6-entry one was read as its first 4 entries
+    table = irreps_of(parse_group_spec("dihedral:5"))
+    scheme = random_scheme(table.group, 6, 2)
+    for mults in (np.ones(3, np.int64), np.ones(6, np.int64), np.ones((4, 1), np.int64)):
+        for run in (lambda: certify(scheme, table, mults),
+                    lambda: schemes_module.certify_weak_target(scheme, table, mults),
+                    lambda: minimize_scheme(table, 0.5, multiplicities=mults)):
+            with pytest.raises(UsageError, match="the table has 4 irreps"):
+                run()
+    assert certify(scheme, table, np.ones(4, np.int64)).eps_weak == certify(scheme, table).eps_weak
 
 
 def test_scheme_json_round_trip():

@@ -24,6 +24,7 @@ from oracles import (
     per_basis_homomorphism_residual,
     sign_law_by_take,
     signed_homomorphism_by_pairs,
+    table_order_by_re_im,
     unitarity_by_gram,
 )
 from test_irreps import TABLE_SPECS
@@ -183,13 +184,16 @@ def test_a_corrupted_stack_raises_the_first_per_irrep_error(spec, corruptions, m
     stacks = [s.copy() for s in table.stacks]
     for corruption in corruptions:
         _corrupt(stacks, *corruption)
-    want = first_irrep_error(table.group, stacks)
+    given = [s.copy() for s in stacks]
+    # the table sorts the corrupted stacks on their characters before it checks them
+    want = first_irrep_error(table.group, table_order_by_re_im(table.group, stacks))
     assert want is not None and want.startswith(message), want
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a RuntimeWarning would be raised in place of the error
         with pytest.raises(NumericalConsistencyError) as err:
-            IrrepTable(table.group, table.partition, stacks, table.characters)
+            IrrepTable(table.group, stacks)
     assert str(err.value) == want
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stacks, given))  # sorted copies checked
 
 
 def test_a_view_checks_its_matrices_after_its_first_validate():
